@@ -1,16 +1,12 @@
 //! Microbenchmark of event-queue push/pop throughput at one million
-//! events (ISSUE 2 satellite; ISSUE 9 adds the calendar queue) — an
-//! order of magnitude above the largest case in `benches/engine.rs`,
-//! where heap depth (~20 comparisons per operation) and allocation
-//! strategy start to dominate. Each scenario runs on both
-//! implementations: the binary-heap `EventQueue` (the reference) and
-//! the bucketed `CalendarQueue`, whose O(1) amortized operations are
-//! required to pull ahead at this scale. The heap cases additionally
-//! run pre-sized (`with_capacity`) and growing from empty to expose
-//! the incremental-reallocation cost the experiment driver now avoids.
+//! events — an order of magnitude above the largest case in
+//! `benches/engine.rs`, where heap depth (~20 comparisons per operation)
+//! and allocation strategy start to dominate. The fill-drain case runs
+//! pre-sized (`with_capacity`) and growing from empty to expose the
+//! incremental-reallocation cost the experiment driver avoids.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use simcore::{CalendarQueue, EventQueue, SimRng, SimTime};
+use simcore::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
 
 const N: usize = 1_000_000;
@@ -60,50 +56,11 @@ fn push_pop_1m(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
-    g.bench_function("calendar_push_pop_random_presized", |b| {
-        b.iter_batched(
-            || times.clone(),
-            |times| {
-                let mut q = CalendarQueue::with_capacity(N);
-                for (i, t) in times.into_iter().enumerate() {
-                    q.push(t, i as u64);
-                }
-                let mut acc = 0u64;
-                while let Some((_, e)) = q.pop() {
-                    acc = acc.wrapping_add(e);
-                }
-                black_box(acc)
-            },
-            BatchSize::LargeInput,
-        );
-    });
     // The simulator's steady-state pattern: a bounded in-flight window
     // sliding forward in time (pop one, push one) rather than fill-drain.
     g.bench_function("sliding_window_4k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(4096);
-            let mut rng = SimRng::seed_from_u64(7);
-            for i in 0..4096u64 {
-                q.push(SimTime::from_millis(rng.u64_below(1_000)), i);
-            }
-            let mut acc = 0u64;
-            for i in 0..N as u64 {
-                let (t, e) = q.pop().expect("window never empties");
-                acc = acc.wrapping_add(e);
-                q.push(
-                    t + simcore::SimDuration::from_millis(1 + rng.u64_below(1_000)),
-                    i,
-                );
-            }
-            black_box(acc)
-        });
-    });
-    // Identical workload on the calendar queue: the sliding window is
-    // where its O(1) amortized pop shows best — the cursor advances
-    // monotonically and never pays a heap's log-depth sift.
-    g.bench_function("calendar_sliding_window_4k", |b| {
-        b.iter(|| {
-            let mut q = CalendarQueue::with_capacity(4096);
             let mut rng = SimRng::seed_from_u64(7);
             for i in 0..4096u64 {
                 q.push(SimTime::from_millis(rng.u64_below(1_000)), i);

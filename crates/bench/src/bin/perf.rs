@@ -9,9 +9,9 @@
 //! merged replication aggregates, must render byte-identically to the
 //! sequential ones), and writes the machine-readable baseline
 //! `BENCH_9.json` at the current directory (the repo root when run via
-//! `cargo run`), so future perf PRs have a trajectory to beat.
-//! (`BENCH_2.json`, the pre-calendar-queue baseline this binary used to
-//! write, stays committed as the before-side of the comparison.)
+//! `cargo run`), so later changes have a trajectory to beat.
+//! (`BENCH_2.json`, the earlier baseline this binary used to write, stays
+//! committed as the before-side of the comparison.)
 //!
 //! Pipelines:
 //!
@@ -23,11 +23,7 @@
 //! * `matrix1000` — a **1000-cell** summarized scenario matrix
 //!   (20 configurations × 50 seeds; full mode only): the scale target
 //!   of the streaming-statistics subsystem, infeasible with full
-//!   reports in this container.
-//! * `trace1m` (queue comparison) — the million-job streaming trace run
-//!   once per event-queue implementation (binary heap vs calendar),
-//!   with the two summary reports asserted byte-identical before the
-//!   events/s of each is recorded: the ISSUE 9 headline measurement.
+//!   reports on a small machine.
 //!
 //! ```text
 //! cargo run --release -p koala_bench --bin perf [-- --smoke] [--threads N] [--out PATH]
@@ -37,7 +33,9 @@
 //!   parallel runner, the summary merge path and the determinism checks
 //!   in seconds, writes the JSON to a temp file unless `--out` is given.
 //! * `--threads` — worker count for the parallel passes (default:
-//!   `KOALA_THREADS`, then the detected hardware parallelism).
+//!   `KOALA_THREADS`, then the detected hardware parallelism), clamped
+//!   to the hardware parallelism so no oversubscribed speedup is
+//!   recorded.
 //! * `--out`     — output path for the JSON report.
 
 use std::time::Instant;
@@ -48,9 +46,7 @@ use koala::parallel::{run_cells_summary, Cell};
 use koala::report::{MultiSummary, SummaryReport};
 use koala::scenario::Scenario;
 use koala_bench::{init_threads, scenario_matrix, SEEDS};
-use multicluster::BackgroundLoad;
 use serde::Value;
-use simcore::QueueImpl;
 
 /// One measured pipeline: label + cell configs, each run across the
 /// pipeline's seeds.
@@ -251,71 +247,6 @@ fn measure(p: &Pipeline, threads: usize) -> Measurement {
     }
 }
 
-/// One trace1m pass under a specific event-queue implementation.
-struct QueueMeasurement {
-    queue: &'static str,
-    jobs: usize,
-    events: u64,
-    wall_s: f64,
-}
-
-impl QueueMeasurement {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_s.max(1e-12)
-    }
-}
-
-/// The million-job streaming trace, run once per queue implementation.
-/// The two summaries must render byte-identically — the differential
-/// guarantee enforced at benchmark scale — before either throughput is
-/// recorded.
-fn trace_queue_comparison(smoke: bool) -> Vec<QueueMeasurement> {
-    let jobs = if smoke { 20_000 } else { 1_000_000 };
-    let lookahead = 1024;
-    let base = Scenario::builder()
-        .workload("trace1m")
-        .jobs(jobs)
-        .no_horizon()
-        .background(BackgroundLoad::none())
-        .scheduler(|s| s.koala_share = 0.5)
-        .summarized()
-        .build()
-        .expect("valid trace1m scenario")
-        .into_config();
-    let mut measurements = Vec::new();
-    let mut renders = Vec::new();
-    for (name, queue) in [("heap", QueueImpl::Heap), ("calendar", QueueImpl::Calendar)] {
-        let mut cfg = base.clone();
-        cfg.sched.event_queue = queue;
-        let t0 = Instant::now();
-        let report = koala::run_generator_summary_seeded(&cfg, 42, lookahead);
-        let wall_s = t0.elapsed().as_secs_f64();
-        assert_eq!(report.jobs_submitted, jobs as u64);
-        let m = QueueMeasurement {
-            queue: name,
-            jobs,
-            events: report.events,
-            wall_s,
-        };
-        println!(
-            "  trace1m[{:<8}] {} jobs | {} events | {:>7.3} s | {:>9.0} ev/s",
-            m.queue,
-            m.jobs,
-            m.events,
-            m.wall_s,
-            m.events_per_sec()
-        );
-        renders.push(format!("{report:?}"));
-        measurements.push(m);
-    }
-    assert_eq!(
-        renders[0], renders[1],
-        "queue implementations diverged on the trace1m trajectory"
-    );
-    println!("  trace1m: heap and calendar summaries bit-identical");
-    measurements
-}
-
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
         entries
@@ -334,7 +265,6 @@ fn report_json(
     threads: usize,
     hardware_threads: usize,
     measurements: &[Measurement],
-    queues: &[QueueMeasurement],
 ) -> Value {
     let total_events: u64 = measurements.iter().map(|m| m.events).sum();
     let total_seq: f64 = measurements.iter().map(|m| m.sequential_s).sum();
@@ -344,13 +274,10 @@ fn report_json(
         (
             "description",
             Value::String(
-                "Event-loop push (calendar queue, SoA job state, timer \
-                 coalescing, availability index), measured through the \
-                 memory-bounded summary reporting path: wall-clock and \
-                 events/sec per pipeline (figures, registry cross sweep, \
-                 8-replication merge, 1000-cell matrix) sequential vs \
-                 parallel, plus the trace1m streaming trace under both \
-                 event-queue implementations (asserted bit-identical)"
+                "Pipelines measured through the memory-bounded summary \
+                 reporting path: wall-clock and events/sec per pipeline \
+                 (figures, registry cross sweep, 8-replication merge, \
+                 1000-cell matrix) sequential vs parallel"
                     .into(),
             ),
         ),
@@ -400,39 +327,6 @@ fn report_json(
             ),
         ),
         (
-            "queue_comparison",
-            obj(vec![
-                (
-                    "pipeline",
-                    Value::String("trace1m streaming trace, seed 42, look-ahead 1024".into()),
-                ),
-                // trace_queue_comparison() asserts the heap and calendar
-                // summaries render byte-identically before measuring.
-                ("trajectory_identical", Value::Bool(true)),
-                (
-                    "runs",
-                    Value::Array(
-                        queues
-                            .iter()
-                            .map(|q| {
-                                obj(vec![
-                                    ("queue", Value::String(q.queue.into())),
-                                    ("jobs", Value::UInt(q.jobs as u64)),
-                                    ("events", Value::UInt(q.events)),
-                                    ("wall_s", Value::Float(round3(q.wall_s))),
-                                    ("events_per_sec", Value::Float(q.events_per_sec().round())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "calendar_speedup_vs_heap",
-                    Value::Float(round3(queues[0].wall_s / queues[1].wall_s.max(1e-12))),
-                ),
-            ]),
-        ),
-        (
             "totals",
             obj(vec![
                 ("events", Value::UInt(total_events)),
@@ -458,10 +352,14 @@ fn main() {
             args.iter()
                 .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
         });
-    let threads = init_threads();
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let requested = init_threads();
+    let threads = requested.min(hardware_threads);
+    if threads < requested {
+        println!("clamping {requested} requested threads to {hardware_threads} hardware thread(s)");
+    }
 
     println!(
         "koala-bench perf — {} matrix, {} thread(s) (hardware: {hardware_threads}), summarized reporting",
@@ -489,9 +387,7 @@ fn main() {
     }
     println!("  determinism: parallel summaries (raw and merged) bit-identical to sequential on every pipeline");
 
-    let queues = trace_queue_comparison(smoke);
-
-    let json = report_json(smoke, threads, hardware_threads, &measurements, &queues);
+    let json = report_json(smoke, threads, hardware_threads, &measurements);
     let text = serde_json::to_string_pretty(&ValueWrap(json)).expect("render JSON");
     let path = out.unwrap_or_else(|| {
         if smoke {

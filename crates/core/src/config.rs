@@ -392,22 +392,12 @@ pub struct SchedulerConfig {
     /// inert without [`ElasticityConfig::ctrl_faults`]).
     #[serde(default)]
     pub retry: RetryConfig,
-    /// Event-queue implementation backing the engine (see
-    /// [`simcore::QueueImpl`]). Both implementations deliver bit-identical
-    /// trajectories — the calendar queue is the O(1)-amortized default,
-    /// the binary heap is retained as the differential-testing reference.
+    /// Event-queue implementation backing the engine. The binary heap
+    /// ([`simcore::QueueImpl::Heap`]) is the only one; the field stays
+    /// because stored configurations and external benchmark drivers
+    /// name it (`Engine::configured(cfg.sched.event_queue, ..)`).
     #[serde(default)]
     pub event_queue: simcore::QueueImpl,
-    /// Coalesce redundant per-job timer events: same-instant bootstrap
-    /// arrivals are batched into one group event that fans out in job-id
-    /// order, and completion timers superseded by a reconfiguration are
-    /// cancelled in place instead of delivered and discarded. The
-    /// simulation trajectory (every metric, every report field except the
-    /// engine's `events`-delivered diagnostic) is unchanged. Default off
-    /// so the delivered-event counts pinned by the golden suite stay
-    /// byte-identical to the originals.
-    #[serde(default)]
-    pub coalesce_timers: bool,
     /// Incremental per-cluster availability index: `scan_queue` consults
     /// cheap per-scan aggregates (largest single-cluster headroom, total
     /// headroom) to skip placement attempts that provably cannot succeed.
@@ -436,7 +426,6 @@ impl Default for SchedulerConfig {
             claiming: ClaimingPolicy::Immediate,
             retry: RetryConfig::default(),
             event_queue: simcore::QueueImpl::default(),
-            coalesce_timers: false,
             avail_index: true,
         }
     }

@@ -67,14 +67,6 @@ pub struct Job {
     /// sweep reclaims releases stuck past the grace window after the
     /// release message exhausted its retries).
     pub release_since: Option<SimTime>,
-    /// Handle of the currently scheduled `Completion` timer, tracked
-    /// only under [`SchedulerConfig::coalesce_timers`] so a superseding
-    /// reconfiguration can cancel the stale timer in place instead of
-    /// delivering it for the generation check to discard. `None` when
-    /// coalescing is off (the generation stamp alone invalidates).
-    ///
-    /// [`SchedulerConfig::coalesce_timers`]: crate::config::SchedulerConfig
-    pub completion_handle: Option<simcore::EventHandle>,
 }
 
 impl Job {
@@ -97,7 +89,6 @@ impl Job {
             initiative_fired: false,
             pending_claim: None,
             release_since: None,
-            completion_handle: None,
         }
     }
 

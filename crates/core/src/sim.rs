@@ -54,8 +54,7 @@ use multicluster::{
     MessageClass, Multicluster, NodeId, NodeState, SubmitOutcome,
 };
 use simcore::{
-    CalendarTuning, Engine, EngineSnapshot, EngineStats, EventHandle, Generation, QueueImpl,
-    SimDuration, SimRng, SimTime, Trace,
+    Engine, EngineSnapshot, EngineStats, Generation, SimDuration, SimRng, SimTime, Trace,
 };
 
 use crate::autoscaler::{Autoscaler, AutoscalerRegistry, ClusterObservation, ScaleDecision};
@@ -76,14 +75,10 @@ use crate::runner::MRunner;
 pub enum Ev {
     /// A workload job arrives (payload: workload index = job id).
     Arrival(u32),
-    /// Coalesced group arrival (see
-    /// [`SchedulerConfig::coalesce_timers`]): `count` workload jobs with
-    /// consecutive ids starting at `first`, all submitted at the same
-    /// instant, delivered as one event that fans out in ascending id
-    /// order — exactly the order `count` individual [`Ev::Arrival`]
-    /// events scheduled back-to-back would have popped in.
-    ///
-    /// [`SchedulerConfig::coalesce_timers`]: crate::config::SchedulerConfig
+    /// Group arrival: `count` workload jobs with consecutive ids starting
+    /// at `first`, fanned out in ascending id order. Nothing schedules it;
+    /// the variant stays because external benchmark drivers match `Ev`
+    /// exhaustively.
     ArrivalBatch {
         /// First job id of the same-instant run.
         first: u32,
@@ -1030,37 +1025,8 @@ impl<'a> World<'a> {
         engine.schedule_at(SimTime::ZERO, Ev::KisPoll);
         match &self.intake {
             Intake::Fixed(workload) => {
-                if self.cfg.sched.coalesce_timers {
-                    // Merge each run of same-instant submissions into one
-                    // group event. Runs are contiguous (the workload is
-                    // in submission order), so the batch occupies exactly
-                    // the queue position of its first member and fans out
-                    // in id order — the trajectory is identical, only the
-                    // delivered-event count shrinks.
-                    let mut i = 0;
-                    while i < workload.len() {
-                        let at = workload[i].at;
-                        let mut j = i + 1;
-                        while j < workload.len() && workload[j].at == at {
-                            j += 1;
-                        }
-                        if j - i == 1 {
-                            engine.schedule_at(at, Ev::Arrival(i as u32));
-                        } else {
-                            engine.schedule_at(
-                                at,
-                                Ev::ArrivalBatch {
-                                    first: i as u32,
-                                    count: (j - i) as u32,
-                                },
-                            );
-                        }
-                        i = j;
-                    }
-                } else {
-                    for (i, s) in workload.iter().enumerate() {
-                        engine.schedule_at(s.at, Ev::Arrival(i as u32));
-                    }
+                for (i, s) in workload.iter().enumerate() {
+                    engine.schedule_at(s.at, Ev::Arrival(i as u32));
                 }
             }
             Intake::Stream { window, .. } => {
@@ -1240,6 +1206,8 @@ impl<'a> World<'a> {
     pub fn handle(&mut self, engine: &mut Engine<Ev>, ev: Ev) {
         match ev {
             Ev::Arrival(i) => self.on_arrival(engine, JobId(i)),
+            // Never scheduled (see the variant); kept so the match stays
+            // total for drivers that name every variant.
             Ev::ArrivalBatch { first, count } => {
                 for i in first..first + count {
                     self.on_arrival(engine, JobId(i));
@@ -1759,7 +1727,6 @@ impl<'a> World<'a> {
     }
 
     fn schedule_completion(&mut self, engine: &mut Engine<Ev>, id: JobId) {
-        let track = self.cfg.sched.coalesce_timers;
         let job = self.jobs.get_mut(id).expect("running job is live");
         let remaining = job
             .progress
@@ -1771,22 +1738,7 @@ impl<'a> World<'a> {
         // One extra millisecond absorbs the round-to-millisecond error of
         // `remaining` so the event never fires before the work is done.
         let pad = simcore::SimDuration::from_millis(1);
-        let handle = engine.schedule_in_tracked(remaining + pad, Ev::Completion { job: id, gen });
-        // Under timer coalescing the handle lets a superseding
-        // reconfiguration cancel this timer in place; otherwise the
-        // generation stamp alone invalidates it on delivery.
-        job.completion_handle = if track { handle } else { None };
-    }
-
-    /// Cancels the job's tracked completion timer, if any — the
-    /// coalescing counterpart of bumping the generation: instead of the
-    /// stale `Completion` surfacing for the stamp check to discard, it
-    /// never pops at all. Delivered-event counts shrink; nothing else
-    /// changes. A no-op when coalescing is off (no handle is tracked).
-    fn cancel_completion(engine: &mut Engine<Ev>, job: &mut Job) {
-        if let Some(h) = job.completion_handle.take() {
-            engine.cancel(h);
-        }
+        engine.schedule_in(remaining + pad, Ev::Completion { job: id, gen });
     }
 
     // ------------------------------------------------------------------
@@ -1906,7 +1858,6 @@ impl<'a> World<'a> {
             .pause(now, &job.model);
         job.phase = JobPhase::Reconfiguring;
         job.gen.bump(); // invalidate the pending Completion
-        Self::cancel_completion(engine, job);
         let gen = job.gen;
         let cluster = job.cluster;
         self.jobs.sync_hot(id);
@@ -2015,7 +1966,6 @@ impl<'a> World<'a> {
                 .pause(now, &job.model);
             job.phase = JobPhase::Reconfiguring;
             job.gen.bump();
-            Self::cancel_completion(engine, job);
             let gen = job.gen;
             self.jobs.sync_hot(op.job);
             let delay =
@@ -2433,9 +2383,6 @@ impl<'a> World<'a> {
         job.release_since = None;
         job.phase = JobPhase::Completed;
         job.gen.bump(); // invalidate every remaining event for this job
-                        // This very event was the tracked completion timer: drop the
-                        // handle without an engine cancel (it already popped).
-        job.completion_handle = None;
         self.jobs.sync_hot(id);
         self.trace.record(now, "complete", id.0 as u64, String::new);
         self.collect.completed(slot, now);
@@ -3195,7 +3142,6 @@ impl<'a> World<'a> {
         job.pending_claim = None;
         job.release_since = None;
         job.gen.bump(); // invalidate every remaining event for this job
-        Self::cancel_completion(engine, job);
         match self.cfg.elasticity.failure_policy {
             FailurePolicy::Kill => {
                 job.phase = JobPhase::Failed;
@@ -3442,18 +3388,7 @@ impl<'a> World<'a> {
         w.u64(es.stats.delivered);
         w.u64(es.stats.scheduled);
         w.u64(es.stats.beyond_horizon);
-        w.u64(es.stats.cancelled);
-        w.u8(match es.queue_impl {
-            QueueImpl::Heap => 0,
-            QueueImpl::Calendar => 1,
-        });
         w.u64(es.next_seq);
-        w.opt(es.calendar_tuning.as_ref(), |w, t| {
-            w.u64(t.buckets as u64);
-            w.u64(t.width_ms);
-            w.u64(t.cursor_day);
-            w.u64(t.pushes_since_resize as u64);
-        });
         w.len(es.entries.len());
         for (t, seq, ev) in &es.entries {
             w.u64(t.as_millis());
@@ -3640,30 +3575,8 @@ impl<'a> World<'a> {
             delivered: r.u64()?,
             scheduled: r.u64()?,
             beyond_horizon: r.u64()?,
-            cancelled: r.u64()?,
-        };
-        let queue_impl = match r.u8()? {
-            0 => QueueImpl::Heap,
-            1 => QueueImpl::Calendar,
-            t => return Err(SnapshotError::Corrupt(format!("queue-impl tag {t}"))),
         };
         let next_seq = r.u64()?;
-        let calendar_tuning = r.opt(|r| {
-            Ok(CalendarTuning {
-                buckets: r.u64()? as usize,
-                width_ms: r.u64()?,
-                cursor_day: r.u64()?,
-                pushes_since_resize: r.u64()? as usize,
-            })
-        })?;
-        if queue_impl == QueueImpl::Calendar {
-            let t = calendar_tuning
-                .as_ref()
-                .ok_or_else(|| corrupt("calendar snapshot without tuning"))?;
-            if t.buckets < 4 || !t.buckets.is_power_of_two() || t.width_ms == 0 {
-                return Err(corrupt("calendar tuning out of range"));
-            }
-        }
         let n_entries = r.len(17)?;
         let mut entries = Vec::with_capacity(n_entries);
         let mut prev: Option<(SimTime, u64)> = None;
@@ -3685,10 +3598,8 @@ impl<'a> World<'a> {
             now,
             horizon,
             stats,
-            queue_impl,
             next_seq,
             entries,
-            calendar_tuning,
         });
         // --- world scalars --------------------------------------------
         self.grow_messages = r.u64()?;
@@ -4394,10 +4305,6 @@ fn enc_job(w: &mut ByteWriter, job: &Job) {
         }
     });
     w.opt(job.release_since.as_ref(), |w, t| w.u64(t.as_millis()));
-    w.opt(job.completion_handle.as_ref(), |w, h| {
-        w.u64(h.time().as_millis());
-        w.u64(h.seq());
-    });
 }
 
 /// Overwrites the mutable runtime fields of a freshly regenerated job
@@ -4481,12 +4388,6 @@ fn dec_job_into(r: &mut ByteReader<'_>, job: &mut Job) -> Result<(), SnapshotErr
         Ok(claim)
     })?;
     job.release_since = r.opt(|r| Ok(SimTime::from_millis(r.u64()?)))?;
-    job.completion_handle = r.opt(|r| {
-        Ok(EventHandle::from_parts(
-            SimTime::from_millis(r.u64()?),
-            r.u64()?,
-        ))
-    })?;
     Ok(())
 }
 

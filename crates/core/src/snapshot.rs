@@ -13,7 +13,7 @@
 //! The encoding is a little-endian byte format behind a versioned
 //! header, hand-rolled so the byte layout is an explicit contract
 //! rather than an accident of a derive: canonical (maps are sorted,
-//! queue entries are tombstone-free and pop-ordered), so
+//! queue entries are pop-ordered), so
 //! snapshot → bytes → restore → snapshot is a byte-level fixed point.
 //!
 //! Two FNV-1a fingerprints of the experiment configuration ride in the
@@ -29,8 +29,11 @@ use crate::config::ExperimentConfig;
 /// Magic bytes opening every serialized snapshot.
 pub const MAGIC: [u8; 4] = *b"KSNP";
 
-/// The current snapshot format version.
-pub const VERSION: u16 = 1;
+/// The current snapshot format version. Version 2 dropped the engine's
+/// queue tag, calendar tuning and cancelled-event count, and the job
+/// record's completion-timer handle; version 1 blobs are rejected as
+/// [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 
 /// Why a snapshot could not be taken, decoded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

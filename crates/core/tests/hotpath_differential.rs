@@ -1,23 +1,18 @@
 //! The hot-path optimisation contract, enforced differentially: every
-//! fast path introduced by the event-loop push — the calendar event
-//! queue, the SoA job columns, timer coalescing and the availability
-//! index — must be **trajectory-passive**. A full-stack scenario
-//! (elasticity + control-plane faults + contended network) run under
-//! any combination of
+//! fast path of the event loop — the SoA job columns, the parallel sweep
+//! and the availability index — must be **trajectory-passive**. A
+//! full-stack scenario (elasticity + control-plane faults + contended
+//! network) run under any combination of
 //!
-//! * event queue: binary heap vs calendar,
 //! * execution: sequential vs work-stealing parallel sweep,
 //! * availability index: on vs off,
 //!
-//! produces byte-identical summary reports; timer coalescing is allowed
-//! to change exactly one observable — the number of events the engine
-//! *delivered* — and nothing else.
+//! produces byte-identical summary reports.
 //!
 //! One staging trajectory is additionally pinned against a committed
 //! golden file (`tests/golden/pr9_staging.txt`), so a pop-order bug in
-//! either queue implementation fails against an immutable witness, not
-//! just against the other implementation. Regenerate after an
-//! *intentional* trajectory change with:
+//! the event queue fails against an immutable witness. Regenerate after
+//! an *intentional* trajectory change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p koala --test hotpath_differential
@@ -32,7 +27,7 @@ use koala::{run_experiment_summary, run_seeds_summary_sequential, run_seeds_summ
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
 };
-use simcore::{QueueImpl, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 // ----------------------------------------------------------------------
 // Scenario zoo: one configuration per subsystem that stresses the hot
@@ -110,40 +105,23 @@ fn scenarios() -> Vec<(&'static str, ExperimentConfig, Vec<u64>)> {
     vec![elastic(), faults(), network()]
 }
 
-fn with_queue(cfg: &ExperimentConfig, queue: QueueImpl) -> ExperimentConfig {
-    let mut c = cfg.clone();
-    c.sched.event_queue = queue;
-    c
-}
-
 // ----------------------------------------------------------------------
-// The matrix: (heap | calendar) × (sequential | parallel) per scenario.
+// The matrix: (sequential | parallel) per scenario.
 // ----------------------------------------------------------------------
 
-/// Both queue implementations, under both execution modes, produce
-/// byte-identical summarized sweeps on every full-stack scenario: the
-/// calendar queue's pop order — FIFO within a timestamp, ascending
-/// across timestamps — is indistinguishable from the reference heap's
-/// even under crash churn, lossy retries and staged transfers.
+/// Sequential and parallel execution produce byte-identical summarized
+/// sweeps on every full-stack scenario, even under crash churn, lossy
+/// retries and staged transfers.
 #[test]
-fn hotpath_matrix_is_bit_identical_across_queues_and_threads() {
+fn hotpath_matrix_is_bit_identical_across_threads() {
     for (tag, cfg, seeds) in scenarios() {
-        let mut renders: Vec<(String, String)> = Vec::new();
-        for queue in [QueueImpl::Heap, QueueImpl::Calendar] {
-            let c = with_queue(&cfg, queue);
-            let seq = run_seeds_summary_sequential(&c, &seeds);
-            let par = run_seeds_summary_with_threads(&c, &seeds, 3);
-            renders.push((format!("{tag}/{queue:?}/seq"), format!("{seq:?}")));
-            renders.push((format!("{tag}/{queue:?}/par"), format!("{par:?}")));
-        }
-        let (ref_label, ref_render) = renders[0].clone();
-        for (label, render) in &renders[1..] {
-            assert_eq!(
-                render, &ref_render,
-                "{label} diverged from {ref_label}: the hot path is not \
-                 trajectory-passive"
-            );
-        }
+        let seq = run_seeds_summary_sequential(&cfg, &seeds);
+        let par = run_seeds_summary_with_threads(&cfg, &seeds, 3);
+        assert_eq!(
+            format!("{par:?}"),
+            format!("{seq:?}"),
+            "{tag}: the 3-thread sweep diverged from the sequential one"
+        );
     }
 }
 
@@ -163,90 +141,6 @@ fn avail_index_is_trajectory_passive_on_the_full_stack() {
             "{tag}: the availability index changed the trajectory"
         );
     }
-}
-
-// ----------------------------------------------------------------------
-// Timer coalescing: equal except `events`.
-// ----------------------------------------------------------------------
-
-/// Removes the one `events: N` scalar from a [`SummaryReport`] debug
-/// render, so the rest of the report can be compared byte-for-byte.
-fn strip_events(render: &str) -> String {
-    let start = render.find(", events: ").expect("report renders `events`");
-    assert_eq!(
-        render.matches(", events: ").count(),
-        1,
-        "`events` must render exactly once for the strip to be sound"
-    );
-    let end = render[start + 2..]
-        .find(", ")
-        .expect("field follows events")
-        + start
-        + 2;
-    format!("{}{}", &render[..start], &render[end..])
-}
-
-fn assert_equal_except_events(tag: &str, on: &SummaryReport, off: &SummaryReport) {
-    assert!(
-        on.events <= off.events,
-        "{tag}: coalescing may only remove deliveries ({} > {})",
-        on.events,
-        off.events
-    );
-    assert_eq!(
-        strip_events(&format!("{on:?}")),
-        strip_events(&format!("{off:?}")),
-        "{tag}: coalescing changed the trajectory, not just the delivery count"
-    );
-}
-
-/// Coalescing batches same-instant bootstrap arrivals into one group
-/// event and cancels superseded completion timers in place: the
-/// trajectory — every placement, grow, crash outcome and timestamp — is
-/// unchanged; only the engine's delivered-event count may drop.
-#[test]
-fn coalescing_preserves_the_trajectory_and_only_cuts_deliveries() {
-    for (tag, cfg, seeds) in scenarios() {
-        let mut on = cfg.clone();
-        on.sched.coalesce_timers = true;
-        on.seed = seeds[0];
-        let mut off = cfg.clone();
-        off.seed = seeds[0];
-        assert_equal_except_events(
-            tag,
-            &run_experiment_summary(&on),
-            &run_experiment_summary(&off),
-        );
-    }
-}
-
-/// A bursty trace — several jobs submitted at the same instants — makes
-/// the arrival batching actually fire: strictly fewer deliveries, same
-/// trajectory.
-#[test]
-fn coalescing_strictly_cuts_deliveries_on_bursty_arrivals() {
-    let burst: Vec<SubmittedJob> = [0u64, 0, 0, 600, 600, 600, 600, 1200, 1200]
-        .iter()
-        .map(|&at_s| SubmittedJob {
-            at: SimTime::from_secs(at_s),
-            spec: JobSpec::paper_malleable(AppKind::Gadget2),
-        })
-        .collect();
-    let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
-    cfg.trace = Some(burst);
-    cfg.seed = 21;
-    let mut on = cfg.clone();
-    on.sched.coalesce_timers = true;
-    let a = run_experiment_summary(&on);
-    let b = run_experiment_summary(&cfg);
-    assert_equal_except_events("burst", &a, &b);
-    assert!(
-        a.events < b.events,
-        "three same-instant bursts must coalesce at least two deliveries \
-         each ({} vs {})",
-        a.events,
-        b.events
-    );
 }
 
 // ----------------------------------------------------------------------
@@ -298,11 +192,9 @@ fn staged_job(at_s: u64, size: u32, files: Vec<u64>) -> SubmittedJob {
 }
 
 /// A quiet three-job staging trajectory over the contended WAN, pinned
-/// byte-for-byte against a committed golden — and required to be
-/// identical under *both* queue implementations, so each is checked
-/// against an immutable witness rather than only against the other.
+/// byte-for-byte against a committed golden.
 #[test]
-fn staging_trajectory_matches_golden_under_both_queues() {
+fn staging_trajectory_matches_golden() {
     let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
     cfg.background = multicluster::BackgroundLoad::none();
     cfg.seed = 7;
@@ -325,14 +217,7 @@ fn staging_trajectory_matches_golden_under_both_queues() {
         ],
         reconfig_gb_per_proc: 0.0,
     });
-    let calendar = run_experiment_summary(&with_queue(&cfg, QueueImpl::Calendar));
-    let heap = run_experiment_summary(&with_queue(&cfg, QueueImpl::Heap));
-    let text = render_staging("staging flat_wan seed 7", &calendar);
-    assert_eq!(
-        text,
-        render_staging("staging flat_wan seed 7", &heap),
-        "queue implementations disagree on the staging trajectory"
-    );
+    let text = render_staging("staging flat_wan seed 7", &run_experiment_summary(&cfg));
 
     let path = golden_dir().join("pr9_staging.txt");
     if std::env::var("UPDATE_GOLDEN").is_ok() {

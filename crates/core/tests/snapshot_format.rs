@@ -44,6 +44,28 @@ fn header_is_versioned_and_validated_first() {
     assert_eq!(parsed.to_bytes(), bytes);
 }
 
+/// Version 1 blobs carried the engine's queue tag, calendar tuning,
+/// cancelled-event count and per-job completion handles. Their bodies
+/// are laid out differently, so the header must refuse them outright
+/// rather than let the body decoder misread the fields.
+#[test]
+fn version_1_blobs_are_refused_not_misread() {
+    let snap = snap();
+    assert_eq!(snap.version, 2);
+    let mut v1 = snap.to_bytes();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(
+        Snapshot::from_bytes(&v1).unwrap_err(),
+        SnapshotError::UnsupportedVersion(1)
+    );
+    // A hand-built v1 header reaches restore and fork the same way.
+    let old = Snapshot { version: 1, ..snap };
+    let c = cfg();
+    for out in [World::restore(&c, &old), World::fork_with(&c, &old)] {
+        assert_eq!(out.err(), Some(SnapshotError::UnsupportedVersion(1)));
+    }
+}
+
 #[test]
 fn truncation_at_every_offset_is_a_typed_error() {
     let bytes = snap().to_bytes();

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod calendar;
 mod engine;
 mod generation;
 mod queue;
@@ -47,8 +46,7 @@ mod trace;
 
 pub mod dist;
 
-pub use calendar::{CalendarQueue, CalendarTuning};
-pub use engine::{Engine, EngineSnapshot, EngineStats, EventHandle, QueueImpl};
+pub use engine::{Engine, EngineSnapshot, EngineStats, QueueImpl};
 pub use generation::Generation;
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -7,14 +7,14 @@
 //! results depend on heap internals.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-pub(crate) struct Entry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -42,11 +42,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    /// Sequence numbers cancelled while still buried in the heap. A
-    /// cancelled entry is dropped lazily when it reaches the top, and the
-    /// top is re-drained on every mutation so [`EventQueue::peek_time`]
-    /// never observes a dead entry.
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -61,7 +56,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
         }
     }
 
@@ -70,7 +64,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            cancelled: HashSet::new(),
         }
     }
 
@@ -86,9 +79,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let out = self.heap.pop().map(|Reverse(e)| (e.time, e.event));
-        self.drain_cancelled_top();
-        out
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -96,66 +87,27 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// The sequence number the next [`EventQueue::push`] will assign.
     /// Monotone over the queue's lifetime (it survives
-    /// [`EventQueue::clear`]); exposed so differential tests can assert
-    /// both queue implementations assign identical sequences.
+    /// [`EventQueue::clear`]); exposed so checkpoints and the
+    /// model-based tests can observe it.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
-    /// Cancels the pending event identified by `(time, seq)` — the values
-    /// a [`crate::Engine`] event handle carries — and returns whether it
-    /// was found. A cancelled event is never popped. The removal is lazy
-    /// (a tombstone dropped when the entry surfaces), but the heap top is
-    /// always kept live so `peek_time` stays exact.
-    ///
-    /// Cancelling an event that was already popped returns `false` and
-    /// leaves the queue untouched.
-    pub fn cancel(&mut self, time: SimTime, seq: u64) -> bool {
-        let _ = time; // the heap locates entries by sequence alone
-        if self.cancelled.contains(&seq) || !self.heap.iter().any(|Reverse(e)| e.seq == seq) {
-            return false;
-        }
-        self.cancelled.insert(seq);
-        self.drain_cancelled_top();
-        true
-    }
-
-    /// Drops cancelled entries sitting at the heap top, restoring the
-    /// invariant that the top (what `peek_time`/`pop` observe first) is a
-    /// live event.
-    fn drain_cancelled_top(&mut self) {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Number of cancelled entries still buried in the heap. Tombstones
-    /// are invisible to `len`/`pop`/`peek_time` but occupy heap slots; a
-    /// checkpoint must know the count so it can assert the captured
-    /// entries account for everything live.
-    pub fn tombstone_count(&self) -> usize {
-        self.cancelled.len()
-    }
-
-    /// The pending **live** events in pop order (`(time, seq)`
-    /// ascending), tombstones excluded — the canonical form a checkpoint
-    /// serializes. The queue itself is untouched.
+    /// The pending events in pop order (`(time, seq)` ascending) — the
+    /// canonical form a checkpoint serializes. The queue itself is
+    /// untouched.
     pub fn capture_entries(&self) -> Vec<(SimTime, u64, E)>
     where
         E: Clone,
@@ -163,7 +115,6 @@ impl<E> EventQueue<E> {
         let mut out: Vec<(SimTime, u64, E)> = self
             .heap
             .iter()
-            .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
             .map(|Reverse(e)| (e.time, e.seq, e.event.clone()))
             .collect();
         out.sort_by_key(|&(t, s, _)| (t, s));
@@ -171,8 +122,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Rebuilds a queue from a captured entry list and sequence counter.
-    /// The entries keep their original sequence numbers, so previously
-    /// issued `(time, seq)` handles remain cancellable; `next_seq` must
+    /// The entries keep their original sequence numbers, so FIFO order
+    /// among equal timestamps survives the round trip; `next_seq` must
     /// be at least one past every restored sequence.
     pub fn restore_entries(next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
         debug_assert!(
@@ -183,11 +134,7 @@ impl<E> EventQueue<E> {
             .into_iter()
             .map(|(time, seq, event)| Reverse(Entry { time, seq, event }))
             .collect();
-        EventQueue {
-            heap,
-            next_seq,
-            cancelled: HashSet::new(),
-        }
+        EventQueue { heap, next_seq }
     }
 
     /// Drops all pending events but **keeps the sequence counter**:
@@ -199,7 +146,6 @@ impl<E> EventQueue<E> {
     /// allocation is also retained for reuse.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
     }
 }
 
@@ -257,50 +203,25 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_lazy_but_never_visible() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(3);
-        let s_a = q.push(t, "a");
-        q.push(t, "b");
-        let s_c = q.push(SimTime::from_secs(1), "c");
-        // Cancel the current top: it must be drained eagerly so peek_time
-        // reflects the next live entry.
-        assert!(q.cancel(SimTime::from_secs(1), s_c));
-        assert_eq!(q.peek_time(), Some(t));
-        // Cancel a buried entry: removed lazily, but len/pop never see it.
-        assert!(q.cancel(t, s_a));
-        assert!(!q.cancel(t, s_a), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn capture_skips_tombstones_and_restore_round_trips() {
+    fn capture_restore_round_trips() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(2);
         q.push(t, "a");
-        let s_b = q.push(t, "b");
+        q.push(t, "b");
         q.push(SimTime::from_secs(1), "c");
-        assert!(q.cancel(t, s_b));
-        assert_eq!(q.tombstone_count(), 1, "b is buried, not drained");
         let entries = q.capture_entries();
         assert_eq!(
             entries.iter().map(|&(_, _, e)| e).collect::<Vec<_>>(),
-            vec!["c", "a"],
-            "pop order, tombstone excluded"
+            vec!["c", "a", "b"],
+            "pop order"
         );
         let mut r = EventQueue::restore_entries(q.next_seq(), entries);
         assert_eq!(r.next_seq(), q.next_seq());
-        assert_eq!(r.tombstone_count(), 0, "tombstones are not carried over");
-        let order: Vec<_> = std::iter::from_fn(|| r.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["c", "a"]);
         // Sequence numbering continues from where the original left off:
-        // a post-restore push at the same instant pops after "a".
-        let mut r2 = EventQueue::restore_entries(q.next_seq(), q.capture_entries());
-        r2.push(t, "d");
-        let order: Vec<_> = std::iter::from_fn(|| r2.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["c", "a", "d"]);
+        // a post-restore push at the same instant pops after "b".
+        r.push(t, "d");
+        let order: Vec<_> = std::iter::from_fn(|| r.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["c", "a", "b", "d"]);
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn zero_horizon_drops_everything_including_clamped_events() {
             delivered: 0,
             scheduled: 0,
             beyond_horizon: 3,
-            cancelled: 0
         }
     );
 }

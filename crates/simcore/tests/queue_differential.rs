@@ -1,17 +1,16 @@
-//! Differential harness: the calendar queue must be observationally
-//! identical to the binary-heap reference.
+//! Model-based harness: the binary-heap [`EventQueue`] must behave exactly
+//! like a sorted `Vec` of `(time, seq, payload)` entries.
 //!
 //! Random operation sequences — pushes (including same-timestamp bursts
-//! and far-future horizon events), pops, cancels, and `clear`-then-reuse —
-//! are driven through [`EventQueue`] and [`CalendarQueue`] in lockstep,
-//! asserting at every step that the pop sequences, `peek_time`, `len`,
-//! and the `next_seq` counters agree. This pins the documented `clear`
-//! semantics (sequence counter and FIFO stability survive the clear) on
-//! *both* implementations, and pins the `(time, seq)` pop order the whole
-//! workspace's determinism guarantee rests on.
+//! and far-future events), pops, and `clear`-then-reuse — are driven
+//! through the queue and the model in lockstep, asserting at every step
+//! that the pops, `peek_time`, `len` and the `next_seq` counter agree.
+//! This pins the `(time, seq)` FIFO pop order the whole workspace's
+//! determinism guarantee rests on, and the documented `clear` semantics
+//! (the sequence counter and FIFO stability survive the clear).
 
 use proptest::prelude::*;
-use simcore::{CalendarQueue, Engine, EventQueue, QueueImpl, SimDuration, SimTime};
+use simcore::{Engine, EventQueue, SimDuration, SimTime};
 
 /// One scripted queue operation. Times are raw milliseconds so the
 /// generator can aim bursts at identical instants.
@@ -21,12 +20,10 @@ enum Op {
     Push(u64),
     /// Push a burst of `n` events at the same instant `t`.
     Burst(u64, u8),
-    /// Push one event a year past everything else (bucket-wrap stress).
+    /// Push one event a year past everything else.
     FarFuture(u64),
     /// Pop once and compare.
     Pop,
-    /// Cancel the `k`-th oldest still-pending tracked event (if any).
-    Cancel(u8),
     /// Drop everything; the sequence counter must survive.
     Clear,
 }
@@ -37,150 +34,144 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0u64..50_000), (2u8..20)).prop_map(|(t, n)| Op::Burst(t, n)),
         (0u64..1_000).prop_map(Op::FarFuture),
         Just(Op::Pop),
-        (0u8..32).prop_map(Op::Cancel),
         Just(Op::Clear),
     ]
 }
 
-/// Drives both queues through `ops`, asserting lockstep equality of every
-/// observable. Returns the number of events both queues popped.
+/// The reference: entries kept sorted by `(time, seq)`, popped from the
+/// front, with its own sequence counter.
+#[derive(Default)]
+struct Model {
+    entries: Vec<(SimTime, u64, usize)>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, t: SimTime, payload: usize) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let at = self
+            .entries
+            .partition_point(|&(et, es, _)| (et, es) < (t, seq));
+        self.entries.insert(at, (t, seq, payload));
+        seq
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let (t, _, p) = self.entries.remove(0);
+        Some((t, p))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.entries.first().map(|&(t, _, _)| t)
+    }
+}
+
+/// Drives the queue and the model through `ops`, asserting lockstep
+/// equality of every observable. Returns the number of events popped.
 fn run_lockstep(ops: &[Op]) -> usize {
     let mut heap: EventQueue<usize> = EventQueue::new();
-    let mut cal: CalendarQueue<usize> = CalendarQueue::new();
-    // (time, seq) of tracked pushes still believed pending — kept in push
-    // order so Cancel(k) picks a deterministic victim on both queues.
-    let mut pending: Vec<(SimTime, u64)> = Vec::new();
+    let mut model = Model::default();
     let mut popped = 0usize;
+    let push = |heap: &mut EventQueue<usize>, model: &mut Model, t: SimTime, i: usize| {
+        assert_eq!(
+            heap.push(t, i),
+            model.push(t, i),
+            "sequence assignment diverged"
+        );
+    };
     for (i, op) in ops.iter().enumerate() {
         match *op {
-            Op::Push(t) => {
-                let t = SimTime::from_millis(t);
-                let sh = heap.push(t, i);
-                let sc = cal.push(t, i);
-                prop_assert_eq!(sh, sc, "sequence assignment diverged");
-                pending.push((t, sh));
-            }
+            Op::Push(t) => push(&mut heap, &mut model, SimTime::from_millis(t), i),
             Op::Burst(t, n) => {
-                let t = SimTime::from_millis(t);
                 for _ in 0..n {
-                    let sh = heap.push(t, i);
-                    let sc = cal.push(t, i);
-                    prop_assert_eq!(sh, sc);
-                    pending.push((t, sh));
+                    push(&mut heap, &mut model, SimTime::from_millis(t), i);
                 }
             }
-            Op::FarFuture(t) => {
-                // A year-ish beyond the 50 s working window: exercises the
-                // calendar's direct-search pop path and cursor teleport.
-                let t = SimTime::from_millis(40_000_000_000 + t);
-                let sh = heap.push(t, i);
-                let sc = cal.push(t, i);
-                prop_assert_eq!(sh, sc);
-                pending.push((t, sh));
-            }
+            // A year-ish beyond the 50 s working window.
+            Op::FarFuture(t) => push(
+                &mut heap,
+                &mut model,
+                SimTime::from_millis(40_000_000_000 + t),
+                i,
+            ),
             Op::Pop => {
                 let h = heap.pop();
-                let c = cal.pop();
-                match (&h, &c) {
-                    (Some((th, eh)), Some((tc, ec))) => {
-                        prop_assert_eq!(th, tc, "pop times diverged");
-                        prop_assert_eq!(eh, ec, "pop payloads diverged");
-                        popped += 1;
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(false, "one queue popped, the other did not"),
-                }
-                if let Some((t, _)) = h {
-                    // The popped entry is the oldest pending one with the
-                    // smallest (time, seq); drop it from the model.
-                    let victim = pending
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(pt, ps))| (pt, ps))
-                        .map(|(idx, _)| idx);
-                    if let Some(idx) = victim {
-                        prop_assert_eq!(pending[idx].0, t);
-                        pending.remove(idx);
-                    }
-                }
-            }
-            Op::Cancel(k) => {
-                if pending.is_empty() {
-                    // Cancelling nothing must be a no-op on both.
-                    prop_assert!(!heap.cancel(SimTime::ZERO, u64::MAX));
-                    prop_assert!(!cal.cancel(SimTime::ZERO, u64::MAX));
-                    continue;
-                }
-                let idx = (k as usize) % pending.len();
-                let (t, seq) = pending.remove(idx);
-                let rh = heap.cancel(t, seq);
-                let rc = cal.cancel(t, seq);
-                prop_assert_eq!(rh, rc, "cancel outcome diverged");
-                prop_assert!(rh, "model said pending; queues disagreed");
+                prop_assert_eq!(h, model.pop(), "pops diverged after op {}", i);
+                popped += usize::from(h.is_some());
             }
             Op::Clear => {
                 heap.clear();
-                cal.clear();
-                pending.clear();
-                prop_assert!(heap.is_empty() && cal.is_empty());
+                model.entries.clear();
+                prop_assert!(heap.is_empty());
             }
         }
-        prop_assert_eq!(heap.len(), cal.len(), "len diverged after op {}", i);
-        prop_assert_eq!(heap.peek_time(), cal.peek_time(), "peek diverged");
-        prop_assert_eq!(heap.next_seq(), cal.next_seq(), "next_seq diverged");
+        prop_assert_eq!(
+            heap.len(),
+            model.entries.len(),
+            "len diverged after op {}",
+            i
+        );
+        prop_assert_eq!(heap.peek_time(), model.peek_time(), "peek diverged");
+        prop_assert_eq!(heap.next_seq(), model.next_seq, "next_seq diverged");
     }
     // Drain both to the end: the full residual pop sequences must match.
     loop {
-        match (heap.pop(), cal.pop()) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a, b);
-                popped += 1;
-            }
-            (None, None) => break,
-            _ => prop_assert!(false, "drain lengths diverged"),
+        let h = heap.pop();
+        prop_assert_eq!(h, model.pop());
+        if h.is_none() {
+            break;
         }
+        popped += 1;
     }
     popped
 }
 
 proptest! {
-    /// Random op scripts keep both implementations in lockstep.
+    /// Random op scripts keep the heap in lockstep with the sorted model.
     #[test]
-    fn heap_and_calendar_agree_on_random_scripts(
+    fn heap_matches_sorted_model_on_random_scripts(
         ops in prop::collection::vec(op_strategy(), 1..120)
     ) {
         run_lockstep(&ops);
     }
 
-    /// Engine-level differential: identical schedules on both backends
-    /// deliver identical `(time, payload)` streams and identical
-    /// `scheduled`/`delivered`/`beyond_horizon` counters.
+    /// Engine-level check: the engine delivers a schedule in stable
+    /// `(time, schedule order)` order, dropping exactly the events at or
+    /// past the horizon, and counts both.
     #[test]
-    fn engines_on_both_backends_deliver_identically(
+    fn engine_delivers_in_stable_time_order(
         times in prop::collection::vec(0u64..100_000, 1..200),
         horizon in 1_000u64..150_000,
     ) {
-        let horizon = SimTime::from_millis(horizon);
-        let mut heap: Engine<usize> = Engine::configured(QueueImpl::Heap, Some(horizon), 8);
-        let mut cal: Engine<usize> = Engine::configured(QueueImpl::Calendar, Some(horizon), 8);
+        let mut engine: Engine<usize> = Engine::with_horizon(SimTime::from_millis(horizon));
         for (i, &t) in times.iter().enumerate() {
-            heap.schedule_at(SimTime::from_millis(t), i);
-            cal.schedule_at(SimTime::from_millis(t), i);
+            engine.schedule_at(SimTime::from_millis(t), i);
         }
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
-        prop_assert_eq!(heap.stats(), cal.stats());
+        let mut expected: Vec<(SimTime, usize)> = times
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t < horizon)
+            .map(|(i, &t)| (SimTime::from_millis(t), i))
+            .collect();
+        expected.sort_by_key(|&(t, i)| (t, i));
+        let delivered: Vec<_> = std::iter::from_fn(|| engine.pop()).collect();
+        prop_assert_eq!(&delivered, &expected);
+        let s = engine.stats();
+        prop_assert_eq!(s.delivered as usize, expected.len());
+        prop_assert_eq!(s.scheduled as usize, expected.len());
+        prop_assert_eq!(s.beyond_horizon as usize, times.len() - expected.len());
     }
 }
 
 /// Deterministic regression: a clear in the middle of a same-instant burst
-/// must leave FIFO positions stable on both implementations — post-clear
-/// pushes may never overtake where a pre-clear push would have sorted.
+/// must leave FIFO positions stable — post-clear pushes may never overtake
+/// where a pre-clear push would have sorted.
 #[test]
-fn clear_then_reuse_keeps_fifo_on_both() {
+fn clear_then_reuse_keeps_fifo() {
     let ops = vec![
         Op::Burst(5_000, 8),
         Op::Pop,
@@ -193,36 +184,29 @@ fn clear_then_reuse_keeps_fifo_on_both() {
     run_lockstep(&ops);
 }
 
-/// `with_capacity(0)` is pinned as a valid, working queue on both
-/// implementations — and pushing far beyond any pre-sized capacity must
-/// grow transparently (the `with_capacity` trust fix).
+/// `with_capacity(0)` is pinned as a valid, working queue — and pushing
+/// far beyond any pre-sized capacity must grow transparently.
 #[test]
 fn zero_capacity_and_growth_beyond_capacity() {
     let mut heap: EventQueue<u64> = EventQueue::with_capacity(0);
-    let mut cal: CalendarQueue<u64> = CalendarQueue::with_capacity(0);
+    let mut model = Model::default();
     for i in 0..5_000u64 {
-        // Reversed times so the calendar also exercises front insertion.
+        // Reversed times: every push lands in front of the previous ones.
         let t = SimTime::from_millis(10_000_000 - i * 13);
-        assert_eq!(heap.push(t, i), cal.push(t, i));
+        assert_eq!(heap.push(t, i), model.push(t, i as usize));
     }
-    let mut last = None;
     for _ in 0..5_000 {
-        let a = heap.pop().expect("heap has 5000 events");
-        let b = cal.pop().expect("calendar has 5000 events");
-        assert_eq!(a, b);
-        if let Some(prev) = last {
-            assert!(a.0 >= prev, "pop order regressed");
-        }
-        last = Some(a.0);
+        let (t, e) = heap.pop().expect("heap has 5000 events");
+        assert_eq!(Some((t, e as usize)), model.pop());
     }
-    assert!(heap.pop().is_none() && cal.pop().is_none());
+    assert!(heap.pop().is_none());
 }
 
 /// Pre-sized queues behave identically to default-sized ones.
 #[test]
 fn presized_queues_match_default_sized() {
-    let mut small: CalendarQueue<u32> = CalendarQueue::with_capacity(0);
-    let mut big: CalendarQueue<u32> = CalendarQueue::with_capacity(16_384);
+    let mut small: EventQueue<u32> = EventQueue::with_capacity(0);
+    let mut big: EventQueue<u32> = EventQueue::with_capacity(16_384);
     for i in 0..2_000u32 {
         let t = SimTime::from_millis((i as u64 * 7_919) % 100_000);
         small.push(t, i);
@@ -234,28 +218,24 @@ fn presized_queues_match_default_sized() {
     assert!(big.is_empty());
 }
 
-/// An engine burst at one instant interleaved with horizon-dropped far
-/// events: `scheduled`/`beyond_horizon` accounting must match the heap
-/// reference exactly.
+/// An engine burst interleaved with horizon-dropped far events:
+/// `scheduled`/`beyond_horizon` accounting is exact.
 #[test]
-fn horizon_accounting_matches_across_backends() {
+fn horizon_accounting_is_exact() {
     let h = SimTime::from_secs(60);
-    let mut heap: Engine<u32> = Engine::configured(QueueImpl::Heap, Some(h), 0);
-    let mut cal: Engine<u32> = Engine::configured(QueueImpl::Calendar, Some(h), 0);
-    for e in [&mut heap, &mut cal] {
-        for i in 0..100u32 {
-            let t = SimTime::from_secs((i as u64 * 37) % 120);
-            e.schedule_at(t, i);
-        }
-        e.schedule_in(SimDuration::from_secs(1_000), 999);
+    let mut e: Engine<u32> = Engine::with_horizon(h);
+    for i in 0..100u32 {
+        let t = SimTime::from_secs((i as u64 * 37) % 120);
+        e.schedule_at(t, i);
     }
-    loop {
-        let (a, b) = (heap.pop(), cal.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
-        }
+    e.schedule_in(SimDuration::from_secs(1_000), 999);
+    let kept = (0..100u64).filter(|i| (i * 37) % 120 < 60).count() as u64;
+    let mut last = SimTime::ZERO;
+    while let Some((t, _)) = e.pop() {
+        assert!(t >= last && t < h);
+        last = t;
     }
-    assert_eq!(heap.stats(), cal.stats());
-    assert!(heap.stats().beyond_horizon > 0);
+    let s = e.stats();
+    assert_eq!((s.scheduled, s.delivered), (kept, kept));
+    assert_eq!(s.beyond_horizon, 101 - kept);
 }
