@@ -355,11 +355,7 @@ fn main() {
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let requested = init_threads();
-    let threads = requested.min(hardware_threads);
-    if threads < requested {
-        println!("clamping {requested} requested threads to {hardware_threads} hardware thread(s)");
-    }
+    let threads = init_threads();
 
     println!(
         "koala-bench perf — {} matrix, {} thread(s) (hardware: {hardware_threads}), summarized reporting",

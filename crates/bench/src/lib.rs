@@ -47,10 +47,12 @@ pub fn out_dir() -> PathBuf {
 }
 
 /// Parses a `--threads N` (or `--threads=N`) flag from the process
-/// arguments, installs it as the process-wide thread override, and
-/// returns the resolved worker count. Every figure binary calls this
-/// first; without the flag the `KOALA_THREADS` environment variable and
-/// then the detected hardware parallelism apply (see
+/// arguments, clamps the resolved worker count to the hardware
+/// parallelism (with a note on stderr when it clamps — oversubscribed
+/// workers would only record misleading speedups), installs it as the
+/// process-wide thread override, and returns it. Every figure binary
+/// calls this first; without the flag the `KOALA_THREADS` environment
+/// variable and then the detected hardware parallelism apply (see
 /// [`koala::parallel::default_threads`]).
 pub fn init_threads() -> usize {
     init_threads_with_args().0
@@ -64,6 +66,7 @@ pub fn init_threads() -> usize {
 pub fn init_threads_with_args() -> (usize, Vec<String>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rest = Vec::new();
+    let mut requested = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         let value = if a == "--threads" {
@@ -75,10 +78,17 @@ pub fn init_threads_with_args() -> (usize, Vec<String>) {
             continue;
         };
         match value.as_deref().map(|v| v.trim().parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => parallel::set_thread_override(n),
+            Some(Ok(n)) if n >= 1 => requested = Some(n),
             _ => eprintln!("ignoring invalid --threads value {value:?}"),
         }
     }
+    let requested = requested.unwrap_or_else(parallel::default_threads);
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = requested.min(hardware);
+    if threads < requested {
+        eprintln!("clamping {requested} requested threads to {hardware} hardware thread(s)");
+    }
+    parallel::set_thread_override(threads);
     (parallel::default_threads(), rest)
 }
 

@@ -352,17 +352,24 @@ enum Intake<'a> {
 /// of in-flight jobs, not the trace length.
 struct JobSlab {
     slots: Vec<Option<Job>>,
-    /// Struct-of-arrays mirror of `Job::phase`, one entry per slot. The
-    /// hot scans ([`World::scan_queue`], [`World::running_views`]) read
-    /// these contiguous columns instead of dereferencing the wide `Job`
-    /// struct, so a pass over mostly-ineligible jobs touches a few bytes
-    /// per slot rather than a cache line. Kept coherent by
-    /// [`JobSlab::sync_hot`] at every phase/cluster write site; a dead
-    /// slot retains the last value it held (readers gate on `slots`).
+    /// Struct-of-arrays mirror of `Job::phase`, one entry per slot.
+    /// [`World::scan_queue`] reads this contiguous column instead of
+    /// dereferencing the wide `Job` struct, so a pass over
+    /// mostly-ineligible jobs touches a few bytes per slot rather than a
+    /// cache line. Written only through [`JobSlab::set_hot`]; kept
+    /// coherent by [`JobSlab::sync_hot`] at every phase/cluster write
+    /// site. A dead slot keeps its last phase and has its cluster cleared
+    /// at [`JobSlab::retire`] (readers gate on `slots`).
     phases: Vec<JobPhase>,
     /// Struct-of-arrays mirror of `Job::cluster` (see
     /// [`JobSlab::phases`]).
     clusters: Vec<Option<ClusterId>>,
+    /// Per-cluster running index: `running[c]` lists, ascending, the
+    /// slots whose columns say "Running on cluster `c`" — exactly what a
+    /// scan of the two columns would yield, without the scan.
+    /// [`JobSlab::set_hot`] maintains it alongside the columns. Derived
+    /// state: never serialized, rebuilt whenever the columns are.
+    running: Vec<Vec<u32>>,
     /// Free slot indices (streaming mode only).
     free: Vec<u32>,
     /// Job id → slot (streaming mode only; fixed mode uses id = slot).
@@ -380,19 +387,22 @@ impl JobSlab {
     /// Fixed-mode storage over a prebuilt job list.
     fn fixed(jobs: Vec<Job>) -> Self {
         let n = jobs.len();
-        let phases = jobs.iter().map(|j| j.phase).collect();
-        let clusters = jobs.iter().map(|j| j.cluster).collect();
-        JobSlab {
+        let mut slab = JobSlab {
             slots: jobs.into_iter().map(Some).collect(),
-            phases,
-            clusters,
+            phases: vec![JobPhase::Queued; n],
+            clusters: vec![None; n],
+            running: Vec::new(),
             free: Vec::new(),
             index: HashMap::new(),
             streaming: false,
             live: n,
             peak_live: n,
             created: n as u64,
+        };
+        for id in 0..n {
+            slab.sync_hot(JobId(id as u32));
         }
+        slab
     }
 
     /// Empty streaming-mode storage.
@@ -401,6 +411,7 @@ impl JobSlab {
             slots: Vec::new(),
             phases: Vec::new(),
             clusters: Vec::new(),
+            running: Vec::new(),
             free: Vec::new(),
             index: HashMap::new(),
             streaming: true,
@@ -418,17 +429,16 @@ impl JobSlab {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(job);
-                self.phases[s as usize] = phase;
-                self.clusters[s as usize] = cluster;
                 s
             }
             None => {
                 self.slots.push(Some(job));
-                self.phases.push(phase);
-                self.clusters.push(cluster);
+                self.phases.push(JobPhase::Queued);
+                self.clusters.push(None);
                 (self.slots.len() - 1) as u32
             }
         };
+        self.set_hot(slot as usize, phase, cluster);
         self.index.insert(id, slot);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
@@ -467,7 +477,8 @@ impl JobSlab {
     }
 
     /// Marks a job terminal. Fixed mode keeps the job in place (reports
-    /// and tests read it); streaming mode frees the slot.
+    /// and tests read it); streaming mode frees the slot and clears its
+    /// cluster column, so a dead slot is never in the running index.
     fn retire(&mut self, id: JobId) {
         debug_assert!(self.live > 0, "retire with no live jobs");
         self.live -= 1;
@@ -476,7 +487,43 @@ impl JobSlab {
         }
         let slot = self.index.remove(&id.0).expect("retired job was live");
         self.slots[slot as usize] = None;
+        self.set_hot(slot as usize, self.phases[slot as usize], None);
         self.free.push(slot);
+    }
+
+    /// The cluster a column pair counts as running on, if any.
+    fn running_on(phase: JobPhase, cluster: Option<ClusterId>) -> Option<ClusterId> {
+        cluster.filter(|_| phase == JobPhase::Running)
+    }
+
+    /// The one writer of the hot columns: stores `(phase, cluster)` at
+    /// `slot` and moves the slot between per-cluster running lists when
+    /// its "running on" answer changes (a sorted insert/remove, O(jobs
+    /// running on that cluster)).
+    fn set_hot(&mut self, slot: usize, phase: JobPhase, cluster: Option<ClusterId>) {
+        let was = Self::running_on(self.phases[slot], self.clusters[slot]);
+        let now = Self::running_on(phase, cluster);
+        self.phases[slot] = phase;
+        self.clusters[slot] = cluster;
+        if was == now {
+            return;
+        }
+        let s = slot as u32;
+        if let Some(c) = was {
+            let list = &mut self.running[c.index()];
+            let pos = list.binary_search(&s).expect("running slot is indexed");
+            list.remove(pos);
+        }
+        if let Some(c) = now {
+            if self.running.len() <= c.index() {
+                self.running.resize_with(c.index() + 1, Vec::new);
+            }
+            let list = &mut self.running[c.index()];
+            let pos = list
+                .binary_search(&s)
+                .expect_err("slot indexed as running twice");
+            list.insert(pos, s);
+        }
     }
 
     /// Re-mirrors a live job's `phase` and `cluster` into the hot
@@ -493,9 +540,8 @@ impl JobSlab {
         } else {
             id.index()
         };
-        if let Some(job) = self.slots.get(slot).and_then(Option::as_ref) {
-            self.phases[slot] = job.phase;
-            self.clusters[slot] = job.cluster;
+        if let Some((phase, cluster)) = self.job_at(slot).map(|j| (j.phase, j.cluster)) {
+            self.set_hot(slot, phase, cluster);
         }
     }
 
@@ -510,23 +556,18 @@ impl JobSlab {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
-    /// Slot indices of live jobs whose hot columns say "running on
-    /// `cluster`" — the candidate set of [`World::running_views`],
-    /// computed from the two contiguous columns without touching the
-    /// `Job` structs.
-    fn running_slots_on(&self, cluster: ClusterId) -> impl Iterator<Item = usize> + '_ {
-        self.clusters
-            .iter()
-            .zip(self.phases.iter())
-            .enumerate()
-            .filter(move |&(_, (c, p))| *c == Some(cluster) && *p == JobPhase::Running)
-            .map(|(slot, _)| slot)
+    /// Slots whose hot columns say "running on `cluster`", ascending —
+    /// the candidate set of [`World::running_views_into`], read straight
+    /// from the running index.
+    fn running_slots_on(&self, cluster: ClusterId) -> &[u32] {
+        self.running.get(cluster.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Debug-build coherence check: every live job's struct fields match
-    /// its column entries. Called from the hot scans so the whole test
-    /// suite (goldens included) polices missed [`JobSlab::sync_hot`]
-    /// call sites.
+    /// its column entries, and the running index equals a scan of the
+    /// columns. Called from the hot scans so the whole test suite
+    /// (goldens included) polices missed [`JobSlab::sync_hot`] call
+    /// sites.
     #[cfg(debug_assertions)]
     fn assert_hot_coherent(&self) {
         for (slot, job) in self.slots.iter().enumerate() {
@@ -541,6 +582,20 @@ impl JobSlab {
                 );
             }
         }
+        let mut scanned: Vec<Vec<u32>> = vec![Vec::new(); self.running.len()];
+        for (slot, (&phase, &cluster)) in self.phases.iter().zip(&self.clusters).enumerate() {
+            if let Some(c) = Self::running_on(phase, cluster) {
+                debug_assert!(
+                    c.index() < scanned.len(),
+                    "slot {slot} runs on {c:?} beyond the running index"
+                );
+                scanned[c.index()].push(slot as u32);
+            }
+        }
+        debug_assert_eq!(
+            self.running, scanned,
+            "running index out of sync with the hot columns"
+        );
     }
 
     /// Live jobs, in slot order.
@@ -685,6 +740,10 @@ pub struct World<'a> {
     scratch_eff: Vec<u32>,
     scratch_place: Vec<u32>,
     scratch_req: PlacementRequest,
+    /// Reusable scratch for [`World::running_views_into`] (the grow and
+    /// shrink procedures' policy input), detached and re-attached like
+    /// the scan buffers above.
+    scratch_views: Vec<RunningView>,
     /// Incremental per-cluster availability index (see [`crate::avail`]):
     /// capacity mutations mark their cluster dirty, and the scan's
     /// effective-availability aggregates quick-reject placement attempts
@@ -915,6 +974,7 @@ impl<'a> World<'a> {
             scratch_eff: Vec::with_capacity(n_clusters),
             scratch_place: Vec::with_capacity(n_clusters),
             scratch_req: PlacementRequest::default(),
+            scratch_views: Vec::new(),
             avail_idx: AvailIndex::new(n_clusters),
         };
         let mut w = w_init;
@@ -1771,8 +1831,10 @@ impl<'a> World<'a> {
         if grow_value == 0 {
             return;
         }
-        let views = self.running_views(cluster, true);
+        let mut views = std::mem::take(&mut self.scratch_views);
+        self.running_views_into(cluster, true, &mut views);
         if views.is_empty() {
+            self.scratch_views = views;
             return;
         }
         let jobs = &mut self.jobs;
@@ -1785,6 +1847,7 @@ impl<'a> World<'a> {
                 .offer_grow(offered)
         };
         let outcome = self.malleability.run_grow(&views, grow_value, &mut accept);
+        self.scratch_views = views;
         self.grow_messages += outcome.messages as u64;
         for op in &outcome.ops {
             self.collect.grow_op(now);
@@ -1886,20 +1949,17 @@ impl<'a> World<'a> {
             .class
             .min_size();
         // Evaluate each cluster's potential: live idle + in-flight
-        // releases + what mandatory shrinks could still reclaim.
+        // releases + what mandatory shrinks could still reclaim. Nothing
+        // below mutates state, so the headroom is read once.
+        let headroom = self.koala_headroom();
         let mut best: Option<(u32, usize)> = None;
         for c in 0..self.mc.len() {
             let cluster = ClusterId(c as u16);
             // Idle processors usable by KOALA (cap headroom applies);
             // shrinking running KOALA jobs frees headroom 1:1, so the
             // shrinkable amount is usable in full.
-            let usable_idle = self.mc.cluster(cluster).idle().min(self.koala_headroom());
-            let shrinkable: u32 = self
-                .running_views(cluster, false)
-                .iter()
-                .map(|v| v.size - v.min)
-                .sum();
-            let potential = usable_idle + self.pending_release[c] + shrinkable;
+            let usable_idle = self.mc.cluster(cluster).idle().min(headroom);
+            let potential = usable_idle + self.pending_release[c] + self.shrinkable_on(cluster);
             if best.is_none_or(|(b, _)| potential > b) {
                 best = Some((potential, c));
             }
@@ -1917,8 +1977,7 @@ impl<'a> World<'a> {
             }
             return;
         }
-        let covered =
-            self.mc.cluster(cluster).idle().min(self.koala_headroom()) + self.pending_release[c];
+        let covered = self.mc.cluster(cluster).idle().min(headroom) + self.pending_release[c];
         if covered >= min_needed {
             return; // in-flight releases will make room; just wait.
         }
@@ -1929,8 +1988,10 @@ impl<'a> World<'a> {
     /// Runs the policy's mandatory-shrink procedure on one cluster.
     fn shrink_cluster(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId, value: u32) {
         let now = engine.now();
-        let views = self.running_views(cluster, false);
+        let mut views = std::mem::take(&mut self.scratch_views);
+        self.running_views_into(cluster, false, &mut views);
         if views.is_empty() || value == 0 {
+            self.scratch_views = views;
             return;
         }
         let jobs = &mut self.jobs;
@@ -1943,6 +2004,7 @@ impl<'a> World<'a> {
                 .request_shrink(requested, true)
         };
         let outcome = self.malleability.run_shrink(&views, value, &mut accept);
+        self.scratch_views = views;
         self.shrink_messages += outcome.messages as u64;
         for op in &outcome.ops {
             self.collect.shrink_op(now);
@@ -2915,11 +2977,7 @@ impl<'a> World<'a> {
         // Not enough free nodes: reclaim from running malleable jobs via
         // the configured policy (mandatory shrinks), then retry once the
         // releases have landed.
-        let shrinkable: u32 = self
-            .running_views(cluster, false)
-            .iter()
-            .map(|v| v.size - v.min)
-            .sum();
+        let shrinkable = self.shrinkable_on(cluster);
         if shrinkable == 0 && self.pending_release[cluster.index()] == 0 {
             // Nothing left to reclaim without killing rigid jobs; the
             // withdrawal stays partial (documented behaviour).
@@ -3162,7 +3220,8 @@ impl<'a> World<'a> {
         }
         // One mirror refresh covers the `cluster.take()` above and the
         // phase write of whichever policy arm ran (a no-op for a killed
-        // streaming job whose slot was just freed).
+        // streaming job whose slot was just freed — `retire` already
+        // dropped that slot from the running index).
         self.jobs.sync_hot(id);
         // Release the survivors. The crashed allocation may be gone
         // entirely (`alloc_size` is `None` once its last node went
@@ -3189,46 +3248,76 @@ impl<'a> World<'a> {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// Scheduler-side views of the malleable jobs running on `cluster`
-    /// that can currently receive requests. `for_grow` filters to jobs
-    /// below their maximum ("as long as at least one running malleable
-    /// job can still be grown"); otherwise to jobs above their minimum.
-    fn running_views(&self, cluster: ClusterId, for_grow: bool) -> Vec<RunningView> {
+    /// Malleable jobs running on `cluster` that can currently receive
+    /// requests, in slot order. The running index yields exactly the
+    /// jobs running there, so this costs O(jobs running on `cluster`),
+    /// not O(slab).
+    fn malleable_running_on(&self, cluster: ClusterId) -> impl Iterator<Item = &Job> + use<'_, 'a> {
         #[cfg(debug_assertions)]
         self.jobs.assert_hot_coherent();
-        // The struct-of-arrays columns pre-select "running on this
-        // cluster" with two contiguous scans; only the (usually few)
-        // survivors dereference their `Job`.
         self.jobs
             .running_slots_on(cluster)
-            .filter_map(|slot| self.jobs.job_at(slot))
+            .iter()
+            .filter_map(|&slot| self.jobs.job_at(slot as usize))
             .filter(|j| j.eligible_for_malleability())
             // A crash can destroy a job's allocation outright; until its
             // victim cleanup runs (later in the same event), the job
             // still looks Running but can no longer receive grow/shrink
             // requests — its allocation handle dangles.
-            .filter(|j| {
+            .filter(move |j| {
                 j.alloc
                     .is_some_and(|a| self.mc.cluster(cluster).alloc_size(a).is_some())
             })
-            .filter_map(|j| {
-                let runner = j.runner.as_ref().expect("eligible implies runner");
-                let size = runner.dynaco.size();
-                let (min, max) = (runner.dynaco.min(), runner.dynaco.max());
-                let useful = if for_grow { size < max } else { size > min };
-                useful.then_some(RunningView {
-                    job: j.id,
-                    started: j.started.expect("running job started"),
-                    size,
-                    min,
-                    max,
-                })
+    }
+
+    /// Fills `out` with the scheduler-side views of the malleable jobs
+    /// running on `cluster` that can currently receive requests.
+    /// `for_grow` filters to jobs below their maximum ("as long as at
+    /// least one running malleable job can still be grown"); otherwise
+    /// to jobs above their minimum. `out` is a detached scratch buffer
+    /// ([`World::scratch_views`]): cleared here, re-attached by the
+    /// caller, so steady-state calls allocate nothing.
+    fn running_views_into(&self, cluster: ClusterId, for_grow: bool, out: &mut Vec<RunningView>) {
+        out.clear();
+        out.extend(self.malleable_running_on(cluster).filter_map(|j| {
+            let runner = j.runner.as_ref().expect("eligible implies runner");
+            let size = runner.dynaco.size();
+            let (min, max) = (runner.dynaco.min(), runner.dynaco.max());
+            let useful = if for_grow { size < max } else { size > min };
+            useful.then_some(RunningView {
+                job: j.id,
+                started: j.started.expect("running job started"),
+                size,
+                min,
+                max,
             })
-            .collect()
+        }));
+    }
+
+    /// Processors mandatory shrinks could reclaim on `cluster`: the sum
+    /// of `size − min` over the views [`World::running_views_into`]
+    /// would build for shrinking, computed without building them.
+    fn shrinkable_on(&self, cluster: ClusterId) -> u32 {
+        self.malleable_running_on(cluster)
+            .map(|j| {
+                let dynaco = &j.runner.as_ref().expect("eligible implies runner").dynaco;
+                dynaco.size() - dynaco.min()
+            })
+            .sum()
     }
 
     fn touch_util(&mut self, now: SimTime) {
         self.collect.utilization(now, &self.mc);
+    }
+
+    /// End-of-run accounting check, compiled into release builds too
+    /// (the per-event check in [`World::handle`] is debug-only): every
+    /// cluster's incremental occupancy counters must still agree with a
+    /// recount of its allocations. O(nodes + allocations), once per run.
+    fn check_final_accounting(&self) {
+        self.mc
+            .check_invariants()
+            .expect("cluster occupancy counters must match a recount at the end of a run");
     }
 
     /// Finalizes the full report.
@@ -3236,6 +3325,7 @@ impl<'a> World<'a> {
     /// # Panics
     /// Panics in summarized mode — use [`World::finish_summary`].
     pub fn finish(mut self, engine: &Engine<Ev>) -> RunReport {
+        self.check_final_accounting();
         let mut ctrl = self.ctrl;
         ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
         let net = self.final_net_stats(engine.now());
@@ -3260,6 +3350,7 @@ impl<'a> World<'a> {
     /// # Panics
     /// Panics in full-report mode — use [`World::finish`].
     pub fn finish_summary(mut self, engine: &Engine<Ev>) -> SummaryReport {
+        self.check_final_accounting();
         let mut ctrl = self.ctrl;
         ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
         let net = self.final_net_stats(engine.now());
@@ -3842,8 +3933,8 @@ impl<'a> World<'a> {
                 .as_mut()
                 .expect("fixed slabs keep every slot");
             dec_job_into(r, job)?;
-            self.jobs.phases[slot] = job.phase;
-            self.jobs.clusters[slot] = job.cluster;
+            let (phase, cluster) = (job.phase, job.cluster);
+            self.jobs.set_hot(slot, phase, cluster);
         }
         let live = r.u64()? as usize;
         let peak_live = r.u64()? as usize;
@@ -5075,6 +5166,112 @@ mod tests {
         // aborts when the job completes while its stubs submit.
         assert!(r.jobs.total_grows() <= r.grow_ops.total() as u64);
         assert!(r.jobs.total_grows() > 0);
+    }
+
+    /// A job to seed slab tests with (the spec is irrelevant; only the
+    /// hot fields are exercised).
+    fn template_job() -> Job {
+        let cfg = small("fpsma", WorkloadSpec::wm(), 1);
+        let w = World::new(&cfg);
+        w.jobs.get(JobId(0)).expect("one job").clone()
+    }
+
+    fn set_phase(slab: &mut JobSlab, id: JobId, phase: JobPhase, cluster: Option<ClusterId>) {
+        let job = slab.get_mut(id).expect("live job");
+        job.phase = phase;
+        job.cluster = cluster;
+        slab.sync_hot(id);
+    }
+
+    /// A streaming slot freed by a Running job and reused by a queued
+    /// one must not be listed as running — whether the job's columns
+    /// were refreshed before retiring (completion) or still said
+    /// Running when it retired (a killed crash victim).
+    #[test]
+    fn reused_streaming_slot_is_not_listed_as_running() {
+        let template = template_job();
+        let c = ClusterId(1);
+        for sync_before_retire in [true, false] {
+            let mut slab = JobSlab::streaming();
+            let first = Job {
+                id: JobId(0),
+                ..template.clone()
+            };
+            let slot = slab.insert(first);
+            set_phase(&mut slab, JobId(0), JobPhase::Running, Some(c));
+            assert_eq!(slab.running_slots_on(c), &[slot as u32]);
+            if sync_before_retire {
+                set_phase(&mut slab, JobId(0), JobPhase::Completed, Some(c));
+            }
+            slab.retire(JobId(0));
+            assert!(slab.running_slots_on(c).is_empty(), "dead slot indexed");
+            let reused = slab.insert(Job {
+                id: JobId(1),
+                ..template.clone()
+            });
+            assert_eq!(reused, slot, "the freed slot is reused");
+            assert_eq!(slab.phase_at(reused), JobPhase::Queued);
+            assert!(slab.running_slots_on(c).is_empty(), "queued job indexed");
+            #[cfg(debug_assertions)]
+            slab.assert_hot_coherent();
+        }
+    }
+
+    /// A crash that re-queues its victims takes them out of the running
+    /// index of the crashed cluster (and they appear in no other list
+    /// until they run again).
+    #[test]
+    fn crash_requeued_job_leaves_the_running_index() {
+        let mut cfg = small("fpsma", WorkloadSpec::wm(), 30);
+        cfg.background = multicluster::BackgroundLoad::none();
+        cfg.elasticity.failure_policy = FailurePolicy::Requeue;
+        let mut w = World::new(&cfg);
+        let mut engine = Engine::new();
+        w.bootstrap(&mut engine);
+        w.run_until(&mut engine, SimTime::from_secs(900));
+        let (c, victims) = (0..w.mc.len())
+            .map(|c| ClusterId(c as u16))
+            .map(|c| (c, w.jobs.running_slots_on(c).to_vec()))
+            .find(|(_, slots)| !slots.is_empty())
+            .expect("some job runs by t = 900 s");
+        let capacity = w.mc.cluster(c).capacity();
+        w.on_node_crash(&mut engine, c, capacity, SimDuration::from_secs(600));
+        assert!(w.jobs.running_slots_on(c).is_empty());
+        for slot in victims {
+            let id = JobId(slot);
+            assert_ne!(w.job_phase(id), JobPhase::Running, "{id:?} still running");
+            for other in 0..w.mc.len() {
+                let list = w.jobs.running_slots_on(ClusterId(other as u16));
+                assert!(!list.contains(&slot), "{id:?} indexed on cluster {other}");
+            }
+        }
+        #[cfg(debug_assertions)]
+        w.jobs.assert_hot_coherent();
+    }
+
+    /// The running index is derived state: a world restored from a
+    /// mid-run snapshot rebuilds exactly the index the cold run holds at
+    /// that instant.
+    #[test]
+    fn forked_world_rebuilds_the_cold_running_index() {
+        let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
+        cfg.workload.jobs = 60;
+        let mut cold = World::for_seed_summarized(&cfg, 5);
+        let mut engine = Engine::new();
+        cold.bootstrap(&mut engine);
+        cold.run_until(&mut engine, SimTime::from_secs(1800));
+        assert!(
+            cold.jobs.running.iter().any(|l| !l.is_empty()),
+            "the fork point must have running jobs"
+        );
+        let snap = cold.snapshot(&engine).expect("summarized worlds snapshot");
+        let (fork, _engine) = World::restore(&cfg, &snap).expect("same config restores");
+        for c in 0..cold.mc.len() {
+            let c = ClusterId(c as u16);
+            assert_eq!(fork.jobs.running_slots_on(c), cold.jobs.running_slots_on(c));
+        }
+        #[cfg(debug_assertions)]
+        fork.jobs.assert_hot_coherent();
     }
 
     #[test]

@@ -117,6 +117,12 @@ struct Allocation {
     nodes: Vec<NodeId>,
 }
 
+impl Allocation {
+    fn is_koala(&self) -> bool {
+        matches!(self.owner, AllocOwner::Koala(_))
+    }
+}
+
 /// One allocation's losses in a [`Cluster::crash`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashVictim {
@@ -167,6 +173,12 @@ pub struct Cluster {
     allocs: BTreeMap<AllocId, Allocation>,
     next_alloc: u64,
     down: u32,
+    /// Nodes held by KOALA-owned allocations — derived state kept by
+    /// every operation that moves a node into or out of an allocation,
+    /// so the occupancy queries the scheduler makes on every event are
+    /// O(1). Recomputed on [`Cluster::restore_state`] and recounted by
+    /// [`Cluster::check_invariants`]; never captured.
+    koala: u32,
 }
 
 impl Cluster {
@@ -181,6 +193,7 @@ impl Cluster {
             allocs: BTreeMap::new(),
             next_alloc: 0,
             down: 0,
+            koala: 0,
         }
     }
 
@@ -204,20 +217,22 @@ impl Cluster {
         self.capacity() - self.idle()
     }
 
-    /// Nodes held by KOALA-owned allocations only.
+    /// Nodes held by KOALA-owned allocations only (O(1)).
     pub fn used_by_koala(&self) -> u32 {
-        self.allocs
-            .values()
-            .filter(|a| matches!(a.owner, AllocOwner::Koala(_)))
-            .map(|a| a.nodes.len() as u32)
-            .sum()
+        self.koala
     }
 
-    /// Nodes held by local (background) allocations only.
+    /// Nodes held by local (background) allocations only (O(1)).
     pub fn used_by_local(&self) -> u32 {
+        self.used() - self.koala
+    }
+
+    /// Recounts KOALA-held nodes from the allocation map — the slow
+    /// reference the incremental counter is checked against.
+    fn count_koala(&self) -> u32 {
         self.allocs
             .values()
-            .filter(|a| matches!(a.owner, AllocOwner::Local(_)))
+            .filter(|a| a.is_koala())
             .map(|a| a.nodes.len() as u32)
             .sum()
     }
@@ -256,7 +271,11 @@ impl Cluster {
             self.states[n.0 as usize] = NodeState::Busy(id);
             nodes.push(n);
         }
-        self.allocs.insert(id, Allocation { owner, nodes });
+        let alloc = Allocation { owner, nodes };
+        if alloc.is_koala() {
+            self.koala += count;
+        }
+        self.allocs.insert(id, alloc);
         Ok(id)
     }
 
@@ -265,19 +284,24 @@ impl Cluster {
         if extra == 0 {
             return Err(AllocError::ZeroRequest);
         }
-        if !self.allocs.contains_key(&id) {
-            return Err(AllocError::UnknownAlloc(id));
-        }
-        if self.idle() < extra {
+        let available = self.idle();
+        let alloc = self
+            .allocs
+            .get_mut(&id)
+            .ok_or(AllocError::UnknownAlloc(id))?;
+        if available < extra {
             return Err(AllocError::Insufficient {
                 requested: extra,
-                available: self.idle(),
+                available,
             });
         }
         for _ in 0..extra {
             let n = self.free.pop().expect("checked idle() above");
             self.states[n.0 as usize] = NodeState::Busy(id);
-            self.allocs.get_mut(&id).expect("checked").nodes.push(n);
+            alloc.nodes.push(n);
+        }
+        if alloc.is_koala() {
+            self.koala += extra;
         }
         Ok(())
     }
@@ -305,6 +329,9 @@ impl Cluster {
             self.states[n.0 as usize] = NodeState::Free;
             self.free.push(n);
         }
+        if alloc.is_koala() {
+            self.koala -= by;
+        }
         if alloc.nodes.is_empty() {
             self.allocs.remove(&id);
         }
@@ -318,6 +345,9 @@ impl Cluster {
             .remove(&id)
             .ok_or(AllocError::UnknownAlloc(id))?;
         let n = alloc.nodes.len() as u32;
+        if alloc.is_koala() {
+            self.koala -= n;
+        }
         for node in alloc.nodes {
             self.states[node.0 as usize] = NodeState::Free;
             self.free.push(node);
@@ -376,6 +406,9 @@ impl Cluster {
                         .position(|n| n.0 as usize == i)
                         .expect("Busy state implies membership in its allocation");
                     alloc.nodes.remove(pos);
+                    if alloc.is_koala() {
+                        self.koala -= 1;
+                    }
                     let owner = alloc.owner;
                     let destroyed = alloc.nodes.is_empty();
                     if destroyed {
@@ -466,6 +499,7 @@ impl Cluster {
             .collect();
         self.next_alloc = state.next_alloc;
         self.down = state.down;
+        self.koala = self.count_koala();
         if self.allocs.keys().any(|id| id.0 >= self.next_alloc) {
             return Err("live allocation id at or past next_alloc".into());
         }
@@ -473,8 +507,10 @@ impl Cluster {
     }
 
     /// Internal consistency check: every node appears in exactly one of
-    /// {free list, some allocation, down}; counters agree. Used by tests
-    /// and debug assertions in the scheduler.
+    /// {free list, some allocation, down}; the down and KOALA-held
+    /// counters agree with a recount. O(nodes + allocations). Used by
+    /// tests, debug assertions in the scheduler and once per run at
+    /// report time.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = vec![0u8; self.spec.nodes as usize];
         for n in &self.free {
@@ -509,6 +545,10 @@ impl Cluster {
         }
         if down != self.down {
             return Err(format!("down counter {} != {}", self.down, down));
+        }
+        let koala = self.count_koala();
+        if koala != self.koala {
+            return Err(format!("KOALA-held counter {} != {koala}", self.koala));
         }
         if let Some(i) = seen.iter().position(|&c| c != 1) {
             return Err(format!("node n{i} appears {} times", seen[i]));

@@ -100,6 +100,10 @@ pub struct InfoService {
     /// Minimum age a snapshot must reach before becoming visible.
     lag: simcore::SimDuration,
     polls: u64,
+    /// The snapshot the last promotion displaced, kept so the next poll
+    /// refills its vectors instead of allocating fresh ones. Scratch
+    /// only: never read, never captured.
+    spare: Option<InfoSnapshot>,
 }
 
 impl InfoService {
@@ -126,26 +130,29 @@ impl InfoService {
     /// snapshot of every cluster, then promotes the newest recorded
     /// snapshot that is at least [`lag`](InfoService::lag) old.
     pub fn poll<'a>(&mut self, now: SimTime, clusters: impl Iterator<Item = &'a Cluster>) {
-        let mut idle = Vec::new();
-        let mut capacity = Vec::new();
-        let mut used_by_koala = Vec::new();
-        let mut used_by_local = Vec::new();
-        for c in clusters {
-            idle.push(c.idle());
-            capacity.push(c.capacity());
-            used_by_koala.push(c.used_by_koala());
-            used_by_local.push(c.used_by_local());
-        }
-        self.in_flight.push_back(InfoSnapshot {
+        let mut snap = self.spare.take().unwrap_or_else(|| InfoSnapshot {
             taken_at: now,
-            idle,
-            capacity,
-            used_by_koala,
-            used_by_local,
+            idle: Vec::new(),
+            capacity: Vec::new(),
+            used_by_koala: Vec::new(),
+            used_by_local: Vec::new(),
         });
+        snap.taken_at = now;
+        snap.idle.clear();
+        snap.capacity.clear();
+        snap.used_by_koala.clear();
+        snap.used_by_local.clear();
+        for c in clusters {
+            snap.idle.push(c.idle());
+            snap.capacity.push(c.capacity());
+            snap.used_by_koala.push(c.used_by_koala());
+            snap.used_by_local.push(c.used_by_local());
+        }
+        self.in_flight.push_back(snap);
         while let Some(front) = self.in_flight.front() {
             if now.saturating_since(front.taken_at) >= self.lag {
-                self.visible = self.in_flight.pop_front();
+                let matured = self.in_flight.pop_front();
+                self.spare = std::mem::replace(&mut self.visible, matured);
             } else {
                 break;
             }
