@@ -238,8 +238,11 @@ impl JobSpec {
                 return Err(format!("initial {initial} violates {c:?}"));
             }
         }
-        if self.work_scale <= 0.0 {
-            return Err("non-positive work scale".into());
+        if !self.work_scale.is_finite() || self.work_scale <= 0.0 {
+            return Err(format!(
+                "work scale {} is not positive and finite",
+                self.work_scale
+            ));
         }
         if let Some(comps) = &self.coalloc {
             let JobClass::Rigid { size } = self.class else {
@@ -316,8 +319,10 @@ mod tests {
         s.class = JobClass::Rigid { size: 8 };
         s.validate().unwrap();
         let mut s = JobSpec::paper_malleable(AppKind::Gadget2);
-        s.work_scale = 0.0;
-        assert!(s.validate().is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            s.work_scale = bad;
+            assert!(s.validate().is_err(), "work scale {bad} accepted");
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   cell's own pair at the fork instant (the in-process reference
 //!   semantics of a warm-forked cell);
 //! * **warm** — each `(workload, seed)` group simulates the shared
-//!   prefix **once**, captures it as a versioned `koala::Snapshot`, and
-//!   every policy cell forks from that snapshot
-//!   (`koala::parallel::run_cells_summary_warm`).
+//!   prefix **once**, and every policy cell continues from an in-memory
+//!   copy of the warmed world (`koala::parallel::run_cells_summary_warm`).
 //!
 //! The two matrices — raw per-cell reports *and* pooled per-cell
 //! aggregates, sequential *and* parallel — are asserted byte-identical
@@ -43,7 +42,7 @@ use serde::Value;
 use simcore::SimDuration;
 
 /// The warm-start matrix: every placement × malleability pair below
-/// shares one warmup prefix per seed (6 forks per snapshot).
+/// shares one warmup prefix per seed (6 forks per prefix).
 const PLACEMENTS: [&str; 2] = ["worst_fit", "first_fit"];
 const MALLEABILITY: [&str; 3] = ["fpsma", "egs", "equipartition"];
 
@@ -169,7 +168,7 @@ fn main() {
         .map(|r| r.events)
         .sum();
     println!(
-        "  cold {cold_s:>7.3} s | warm {warm_s:>7.3} s | speedup {speedup:>5.2}x | {} forks per snapshot",
+        "  cold {cold_s:>7.3} s | warm {warm_s:>7.3} s | speedup {speedup:>5.2}x | {} forks per prefix",
         cfgs.len()
     );
     if !smoke && speedup < 2.0 {
@@ -182,9 +181,9 @@ fn main() {
             "description",
             Value::String(
                 "Warm-forked sweeps: each (workload, seed) group's shared \
-                 prefix simulates once under the base policy pair, is \
-                 captured as a versioned snapshot, and every policy cell \
-                 forks from it; asserted byte-identical (raw and pooled, \
+                 prefix simulates once under the base policy pair, and \
+                 every policy cell continues from an in-memory copy of the \
+                 warmed world; asserted byte-identical (raw and pooled, \
                  sequential and parallel) to the cold matrix that replays \
                  the prefix per cell, then timed at matched thread counts"
                     .into(),
@@ -204,7 +203,7 @@ fn main() {
         ("jobs_per_run", Value::UInt(jobs as u64)),
         ("events", Value::UInt(events)),
         ("fork_at_s", Value::Float(round3(fork_at.as_secs_f64()))),
-        ("forks_per_snapshot", Value::UInt(cfgs.len() as u64)),
+        ("forks_per_prefix", Value::UInt(cfgs.len() as u64)),
         ("bit_identical", Value::Bool(true)),
         ("cold_s", Value::Float(round3(cold_s))),
         ("warm_s", Value::Float(round3(warm_s))),

@@ -303,8 +303,8 @@ pub fn warm_forked(mut cfgs: Vec<ExperimentConfig>, warm_fork: WarmFork) -> Vec<
 /// Warm-forked counterpart of [`run_cells_summary_with_seeds_threads`]:
 /// the flattened `(config, seed)` batch runs through
 /// [`koala::parallel::run_cells_summary_warm`] — shared warmup prefixes
-/// execute once per group and every cell forks from its group's
-/// snapshot. Bit-identical to the cold runner for any thread count; the
+/// execute once per group and every cell continues from a copy of its
+/// group's warmed world. Bit-identical to the cold runner for any thread count; the
 /// `warmstart` binary asserts exactly that before recording speedups.
 pub fn run_cells_summary_warm_with_seeds(
     cfgs: &[ExperimentConfig],

@@ -607,14 +607,16 @@ pub struct NetworkConfig {
 
 /// Warm-fork sweep configuration: the shared warmup prefix of a policy
 /// sweep runs **once** per `(workload, seed)` under the base policies
-/// named here, a [`Snapshot`](crate::snapshot::Snapshot) is captured
-/// when simulated time reaches `at`, and every policy cell of the sweep
-/// forks from that snapshot instead of replaying the prefix cold (see
+/// named here, until simulated time reaches `at`, and every policy cell
+/// of the sweep continues from a copy of the warmed world instead of
+/// replaying the prefix cold (see
 /// [`crate::parallel::run_cells_summary_warm`]).
 ///
 /// Forking requires the cells to agree on everything except `name`,
-/// `sched.placement` and `sched.malleability` — the fork-invariant
-/// configuration fingerprint embedded in the snapshot enforces this.
+/// `sched.placement` and `sched.malleability`: the warm runner only
+/// groups such cells, and the byte path
+/// ([`Snapshot`](crate::snapshot::Snapshot)) checks the fork-invariant
+/// configuration fingerprint it embeds.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WarmFork {
     /// The fork instant: the warmup prefix runs until the next pending
@@ -967,6 +969,24 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(matches!(err, ConfigError::Policy(_)));
         assert!(err.to_string().contains("not_a_policy"));
+    }
+
+    #[test]
+    fn non_finite_trace_work_scale_is_an_error_not_a_panic() {
+        for bad_scale in [f64::NAN, f64::INFINITY] {
+            let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+            let mut spec = appsim::JobSpec::rigid(appsim::AppKind::Gadget2, 4);
+            spec.work_scale = bad_scale;
+            cfg.trace = Some(vec![appsim::workload::SubmittedJob {
+                at: simcore::SimTime::ZERO,
+                spec,
+            }]);
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::TraceJob { index: 0, .. })),
+                "work scale {bad_scale} passed validation"
+            );
+            assert!(crate::sim::try_run_experiment(&cfg).is_err());
+        }
     }
 
     #[test]

@@ -174,72 +174,103 @@ pub fn run_cells_summary(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryRepor
 }
 
 /// Warm-forked counterpart of [`run_cells_summary`]: cells whose
-/// configuration carries a [`crate::config::WarmFork`] are grouped by
-/// `(fork fingerprint, seed)`, each group's shared warmup prefix — the
-/// base policy pair up to the fork time — runs **once** and is
-/// captured as a [`crate::Snapshot`], and every cell in the group is
-/// then restored from that snapshot under its own policies. Cells
-/// without a warm fork fall back to plain cold runs.
+/// configuration carries a [`crate::config::WarmFork`] are grouped with
+/// the cells they may share a prefix with — same seed, and equal in
+/// everything but `name` and the policy pair. Each group's warmup
+/// prefix, the base policy pair up to the fork time, runs **once**, and
+/// every cell of the group then continues from an in-memory copy of the
+/// warmed world under its own policies (the last cell continues the
+/// warmed world itself). Cells without a warm fork run cold.
 ///
-/// Both phases run on the work-stealing [`parallel_map`], and results
-/// come back in input order — the output is bit-identical to
+/// Each group is one task on the work-stealing [`parallel_map`], and
+/// results come back in input order — the output is bit-identical to
 /// [`run_cells_summary`] for any thread count (the cold path runs the
-/// identical prefix in process and switches policies at the identical
-/// boundary; the differential suite enforces this byte-for-byte).
+/// identical prefix and switches policies at the identical boundary;
+/// the `clone_fork` suite enforces this byte-for-byte, against the
+/// [`crate::Snapshot`] byte path too).
 ///
 /// # Panics
-/// Panics on an invalid configuration or on a snapshot failure (e.g. a
-/// warm-forked cell in an unsupported mode) — sweeps should fail
-/// loudly, like [`run_cells`].
+/// Panics on an invalid configuration, like [`run_cells`].
 pub fn run_cells_summary_warm(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryReport> {
-    use std::collections::BTreeMap;
+    use std::collections::HashMap;
 
+    use crate::snapshot::fork_key;
+
+    // Phase 0 (cheap, sequential): one task per warm group or cold
+    // cell. A warm cell joins the first group with its seed, fork key
+    // and trace — everything except name and policy pair.
+    let mut tasks: Vec<Vec<usize>> = Vec::new();
+    let mut groups: HashMap<(u64, String), Vec<usize>> = HashMap::new();
+    for (i, cell) in cells.iter().enumerate() {
+        if cell.cfg.warm_fork.is_none() {
+            tasks.push(vec![i]);
+            continue;
+        }
+        let same_key = groups.entry((cell.seed, fork_key(cell.cfg))).or_default();
+        match same_key
+            .iter()
+            .find(|&&t| cells[tasks[t][0]].cfg.trace == cell.cfg.trace)
+        {
+            Some(&t) => tasks[t].push(i),
+            None => {
+                same_key.push(tasks.len());
+                tasks.push(vec![i]);
+            }
+        }
+    }
+    // Phase 1: every task, in parallel.
+    let runs = parallel_map(&tasks, threads, |idxs| {
+        let cfgs: Vec<&ExperimentConfig> = idxs.iter().map(|&i| cells[i].cfg).collect();
+        let seed = cells[idxs[0]].seed;
+        match cfgs[0].warm_fork {
+            Some(_) => warm_group_summaries(&cfgs, seed),
+            None => vec![crate::sim::run_experiment_summary_seeded(cfgs[0], seed)],
+        }
+    });
+    let mut out: Vec<Option<SummaryReport>> = Vec::with_capacity(cells.len());
+    out.resize_with(cells.len(), || None);
+    for (idxs, reports) in tasks.iter().zip(runs) {
+        for (&i, report) in idxs.iter().zip(reports) {
+            out[i] = Some(report);
+        }
+    }
+    out.into_iter()
+        .map(|r| r.expect("every cell belongs to exactly one task"))
+        .collect()
+}
+
+/// One warm group of [`run_cells_summary_warm`]: runs the shared prefix
+/// of `cfgs` under `seed` once, then forks it into every configuration,
+/// returning their summaries in order.
+fn warm_group_summaries(cfgs: &[&ExperimentConfig], seed: u64) -> Vec<SummaryReport> {
     use simcore::SimTime;
 
-    use crate::snapshot::{fork_fingerprint, Snapshot};
-
-    // Phase 0 (cheap, sequential): group warm-forkable cells. The key
-    // is the fork-invariant fingerprint plus the seed: cells that agree
-    // on everything except name and policy pair share one prefix.
-    let mut groups: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if cell.cfg.warm_fork.is_some() {
-            groups
-                .entry((fork_fingerprint(cell.cfg), cell.seed))
-                .or_default()
-                .push(i);
+    for cfg in cfgs {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid experiment configuration `{}`: {e}", cfg.name);
         }
     }
-    // Phase 1: one warmup per group, in parallel.
-    let warmups: Vec<(Vec<usize>, ExperimentConfig, u64, SimTime)> = groups
-        .into_values()
-        .map(|idxs| {
-            let cell = &cells[idxs[0]];
-            let wf = cell.cfg.warm_fork.as_ref().expect("grouped on Some");
-            let mut warm_cfg = cell.cfg.clone();
-            warm_cfg.sched.placement = wf.base_placement.clone();
-            warm_cfg.sched.malleability = wf.base_malleability.clone();
-            (idxs, warm_cfg, cell.seed, SimTime::ZERO + wf.at)
-        })
+    // The warmed world is built on the last cell's configuration, so
+    // after the other cells have forked from copies of it, switching its
+    // policies back makes it that cell.
+    let (&last, forks) = cfgs.split_last().expect("groups are non-empty");
+    let wf = last.warm_fork.as_ref().expect("grouped on a warm fork");
+    let mut engine = crate::sim::engine_for(last);
+    let mut world = crate::World::for_seed_summarized(last, seed);
+    world
+        .use_policies(&wf.base_placement, &wf.base_malleability)
+        .expect("validated policies resolve");
+    world.bootstrap(&mut engine);
+    world.run_until(&mut engine, SimTime::ZERO + wf.at);
+    let mut out: Vec<SummaryReport> = forks
+        .iter()
+        .map(|cfg| world.fork_clone(cfg).resume_to_summary(&mut engine.clone()))
         .collect();
-    let snaps: Vec<Snapshot> = parallel_map(&warmups, threads, |(_, cfg, seed, at)| {
-        crate::sim::warm_snapshot_seeded(cfg, *seed, *at)
-            .unwrap_or_else(|e| panic!("warm-fork prefix of `{}` failed: {e}", cfg.name))
-    });
-    let mut snap_for: Vec<Option<&Snapshot>> = vec![None; cells.len()];
-    for ((idxs, ..), snap) in warmups.iter().zip(&snaps) {
-        for &i in idxs {
-            snap_for[i] = Some(snap);
-        }
-    }
-    // Phase 2: every cell, in parallel — forks resume from their
-    // group's snapshot, the rest run cold.
-    let order: Vec<usize> = (0..cells.len()).collect();
-    parallel_map(&order, threads, |&i| match snap_for[i] {
-        Some(snap) => crate::sim::fork_summary(cells[i].cfg, snap)
-            .unwrap_or_else(|e| panic!("warm fork of `{}` failed: {e}", cells[i].cfg.name)),
-        None => crate::sim::run_experiment_summary_seeded(cells[i].cfg, cells[i].seed),
-    })
+    world
+        .use_policies(&last.sched.placement, &last.sched.malleability)
+        .expect("validated policies resolve");
+    out.push(world.resume_to_summary(&mut engine));
+    out
 }
 
 /// Summarized counterpart of [`run_seeds_with_threads`]: aggregates the

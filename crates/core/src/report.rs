@@ -543,7 +543,7 @@ struct JobMeter {
 
 /// The full collector: exactly the measurement state a [`RunReport`]
 /// renders (job table, step series, operation timelines).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FullCollector {
     records: Vec<JobRecord>,
     util_total: StepSeries,
@@ -562,7 +562,7 @@ pub(crate) struct FullCollector {
 /// fixed-size meter per **live** job (streamed runs reuse meter slots
 /// as jobs retire, so the meter table tracks in-flight jobs, not the
 /// stream length).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SummaryCollector {
     /// Absolute warmup instant (runs start at time zero).
     warmup: SimTime,
@@ -758,7 +758,7 @@ pub(crate) struct SummaryCollectorState {
 // difference between the variants costs nothing; boxing would add a
 // pointer chase to every measurement call on the hot path instead.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Collector {
     Full(FullCollector),
     Summary(SummaryCollector),

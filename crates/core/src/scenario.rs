@@ -504,7 +504,7 @@ impl ScenarioBuilder {
     /// Marks this scenario for warm-forked sweeps: the warmup prefix up
     /// to `at` runs once per `(workload, seed)` under the default base
     /// policies (Worst Fit + FPSMA) and every policy cell forks from the
-    /// snapshot (see [`WarmFork`] and
+    /// warmed world (see [`WarmFork`] and
     /// [`crate::parallel::run_cells_summary_warm`]). Use
     /// [`ScenarioBuilder::warm_fork_with`] to choose the base policies.
     pub fn warm_fork(mut self, at: SimDuration) -> Self {

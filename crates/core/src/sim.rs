@@ -350,6 +350,7 @@ enum Intake<'a> {
 /// their terminal phase: the slot returns to a free list and the
 /// id→slot map forgets the job, so live memory is bounded by the number
 /// of in-flight jobs, not the trace length.
+#[derive(Clone)]
 struct JobSlab {
     slots: Vec<Option<Job>>,
     /// Struct-of-arrays mirror of `Job::phase`, one entry per slot.
@@ -616,6 +617,7 @@ impl JobSlab {
 
 /// What one network flow is moving, and for whom — resolved when its
 /// completion event fires.
+#[derive(Clone)]
 struct TransferOwner {
     /// The job the transfer serves.
     job: JobId,
@@ -632,6 +634,7 @@ struct TransferOwner {
 }
 
 /// Per-job staging progress under the network layer.
+#[derive(Clone)]
 struct StagingState {
     /// Transfers still in flight for this staging session.
     pending: u32,
@@ -648,6 +651,7 @@ struct StagingState {
 /// `None` — the default — in which case staging falls back to the
 /// closed-form catalog estimates and trajectories are bit-identical
 /// to the pre-network code (pinned by the passivity golden).
+#[derive(Clone)]
 struct NetRuntime {
     /// Active flows and max-min fair rate assignment.
     flows: FlowNet,
@@ -892,22 +896,7 @@ impl<'a> World<'a> {
         failure_rng: SimRng,
         fault_rng: SimRng,
     ) -> Self {
-        let registry = PolicyRegistry::global();
-        let placement = registry
-            .placement(&cfg.sched.placement)
-            .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-        let malleability = registry
-            .malleability(&cfg.sched.malleability)
-            .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-        let autoscaler = if cfg.elasticity.autoscaled() {
-            Some(
-                AutoscalerRegistry::global()
-                    .autoscaler(&cfg.elasticity.autoscaler)
-                    .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}")),
-            )
-        } else {
-            None
-        };
+        let (placement, malleability, autoscaler) = resolve_policies(cfg);
         let n_clusters = mc.len();
         let failures = cfg
             .elasticity
@@ -1195,8 +1184,9 @@ impl<'a> World<'a> {
     /// engine drains. [`World::bootstrap`] must have been called.
     ///
     /// This is the warmup half of the warm-fork pipeline: run the
-    /// shared prefix here, capture with [`World::snapshot`], then fork
-    /// per policy cell with [`World::fork_with`].
+    /// shared prefix here, then fork per policy cell — by in-memory copy
+    /// in [`crate::parallel::run_cells_summary_warm`], or through bytes
+    /// with [`World::snapshot`] and [`World::fork_with`].
     pub fn run_until(&mut self, engine: &mut Engine<Ev>, until: SimTime) {
         while let Some(t) = engine.peek_time() {
             if t >= until {
@@ -1256,6 +1246,61 @@ impl<'a> World<'a> {
         self.placement = registry.placement(placement)?;
         self.malleability = registry.malleability(malleability)?;
         Ok(())
+    }
+
+    /// Forks this warmed world into policy cell `cfg` by copying it in
+    /// memory: all state is cloned, the placement, malleability and
+    /// autoscaling policies are resolved by name from `cfg`, and a
+    /// borrowed trace is re-borrowed from `cfg`. The copy continues
+    /// independently of `self` — it is the in-memory twin of a
+    /// [`World::snapshot`] → [`World::fork_with`] round trip, without
+    /// the byte codec or a fingerprint check.
+    ///
+    /// The caller guarantees that `cfg` differs from the world's own
+    /// configuration in `name` and the policy pair only; the grouping
+    /// of [`crate::parallel::run_cells_summary_warm`] is that check.
+    ///
+    /// # Panics
+    /// Panics for a streaming world (a job stream cannot be copied) and
+    /// when `cfg` names an unknown policy.
+    pub(crate) fn fork_clone<'b>(&self, cfg: &'b ExperimentConfig) -> World<'b> {
+        let Intake::Fixed(workload) = &self.intake else {
+            panic!("a streaming world cannot be forked");
+        };
+        let (placement, malleability, autoscaler) = resolve_policies(cfg);
+        World {
+            cfg,
+            seed: self.seed,
+            placement,
+            malleability,
+            mc: self.mc.clone(),
+            kis: self.kis.clone(),
+            files: self.files.clone(),
+            intake: Intake::Fixed(cell_workload(cfg, workload)),
+            jobs: self.jobs.clone(),
+            queue: self.queue.clone(),
+            collect: self.collect.clone(),
+            grow_messages: self.grow_messages,
+            shrink_messages: self.shrink_messages,
+            bg_rng: self.bg_rng.clone(),
+            pending_release: self.pending_release.clone(),
+            idle_baseline: self.idle_baseline.clone(),
+            arrivals_seen: self.arrivals_seen,
+            next_bg_local: self.next_bg_local,
+            autoscaler,
+            failures: self.failures.clone(),
+            faults: self.faults.clone(),
+            ctrl: self.ctrl,
+            net: self.net.clone(),
+            trace: self.trace.clone(),
+            scan_buf: Vec::new(),
+            scratch_avail: Vec::with_capacity(self.mc.len()),
+            scratch_eff: Vec::with_capacity(self.mc.len()),
+            scratch_place: Vec::with_capacity(self.mc.len()),
+            scratch_req: PlacementRequest::default(),
+            scratch_views: Vec::new(),
+            avail_idx: self.avail_idx.clone(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -4617,6 +4662,54 @@ fn dec_collector(
     })
 }
 
+/// The policies `cfg` names, resolved against the global registries:
+/// placement, malleability management, and the autoscaler (`None` when
+/// the configuration is not autoscaled). Policies are stateless, so a
+/// fresh resolution is interchangeable with any earlier one.
+///
+/// # Panics
+/// Panics when a name does not resolve (validated configurations always
+/// resolve).
+#[allow(clippy::type_complexity)]
+fn resolve_policies(
+    cfg: &ExperimentConfig,
+) -> (
+    Box<dyn Placement>,
+    Box<dyn Malleability>,
+    Option<Box<dyn Autoscaler>>,
+) {
+    let registry = PolicyRegistry::global();
+    let placement = registry
+        .placement(&cfg.sched.placement)
+        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
+    let malleability = registry
+        .malleability(&cfg.sched.malleability)
+        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
+    let autoscaler = cfg.elasticity.autoscaled().then(|| {
+        AutoscalerRegistry::global()
+            .autoscaler(&cfg.elasticity.autoscaler)
+            .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
+    });
+    (placement, malleability, autoscaler)
+}
+
+/// The materialized workload of policy cell `cfg` forked from a world
+/// whose workload is `workload`: `cfg`'s own trace when it has one (the
+/// fork then borrows nothing from the warmed configuration), else a copy
+/// of the generated jobs.
+fn cell_workload<'b>(
+    cfg: &'b ExperimentConfig,
+    workload: &[SubmittedJob],
+) -> std::borrow::Cow<'b, [SubmittedJob]> {
+    match &cfg.trace {
+        Some(trace) => {
+            debug_assert_eq!(trace.as_slice(), workload, "forked into another trace");
+            std::borrow::Cow::Borrowed(trace.as_slice())
+        }
+        None => std::borrow::Cow::Owned(workload.to_vec()),
+    }
+}
+
 /// The multicluster substrate a configuration runs on: a uniform
 /// synthetic topology when requested, else the (possibly heterogeneous)
 /// DAS-3 preset.
@@ -4789,8 +4882,8 @@ pub fn try_run_experiment_summary_seeded(
         // A warm-forked cell means: run the *base* policy pair over the
         // shared prefix [0, at), then this cell's own pair for the
         // tail. This cold arm switches policies in place; the warm arm
-        // ([`crate::parallel::run_cells_summary_warm`]) restores a
-        // shared snapshot instead, and must be bit-identical.
+        // ([`crate::parallel::run_cells_summary_warm`]) forks a copy of
+        // a shared warmed world instead, and must be bit-identical.
         world
             .use_policies(&wf.base_placement, &wf.base_malleability)
             .expect("validate() resolved the base policies");
@@ -5272,6 +5365,64 @@ mod tests {
         }
         #[cfg(debug_assertions)]
         fork.jobs.assert_hot_coherent();
+    }
+
+    /// A clone fork holds exactly the state a byte fork restores: both
+    /// re-encode to the same snapshot, and the warmed world itself is
+    /// unchanged by being forked.
+    #[test]
+    fn fork_clone_holds_the_state_a_byte_fork_restores() {
+        use multicluster::{ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec};
+        let cfg = crate::scenario::Scenario::builder()
+            .pwa()
+            .workload(WorkloadSpec::wm_prime())
+            .jobs(60)
+            .background(multicluster::BackgroundLoad::light())
+            .network("das3")
+            .reconfig_traffic(0.25)
+            .ctrl_faults(ControlPlaneFaultSpec {
+                loss: ClassLoss::uniform(0.15),
+                duplicate: 0.05,
+                max_jitter: SimDuration::from_millis(300),
+                flaky: None,
+            })
+            .failures(FailureSpec::new(
+                SimDuration::from_secs(600),
+                SimDuration::from_secs(300),
+                8,
+            ))
+            .failure_policy(FailurePolicy::Requeue)
+            .autoscaler("threshold")
+            .monitor(SimDuration::from_secs(120))
+            .summarized()
+            .build()
+            .expect("valid scenario")
+            .into_config();
+        let mut warm = World::for_seed_summarized(&cfg, 5);
+        let mut engine = engine_for(&cfg);
+        warm.bootstrap(&mut engine);
+        warm.run_until(&mut engine, SimTime::from_secs(1800));
+        let before = warm.snapshot(&engine).expect("summarized worlds snapshot");
+
+        let mut cell = cfg.clone();
+        cell.sched.placement = "first_fit".to_string();
+        cell.sched.malleability = "egs".to_string();
+        let (by_bytes, bytes_engine) = World::fork_with(&cell, &before).expect("fork-equal");
+        let by_clone = warm.fork_clone(&cell);
+        assert_eq!(
+            by_clone.snapshot(&engine.clone()),
+            by_bytes.snapshot(&bytes_engine),
+            "the clone fork's state differs from the byte fork's"
+        );
+        assert_eq!(
+            format!("{:?}", by_clone.avail_index()),
+            format!("{:?}", by_bytes.avail_index())
+        );
+        assert_eq!(
+            warm.snapshot(&engine),
+            Ok(before),
+            "forking changed the warmed world"
+        );
     }
 
     #[test]

@@ -162,12 +162,31 @@ pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
 /// exactly those fields — fingerprints identically and may fork from
 /// one shared warmup snapshot.
 pub fn fork_fingerprint(cfg: &ExperimentConfig) -> u64 {
+    fnv1a(format!("{:?}", fork_canonical(cfg)).as_bytes())
+}
+
+/// The fork-equivalence key of a configuration: the canonical
+/// rendering [`fork_fingerprint`] hashes, with the job `trace` blanked
+/// as well, so computing it never renders a job list. Two
+/// configurations may share one warmup prefix when their keys are equal
+/// and their traces compare equal (`==`). For validated traces that is
+/// the condition of equal fork fingerprints, without a hash collision
+/// risk, save that `==` does not tell `0.0` from `-0.0` in a synthetic
+/// speedup model.
+pub(crate) fn fork_key(cfg: &ExperimentConfig) -> String {
+    let mut c = fork_canonical(cfg);
+    c.trace = None;
+    format!("{c:?}")
+}
+
+/// `cfg` with the fields the policy cells of one sweep differ in blanked.
+fn fork_canonical(cfg: &ExperimentConfig) -> ExperimentConfig {
     let mut c = cfg.clone();
     c.name = String::new();
     c.sched.placement = String::new();
     c.sched.malleability = String::new();
     c.seed = 0;
-    fnv1a(format!("{c:?}").as_bytes())
+    c
 }
 
 fn fnv1a(data: &[u8]) -> u64 {

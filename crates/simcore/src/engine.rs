@@ -81,6 +81,11 @@ pub struct EngineSnapshot<E> {
 /// Generic over the event type `E`; see the module docs for the driver
 /// pattern. The clock only moves forward, in the order fixed by the
 /// stable `(time, seq)` queue.
+///
+/// A clone carries the clock, counters and every pending event with its
+/// sequence number, so it pops exactly what the original would from
+/// there on, independently of it.
+#[derive(Clone)]
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,

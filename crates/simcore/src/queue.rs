@@ -11,6 +11,7 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
+#[derive(Clone)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -39,6 +40,7 @@ impl<E> Ord for Entry<E> {
 /// This type is time-agnostic about "now"; pairing it with a clock is the
 /// job of [`crate::Engine`]. It is exposed separately so substrates can be
 /// unit-tested against a bare queue.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
