@@ -427,7 +427,7 @@ impl SyntheticSource {
     /// The million-job throughput workload: short jobs at 1-second mean
     /// gaps, small sizes, a modest malleable share — tuned so the
     /// steady-state live-job count stays small while the scheduler is
-    /// kept saturated (the `trace1m` perf pipeline's source).
+    /// kept saturated (the source of the streaming benchmark).
     pub fn trace1m() -> Self {
         SyntheticSource::new(
             "trace1m",

@@ -7,7 +7,7 @@
 //! ```
 
 use appsim::speedup::{ft_model, gadget2_model, SpeedupModel};
-use koala_bench::out_dir;
+use koala_bench::{out_dir, write_csv};
 use koala_metrics::csv::Csv;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         }
     }
     let path = out_dir().join("fig6_execution_times.csv");
-    std::fs::write(&path, csv.as_str()).expect("write CSV");
+    write_csv(&path, csv.as_str());
     println!("\ncalibration checks:");
     println!(
         "  FT:       T(2) = {:6.1} s (paper: ~120 s), best = {:5.1} s at n = {} (paper: ~60 s)",

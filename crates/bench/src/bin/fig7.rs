@@ -26,8 +26,8 @@ use koala::config::Approach;
 use koala_bench::{
     cell_summary, figure_matrix, figure_summary_outputs, init_threads_with_args, ops_points,
     out_dir, panel_metrics, pooled_cells, print_summary_panels, run_cells, run_cells_summary,
-    scenario_matrix, summary_cell_line, utilization_points, write_ecdf_csv, write_timeseries_csv,
-    PaperFigure,
+    scenario_matrix, summary_cell_line, utilization_points, write_csv, write_ecdf_csv,
+    write_timeseries_csv, PaperFigure,
 };
 use koala_metrics::plot;
 
@@ -50,7 +50,7 @@ fn main() {
     let dir = out_dir();
     let outputs = figure_summary_outputs(PaperFigure::Fig7, &reports);
     for (name, text) in &outputs {
-        std::fs::write(dir.join(name), text).expect("write CSV");
+        write_csv(&dir.join(name), text);
     }
     let pooled = pooled_cells(&reports);
     print_summary_panels(PaperFigure::Fig7, &pooled);

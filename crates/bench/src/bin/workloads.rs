@@ -1,58 +1,24 @@
-//! `koala-bench workloads` — the workload-engine matrix and the
-//! million-job streaming pipeline.
+//! `koala-bench workloads` — the workload-engine matrix.
 //!
-//! Two modes:
-//!
-//! * **Matrix** (default): sweeps workload source × malleability policy
-//!   × cluster count (see [`koala_bench::workloads_matrix`]) with
-//!   summarized replications, prints one `mean ± 95 % CI` line per cell
-//!   and writes `repro_out/workloads_summary_ci.csv` (golden-pinned).
-//! * **`trace1m`**: streams a 1 000 000-job synthetic trace through the
-//!   scheduler's bounded-memory intake, asserts the live-job bound (no
-//!   `Vec<Job>` materialization) and a sequential-vs-parallel
-//!   determinism check, and writes the `BENCH_5.json` throughput
-//!   baseline at the repo root.
+//! Sweeps workload source × malleability policy × cluster count (see
+//! [`koala_bench::workloads_matrix`]) with summarized replications,
+//! prints one `mean ± 95 % CI` line per cell and writes
+//! `repro_out/workloads_summary_ci.csv` (golden-pinned).
 //!
 //! ```text
-//! cargo run --release -p koala_bench --bin workloads [-- [trace1m] [--smoke] [--threads N] [--out PATH]]
+//! cargo run --release -p koala_bench --bin workloads [-- --smoke] [--threads N]
 //! ```
 //!
-//! * `--smoke` — tiny matrix (12 jobs, 2 seeds) / 20 000-job trace for
-//!   CI; JSON goes to a temp file unless `--out` is given.
+//! * `--smoke` — tiny matrix (12 jobs, 2 seeds) for CI.
 
-use std::time::Instant;
-
-use koala::report::MultiSummary;
-use koala::scenario::Scenario;
 use koala_bench::{
     init_threads_with_args, out_dir, run_cells_summary_with_seeds, summary_cell_line,
-    workloads_matrix, workloads_summary_outputs, SEEDS,
+    workloads_matrix, workloads_summary_outputs, write_csv, SEEDS,
 };
-use multicluster::BackgroundLoad;
-use serde::Value;
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-struct MatrixMeasurement {
-    cells: usize,
-    seeds: usize,
-    jobs: usize,
-    events: u64,
-    wall_s: f64,
-}
-
-fn run_matrix(smoke: bool) -> MatrixMeasurement {
+fn main() {
+    let (threads, args) = init_threads_with_args();
+    let smoke = args.iter().any(|a| a == "--smoke");
     let (jobs, seeds): (usize, Vec<u64>) = if smoke {
         (12, SEEDS[..2].to_vec())
     } else {
@@ -60,235 +26,23 @@ fn run_matrix(smoke: bool) -> MatrixMeasurement {
     };
     let cfgs = workloads_matrix(jobs);
     println!(
-        "workload matrix: {} cells ({} sources x {} policies x {} cluster counts) x {} seeds x {} jobs",
+        "workload matrix: {} cells ({} sources x {} policies x {} cluster counts) x {} seeds x {} jobs, {} thread(s)",
         cfgs.len(),
         koala_bench::WORKLOAD_SOURCES.len(),
         koala_bench::WORKLOAD_POLICIES.len(),
         koala_bench::WORKLOAD_TOPOLOGIES.len(),
         seeds.len(),
-        jobs
+        jobs,
+        threads
     );
-    let t0 = Instant::now();
     let reports = run_cells_summary_with_seeds(&cfgs, &seeds);
-    let wall_s = t0.elapsed().as_secs_f64();
     for m in &reports {
         println!("  {}", summary_cell_line(m));
     }
+    let dir = out_dir();
     for (name, text) in workloads_summary_outputs(&reports) {
-        let path = out_dir().join(&name);
-        std::fs::write(&path, text).expect("write CSV");
+        let path = dir.join(&name);
+        write_csv(&path, &text);
         println!("wrote {}", path.display());
-    }
-    let events = reports
-        .iter()
-        .flat_map(|m: &MultiSummary| m.runs.iter().map(|r| r.events))
-        .sum();
-    MatrixMeasurement {
-        cells: cfgs.len(),
-        seeds: seeds.len(),
-        jobs,
-        events,
-        wall_s,
-    }
-}
-
-struct TraceMeasurement {
-    jobs: usize,
-    lookahead: usize,
-    events: u64,
-    wall_s: f64,
-    peak_live_jobs: u64,
-    completion: f64,
-}
-
-/// The streaming throughput pipeline: `jobs` short jobs through the
-/// bounded-memory intake, with the live-job bound and the
-/// sequential-vs-parallel determinism guarantee asserted on the spot.
-fn run_trace1m(smoke: bool, threads: usize) -> TraceMeasurement {
-    let jobs = if smoke { 20_000 } else { 1_000_000 };
-    let lookahead = 1024;
-    let cfg = Scenario::builder()
-        .workload("trace1m")
-        .jobs(jobs)
-        .no_horizon()
-        .background(BackgroundLoad::none())
-        .scheduler(|s| s.koala_share = 0.5)
-        .summarized()
-        .build()
-        .expect("valid trace1m scenario")
-        .into_config();
-    println!("trace1m: streaming {jobs} jobs (look-ahead {lookahead}) ...");
-    let t0 = Instant::now();
-    let report = koala::run_generator_summary_seeded(&cfg, 42, lookahead);
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(report.jobs_submitted, jobs as u64);
-    assert!(
-        report.peak_live_jobs < 5_000,
-        "live jobs must stay bounded (no Vec<Job> materialization), got {}",
-        report.peak_live_jobs
-    );
-    assert!(
-        (report.completion_ratio() - 1.0).abs() < 1e-9,
-        "trace1m must complete fully: {}",
-        report.completion_ratio()
-    );
-    // Determinism through the streamed parallel runner, on a reduced
-    // trace (two full passes would double the pipeline's wall-clock).
-    let mut det_cfg = cfg.clone();
-    det_cfg.workload.jobs = if smoke { 2_000 } else { 20_000 };
-    let det_seeds = [42u64, 43];
-    let sequential = koala::run_seeds_stream_summary_sequential(&det_cfg, &det_seeds, lookahead);
-    let parallel = koala::run_seeds_stream_summary_with_threads(
-        &det_cfg,
-        &det_seeds,
-        threads.max(2),
-        lookahead,
-    );
-    assert_eq!(
-        sequential, parallel,
-        "streamed parallel runner diverged from sequential"
-    );
-    println!(
-        "  {} jobs | {} events | {:.3} s | {:.0} events/s | {:.0} jobs/s | peak live {} | determinism ok",
-        jobs,
-        report.events,
-        wall_s,
-        report.events as f64 / wall_s.max(1e-12),
-        jobs as f64 / wall_s.max(1e-12),
-        report.peak_live_jobs
-    );
-    TraceMeasurement {
-        jobs,
-        lookahead,
-        events: report.events,
-        wall_s,
-        peak_live_jobs: report.peak_live_jobs,
-        completion: report.completion_ratio(),
-    }
-}
-
-fn report_json(
-    smoke: bool,
-    threads: usize,
-    hardware_threads: usize,
-    matrix: &MatrixMeasurement,
-    trace: &TraceMeasurement,
-) -> Value {
-    obj(vec![
-        ("bench", Value::String("BENCH_5".into())),
-        (
-            "description",
-            Value::String(
-                "Workload engine: generator x policy x cluster-count matrix \
-                 (summarized replications) and the trace1m streaming pipeline \
-                 (1M-job synthetic trace through the bounded-memory intake)"
-                    .into(),
-            ),
-        ),
-        (
-            "command",
-            Value::String(format!(
-                "cargo run --release -p koala_bench --bin workloads --{}",
-                if smoke { " --smoke" } else { "" }
-            )),
-        ),
-        ("smoke", Value::Bool(smoke)),
-        ("threads", Value::UInt(threads as u64)),
-        ("hardware_threads", Value::UInt(hardware_threads as u64)),
-        (
-            "workload_matrix",
-            obj(vec![
-                ("cells", Value::UInt(matrix.cells as u64)),
-                ("seeds", Value::UInt(matrix.seeds as u64)),
-                ("jobs_per_run", Value::UInt(matrix.jobs as u64)),
-                ("runs", Value::UInt((matrix.cells * matrix.seeds) as u64)),
-                ("events", Value::UInt(matrix.events)),
-                ("wall_s", Value::Float(round3(matrix.wall_s))),
-                (
-                    "events_per_sec",
-                    Value::Float((matrix.events as f64 / matrix.wall_s.max(1e-12)).round()),
-                ),
-            ]),
-        ),
-        (
-            "trace1m",
-            obj(vec![
-                ("jobs", Value::UInt(trace.jobs as u64)),
-                ("lookahead", Value::UInt(trace.lookahead as u64)),
-                ("events", Value::UInt(trace.events)),
-                ("wall_s", Value::Float(round3(trace.wall_s))),
-                (
-                    "events_per_sec",
-                    Value::Float((trace.events as f64 / trace.wall_s.max(1e-12)).round()),
-                ),
-                (
-                    "jobs_per_sec",
-                    Value::Float((trace.jobs as f64 / trace.wall_s.max(1e-12)).round()),
-                ),
-                ("peak_live_jobs", Value::UInt(trace.peak_live_jobs)),
-                (
-                    "completion_pct",
-                    Value::Float(round3(100.0 * trace.completion)),
-                ),
-                ("bounded_memory_verified", Value::Bool(true)),
-                ("determinism_verified", Value::Bool(true)),
-            ]),
-        ),
-    ])
-}
-
-fn main() {
-    let (threads, args) = init_threads_with_args();
-    let trace_only = args.iter().any(|a| a == "trace1m");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        });
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "koala-bench workloads — {} mode, {} thread(s) (hardware: {hardware_threads})",
-        if smoke { "smoke" } else { "full" },
-        threads
-    );
-
-    if trace_only {
-        // The streaming pipeline alone (CI smoke runs it separately so a
-        // hang in either mode is attributable).
-        run_trace1m(smoke, threads);
-        return;
-    }
-
-    let matrix = run_matrix(smoke);
-    let trace = run_trace1m(smoke, threads);
-    let json = report_json(smoke, threads, hardware_threads, &matrix, &trace);
-    let text = serde_json::to_string_pretty(&ValueWrap(json)).expect("render JSON");
-    let path = out.unwrap_or_else(|| {
-        if smoke {
-            std::env::temp_dir()
-                .join("BENCH_5_smoke.json")
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            "BENCH_5.json".to_string()
-        }
-    });
-    std::fs::write(&path, text + "\n").expect("write BENCH json");
-    println!("wrote {path}");
-}
-
-/// Adapter: the offline `serde_json` stand-in serializes through the
-/// `serde::Serialize` trait; a raw [`Value`] tree passes through as-is.
-struct ValueWrap(Value);
-
-impl serde::Serialize for ValueWrap {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }

@@ -29,7 +29,6 @@ use koala::config::{Approach, ConfigError, ExperimentConfig, WarmFork};
 use koala::parallel::{self, Cell};
 use koala::policy::PolicyRegistry;
 use koala::report::{MultiReport, MultiSummary, SummaryReport};
-use koala::run_seeds;
 use koala::scenario::{cell_label, Scenario};
 use koala_metrics::csv::Csv;
 use koala_metrics::{Ecdf, JobRecord, MetricStream};
@@ -39,17 +38,30 @@ use simcore::{SimDuration, SimTime};
 /// combination 4 times.
 pub const SEEDS: [u64; 4] = [101, 202, 303, 404];
 
-/// Output directory for CSV artifacts.
+/// Output directory for CSV artifacts, created if missing.
+///
+/// # Panics
+/// Panics, naming the directory, when it cannot be created.
 pub fn out_dir() -> PathBuf {
     let p = PathBuf::from("repro_out");
-    let _ = fs::create_dir_all(&p);
+    fs::create_dir_all(&p)
+        .unwrap_or_else(|e| panic!("creating output directory {}: {e}", p.display()));
     p
+}
+
+/// Writes one CSV artifact.
+///
+/// # Panics
+/// Panics, naming the file, when it cannot be written.
+pub fn write_csv(path: &Path, text: &str) {
+    fs::write(path, text)
+        .unwrap_or_else(|e| panic!("writing CSV artifact {}: {e}", path.display()));
 }
 
 /// Parses a `--threads N` (or `--threads=N`) flag from the process
 /// arguments, clamps the resolved worker count to the hardware
 /// parallelism (with a note on stderr when it clamps — oversubscribed
-/// workers would only record misleading speedups), installs it as the
+/// workers only contend for the same cores), installs it as the
 /// process-wide thread override, and returns it. Every figure binary
 /// calls this first; without the flag the `KOALA_THREADS` environment
 /// variable and then the detected hardware parallelism apply (see
@@ -228,11 +240,6 @@ pub fn workloads_summary_outputs(reports: &[MultiSummary]) -> Vec<(String, Strin
     )]
 }
 
-/// Runs one paper cell across [`SEEDS`] on the parallel cell runner.
-pub fn run_cell(cfg: &ExperimentConfig) -> MultiReport {
-    run_seeds(cfg, &SEEDS)
-}
-
 /// Runs a whole sweep of configurations, each across [`SEEDS`], by
 /// flattening every `(config, seed)` pair into one work-stealing pool —
 /// a slow configuration's seeds overlap with a fast one's instead of the
@@ -243,8 +250,7 @@ pub fn run_cells(cfgs: &[ExperimentConfig]) -> Vec<MultiReport> {
     run_cells_with_seeds(cfgs, &SEEDS)
 }
 
-/// [`run_cells`] with an explicit seed list (the perf harness uses a
-/// reduced list in smoke mode).
+/// [`run_cells`] with an explicit seed list.
 pub fn run_cells_with_seeds(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<MultiReport> {
     let cells: Vec<Cell<'_>> = cfgs
         .iter()
@@ -270,9 +276,9 @@ pub fn run_cells_summary_with_seeds(cfgs: &[ExperimentConfig], seeds: &[u64]) ->
     run_cells_summary_with_seeds_threads(cfgs, seeds, parallel::default_threads())
 }
 
-/// [`run_cells_summary_with_seeds`] with an explicit worker count (the
-/// warm-start harness times matched cold/warm passes, so the thread
-/// count must be pinned rather than resolved).
+/// [`run_cells_summary_with_seeds`] with an explicit worker count: the
+/// cold reference that `warmstart_equivalence.rs` compares the warm
+/// runner against at pinned thread counts.
 pub fn run_cells_summary_with_seeds_threads(
     cfgs: &[ExperimentConfig],
     seeds: &[u64],
@@ -304,8 +310,8 @@ pub fn warm_forked(mut cfgs: Vec<ExperimentConfig>, warm_fork: WarmFork) -> Vec<
 /// the flattened `(config, seed)` batch runs through
 /// [`koala::parallel::run_cells_summary_warm`] — shared warmup prefixes
 /// execute once per group and every cell continues from a copy of its
-/// group's warmed world. Bit-identical to the cold runner for any thread count; the
-/// `warmstart` binary asserts exactly that before recording speedups.
+/// group's warmed world. Bit-identical to the cold runner for any thread
+/// count; `warmstart_equivalence.rs` asserts exactly that.
 pub fn run_cells_summary_warm_with_seeds(
     cfgs: &[ExperimentConfig],
     seeds: &[u64],
@@ -361,8 +367,7 @@ pub fn write_ecdf_csv(path: &Path, metric_name: &str, series: &[(&str, &Ecdf)]) 
     if text.lines().count() <= 1 {
         return;
     }
-    fs::write(path, text)
-        .unwrap_or_else(|e| panic!("writing CSV artifact {}: {e}", path.display()));
+    write_csv(path, &text);
 }
 
 /// Writes a time-series panel (`t` in seconds, one column per config).
@@ -395,8 +400,7 @@ pub fn write_timeseries_csv(path: &Path, series: &[(&str, Vec<(f64, f64)>)]) {
         }
         csv.row_f64(&row, 3);
     }
-    fs::write(path, csv.as_str())
-        .unwrap_or_else(|e| panic!("writing CSV artifact {}: {e}", path.display()));
+    write_csv(path, csv.as_str());
 }
 
 /// Resamples a report's mean utilization across seeds on a fixed grid.
@@ -701,6 +705,22 @@ pub fn cell_summary(m: &MultiReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use koala::run_seeds;
+
+    #[test]
+    fn write_csv_names_the_path_it_cannot_write() {
+        // A regular file as the parent directory: the write must fail.
+        let parent = std::env::temp_dir().join(format!("koala_bench_csv_{}", std::process::id()));
+        fs::write(&parent, "").expect("create the blocking file");
+        let path = parent.join("panel.csv");
+        let err = std::panic::catch_unwind(|| write_csv(&path, "x\n"))
+            .expect_err("writing under a regular file fails");
+        let _ = fs::remove_file(&parent);
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+    }
 
     #[test]
     fn cell_summary_formats() {

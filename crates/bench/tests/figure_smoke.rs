@@ -3,15 +3,19 @@
 //! configuration, so CI runs the actual experiment code paths (config →
 //! multi-seed run → pooled metrics → CSV) and not just their compilation.
 //! The full 300-job × 4-seed reproductions stay in the `fig7`/`fig8`/
-//! `sweeps` binaries.
+//! `sweeps` binaries. The figure matrices are also run at 1 and 3
+//! threads, which must agree byte for byte.
 
 use appsim::speedup::{ft_model, gadget2_model, SpeedupModel};
 use appsim::workload::WorkloadSpec;
-use koala::config::ExperimentConfig;
+use koala::config::{Approach, ExperimentConfig};
+use koala::parallel::{run_cells_summary, Cell};
+use koala::report::{MultiSummary, SummaryReport};
 use koala::run_seeds;
+use koala::scenario::Scenario;
 use koala_bench::{
-    cell_summary, ops_points, panel_metrics, utilization_points, write_ecdf_csv,
-    write_timeseries_csv,
+    cell_summary, ops_points, panel_metrics, scenario_matrix, utilization_points, write_ecdf_csv,
+    write_timeseries_csv, SEEDS,
 };
 use koala_metrics::Ecdf;
 use multicluster::das3;
@@ -116,5 +120,106 @@ fn table1_das3_topology_matches_paper() {
     for c in das.ids() {
         let spec = das.cluster(c).spec();
         assert!(!spec.name.is_empty() && spec.nodes > 0);
+    }
+}
+
+/// The measured matrix shapes at smoke size (20 jobs, 2 seeds): Fig. 7,
+/// Fig. 8, the registry cross product, one scenario × 8 replications,
+/// and the 20-configuration sweep behind the 1000-cell matrix. On each,
+/// the summarized cell runner at 1 and 3 threads agrees byte for byte,
+/// raw and pooled per configuration.
+#[test]
+fn figure_matrices_are_bit_identical_across_thread_counts() {
+    let sized = |mut cfgs: Vec<ExperimentConfig>| {
+        for cfg in &mut cfgs {
+            cfg.workload.jobs = 20;
+        }
+        cfgs
+    };
+    let seeds = &SEEDS[..2];
+    let replication = Scenario::builder()
+        .malleability("egs")
+        .workload(WorkloadSpec::wm())
+        .jobs(20)
+        .replications(8)
+        .summarized()
+        .build()
+        .expect("replication scenario is valid");
+    let matrices: Vec<(&str, Vec<ExperimentConfig>, Vec<u64>)> = vec![
+        (
+            "fig7",
+            sized(scenario_matrix(
+                Approach::Pra,
+                &["worst_fit"],
+                &["fpsma", "egs"],
+                &[WorkloadSpec::wm(), WorkloadSpec::wmr()],
+            )),
+            seeds.to_vec(),
+        ),
+        (
+            "fig8",
+            sized(scenario_matrix(
+                Approach::Pwa,
+                &["worst_fit"],
+                &["fpsma", "egs"],
+                &[WorkloadSpec::wm_prime(), WorkloadSpec::wmr_prime()],
+            )),
+            seeds.to_vec(),
+        ),
+        (
+            "cross_policy",
+            sized(scenario_matrix(
+                Approach::Pra,
+                &["worst_fit", "first_fit"],
+                &["egs", "greedy_grow_lazy_shrink"],
+                &[WorkloadSpec::wm()],
+            )),
+            seeds.to_vec(),
+        ),
+        (
+            "replication",
+            vec![replication.config().clone()],
+            replication.seeds().to_vec(),
+        ),
+        (
+            "matrix1000",
+            sized(scenario_matrix(
+                Approach::Pra,
+                &["worst_fit", "first_fit"],
+                &[
+                    "fpsma",
+                    "egs",
+                    "equipartition",
+                    "folding",
+                    "greedy_grow_lazy_shrink",
+                ],
+                &[WorkloadSpec::wm(), WorkloadSpec::wmr()],
+            )),
+            seeds.to_vec(),
+        ),
+    ];
+    for (name, cfgs, seeds) in &matrices {
+        let cells: Vec<Cell<'_>> = cfgs
+            .iter()
+            .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
+            .collect();
+        let pooled = |runs: &[SummaryReport]| -> Vec<SummaryReport> {
+            runs.chunks(seeds.len())
+                .zip(cfgs)
+                .map(|(chunk, cfg)| MultiSummary::new(cfg.name.clone(), chunk.to_vec()).pooled())
+                .collect()
+        };
+        let sequential = run_cells_summary(&cells, 1);
+        let parallel = run_cells_summary(&cells, 3);
+        assert_eq!(
+            format!("{sequential:?}"),
+            format!("{parallel:?}"),
+            "{name}: parallel output diverged from sequential"
+        );
+        assert_eq!(
+            format!("{:?}", pooled(&sequential)),
+            format!("{:?}", pooled(&parallel)),
+            "{name}: pooled summaries diverged"
+        );
     }
 }

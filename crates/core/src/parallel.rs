@@ -154,8 +154,8 @@ pub fn run_seeds_with_threads(
 }
 
 /// Single-threaded reference implementation of [`crate::run_seeds`]:
-/// the baseline the determinism tests and the perf harness compare the
-/// parallel runner against.
+/// the baseline the determinism tests compare the parallel runner
+/// against.
 pub fn run_seeds_sequential(cfg: &ExperimentConfig, seeds: &[u64]) -> MultiReport {
     run_seeds_with_threads(cfg, seeds, 1)
 }

@@ -212,6 +212,36 @@ fn chaos_scenario(policy: FailurePolicy, seeds: impl IntoIterator<Item = u64>) -
         .unwrap()
 }
 
+/// A harsher chaos cell: PWA over bursty Lublin arrivals (the make-room
+/// path sends mandatory shrinks, whose release batches the orphan sweep
+/// guards), 20 % loss, a 10 s timeout, only two attempts per operation,
+/// and crashed jobs killed.
+fn sweep_kill_cell() -> Scenario {
+    Scenario::builder()
+        .malleability("fpsma")
+        .workload("bursty_lublin")
+        .pwa()
+        .jobs(24)
+        .ctrl_faults(chaos_spec())
+        .retry(RetryConfig {
+            timeout: SimDuration::from_secs(10),
+            max_timeout: SimDuration::from_secs(40),
+            max_attempts: 2,
+            orphan_sweep_period: SimDuration::from_secs(60),
+            orphan_grace: SimDuration::from_secs(50),
+        })
+        .failures(FailureSpec::new(
+            SimDuration::from_secs(1800),
+            SimDuration::from_secs(600),
+            12,
+        ))
+        .failure_policy(FailurePolicy::Kill)
+        .summarized()
+        .seeds([101, 202])
+        .build()
+        .unwrap()
+}
+
 /// Checks the job-conservation and no-leak invariants on one summary.
 fn assert_conserved(s: &SummaryReport) {
     assert_eq!(
@@ -236,8 +266,12 @@ fn assert_conserved(s: &SummaryReport) {
 /// no allocation leaks, and the fault machinery demonstrably engaged.
 #[test]
 fn chaos_run_conserves_jobs_and_leaks_nothing() {
-    for policy in [FailurePolicy::Requeue, FailurePolicy::Kill] {
-        let multi = chaos_scenario(policy, [11, 22, 33, 44]).run_summary();
+    for scenario in [
+        chaos_scenario(FailurePolicy::Requeue, [11, 22, 33, 44]),
+        chaos_scenario(FailurePolicy::Kill, [11, 22, 33, 44]),
+        sweep_kill_cell(),
+    ] {
+        let multi = scenario.run_summary();
         let mut lost = 0u64;
         let mut timeouts = 0u64;
         for run in &multi.runs {
@@ -315,13 +349,18 @@ fn lost_releases_are_reclaimed_by_the_orphan_sweep() {
 /// across threads).
 #[test]
 fn chaos_seq_and_par_agree() {
-    let scenario = chaos_scenario(FailurePolicy::Requeue, [1, 2, 3, 4]);
-    let seq = scenario.run_summary();
-    let par = scenario.run_summary_with_threads(2);
-    assert_eq!(
-        format!("{:?}", seq.runs),
-        format!("{:?}", par.runs),
-        "sequential vs parallel chaos runs diverged"
-    );
-    assert_eq!(format!("{:?}", seq.pooled()), format!("{:?}", par.pooled()));
+    for scenario in [
+        chaos_scenario(FailurePolicy::Requeue, [1, 2, 3, 4]),
+        sweep_kill_cell(),
+    ] {
+        let seq = scenario.run_summary();
+        let par = scenario.run_summary_with_threads(2);
+        assert_eq!(
+            format!("{:?}", seq.runs),
+            format!("{:?}", par.runs),
+            "{}: sequential vs parallel chaos runs diverged",
+            scenario.config().name
+        );
+        assert_eq!(format!("{:?}", seq.pooled()), format!("{:?}", par.pooled()));
+    }
 }

@@ -24,44 +24,101 @@ fn failures_every(mtbf_s: u64) -> FailureSpec {
 
 /// The full elastic stack — bursty-ish load, threshold autoscaler,
 /// failures, staleness, monitoring — on the parallel runner: the merged
-/// report renders byte-identically to the sequential loop.
+/// report renders byte-identically to the sequential loop. Besides the
+/// full stack, four scenarios each stress one elastic axis:
+///
+/// * `threshold_bursty` — bursty Lublin arrivals under the utilization
+///   `threshold` scaler, recurring crashes, and a 45 s stale view;
+/// * `queue_depth_requeue` — the `queue_depth` scaler with crashed jobs
+///   re-queued;
+/// * `kill_policy` — no scaler, frequent crashes, crashed jobs killed;
+/// * `stale_view` — a 5-minute KIS lag and nothing else.
 #[test]
 fn elastic_scenario_is_bit_identical_parallel_vs_sequential() {
-    let scenario = Scenario::builder()
-        .malleability("fpsma")
-        .workload(WorkloadSpec::wm())
-        .jobs(24)
-        .monitor(SimDuration::from_secs(120))
-        .autoscaler("threshold")
-        .autoscale_timing(SimDuration::from_secs(300), SimDuration::from_secs(30))
-        .failures(failures_every(1800))
-        .staleness(SimDuration::from_secs(45))
-        .seeds([1, 2, 3, 4])
-        .build()
-        .unwrap();
-    let cfg = scenario.config();
-    let seeds = scenario.seeds();
-    let sequential = run_seeds_sequential(cfg, seeds);
-    let parallel = run_seeds_with_threads(cfg, seeds, 3);
-    assert_eq!(
-        format!("{sequential:?}"),
-        format!("{parallel:?}"),
-        "elastic full-report sweep diverged across thread counts"
-    );
-    let seq_summary = run_seeds_summary_sequential(cfg, seeds);
-    let par_summary = run_seeds_summary_with_threads(cfg, seeds, 3);
-    assert_eq!(
-        format!("{seq_summary:?}"),
-        format!("{par_summary:?}"),
-        "elastic summarized sweep diverged across thread counts"
-    );
-    // The monitoring streams actually saw samples.
-    let pooled = seq_summary.pooled();
-    assert!(
-        pooled.monitor_utilization.count() > 0,
-        "monitoring on, but no utilization samples were recorded"
-    );
-    assert!(pooled.monitor_queue_depth.count() > 0);
+    let monitored = |seeds: &[u64]| {
+        Scenario::builder()
+            .jobs(24)
+            .monitor(SimDuration::from_secs(120))
+            .seeds(seeds.iter().copied())
+    };
+    let scenarios = [
+        (
+            "full_stack",
+            monitored(&[1, 2, 3, 4])
+                .malleability("fpsma")
+                .workload(WorkloadSpec::wm())
+                .autoscaler("threshold")
+                .autoscale_timing(SimDuration::from_secs(300), SimDuration::from_secs(30))
+                .failures(failures_every(1800))
+                .staleness(SimDuration::from_secs(45)),
+        ),
+        (
+            "threshold_bursty",
+            monitored(&[101, 202])
+                .malleability("fpsma")
+                .workload("bursty_lublin")
+                .autoscaler("threshold")
+                .autoscale_timing(SimDuration::from_secs(300), SimDuration::from_secs(30))
+                .failures(failures_every(1800))
+                .staleness(SimDuration::from_secs(45)),
+        ),
+        (
+            "queue_depth_requeue",
+            monitored(&[101, 202])
+                .malleability("egs")
+                .workload(WorkloadSpec::wm())
+                .autoscaler("queue_depth")
+                .autoscale_timing(SimDuration::from_secs(600), SimDuration::from_secs(60))
+                .failures(failures_every(3600))
+                .failure_policy(FailurePolicy::Requeue),
+        ),
+        (
+            "kill_policy",
+            monitored(&[101, 202])
+                .malleability("fpsma")
+                .workload(WorkloadSpec::wm())
+                .failures(failures_every(900))
+                .failure_policy(FailurePolicy::Kill),
+        ),
+        (
+            "stale_view",
+            monitored(&[101, 202])
+                .malleability("egs")
+                .workload(WorkloadSpec::wmr())
+                .staleness(SimDuration::from_secs(300)),
+        ),
+    ];
+    for (name, builder) in scenarios {
+        let scenario = builder.build().unwrap();
+        let cfg = scenario.config();
+        let seeds = scenario.seeds();
+        let sequential = run_seeds_sequential(cfg, seeds);
+        let parallel = run_seeds_with_threads(cfg, seeds, 3);
+        assert_eq!(
+            format!("{sequential:?}"),
+            format!("{parallel:?}"),
+            "{name}: elastic full-report sweep diverged across thread counts"
+        );
+        let seq_summary = run_seeds_summary_sequential(cfg, seeds);
+        let par_summary = run_seeds_summary_with_threads(cfg, seeds, 3);
+        assert_eq!(
+            format!("{seq_summary:?}"),
+            format!("{par_summary:?}"),
+            "{name}: elastic summarized sweep diverged across thread counts"
+        );
+        let pooled = seq_summary.pooled();
+        assert_eq!(
+            format!("{pooled:?}"),
+            format!("{:?}", par_summary.pooled()),
+            "{name}: pooled summaries diverged across thread counts"
+        );
+        // The monitoring streams actually saw samples.
+        assert!(
+            pooled.monitor_utilization.count() > 0,
+            "{name}: monitoring on, but no utilization samples were recorded"
+        );
+        assert!(pooled.monitor_queue_depth.count() > 0, "{name}");
+    }
 }
 
 /// 600-job soak under autoscaling and recurring node crashes with the

@@ -107,19 +107,26 @@ fn concurrent_transfers_contend_on_shared_links() {
     assert_eq!(r.net.transfers_completed, 2);
 }
 
-/// The contended placement matrix: each input file lives at one small
-/// cluster. Close-to-Files sends each job to its data (no transfers);
-/// Worst-Fit sends everything to the biggest cluster and pays the
-/// staging delay. The summary report's new streams pin the difference.
+/// The contended placement matrix, over one topology of each registry
+/// family: each input file lives at one small cluster. Close-to-Files
+/// sends each job to its data (no transfers); Worst-Fit sends everything
+/// to the biggest cluster and pays the staging delay. The summary
+/// report's new streams pin the difference.
 #[test]
 fn close_to_files_beats_worst_fit_on_staging_delay() {
+    for topology in ["das3", "flat_wan", "fat_tree_4"] {
+        close_to_files_beats_worst_fit_on(topology);
+    }
+}
+
+fn close_to_files_beats_worst_fit_on(topology: &str) {
     let trace = vec![
         staged_job(0, 4, vec![0]),
         staged_job(10, 4, vec![1]),
         staged_job(20, 4, vec![2]),
     ];
     let network = NetworkConfig {
-        topology: "das3".to_string(),
+        topology: topology.to_string(),
         files: vec![
             FileSpec {
                 size_gb: 40.0,
@@ -140,25 +147,40 @@ fn close_to_files_beats_worst_fit_on_staging_delay() {
         let mut cfg = base_cfg(placement);
         cfg.trace = Some(trace.clone());
         cfg.network = Some(network.clone());
+        // Staged transfers stay thread-count independent on every
+        // topology.
+        let seeds = [7, 8];
+        let seq = koala::run_seeds_summary_sequential(&cfg, &seeds);
+        let par = koala::run_seeds_summary_with_threads(&cfg, &seeds, 3);
+        assert_eq!(
+            format!("{seq:?}"),
+            format!("{par:?}"),
+            "{topology}/{placement}: seq and par diverged"
+        );
+        assert_eq!(
+            format!("{:?}", seq.pooled()),
+            format!("{:?}", par.pooled()),
+            "{topology}/{placement}: pooled summaries diverged"
+        );
         koala::run_experiment_summary(&cfg)
     };
     let cf = run("close_to_files");
     let wf = run("worst_fit");
     assert_eq!(
         cf.net.bytes_staged_gb, 0.0,
-        "Close-to-Files placed every job at its replica"
+        "{topology}: Close-to-Files placed every job at its replica"
     );
-    assert_eq!(cf.staging_delay.count(), 0);
+    assert_eq!(cf.staging_delay.count(), 0, "{topology}");
     assert!(
         wf.net.bytes_staged_gb >= 120.0,
-        "Worst-Fit staged all three files, got {}",
+        "{topology}: Worst-Fit staged all three files, got {}",
         wf.net.bytes_staged_gb
     );
-    assert_eq!(wf.staging_delay.count(), 3);
+    assert_eq!(wf.staging_delay.count(), 3, "{topology}");
     let wf_delay = wf.staging_delay.mean().expect("three staged jobs");
     assert!(
         wf_delay > 30.0,
-        "40 GB costs ≥ 32 s even on a clean 10 Gb/s path: {wf_delay}"
+        "{topology}: 40 GB costs ≥ 32 s even on a clean 10 Gb/s path: {wf_delay}"
     );
     assert!(wf.transfer_time.mean().expect("transfers ran") > 0.0);
 }

@@ -30,6 +30,21 @@ fn generator_cfg(source: &str, jobs: usize) -> koala::ExperimentConfig {
         .into_config()
 }
 
+/// The `trace1m` throughput scenario: short small jobs streamed with no
+/// horizon and no background load, KOALA holding half the capacity.
+fn trace1m_cfg(jobs: usize) -> koala::ExperimentConfig {
+    Scenario::builder()
+        .workload("trace1m")
+        .jobs(jobs)
+        .no_horizon()
+        .background(BackgroundLoad::none())
+        .scheduler(|s| s.koala_share = 0.5)
+        .summarized()
+        .build()
+        .expect("valid trace scenario")
+        .into_config()
+}
+
 #[test]
 fn streamed_replay_of_a_fixed_trace_matches_the_eager_run() {
     // With a look-ahead window covering the whole trace, the streamed
@@ -80,12 +95,24 @@ fn lookahead_size_does_not_change_results() {
 
 #[test]
 fn streamed_sweeps_are_identical_across_thread_counts() {
-    let cfg = generator_cfg("poisson_lublin", 60);
-    let seeds = [1u64, 2, 3, 4, 5, 6];
-    let sequential = run_seeds_stream_summary_sequential(&cfg, &seeds, 32);
-    for threads in [2, 4] {
-        let parallel = run_seeds_stream_summary_with_threads(&cfg, &seeds, threads, 32);
-        assert_eq!(sequential, parallel, "threads={threads} diverged");
+    let inputs = [
+        (
+            generator_cfg("poisson_lublin", 60),
+            vec![1u64, 2, 3, 4, 5, 6],
+            32,
+        ),
+        (trace1m_cfg(2_000), vec![42, 43], 1024),
+    ];
+    for (cfg, seeds, lookahead) in &inputs {
+        let sequential = run_seeds_stream_summary_sequential(cfg, seeds, *lookahead);
+        for threads in [2, 4] {
+            let parallel = run_seeds_stream_summary_with_threads(cfg, seeds, threads, *lookahead);
+            assert_eq!(
+                sequential, parallel,
+                "{}: threads={threads} diverged",
+                cfg.name
+            );
+        }
     }
 }
 
@@ -196,27 +223,15 @@ fn unknown_source_names_fail_the_build_with_the_known_list() {
 }
 
 /// The full acceptance run: one million jobs end-to-end in bounded
-/// memory. Ignored under plain `cargo test` (it needs release-grade
-/// speed); run it with
-/// `cargo test --release -p koala --test stream_intake -- --ignored`,
-/// or let the `koala-bench workloads trace1m` pipeline exercise the
-/// same path (it asserts the same bound and records throughput in
-/// `BENCH_5.json`).
+/// memory, plus the streamed runner's sequential == parallel check on a
+/// 20 000-job trace of the same shape. Ignored under plain `cargo test`
+/// (it needs release-grade speed); run it with
+/// `cargo test --release -p koala --test stream_intake -- --include-ignored`.
 #[test]
-#[ignore = "million-job run: release-only (see trace1m perf pipeline)"]
+#[ignore = "million-job run: release-only"]
 fn million_job_stream_runs_in_bounded_memory() {
     const JOBS: usize = 1_000_000;
-    let cfg = Scenario::builder()
-        .workload("trace1m")
-        .jobs(JOBS)
-        .no_horizon()
-        .background(BackgroundLoad::none())
-        .scheduler(|s| s.koala_share = 0.5)
-        .summarized()
-        .build()
-        .expect("valid trace scenario")
-        .into_config();
-    let report = run_generator_summary_seeded(&cfg, 42, 1024);
+    let report = run_generator_summary_seeded(&trace1m_cfg(JOBS), 42, 1024);
     assert_eq!(report.jobs_submitted, JOBS as u64);
     assert!((report.completion_ratio() - 1.0).abs() < 1e-9);
     assert!(
@@ -224,27 +239,26 @@ fn million_job_stream_runs_in_bounded_memory() {
         "live jobs must stay bounded, got {}",
         report.peak_live_jobs
     );
+    let cfg = trace1m_cfg(20_000);
+    let seeds = [42u64, 43];
+    let sequential = run_seeds_stream_summary_sequential(&cfg, &seeds, 1024);
+    let parallel = run_seeds_stream_summary_with_threads(&cfg, &seeds, 2, 1024);
+    assert_eq!(
+        sequential, parallel,
+        "streamed parallel runner diverged from sequential"
+    );
 }
 
 #[test]
 fn long_streams_run_in_bounded_memory() {
     // 30 000 short jobs through the streaming intake: the live-job
     // high-water mark must stay at queue-depth scale, not trace scale —
-    // the witness that no `Vec<Job>` is ever materialized. (The full
-    // million-job version of this check runs in release mode as the
-    // `trace1m` perf pipeline; same code path, larger N.)
+    // the witness that no `Vec<Job>` is ever materialized. (The
+    // million-job version of this check is the ignored
+    // `million_job_stream_runs_in_bounded_memory`; same code path,
+    // larger N.)
     const JOBS: usize = 30_000;
-    let cfg = Scenario::builder()
-        .workload("trace1m")
-        .jobs(JOBS)
-        .no_horizon()
-        .background(BackgroundLoad::none())
-        .scheduler(|s| s.koala_share = 0.5)
-        .summarized()
-        .build()
-        .expect("valid trace scenario")
-        .into_config();
-    let report = run_generator_summary_seeded(&cfg, 42, 256);
+    let report = run_generator_summary_seeded(&trace1m_cfg(JOBS), 42, 256);
     assert_eq!(report.jobs_submitted, JOBS as u64);
     assert!(
         (report.completion_ratio() - 1.0).abs() < 1e-9,
