@@ -15,7 +15,7 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::ExperimentConfig;
-use koala::report::MultiSummary;
+use koala::report::{MultiSummary, SummaryReport};
 use koala::scenario::Scenario;
 use koala::sim::{Ev, World};
 use koala_bench::{init_threads, SEEDS};
@@ -47,15 +47,15 @@ fn schedule_storm(engine: &mut Engine<Ev>) {
     }
 }
 
-fn run_under_storm(cfg: &ExperimentConfig) -> MultiSummary {
+fn run_under_storm(cfg: &ExperimentConfig, threads: usize) -> MultiSummary {
     // The storm pre-loads each engine with withdraw/restore events, so
-    // this binary cannot go through `run_seeds_summary`; the seeds still
-    // run summarized on the shared work-stealing pool, merged back in
-    // seed order.
-    let runs = koala::parallel::parallel_map(&SEEDS, koala::parallel::default_threads(), |&seed| {
+    // this binary cannot go through `koala::run`; the seeds still run
+    // summarized on the shared work-stealing pool, merged back in seed
+    // order.
+    let runs = koala::parallel::parallel_map(&SEEDS, threads, |&seed| {
         let mut engine = Engine::new();
         schedule_storm(&mut engine);
-        World::for_seed_summarized(cfg, seed).run_to_summary(&mut engine)
+        World::for_seed_summarized(cfg, seed).run_to_end::<SummaryReport>(&mut engine)
     });
     MultiSummary::new(cfg.name.clone(), runs)
 }
@@ -80,7 +80,7 @@ fn main() {
             .build()
             .expect("storm scenario is valid")
             .into_config();
-        let m = run_under_storm(&cfg);
+        let m = run_under_storm(&cfg, threads);
         let pooled = m.pooled();
         println!(
             "{:<12} {:>8.1} {:>11.0} {:>11.0} {:>11.0} {:>10.0}",

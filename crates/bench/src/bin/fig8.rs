@@ -17,11 +17,12 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::Approach;
+use koala::{Run, RunReport, SummaryReport};
 use koala_bench::{
     cell_summary, figure_matrix, figure_summary_outputs, init_threads_with_args, ops_points,
-    out_dir, panel_metrics, pooled_cells, print_summary_panels, run_cells, run_cells_summary,
-    scenario_matrix, summary_cell_line, utilization_points, write_csv, write_ecdf_csv,
-    write_timeseries_csv, PaperFigure,
+    out_dir, panel_metrics, per_config, pooled_cells, print_summary_panels, scenario_matrix,
+    summary_cell_line, utilization_points, write_csv, write_ecdf_csv, write_timeseries_csv,
+    PaperFigure, SEEDS,
 };
 use koala_metrics::plot;
 
@@ -36,7 +37,9 @@ fn main() {
     println!(
         "running 4 configurations x 4 seeds x 300 jobs on {threads} thread(s), summarized mode ...\n"
     );
-    let reports = run_cells_summary(&cells);
+    let runs = koala::run(&Run::matrix(&cells, &SEEDS).threads(threads))
+        .expect("the figure matrix is valid");
+    let reports = per_config::<SummaryReport>(&cells, runs);
     for m in &reports {
         println!("{}", summary_cell_line(m));
     }
@@ -99,7 +102,9 @@ fn run_full(threads: usize) {
     println!(
         "running 4 configurations x 4 seeds x 300 jobs on {threads} thread(s), full mode ...\n"
     );
-    let reports = run_cells(&cells);
+    let runs = koala::run(&Run::matrix(&cells, &SEEDS).threads(threads))
+        .expect("the figure matrix is valid");
+    let reports = per_config::<RunReport>(&cells, runs);
     for m in &reports {
         println!("{}", cell_summary(m));
     }

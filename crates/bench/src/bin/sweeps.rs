@@ -26,9 +26,8 @@ use appsim::ReconfigCost;
 use koala::config::{Approach, ExperimentConfig};
 use koala::policy::PolicyRegistry;
 use koala::scenario::{cell_label, Scenario};
-use koala_bench::{
-    init_threads_with_args, run_cells_summary_with_seeds, scenario_matrix, summary_cell_line,
-};
+use koala::{Run, SummaryReport};
+use koala_bench::{init_threads_with_args, per_config, scenario_matrix, summary_cell_line};
 use multicluster::BackgroundLoad;
 use simcore::SimDuration;
 
@@ -55,13 +54,15 @@ fn named(name: &str, cfg: &ExperimentConfig) -> ExperimentConfig {
 /// Runs one sweep's points as a single parallel batch — summarized, so
 /// an arbitrarily long sweep stays memory-bounded — and prints each
 /// point's `mean ± ci` summary in sweep order.
-fn run_batch(points: Vec<ExperimentConfig>) {
-    for m in run_cells_summary_with_seeds(&points, &SWEEP_SEEDS) {
+fn run_batch(points: Vec<ExperimentConfig>, threads: usize) {
+    let runs = koala::run(&Run::matrix(&points, &SWEEP_SEEDS).threads(threads))
+        .expect("sweep points are valid");
+    for m in per_config::<SummaryReport>(&points, runs) {
         println!("{}", summary_cell_line(&m));
     }
 }
 
-fn sweep_reconfig() {
+fn sweep_reconfig(threads: usize) {
     println!("\n== A1: reconfiguration-cost sweep (EGS/Wm, PRA) ==");
     println!("   (cost = application suspension per grow/shrink; the paper's MRunner");
     println!("    overlaps everything else with execution)");
@@ -95,10 +96,10 @@ fn sweep_reconfig() {
         cfg.sched.reconfig = cost;
         points.push(named(&format!("cost={label}"), &cfg));
     }
-    run_batch(points);
+    run_batch(points, threads);
 }
 
-fn sweep_polling() {
+fn sweep_polling(threads: usize) {
     println!("\n== A2: KIS polling-period sweep (FPSMA/Wm, PRA) ==");
     let mut points = Vec::new();
     for secs in [2u64, 10, 30, 60, 120] {
@@ -107,10 +108,10 @@ fn sweep_polling() {
         cfg.sched.queue_scan_period = SimDuration::from_secs(secs);
         points.push(named(&format!("poll={secs}s"), &cfg));
     }
-    run_batch(points);
+    run_batch(points, threads);
 }
 
-fn sweep_background() {
+fn sweep_background(threads: usize) {
     println!("\n== A3: background load and grow reserve (EGS/Wm, PRA) ==");
     let mut points = Vec::new();
     for (bg_label, bg) in [
@@ -125,10 +126,10 @@ fn sweep_background() {
             points.push(named(&format!("bg={bg_label},reserve={reserve}"), &cfg));
         }
     }
-    run_batch(points);
+    run_batch(points, threads);
 }
 
-fn sweep_policies() {
+fn sweep_policies(threads: usize) {
     println!("\n== A4: every registered malleability policy (Wm/PRA, then W'm/PWA) ==");
     let registry = PolicyRegistry::global();
     let names = registry.malleability_names();
@@ -156,10 +157,10 @@ fn sweep_policies() {
             &cfg,
         ));
     }
-    run_batch(points);
+    run_batch(points, threads);
 }
 
-fn sweep_cross() {
+fn sweep_cross(threads: usize) {
     println!("\n== A5: placement × malleability cross product over the registry (Wm, PRA) ==");
     // Single-cluster-job workloads never exercise the co-allocation
     // policies meaningfully; sweep the single-component placements
@@ -175,7 +176,7 @@ fn sweep_cross() {
     for cfg in &mut points {
         cfg.workload.jobs = SWEEP_JOBS;
     }
-    run_batch(points);
+    run_batch(points, threads);
 }
 
 fn main() {
@@ -189,17 +190,17 @@ fn main() {
         SWEEP_SEEDS.len()
     );
     match arg.as_str() {
-        "reconfig" => sweep_reconfig(),
-        "polling" => sweep_polling(),
-        "background" => sweep_background(),
-        "policies" => sweep_policies(),
-        "cross" => sweep_cross(),
+        "reconfig" => sweep_reconfig(threads),
+        "polling" => sweep_polling(threads),
+        "background" => sweep_background(threads),
+        "policies" => sweep_policies(threads),
+        "cross" => sweep_cross(threads),
         "all" => {
-            sweep_reconfig();
-            sweep_polling();
-            sweep_background();
-            sweep_policies();
-            sweep_cross();
+            sweep_reconfig(threads);
+            sweep_polling(threads);
+            sweep_background(threads);
+            sweep_policies(threads);
+            sweep_cross(threads);
         }
         other => {
             eprintln!(

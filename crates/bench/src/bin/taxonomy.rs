@@ -15,7 +15,8 @@
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig};
 use koala::scenario::Scenario;
-use koala_bench::{init_threads, run_cells_summary, SEEDS};
+use koala::{Run, SummaryReport};
+use koala_bench::{init_threads, per_config, SEEDS};
 
 fn class_workload(malleable: f64, moldable: f64, prime: bool) -> WorkloadSpec {
     let base = if prime {
@@ -75,7 +76,9 @@ fn main() {
         // All three classes' (config, seed) cells share one parallel
         // pool, summarized: the class comparison needs only the pooled
         // streams, never a job table.
-        for (&(class, _, _), m) in classes.iter().zip(run_cells_summary(&cfgs)) {
+        let runs = koala::run(&Run::matrix(&cfgs, &SEEDS).threads(threads))
+            .expect("taxonomy scenarios are valid");
+        for (&(class, _, _), m) in classes.iter().zip(per_config::<SummaryReport>(&cfgs, runs)) {
             let pooled = m.pooled();
             let grows = m
                 .mean_ci(|r| Some(r.grow_ops as f64))

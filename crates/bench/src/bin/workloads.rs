@@ -11,9 +11,10 @@
 //!
 //! * `--smoke` — tiny matrix (12 jobs, 2 seeds) for CI.
 
+use koala::{Run, SummaryReport};
 use koala_bench::{
-    init_threads_with_args, out_dir, run_cells_summary_with_seeds, summary_cell_line,
-    workloads_matrix, workloads_summary_outputs, write_csv, SEEDS,
+    init_threads_with_args, out_dir, per_config, summary_cell_line, workloads_matrix,
+    workloads_summary_outputs, write_csv, SEEDS,
 };
 
 fn main() {
@@ -35,7 +36,9 @@ fn main() {
         jobs,
         threads
     );
-    let reports = run_cells_summary_with_seeds(&cfgs, &seeds);
+    let runs = koala::run(&Run::matrix(&cfgs, &seeds).threads(threads))
+        .expect("the workload matrix is valid");
+    let reports = per_config::<SummaryReport>(&cfgs, runs);
     for m in &reports {
         println!("  {}", summary_cell_line(m));
     }

@@ -26,10 +26,11 @@ use std::path::{Path, PathBuf};
 
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ConfigError, ExperimentConfig, WarmFork};
-use koala::parallel::{self, Cell};
+use koala::parallel;
 use koala::policy::PolicyRegistry;
 use koala::report::{MultiReport, MultiSummary, SummaryReport};
 use koala::scenario::{cell_label, Scenario};
+use koala::Report;
 use koala_metrics::csv::Csv;
 use koala_metrics::{Ecdf, JobRecord, MetricStream};
 use simcore::{SimDuration, SimTime};
@@ -59,13 +60,12 @@ pub fn write_csv(path: &Path, text: &str) {
 }
 
 /// Parses a `--threads N` (or `--threads=N`) flag from the process
-/// arguments, clamps the resolved worker count to the hardware
+/// arguments and returns the worker count, clamped to the hardware
 /// parallelism (with a note on stderr when it clamps — oversubscribed
-/// workers only contend for the same cores), installs it as the
-/// process-wide thread override, and returns it. Every figure binary
-/// calls this first; without the flag the `KOALA_THREADS` environment
-/// variable and then the detected hardware parallelism apply (see
-/// [`koala::parallel::default_threads`]).
+/// workers only contend for the same cores). Every figure binary calls
+/// this first and passes the count to its [`Run`](koala::Run)s; without the flag the
+/// `KOALA_THREADS` environment variable and then the detected hardware
+/// parallelism apply (see [`koala::parallel::default_threads`]).
 pub fn init_threads() -> usize {
     init_threads_with_args().0
 }
@@ -100,8 +100,7 @@ pub fn init_threads_with_args() -> (usize, Vec<String>) {
     if threads < requested {
         eprintln!("clamping {requested} requested threads to {hardware} hardware thread(s)");
     }
-    parallel::set_thread_override(threads);
-    (parallel::default_threads(), rest)
+    (threads, rest)
 }
 
 /// Expands a declarative scenario matrix — the cross product of
@@ -240,91 +239,27 @@ pub fn workloads_summary_outputs(reports: &[MultiSummary]) -> Vec<(String, Strin
     )]
 }
 
-/// Runs a whole sweep of configurations, each across [`SEEDS`], by
-/// flattening every `(config, seed)` pair into one work-stealing pool —
-/// a slow configuration's seeds overlap with a fast one's instead of the
-/// sweep executing cell after cell. Reports come back in configuration
-/// order, each aggregated in seed order (bit-identical to the
-/// sequential loop).
-pub fn run_cells(cfgs: &[ExperimentConfig]) -> Vec<MultiReport> {
-    run_cells_with_seeds(cfgs, &SEEDS)
-}
-
-/// [`run_cells`] with an explicit seed list.
-pub fn run_cells_with_seeds(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<MultiReport> {
-    let cells: Vec<Cell<'_>> = cfgs
-        .iter()
-        .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
-        .collect();
-    let mut runs = parallel::run_cells(&cells, parallel::default_threads()).into_iter();
+/// Regroups a configuration-major [`Run::matrix`](koala::Run::matrix) result — one report
+/// per `(config, seed)` cell, seeds inner — into one seed-ordered
+/// aggregate per configuration: a [`MultiReport`] for `R = RunReport`,
+/// a [`MultiSummary`] for `R = SummaryReport`.
+pub fn per_config<R: Report>(cfgs: &[ExperimentConfig], runs: Vec<R>) -> Vec<R::Multi> {
+    let seeds = runs.len() / cfgs.len().max(1);
+    let mut runs = runs.into_iter();
     cfgs.iter()
-        .map(|cfg| MultiReport::new(cfg.name.clone(), runs.by_ref().take(seeds.len()).collect()))
-        .collect()
-}
-
-/// Summarized counterpart of [`run_cells`]: every `(config, seed)` cell
-/// runs through the memory-bounded summary path on one work-stealing
-/// pool. This is the default execution pathway of the figure binaries —
-/// a cell's footprint no longer grows with its job count, which is what
-/// makes 1000+-cell matrices fit in memory.
-pub fn run_cells_summary(cfgs: &[ExperimentConfig]) -> Vec<MultiSummary> {
-    run_cells_summary_with_seeds(cfgs, &SEEDS)
-}
-
-/// [`run_cells_summary`] with an explicit seed list.
-pub fn run_cells_summary_with_seeds(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<MultiSummary> {
-    run_cells_summary_with_seeds_threads(cfgs, seeds, parallel::default_threads())
-}
-
-/// [`run_cells_summary_with_seeds`] with an explicit worker count: the
-/// cold reference that `warmstart_equivalence.rs` compares the warm
-/// runner against at pinned thread counts.
-pub fn run_cells_summary_with_seeds_threads(
-    cfgs: &[ExperimentConfig],
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<MultiSummary> {
-    let cells: Vec<Cell<'_>> = cfgs
-        .iter()
-        .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
-        .collect();
-    let mut runs = parallel::run_cells_summary(&cells, threads).into_iter();
-    cfgs.iter()
-        .map(|cfg| MultiSummary::new(cfg.name.clone(), runs.by_ref().take(seeds.len()).collect()))
+        .map(|cfg| R::aggregate(cfg.name.clone(), runs.by_ref().take(seeds).collect()))
         .collect()
 }
 
 /// Stamps one [`WarmFork`] onto every cell of a matrix: each cell's
 /// semantics become "the base policy pair over `[0, at)`, then the
-/// cell's own pair" — which makes the whole matrix shareable-prefix
-/// runnable through [`run_cells_summary_warm_with_seeds`] (warmup once
-/// per `(workload, seed)` group, one fork per policy cell).
+/// cell's own pair" — and [`koala::run()`] then runs the warmup once per
+/// `(workload, seed)` group, with one fork per policy cell.
 pub fn warm_forked(mut cfgs: Vec<ExperimentConfig>, warm_fork: WarmFork) -> Vec<ExperimentConfig> {
     for cfg in &mut cfgs {
         cfg.warm_fork = Some(warm_fork.clone());
     }
     cfgs
-}
-
-/// Warm-forked counterpart of [`run_cells_summary_with_seeds_threads`]:
-/// the flattened `(config, seed)` batch runs through
-/// [`koala::parallel::run_cells_summary_warm`] — shared warmup prefixes
-/// execute once per group and every cell continues from a copy of its
-/// group's warmed world. Bit-identical to the cold runner for any thread
-/// count; `warmstart_equivalence.rs` asserts exactly that.
-pub fn run_cells_summary_warm_with_seeds(
-    cfgs: &[ExperimentConfig],
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<MultiSummary> {
-    let cells: Vec<Cell<'_>> = cfgs
-        .iter()
-        .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
-        .collect();
-    let mut runs = parallel::run_cells_summary_warm(&cells, threads).into_iter();
-    cfgs.iter()
-        .map(|cfg| MultiSummary::new(cfg.name.clone(), runs.by_ref().take(seeds.len()).collect()))
-        .collect()
 }
 
 /// An ECDF panel (one column per configuration) rendered as CSV text
@@ -705,7 +640,13 @@ pub fn cell_summary(m: &MultiReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koala::run_seeds;
+    use koala::{Run, RunReport};
+
+    /// `cfg` once per seed, aggregated.
+    fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64]) -> R::Multi {
+        let runs = koala::run(&Run::seeds(cfg, seeds)).unwrap();
+        R::aggregate(cfg.name.clone(), runs)
+    }
 
     #[test]
     fn write_csv_names_the_path_it_cannot_write() {
@@ -726,7 +667,7 @@ mod tests {
     fn cell_summary_formats() {
         let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
         cfg.workload.jobs = 5;
-        let m = run_seeds(&cfg, &[1, 2]);
+        let m = sweep::<RunReport>(&cfg, &[1, 2]);
         let s = cell_summary(&m);
         assert!(s.contains("FPSMA/Wm"));
         assert!(s.contains("done=100.0%"));
@@ -765,10 +706,12 @@ mod tests {
         let mut b = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
         b.workload.jobs = 6;
         let seeds = [5u64, 9];
-        let pooled = run_cells_with_seeds(&[a.clone(), b.clone()], &seeds);
+        let cfgs = [a.clone(), b.clone()];
+        let runs = koala::run(&Run::matrix(&cfgs, &seeds)).unwrap();
+        let pooled = per_config::<RunReport>(&cfgs, runs);
         assert_eq!(pooled.len(), 2);
-        let solo_a = koala::run_seeds_sequential(&a, &seeds);
-        let solo_b = koala::run_seeds_sequential(&b, &seeds);
+        let solo_a = sweep::<RunReport>(&a, &seeds);
+        let solo_b = sweep::<RunReport>(&b, &seeds);
         assert_eq!(format!("{:?}", pooled[0]), format!("{solo_a:?}"));
         assert_eq!(format!("{:?}", pooled[1]), format!("{solo_b:?}"));
     }
@@ -780,10 +723,12 @@ mod tests {
         let mut b = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
         b.workload.jobs = 6;
         let seeds = [5u64, 9];
-        let pooled = run_cells_summary_with_seeds(&[a.clone(), b.clone()], &seeds);
+        let cfgs = [a.clone(), b.clone()];
+        let runs = koala::run(&Run::matrix(&cfgs, &seeds)).unwrap();
+        let pooled = per_config::<SummaryReport>(&cfgs, runs);
         assert_eq!(pooled.len(), 2);
-        let solo_a = koala::run_seeds_summary_sequential(&a, &seeds);
-        let solo_b = koala::run_seeds_summary_sequential(&b, &seeds);
+        let solo_a = sweep::<SummaryReport>(&a, &seeds);
+        let solo_b = sweep::<SummaryReport>(&b, &seeds);
         assert_eq!(format!("{:?}", pooled[0]), format!("{solo_a:?}"));
         assert_eq!(format!("{:?}", pooled[1]), format!("{solo_b:?}"));
     }
@@ -792,7 +737,7 @@ mod tests {
     fn summary_cell_line_carries_ci_columns() {
         let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
         cfg.workload.jobs = 5;
-        let m = koala::run_seeds_summary(&cfg, &[1, 2]);
+        let m = sweep::<SummaryReport>(&cfg, &[1, 2]);
         let line = summary_cell_line(&m);
         assert!(line.contains("FPSMA/Wm"));
         assert!(line.contains("done=100.0%"));
@@ -813,7 +758,7 @@ mod tests {
         // `NaN` (or the old `-1` sentinel).
         let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
         cfg.workload.jobs = 5;
-        let m = koala::run_seeds_summary(&cfg, &[1]);
+        let m = sweep::<SummaryReport>(&cfg, &[1]);
         let csv = summary_ci_csv(std::slice::from_ref(&m));
         assert_eq!(csv.lines().count(), 1 + summary_scalar_metrics().len());
         assert!(!csv.contains("NaN"), "NaN leaked into the CI table:\n{csv}");
@@ -830,7 +775,7 @@ mod tests {
     fn utilization_points_cover_horizon() {
         let mut cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
         cfg.workload.jobs = 3;
-        let m = run_seeds(&cfg, &[1]);
+        let m = sweep::<RunReport>(&cfg, &[1]);
         let pts = utilization_points(&m, 60);
         assert!(pts.len() > 2);
         assert!(

@@ -9,10 +9,10 @@
 use appsim::speedup::{ft_model, gadget2_model, SpeedupModel};
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig};
-use koala::parallel::{run_cells_summary, Cell};
-use koala::report::{MultiSummary, SummaryReport};
-use koala::run_seeds;
+use koala::parallel::run_cells_summary;
+use koala::report::{MultiReport, MultiSummary, SummaryReport};
 use koala::scenario::Scenario;
+use koala::Run;
 use koala_bench::{
     cell_summary, ops_points, panel_metrics, scenario_matrix, utilization_points, write_ecdf_csv,
     write_timeseries_csv, SEEDS,
@@ -63,7 +63,8 @@ fn fig6_speedup_models_are_calibrated() {
 #[test]
 fn fig7_pra_cell_runs_end_to_end() {
     let cfg = tiny(ExperimentConfig::paper_pra("egs", WorkloadSpec::wm()));
-    let m = run_seeds(&cfg, &SMOKE_SEEDS);
+    let runs = koala::run(&Run::seeds(&cfg, &SMOKE_SEEDS)).unwrap();
+    let m = MultiReport::new(cfg.name.clone(), runs);
     assert_eq!(m.runs.len(), SMOKE_SEEDS.len());
     assert_eq!(m.completion_ratio(), 1.0, "10 jobs all complete");
     assert!(cell_summary(&m).contains(&m.name));
@@ -101,7 +102,8 @@ fn fig8_pwa_cell_runs_end_to_end() {
         "fpsma",
         WorkloadSpec::wm_prime(),
     ));
-    let m = run_seeds(&cfg, &SMOKE_SEEDS);
+    let runs = koala::run(&Run::seeds(&cfg, &SMOKE_SEEDS)).unwrap();
+    let m = MultiReport::new(cfg.name.clone(), runs);
     assert_eq!(m.runs.len(), SMOKE_SEEDS.len());
     assert_eq!(m.completion_ratio(), 1.0, "10 jobs all complete");
     let grows: usize = m.runs.iter().map(|r| r.grow_ops.total()).sum();
@@ -199,10 +201,7 @@ fn figure_matrices_are_bit_identical_across_thread_counts() {
         ),
     ];
     for (name, cfgs, seeds) in &matrices {
-        let cells: Vec<Cell<'_>> = cfgs
-            .iter()
-            .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
-            .collect();
+        let cells = Run::matrix(cfgs, seeds).cells;
         let pooled = |runs: &[SummaryReport]| -> Vec<SummaryReport> {
             runs.chunks(seeds.len())
                 .zip(cfgs)

@@ -12,9 +12,8 @@
 //!
 //! and commit the updated files under `tests/golden/` with a rationale.
 
-use koala_bench::{
-    figure_matrix, figure_summary_outputs, run_cells_summary_with_seeds, PaperFigure,
-};
+use koala::{Run, SummaryReport};
+use koala_bench::{figure_matrix, figure_summary_outputs, per_config, PaperFigure};
 
 /// Small but non-trivial: 12 jobs × 2 seeds per cell keeps the test in
 /// the sub-second range while exercising growth (and, under Fig. 8's
@@ -30,7 +29,8 @@ fn golden_dir() -> std::path::PathBuf {
 
 fn check_figure(figure: PaperFigure) {
     let cells = figure_matrix(figure, GOLDEN_JOBS);
-    let reports = run_cells_summary_with_seeds(&cells, &GOLDEN_SEEDS);
+    let runs = koala::run(&Run::matrix(&cells, &GOLDEN_SEEDS)).unwrap();
+    let reports = per_config::<SummaryReport>(&cells, runs);
     let outputs = figure_summary_outputs(figure, &reports);
     assert_eq!(outputs.len(), 5, "four panels + the mean ± ci table");
     let update = std::env::var("UPDATE_GOLDEN").is_ok();
@@ -68,7 +68,8 @@ fn fig8_summarized_csvs_match_golden() {
 #[test]
 fn summary_outputs_are_structurally_complete() {
     let cells = figure_matrix(PaperFigure::Fig7, GOLDEN_JOBS);
-    let reports = run_cells_summary_with_seeds(&cells, &GOLDEN_SEEDS);
+    let runs = koala::run(&Run::matrix(&cells, &GOLDEN_SEEDS)).unwrap();
+    let reports = per_config::<SummaryReport>(&cells, runs);
     let outputs = figure_summary_outputs(PaperFigure::Fig7, &reports);
     let ci = &outputs.last().unwrap().1;
     // Header + 4 cells × 10 metrics.

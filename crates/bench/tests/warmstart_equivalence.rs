@@ -8,10 +8,9 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, WarmFork};
-use koala_bench::{
-    pooled_cells, run_cells_summary_warm_with_seeds, run_cells_summary_with_seeds_threads,
-    scenario_matrix, warm_forked, SEEDS,
-};
+use koala::parallel::run_cells_summary;
+use koala::{Run, SummaryReport};
+use koala_bench::{per_config, pooled_cells, scenario_matrix, warm_forked, SEEDS};
 use simcore::SimDuration;
 
 #[test]
@@ -28,9 +27,11 @@ fn warm_forked_matrix_is_bit_identical_to_cold_start() {
     let cfgs = warm_forked(cfgs, WarmFork::at(SimDuration::from_secs(1800)));
     let seeds = &SEEDS[..2];
 
-    let cold = run_cells_summary_with_seeds_threads(&cfgs, seeds, 1);
+    let cells = Run::matrix(&cfgs, seeds).cells;
+    let cold = per_config(&cfgs, run_cells_summary(&cells, 1));
     for threads in [1, 3] {
-        let warm = run_cells_summary_warm_with_seeds(&cfgs, seeds, threads);
+        let runs = koala::run(&Run::matrix(&cfgs, seeds).threads(threads)).unwrap();
+        let warm = per_config::<SummaryReport>(&cfgs, runs);
         // Raw reports: every cell, every seed, byte-for-byte.
         assert_eq!(
             format!("{warm:?}"),

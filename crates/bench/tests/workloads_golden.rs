@@ -9,7 +9,8 @@
 //! UPDATE_GOLDEN=1 cargo test -p koala_bench --test workloads_golden
 //! ```
 
-use koala_bench::{run_cells_summary_with_seeds, workloads_matrix, workloads_summary_outputs};
+use koala::{Run, SummaryReport};
+use koala_bench::{per_config, workloads_matrix, workloads_summary_outputs};
 
 const GOLDEN_JOBS: usize = 12;
 const GOLDEN_SEEDS: [u64; 2] = [7, 11];
@@ -24,7 +25,8 @@ fn golden_dir() -> std::path::PathBuf {
 fn workloads_summary_csv_matches_golden() {
     let cells = workloads_matrix(GOLDEN_JOBS);
     assert_eq!(cells.len(), 24, "4 sources x 2 policies x 3 topologies");
-    let reports = run_cells_summary_with_seeds(&cells, &GOLDEN_SEEDS);
+    let runs = koala::run(&Run::matrix(&cells, &GOLDEN_SEEDS)).unwrap();
+    let reports = per_config::<SummaryReport>(&cells, runs);
     let outputs = workloads_summary_outputs(&reports);
     let update = std::env::var("UPDATE_GOLDEN").is_ok();
     for (name, text) in &outputs {

@@ -100,9 +100,12 @@ pub enum ConfigError {
     /// the crash process would be degenerate (instant storms or no-op
     /// events).
     DegenerateFailureSpec,
-    /// A generator-driven entry point was called on a configuration
-    /// without a `generator` name.
+    /// A streamed run over a configuration with neither a `trace` nor a
+    /// `generator` name.
     MissingGenerator,
+    /// A streamed run asked for full reports: a stream retires jobs at
+    /// their terminal phase, so it reports summaries only.
+    StreamedFullReport,
     /// A control-plane fault probability outside `[0, 1]`.
     FaultProbabilityOutOfRange(f64),
     /// A flaky-channel spec with a zero mean gap or duration — episodes
@@ -169,10 +172,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "failure spec needs positive mtbf, mttr, and max_nodes")
             }
             ConfigError::MissingGenerator => {
-                write!(
-                    f,
-                    "this entry point needs a generator name in the configuration"
-                )
+                write!(f, "a streamed run needs a trace or a generator name")
+            }
+            ConfigError::StreamedFullReport => {
+                write!(f, "a streamed run reports summaries only, not full reports")
             }
             ConfigError::FaultProbabilityOutOfRange(p) => {
                 write!(f, "control-plane fault probability {p} outside [0, 1]")
@@ -783,35 +786,23 @@ impl SchedulerConfig {
 }
 
 impl ExperimentConfig {
-    /// Validates the scheduler settings, the workload composition and
-    /// every job of an explicit trace.
+    /// Validates the whole configuration: the substrate half, which a
+    /// run over a caller-owned job stream checks alone, and the
+    /// configuration's own workload.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validate_substrate()?;
+        self.validate_workload()
+    }
+
+    /// Validates everything a run needs whatever its jobs come from: the
+    /// scheduler, topology, report, elasticity, warm-fork and network
+    /// settings. A run over a caller-owned job stream checks this half
+    /// only.
+    pub(crate) fn validate_substrate(&self) -> Result<(), ConfigError> {
         self.sched.validate()?;
-        if let Some(name) = &self.generator {
-            appsim::generate::WorkloadRegistry::global().source(name)?;
-        }
         if let Some(u) = &self.uniform_topology {
             if u.clusters == 0 || u.nodes_per_cluster == 0 {
                 return Err(ConfigError::EmptyTopology);
-            }
-        }
-        let w = &self.workload;
-        if w.malleable_fraction < 0.0 || w.moldable_fraction < 0.0 {
-            return Err(ConfigError::NegativeClassFraction);
-        }
-        if w.malleable_fraction + w.moldable_fraction > 1.0 + 1e-9 {
-            return Err(ConfigError::ClassFractionsExceedOne(
-                w.malleable_fraction + w.moldable_fraction,
-            ));
-        }
-        if w.apps.is_empty() && self.trace.is_none() && self.generator.is_none() {
-            return Err(ConfigError::EmptyWorkload);
-        }
-        if let Some(trace) = &self.trace {
-            for (i, j) in trace.iter().enumerate() {
-                j.spec
-                    .validate()
-                    .map_err(|reason| ConfigError::TraceJob { index: i, reason })?;
             }
         }
         if self.report.quantile_capacity == 0 {
@@ -854,21 +845,42 @@ impl ExperimentConfig {
                     });
                 }
             }
-            if let Some(trace) = &self.trace {
-                for (i, j) in trace.iter().enumerate() {
-                    for &fid in &j.spec.input_files {
-                        if fid as usize >= net.files.len() {
-                            return Err(ConfigError::TraceJob {
-                                index: i,
-                                reason: format!(
-                                    "input file {fid} is not registered in the network \
-                                     layer ({} files)",
-                                    net.files.len()
-                                ),
-                            });
-                        }
-                    }
-                }
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration's own workload: the generator name,
+    /// the workload composition, and every job of an explicit trace
+    /// (including its input files against the network layer's catalog).
+    fn validate_workload(&self) -> Result<(), ConfigError> {
+        if let Some(name) = &self.generator {
+            appsim::generate::WorkloadRegistry::global().source(name)?;
+        }
+        let w = &self.workload;
+        if w.malleable_fraction < 0.0 || w.moldable_fraction < 0.0 {
+            return Err(ConfigError::NegativeClassFraction);
+        }
+        if w.malleable_fraction + w.moldable_fraction > 1.0 + 1e-9 {
+            return Err(ConfigError::ClassFractionsExceedOne(
+                w.malleable_fraction + w.moldable_fraction,
+            ));
+        }
+        if w.apps.is_empty() && self.trace.is_none() && self.generator.is_none() {
+            return Err(ConfigError::EmptyWorkload);
+        }
+        let files = self.network.as_ref().map(|net| net.files.len());
+        for (i, j) in self.trace.iter().flatten().enumerate() {
+            j.spec
+                .validate()
+                .map_err(|reason| ConfigError::TraceJob { index: i, reason })?;
+            let Some(files) = files else { continue };
+            if let Some(&fid) = j.spec.input_files.iter().find(|&&f| f as usize >= files) {
+                return Err(ConfigError::TraceJob {
+                    index: i,
+                    reason: format!(
+                        "input file {fid} is not registered in the network layer ({files} files)"
+                    ),
+                });
             }
         }
         Ok(())
@@ -985,7 +997,7 @@ mod tests {
                 matches!(cfg.validate(), Err(ConfigError::TraceJob { index: 0, .. })),
                 "work scale {bad_scale} passed validation"
             );
-            assert!(crate::sim::try_run_experiment(&cfg).is_err());
+            assert!(crate::run::<crate::RunReport>(&crate::Run::cell(&cfg)).is_err());
         }
     }
 
@@ -1013,6 +1025,33 @@ mod tests {
             nodes_per_cluster: 64,
         });
         assert_eq!(cfg.validate(), Err(ConfigError::EmptyTopology));
+
+        // Streamed runs reject bad configurations as values, not panics:
+        // a caller-owned stream checks the substrate half, a streamed
+        // configuration trace the workload half too.
+        let mut no_topology = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        no_topology.network = Some(NetworkConfig {
+            topology: "not_a_topology".to_string(),
+            files: Vec::new(),
+            reconfig_gb_per_proc: 0.0,
+        });
+        for bad in [&no_topology, &cfg] {
+            let mut stream = appsim::generate::VecStream::new(Vec::new());
+            assert!(crate::try_run_stream_summary(bad, 1, &mut stream, 8).is_err());
+        }
+        let mut unregistered_file = no_topology;
+        unregistered_file.network.as_mut().unwrap().topology = "das3".to_string();
+        let mut spec = appsim::JobSpec::rigid(appsim::AppKind::Gadget2, 4);
+        spec.input_files = vec![0];
+        unregistered_file.trace = Some(vec![appsim::workload::SubmittedJob {
+            at: simcore::SimTime::ZERO,
+            spec,
+        }]);
+        let streamed = crate::Run::cell(&unregistered_file).streamed(8);
+        assert!(matches!(
+            crate::run::<crate::SummaryReport>(&streamed),
+            Err(ConfigError::TraceJob { index: 0, .. })
+        ));
     }
 
     #[test]

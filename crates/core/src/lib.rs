@@ -34,9 +34,12 @@
 //! * [`sim`] — the simulation world tying the scheduler to the
 //!   `multicluster` and `appsim` substrates; event definitions and
 //!   handlers.
-//! * [`parallel`] — the work-stealing cell runner executing
-//!   `(configuration × seed)` sweeps across OS threads with
-//!   deterministic, sequential-identical merged output.
+//! * [`run()`] — the one run entry point: a [`Run`] of
+//!   `(configuration × seed)` cells, eager or streamed, reported in full
+//!   ([`RunReport`]) or summarized ([`SummaryReport`]), warm-forked when
+//!   the configuration asks for it.
+//! * [`parallel`] — the work-stealing cell runner behind [`run()`],
+//!   with deterministic, sequential-identical merged output.
 //! * [`config`] — scheduler and experiment configuration, including every
 //!   constant the paper leaves unspecified (with justifications).
 //! * [`report`] — per-run and multi-seed reports feeding the figure
@@ -46,6 +49,7 @@
 //!
 //! ```
 //! use koala::scenario::Scenario;
+//! use koala::{Run, RunReport};
 //! use appsim::workload::WorkloadSpec;
 //!
 //! // Fig. 7, EGS/Wm cell, one seed, scaled down to 30 jobs for the doctest.
@@ -56,7 +60,8 @@
 //!     .seed(1)
 //!     .build()
 //!     .unwrap();
-//! let report = koala::run_experiment(scenario.config());
+//! let reports: Vec<RunReport> = koala::run(&Run::cell(scenario.config())).unwrap();
+//! let report = &reports[0];
 //! assert_eq!(report.jobs.len(), 30);
 //! assert!(report.jobs.completion_ratio() > 0.99);
 //! ```
@@ -79,6 +84,7 @@ pub mod snapshot;
 
 mod ids;
 mod job;
+mod run;
 
 pub use autoscaler::{
     Autoscaler, AutoscalerError, AutoscalerRegistry, ClusterObservation, NoScaler,
@@ -90,20 +96,11 @@ pub use config::{
 };
 pub use ids::JobId;
 pub use job::{Job, JobPhase};
-pub use parallel::{
-    run_seeds_sequential, run_seeds_stream_summary_sequential,
-    run_seeds_stream_summary_with_threads, run_seeds_summary_sequential,
-    run_seeds_summary_with_threads, run_seeds_with_threads,
-};
 pub use policy::{Malleability, Placement, PolicyError, PolicyRegistry};
 pub use report::{MultiReport, MultiSummary, ReportMode, RunReport, SummaryReport};
+pub use run::{run, run_stream_summary, try_run_stream_summary, Intake, Report, Run};
 pub use scenario::{Scenario, ScenarioBuilder, Topology, WorkloadChoice};
 pub use sim::{
-    engine_for, fork_summary, resume_summary, run_experiment, run_experiment_seeded,
-    run_experiment_summary, run_experiment_summary_seeded, run_generator_summary_seeded, run_seeds,
-    run_seeds_summary, run_stream_summary, try_run_experiment, try_run_experiment_seeded,
-    try_run_experiment_summary, try_run_experiment_summary_seeded,
-    try_run_generator_summary_seeded, try_run_stream_summary, warm_snapshot_seeded, World,
-    DEFAULT_LOOKAHEAD,
+    engine_for, fork_summary, resume_summary, warm_snapshot_seeded, World, DEFAULT_LOOKAHEAD,
 };
 pub use snapshot::{Snapshot, SnapshotError};

@@ -1089,7 +1089,7 @@ impl Collector {
         match self {
             Collector::Full(c) => c,
             Collector::Summary(_) => {
-                panic!("world runs summarized: use run_to_summary / finish_summary")
+                panic!("world runs summarized: report a SummaryReport (finish_summary)")
             }
         }
     }
@@ -1099,7 +1099,7 @@ impl Collector {
         match self {
             Collector::Summary(c) => c,
             Collector::Full(_) => {
-                panic!("world runs with a full report: use run_to_completion / finish")
+                panic!("world runs with a full report: report a RunReport (finish)")
             }
         }
     }
@@ -1394,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use run_to_summary")]
+    #[should_panic(expected = "report a SummaryReport")]
     fn full_unwrap_of_summary_collector_panics() {
         let report = ReportConfig::default();
         Collector::summarized(0, &report).into_full();
@@ -1503,7 +1503,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use run_to_completion")]
+    #[should_panic(expected = "report a RunReport")]
     fn summary_unwrap_of_full_collector_panics() {
         Collector::full(std::iter::empty(), 5).into_summary();
     }

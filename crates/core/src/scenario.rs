@@ -26,7 +26,7 @@
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(scenario.config().name, "EGS/Wm");
-//! let report = scenario.run();
+//! let report = scenario.run::<koala::RunReport>();
 //! assert_eq!(report.runs.len(), 2);
 //! assert!(report.completion_ratio() > 0.99);
 //! ```
@@ -40,7 +40,8 @@ use crate::config::{
     NetworkConfig, ReportConfig, RetryConfig, SchedulerConfig, WarmFork,
 };
 use crate::policy::PolicyRegistry;
-use crate::report::{MultiReport, MultiSummary, ReportMode};
+use crate::report::ReportMode;
+use crate::run::{Report, Run};
 
 /// The multicluster substrate a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,64 +156,24 @@ impl Scenario {
         self.mode
     }
 
-    /// Runs the scenario across its seeds on the parallel cell runner
-    /// (see [`crate::run_seeds`]), materializing full reports.
+    /// Runs the scenario once per seed through [`crate::run()`] on
+    /// [`crate::parallel::default_threads`] workers and aggregates the
+    /// reports in seed order: a [`crate::MultiReport`] for
+    /// `R = RunReport`, a [`crate::MultiSummary`] for
+    /// `R = SummaryReport`. For another thread count or a streamed
+    /// intake, run `Run::seeds(scenario.config(), scenario.seeds())`.
     ///
     /// # Panics
-    /// Panics when the scenario was built with
-    /// [`ScenarioBuilder::summarized`] — a full `MultiReport` would
-    /// defeat the memory bound; use [`Scenario::run_summary`].
-    pub fn run(&self) -> MultiReport {
+    /// Panics when a scenario built with [`ScenarioBuilder::summarized`]
+    /// asks for full reports — they would defeat the memory bound.
+    pub fn run<R: Report>(&self) -> R::Multi {
         assert!(
-            self.mode == ReportMode::Full,
-            "scenario built with .summarized(): use Scenario::run_summary()"
+            self.mode == ReportMode::Full || R::MODE == ReportMode::Summarized,
+            "scenario built with .summarized(): run it for SummaryReports"
         );
-        crate::run_seeds(&self.cfg, &self.seeds)
-    }
-
-    /// [`Scenario::run`] with an explicit worker count.
-    ///
-    /// # Panics
-    /// Panics for summarized scenarios, like [`Scenario::run`].
-    pub fn run_with_threads(&self, threads: usize) -> MultiReport {
-        assert!(
-            self.mode == ReportMode::Full,
-            "scenario built with .summarized(): use Scenario::run_summary_with_threads()"
-        );
-        crate::parallel::run_seeds_with_threads(&self.cfg, &self.seeds, threads)
-    }
-
-    /// Runs the scenario through the memory-bounded summary path (one
-    /// [`crate::report::SummaryReport`] per seed, aggregated in seed
-    /// order). Available in either mode — summarizing a full scenario is
-    /// always allowed.
-    pub fn run_summary(&self) -> MultiSummary {
-        crate::run_seeds_summary(&self.cfg, &self.seeds)
-    }
-
-    /// [`Scenario::run_summary`] with an explicit worker count.
-    pub fn run_summary_with_threads(&self, threads: usize) -> MultiSummary {
-        crate::parallel::run_seeds_summary_with_threads(&self.cfg, &self.seeds, threads)
-    }
-
-    /// Runs the scenario through the **streaming intake**: a bounded
-    /// look-ahead window of arrivals, jobs retired at their terminal
-    /// phase, memory-bounded summaries — the path million-job scenarios
-    /// take. An explicit trace streams with its documented precedence;
-    /// otherwise the scenario must be generator-backed (built with
-    /// `.workload("source_name")`). Bit-identical across thread counts,
-    /// like every runner.
-    ///
-    /// # Panics
-    /// Panics when the scenario has neither a trace nor a named
-    /// workload source.
-    pub fn run_summary_streamed(&self, lookahead: usize) -> MultiSummary {
-        crate::parallel::run_seeds_stream_summary_with_threads(
-            &self.cfg,
-            &self.seeds,
-            crate::parallel::default_threads(),
-            lookahead,
-        )
+        let runs =
+            crate::run(&Run::seeds(&self.cfg, &self.seeds)).expect("built scenarios are valid");
+        R::aggregate(self.cfg.name.clone(), runs)
     }
 }
 
@@ -362,12 +323,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Switches the scenario to the **memory-bounded summary path**:
-    /// [`Scenario::run_summary`] streams per-job metrics through
-    /// mergeable accumulators instead of materializing job tables,
-    /// utilization series or traces ([`Scenario::run`] then panics, so
-    /// a summarized scenario cannot silently fall back to full
-    /// reports).
+    /// Marks the scenario for the **memory-bounded summary path**:
+    /// [`Scenario::run`] then panics when asked for full
+    /// [`crate::RunReport`]s, so a summarized scenario cannot silently
+    /// fall back to materializing job tables, utilization series or
+    /// traces.
     pub fn summarized(mut self) -> Self {
         self.mode = ReportMode::Summarized;
         self

@@ -59,15 +59,14 @@ use simcore::{
 
 use crate::autoscaler::{Autoscaler, AutoscalerRegistry, ClusterObservation, ScaleDecision};
 use crate::avail::AvailIndex;
-use crate::config::{Approach, ClaimingPolicy, ConfigError, ExperimentConfig};
+use crate::config::{Approach, ClaimingPolicy, ExperimentConfig};
 use crate::ids::JobId;
 use crate::job::{Job, JobPhase};
 use crate::malleability::RunningView;
 use crate::placement::{ComponentRequest, PlacementQueue, PlacementRequest};
 use crate::policy::{Malleability, Placement, PolicyRegistry};
-use crate::report::{
-    Collector, CtrlStats, MultiSummary, NetStats, ReportMode, RunReport, SummaryReport,
-};
+use crate::report::{Collector, CtrlStats, NetStats, ReportMode, RunReport, SummaryReport};
+use crate::run::Report;
 use crate::runner::MRunner;
 
 /// The flat event type of the whole simulation.
@@ -667,7 +666,8 @@ struct NetRuntime {
 }
 
 /// The simulation world. Construct with [`World::new`], drive with
-/// [`World::run_to_completion`] (or use the [`run_experiment`] helper).
+/// [`World::run_to_end`] (or run configurations through
+/// [`crate::run()`]).
 ///
 /// The world **borrows** its configuration: a run no longer clones the
 /// `ExperimentConfig` (or an explicit trace, which can be an arbitrarily
@@ -756,6 +756,9 @@ pub struct World<'a> {
     /// is on; always maintained (marking is a few branches) so the
     /// on/off trajectories cannot drift apart structurally.
     avail_idx: AvailIndex,
+    /// Whether [`World::bootstrap`] has run: [`World::run_to_end`]
+    /// bootstraps a fresh world and resumes a started one.
+    started: bool,
 }
 
 impl<'a> World<'a> {
@@ -772,23 +775,25 @@ impl<'a> World<'a> {
     ///
     /// # Panics
     /// Panics when the configured policy names do not resolve against
-    /// [`PolicyRegistry::global`] (run through
-    /// [`crate::run_experiment`], which validates first, for a
-    /// `Result`-shaped path).
+    /// [`PolicyRegistry::global`] (run through [`crate::run()`], which
+    /// validates first, for a `Result`-shaped path).
     pub fn for_seed(cfg: &'a ExperimentConfig, seed: u64) -> Self {
         Self::for_seed_with_mode(cfg, seed, ReportMode::Full)
     }
 
     /// [`World::for_seed`] in memory-bounded summary mode: the run
     /// collects streaming accumulators only (no job table, no step
-    /// series, no trace) and finishes through
-    /// [`World::run_to_summary`]. Warmup trimming and reservoir capacity
-    /// come from `cfg.report`.
+    /// series, no trace) and finishes as a [`SummaryReport`]. Warmup
+    /// trimming and reservoir capacity come from `cfg.report`.
     pub fn for_seed_summarized(cfg: &'a ExperimentConfig, seed: u64) -> Self {
         Self::for_seed_with_mode(cfg, seed, ReportMode::Summarized)
     }
 
-    fn for_seed_with_mode(cfg: &'a ExperimentConfig, seed: u64, mode: ReportMode) -> Self {
+    pub(crate) fn for_seed_with_mode(
+        cfg: &'a ExperimentConfig,
+        seed: u64,
+        mode: ReportMode,
+    ) -> Self {
         let mut master = SimRng::seed_from_u64(seed);
         let mut wl_rng = master.fork(1);
         let bg_rng = master.fork(2);
@@ -965,6 +970,7 @@ impl<'a> World<'a> {
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
             avail_idx: AvailIndex::new(n_clusters),
+            started: false,
         };
         let mut w = w_init;
         w.idle_baseline = w.mc.clusters().map(|c| c.idle()).collect();
@@ -1070,6 +1076,7 @@ impl<'a> World<'a> {
 
     /// Schedules the initial events.
     pub fn bootstrap(&mut self, engine: &mut Engine<Ev>) {
+        self.started = true;
         // KIS poll first so the first arrivals see a snapshot.
         engine.schedule_at(SimTime::ZERO, Ev::KisPoll);
         match &self.intake {
@@ -1137,38 +1144,32 @@ impl<'a> World<'a> {
         all_arrived && self.queue.is_empty() && self.jobs.live() == 0
     }
 
-    /// Runs the event loop until all jobs are terminal (or the engine
-    /// drains / hits its horizon) and returns the report.
+    /// Runs the event loop until every job is terminal (or the engine
+    /// drains or hits its horizon) and returns the report `R` — a
+    /// [`RunReport`] or a [`SummaryReport`], matching the mode the world
+    /// was built in.
+    ///
+    /// A fresh world is bootstrapped first, and the loop pops one event
+    /// before its first [`World::done`] check. A started world — a warmed
+    /// prefix, a fork, a restored snapshot — checks `done()` first: a
+    /// prefix that already completed broke out of its own loop the moment
+    /// `done()` turned true, and pumping again would deliver one extra
+    /// event the uninterrupted run never saw.
     ///
     /// # Panics
-    /// Panics when the world was built with
-    /// [`World::for_seed_summarized`] — use [`World::run_to_summary`].
-    pub fn run_to_completion(mut self, engine: &mut Engine<Ev>) -> RunReport {
-        self.run_loop(engine);
-        self.finish(engine)
-    }
-
-    /// Runs the event loop like [`World::run_to_completion`] and returns
-    /// the memory-bounded summary.
-    ///
-    /// # Panics
-    /// Panics when the world was built in full-report mode — use
-    /// [`World::run_to_completion`].
-    pub fn run_to_summary(mut self, engine: &mut Engine<Ev>) -> SummaryReport {
-        self.run_loop(engine);
-        self.finish_summary(engine)
-    }
-
-    fn run_loop(&mut self, engine: &mut Engine<Ev>) {
-        self.bootstrap(engine);
-        self.pump(engine);
+    /// Panics when `R` does not match the world's report mode.
+    pub fn run_to_end<R: Report>(mut self, engine: &mut Engine<Ev>) -> R {
+        if !self.started {
+            self.bootstrap(engine);
+            self.pump(engine);
+        } else if !self.done() {
+            self.pump(engine);
+        }
+        R::finish(self, engine)
     }
 
     /// The shared inner event loop: pops and handles events until the
-    /// world is done or the engine drains. Both the cold path
-    /// ([`World::run_loop`] after bootstrap) and the warm-fork resume
-    /// path ([`World::resume_to_summary`], no bootstrap — the restored
-    /// queue already holds the pending events) drive this.
+    /// world is done or the engine drains.
     fn pump(&mut self, engine: &mut Engine<Ev>) {
         while let Some((_t, ev)) = engine.pop() {
             self.handle(engine, ev);
@@ -1185,7 +1186,7 @@ impl<'a> World<'a> {
     ///
     /// This is the warmup half of the warm-fork pipeline: run the
     /// shared prefix here, then fork per policy cell — by in-memory copy
-    /// in [`crate::parallel::run_cells_summary_warm`], or through bytes
+    /// in [`crate::run()`]'s warm groups, or through bytes
     /// with [`World::snapshot`] and [`World::fork_with`].
     pub fn run_until(&mut self, engine: &mut Engine<Ev>, until: SimTime) {
         while let Some(t) = engine.peek_time() {
@@ -1198,34 +1199,6 @@ impl<'a> World<'a> {
                 break;
             }
         }
-    }
-
-    /// Continues a restored world to completion and returns the
-    /// summary. Unlike [`World::run_to_summary`] this does **not**
-    /// bootstrap: the restored engine already carries the pending
-    /// events of the captured run.
-    ///
-    /// # Panics
-    /// Panics when the world was built in full-report mode (restored
-    /// worlds never are — [`World::snapshot`] rejects that mode).
-    pub fn resume_to_summary(mut self, engine: &mut Engine<Ev>) -> SummaryReport {
-        // A prefix that already completed broke out of its own loop the
-        // moment `done()` turned true; pumping again would deliver one
-        // extra event the uninterrupted run never saw.
-        if !self.done() {
-            self.pump(engine);
-        }
-        self.finish_summary(engine)
-    }
-
-    /// Full-report counterpart of [`World::resume_to_summary`]: drains
-    /// the remaining events (if the world is not already done) and
-    /// returns the [`RunReport`].
-    pub fn resume_to_completion(mut self, engine: &mut Engine<Ev>) -> RunReport {
-        if !self.done() {
-            self.pump(engine);
-        }
-        self.finish(engine)
     }
 
     /// Re-resolves the placement and malleability policies by registry
@@ -1257,8 +1230,8 @@ impl<'a> World<'a> {
     /// the byte codec or a fingerprint check.
     ///
     /// The caller guarantees that `cfg` differs from the world's own
-    /// configuration in `name` and the policy pair only; the grouping
-    /// of [`crate::parallel::run_cells_summary_warm`] is that check.
+    /// configuration in `name` and the policy pair only; the warm
+    /// grouping of [`crate::run()`] is that check.
     ///
     /// # Panics
     /// Panics for a streaming world (a job stream cannot be copied) and
@@ -1300,6 +1273,7 @@ impl<'a> World<'a> {
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
             avail_idx: self.avail_idx.clone(),
+            started: self.started,
         }
     }
 
@@ -3470,8 +3444,8 @@ impl<'a> World<'a> {
 
     /// Rebuilds a world + engine pair from a snapshot taken under the
     /// **same** configuration (full fingerprint match required).
-    /// Continue with [`World::resume_to_summary`] — not
-    /// [`World::run_to_summary`], which would bootstrap a second time.
+    /// Continue with [`World::run_to_end`], which resumes a restored
+    /// world without bootstrapping it again.
     pub fn restore(
         cfg: &'a ExperimentConfig,
         snap: &Snapshot,
@@ -3509,6 +3483,7 @@ impl<'a> World<'a> {
         cfg.validate()
             .map_err(|e| SnapshotError::Corrupt(format!("target configuration invalid: {e}")))?;
         let mut w = World::for_seed_summarized(cfg, snap.seed);
+        w.started = true;
         let mut r = ByteReader::new(&snap.body);
         let engine = w.decode_body(&mut r)?;
         r.finish()?;
@@ -4769,7 +4744,7 @@ pub fn resume_summary(
     snap: &Snapshot,
 ) -> Result<SummaryReport, SnapshotError> {
     let (world, mut engine) = World::restore(cfg, snap)?;
-    Ok(world.resume_to_summary(&mut engine))
+    Ok(world.run_to_end(&mut engine))
 }
 
 /// Forks `snap` into the (possibly different) policy cell `cfg` and
@@ -4780,221 +4755,7 @@ pub fn fork_summary(
     snap: &Snapshot,
 ) -> Result<SummaryReport, SnapshotError> {
     let (world, mut engine) = World::fork_with(cfg, snap)?;
-    Ok(world.resume_to_summary(&mut engine))
-}
-
-/// Runs one experiment configuration to completion.
-///
-/// # Panics
-/// Panics on an invalid configuration (see
-/// [`ExperimentConfig::validate`]) — experiments should fail loudly, not
-/// produce subtly wrong numbers. Use [`try_run_experiment`] to handle
-/// configuration errors as values instead.
-pub fn run_experiment(cfg: &ExperimentConfig) -> RunReport {
-    run_experiment_seeded(cfg, cfg.seed)
-}
-
-/// [`run_experiment`] with configuration errors surfaced as a typed
-/// [`ConfigError`] instead of a panic — for callers assembling
-/// configurations from untrusted input (files, CLI flags).
-pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<RunReport, ConfigError> {
-    try_run_experiment_seeded(cfg, cfg.seed)
-}
-
-/// Runs one configuration under an explicit `seed` without cloning the
-/// configuration — the cell entry point of [`crate::parallel`].
-///
-/// # Panics
-/// Panics on an invalid configuration, like [`run_experiment`].
-pub fn run_experiment_seeded(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    try_run_experiment_seeded(cfg, seed)
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
-}
-
-/// [`run_experiment_seeded`] with a `Result`-shaped error path.
-pub fn try_run_experiment_seeded(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Result<RunReport, ConfigError> {
-    cfg.validate()?;
-    let mut engine = engine_for(cfg);
-    let mut world = World::for_seed(cfg, seed);
-    if let Some(wf) = &cfg.warm_fork {
-        world
-            .use_policies(&wf.base_placement, &wf.base_malleability)
-            .expect("validate() resolved the base policies");
-        world.bootstrap(&mut engine);
-        world.run_until(&mut engine, SimTime::ZERO + wf.at);
-        world
-            .use_policies(&cfg.sched.placement, &cfg.sched.malleability)
-            .expect("validate() resolved the cell policies");
-        Ok(world.resume_to_completion(&mut engine))
-    } else {
-        Ok(world.run_to_completion(&mut engine))
-    }
-}
-
-/// Runs the same configuration across several seeds in parallel on the
-/// work-stealing cell runner (the paper repeats every configuration 4
-/// times), with [`crate::parallel::default_threads`] workers —
-/// overridable via `KOALA_THREADS` or the binaries' `--threads` flag.
-/// The aggregate is merged in seed order and is bit-identical to
-/// [`crate::parallel::run_seeds_sequential`] for any thread count.
-pub fn run_seeds(cfg: &ExperimentConfig, seeds: &[u64]) -> crate::report::MultiReport {
-    crate::parallel::run_seeds_with_threads(cfg, seeds, crate::parallel::default_threads())
-}
-
-/// Runs one configuration through the **memory-bounded** summary path
-/// (see [`crate::report::SummaryReport`]): no job table, no step series,
-/// no trace — the report's footprint is independent of job count. The
-/// simulation trajectory is identical to [`run_experiment`]'s.
-///
-/// # Panics
-/// Panics on an invalid configuration, like [`run_experiment`].
-pub fn run_experiment_summary(cfg: &ExperimentConfig) -> SummaryReport {
-    run_experiment_summary_seeded(cfg, cfg.seed)
-}
-
-/// [`run_experiment_summary`] with a `Result`-shaped error path.
-pub fn try_run_experiment_summary(cfg: &ExperimentConfig) -> Result<SummaryReport, ConfigError> {
-    try_run_experiment_summary_seeded(cfg, cfg.seed)
-}
-
-/// [`run_experiment_summary`] under an explicit `seed` without cloning
-/// the configuration — the cell entry point of summarized sweeps.
-///
-/// # Panics
-/// Panics on an invalid configuration, like [`run_experiment`].
-pub fn run_experiment_summary_seeded(cfg: &ExperimentConfig, seed: u64) -> SummaryReport {
-    try_run_experiment_summary_seeded(cfg, seed)
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
-}
-
-/// [`run_experiment_summary_seeded`] with a `Result`-shaped error path.
-pub fn try_run_experiment_summary_seeded(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Result<SummaryReport, ConfigError> {
-    cfg.validate()?;
-    let mut engine = engine_for(cfg);
-    let mut world = World::for_seed_summarized(cfg, seed);
-    if let Some(wf) = &cfg.warm_fork {
-        // A warm-forked cell means: run the *base* policy pair over the
-        // shared prefix [0, at), then this cell's own pair for the
-        // tail. This cold arm switches policies in place; the warm arm
-        // ([`crate::parallel::run_cells_summary_warm`]) forks a copy of
-        // a shared warmed world instead, and must be bit-identical.
-        world
-            .use_policies(&wf.base_placement, &wf.base_malleability)
-            .expect("validate() resolved the base policies");
-        world.bootstrap(&mut engine);
-        world.run_until(&mut engine, SimTime::ZERO + wf.at);
-        world
-            .use_policies(&cfg.sched.placement, &cfg.sched.malleability)
-            .expect("validate() resolved the cell policies");
-        Ok(world.resume_to_summary(&mut engine))
-    } else {
-        Ok(world.run_to_summary(&mut engine))
-    }
-}
-
-/// Summarized counterpart of [`run_seeds`]: one memory-bounded run per
-/// seed on the work-stealing cell runner, aggregated in seed order —
-/// bit-identical to [`crate::parallel::run_seeds_summary_sequential`]
-/// for any thread count.
-pub fn run_seeds_summary(cfg: &ExperimentConfig, seeds: &[u64]) -> MultiSummary {
-    crate::parallel::run_seeds_summary_with_threads(cfg, seeds, crate::parallel::default_threads())
-}
-
-/// Runs one configuration over an **externally supplied job stream**
-/// through the streaming intake: at most `lookahead` arrivals are
-/// scheduled ahead of simulated time, jobs are dropped from memory at
-/// their terminal phase, and the report is the memory-bounded summary —
-/// so the run's footprint is bounded by the in-flight job count, never
-/// the stream length. `cfg.workload`/`cfg.trace`/`cfg.generator` are
-/// ignored; the stream *is* the workload. The stream is borrowed so the
-/// caller can inspect it afterwards — for an
-/// [`appsim::swf::SwfJobStream`], check
-/// [`error()`](appsim::swf::SwfJobStream::error) after the run, or a
-/// truncating parse failure would be indistinguishable from a shorter
-/// trace.
-///
-/// # Panics
-/// Panics on invalid scheduler/report settings, like [`run_experiment`].
-/// Use [`try_run_stream_summary`] for a `Result`-shaped error path.
-pub fn run_stream_summary(
-    cfg: &ExperimentConfig,
-    seed: u64,
-    stream: &mut dyn JobStream,
-    lookahead: usize,
-) -> SummaryReport {
-    try_run_stream_summary(cfg, seed, stream, lookahead)
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
-}
-
-/// [`run_stream_summary`] with a `Result`-shaped error path. Validates
-/// the scheduler, report and elasticity settings only — the stream *is*
-/// the workload, so the configured workload/generator are not checked.
-pub fn try_run_stream_summary(
-    cfg: &ExperimentConfig,
-    seed: u64,
-    stream: &mut dyn JobStream,
-    lookahead: usize,
-) -> Result<SummaryReport, ConfigError> {
-    cfg.sched.validate()?;
-    if cfg.report.quantile_capacity == 0 {
-        return Err(ConfigError::ZeroQuantileCapacity);
-    }
-    cfg.elasticity.validate()?;
-    let cap = lookahead.max(1) * 2 + 64;
-    let mut engine = Engine::configured(
-        cfg.sched.event_queue,
-        cfg.horizon.map(|h| SimTime::ZERO + h),
-        cap,
-    );
-    Ok(World::for_stream_summarized(cfg, seed, stream, lookahead).run_to_summary(&mut engine))
-}
-
-/// [`run_stream_summary`] over the configuration's **own** workload:
-/// an explicit `cfg.trace` takes precedence (streamed borrowed, one
-/// job cloned at a time — the same precedence the eager paths honour),
-/// else the named generator (`cfg.generator`, seeded with `seed`,
-/// `cfg.workload.jobs` jobs). This is the cell entry point of streamed
-/// sweeps: each cell opens its own stream, so the parallel runner needs
-/// no shared stream state.
-///
-/// # Panics
-/// Panics when the configuration has neither a trace nor a generator,
-/// or on an unknown source name / invalid settings. Use
-/// [`try_run_generator_summary_seeded`] for a `Result`-shaped path.
-pub fn run_generator_summary_seeded(
-    cfg: &ExperimentConfig,
-    seed: u64,
-    lookahead: usize,
-) -> SummaryReport {
-    try_run_generator_summary_seeded(cfg, seed, lookahead)
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
-}
-
-/// [`run_generator_summary_seeded`] with a `Result`-shaped error path:
-/// a configuration with neither a trace nor a generator yields
-/// [`ConfigError::MissingGenerator`], an unknown source name the
-/// registry's typed error.
-pub fn try_run_generator_summary_seeded(
-    cfg: &ExperimentConfig,
-    seed: u64,
-    lookahead: usize,
-) -> Result<SummaryReport, ConfigError> {
-    if let Some(trace) = &cfg.trace {
-        let mut stream = appsim::generate::SliceStream::new(trace);
-        return try_run_stream_summary(cfg, seed, &mut stream, lookahead);
-    }
-    let Some(name) = &cfg.generator else {
-        return Err(ConfigError::MissingGenerator);
-    };
-    let src = appsim::generate::WorkloadRegistry::global().source(name)?;
-    let mut stream = src.stream(seed, cfg.workload.jobs as u64);
-    try_run_stream_summary(cfg, seed, stream.as_mut(), lookahead)
+    Ok(world.run_to_end(&mut engine))
 }
 
 #[cfg(test)]
@@ -5010,10 +4771,15 @@ mod tests {
         cfg
     }
 
+    /// One full-report run of `cfg` under its own seed.
+    fn report(cfg: &ExperimentConfig) -> RunReport {
+        crate::run(&crate::Run::cell(cfg)).unwrap().remove(0)
+    }
+
     #[test]
     fn single_job_runs_to_completion_and_grows_from_releases() {
         let cfg = small("fpsma", WorkloadSpec::wm(), 1);
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert_eq!(r.jobs.len(), 1);
         assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
         let rec = &r.jobs.records()[0];
@@ -5034,7 +4800,7 @@ mod tests {
         // it runs, so the paper's growth procedure never fires.
         let mut cfg = small("egs", WorkloadSpec::wm(), 1);
         cfg.background = multicluster::BackgroundLoad::none();
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         let rec = &r.jobs.records()[0];
         assert_eq!(rec.max_size(), Some(2.0));
         assert_eq!(r.grow_ops.total(), 0);
@@ -5044,7 +4810,7 @@ mod tests {
     fn small_wm_batch_completes_under_both_policies() {
         for policy in ["fpsma", "egs"] {
             let cfg = small(policy, WorkloadSpec::wm(), 20);
-            let r = run_experiment(&cfg);
+            let r = report(&cfg);
             assert!(
                 (r.jobs.completion_ratio() - 1.0).abs() < 1e-12,
                 "{policy} left jobs unfinished"
@@ -5061,7 +4827,7 @@ mod tests {
         let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
         cfg.workload.jobs = 200;
         cfg.seed = 3;
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert!(
             (r.jobs.completion_ratio() - 1.0).abs() < 1e-12,
             "jobs unfinished"
@@ -5076,7 +4842,7 @@ mod tests {
     #[test]
     fn pra_never_shrinks() {
         let cfg = small("egs", WorkloadSpec::wm(), 25);
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert_eq!(r.shrink_ops.total(), 0);
         assert_eq!(r.shrink_messages, 0);
     }
@@ -5084,8 +4850,8 @@ mod tests {
     #[test]
     fn same_seed_is_bit_identical() {
         let cfg = small("egs", WorkloadSpec::wmr(), 15);
-        let a = run_experiment(&cfg);
-        let b = run_experiment(&cfg);
+        let a = report(&cfg);
+        let b = report(&cfg);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.events, b.events);
         assert_eq!(a.grow_messages, b.grow_messages);
@@ -5098,7 +4864,7 @@ mod tests {
     fn rigid_jobs_keep_their_size() {
         let mut cfg = small("egs", WorkloadSpec::wmr(), 20);
         cfg.seed = 11;
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         for rec in r.jobs.records().iter().filter(|r| !r.malleable) {
             assert_eq!(rec.max_size(), Some(2.0), "rigid job grew: {rec:?}");
             assert_eq!(rec.grows, 0);
@@ -5108,7 +4874,8 @@ mod tests {
     #[test]
     fn multi_seed_runs_aggregate() {
         let cfg = small("fpsma", WorkloadSpec::wm(), 10);
-        let m = run_seeds(&cfg, &[1, 2, 3]);
+        let runs = crate::run(&crate::Run::seeds(&cfg, &[1, 2, 3])).unwrap();
+        let m = crate::MultiReport::new(cfg.name.clone(), runs);
         assert_eq!(m.runs.len(), 3);
         assert_eq!(m.merged_jobs().len(), 30);
         assert!((m.completion_ratio() - 1.0).abs() < 1e-12);
@@ -5170,7 +4937,8 @@ mod tests {
         let cfg = small("fpsma", WorkloadSpec::wm(), 3);
         let mut engine = Engine::new();
         let mut w = World::new(&cfg);
-        w.run_loop(&mut engine);
+        w.bootstrap(&mut engine);
+        w.pump(&mut engine);
         let idx = w.avail_index();
         assert!(idx.rebuilds() > 0, "no scan ever rebuilt the index");
         assert!(
@@ -5187,14 +4955,14 @@ mod tests {
             extra: 8,
         });
         cfg.workload.initiative_fraction = 1.0;
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
         // Every job asked once; grants depend on capacity, but with an
         // idle platform most requests succeed, so growth must exceed the
         // release-driven baseline of the same run without initiatives.
         let mut base = small("fpsma", WorkloadSpec::wm(), 8);
         base.seed = cfg.seed;
-        let b = run_experiment(&base);
+        let b = report(&base);
         assert!(
             r.grow_ops.total() > b.grow_ops.total(),
             "initiatives should add grow operations ({} vs {})",
@@ -5209,7 +4977,7 @@ mod tests {
         cfg.workload.malleable_fraction = 0.0;
         cfg.workload.moldable_fraction = 1.0;
         cfg.sched.koala_share = 0.45;
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(r.grow_ops.total(), 0, "moldable jobs never grow");
         for rec in r.jobs.records() {
@@ -5227,9 +4995,7 @@ mod tests {
     fn trace_records_the_full_lifecycle() {
         let cfg = small("egs", WorkloadSpec::wm(), 5);
         let mut engine = simcore::Engine::new();
-        let r = World::new(&cfg)
-            .with_trace(10_000)
-            .run_to_completion(&mut engine);
+        let r: RunReport = World::new(&cfg).with_trace(10_000).run_to_end(&mut engine);
         assert!(r.trace.is_enabled());
         assert_eq!(r.trace.of_category("arrive").count(), 5);
         assert_eq!(r.trace.of_category("place").count(), 5);
@@ -5254,7 +5020,7 @@ mod tests {
     #[test]
     fn committed_grows_never_exceed_decided_ops() {
         let cfg = small("fpsma", WorkloadSpec::wm(), 15);
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         // Committed (per-job) grows are a subset of decided ops: an op
         // aborts when the job completes while its stubs submit.
         assert!(r.jobs.total_grows() <= r.grow_ops.total() as u64);
@@ -5429,7 +5195,7 @@ mod tests {
     fn background_load_runs_alongside() {
         let mut cfg = small("fpsma", WorkloadSpec::wm(), 10);
         cfg.background = multicluster::BackgroundLoad::light();
-        let r = run_experiment(&cfg);
+        let r = report(&cfg);
         assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     }
 }

@@ -19,7 +19,7 @@ use koala::parallel::{run_cells_summary, run_cells_summary_warm, Cell};
 use koala::policy::PolicyRegistry;
 use koala::report::SummaryReport;
 use koala::scenario::Scenario;
-use koala::{fork_summary, run_experiment_summary_seeded, warm_snapshot_seeded};
+use koala::{fork_summary, warm_snapshot_seeded};
 use multicluster::{ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec};
 use simcore::{SimDuration, SimTime};
 
@@ -195,7 +195,7 @@ fn clone_fork_matches_byte_fork_and_switched_cold() {
         for (cfg, clone) in cfgs.iter().zip(&by_clone) {
             let by_bytes = fork_summary(cfg, &snap)
                 .unwrap_or_else(|e| panic!("{t:?} {}: byte fork failed: {e}", cfg.name));
-            let switched_cold = run_experiment_summary_seeded(cfg, SEED);
+            let switched_cold = run_cells_summary(&[Cell { cfg, seed: SEED }], 1);
             assert_eq!(
                 clone,
                 &format!("{by_bytes:?}"),
@@ -204,7 +204,7 @@ fn clone_fork_matches_byte_fork_and_switched_cold() {
             );
             assert_eq!(
                 clone,
-                &format!("{switched_cold:?}"),
+                &format!("{:?}", switched_cold[0]),
                 "{t:?} {}: clone fork diverged from the switched-cold run",
                 cfg.name
             );
@@ -240,10 +240,16 @@ fn forks_are_independent_of_each_other_and_of_the_warmed_world() {
 
         let mut uninterrupted = cfgs.last().expect("base cell").clone();
         uninterrupted.warm_fork = None;
-        let base_run = run_experiment_summary_seeded(&uninterrupted, SEED);
+        let base_run = run_cells_summary(
+            &[Cell {
+                cfg: &uninterrupted,
+                seed: SEED,
+            }],
+            1,
+        );
         assert_eq!(
             forward.last().expect("base cell"),
-            &format!("{base_run:?}"),
+            &format!("{:?}", base_run[0]),
             "{t:?}: the warmed world, continued after forking, diverged from \
              the uninterrupted base run"
         );

@@ -13,6 +13,7 @@
 use appsim::workload::WorkloadSpec;
 use koala::config::RetryConfig;
 use koala::policy::PolicyRegistry;
+use koala::report::SummaryReport;
 use koala::scenario::Scenario;
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
@@ -84,7 +85,7 @@ proptest! {
                     FailurePolicy::Requeue
                 });
         }
-        let multi = builder.build().unwrap().run_summary();
+        let multi = builder.build().unwrap().run::<SummaryReport>();
 
         for run in &multi.runs {
             prop_assert_eq!(

@@ -20,8 +20,9 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::RetryConfig;
-use koala::report::SummaryReport;
+use koala::report::{MultiSummary, SummaryReport};
 use koala::scenario::Scenario;
+use koala::Run;
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
 };
@@ -134,7 +135,7 @@ fn baseline_fingerprint() -> String {
     ];
     let mut text = String::new();
     for (tag, scenario) in scenarios {
-        let multi = scenario.run_summary();
+        let multi = scenario.run::<SummaryReport>();
         for run in &multi.runs {
             text.push_str(&render(&format!("{tag} seed {}", run.seed), run));
         }
@@ -271,7 +272,7 @@ fn chaos_run_conserves_jobs_and_leaks_nothing() {
         chaos_scenario(FailurePolicy::Kill, [11, 22, 33, 44]),
         sweep_kill_cell(),
     ] {
-        let multi = scenario.run_summary();
+        let multi = scenario.run::<SummaryReport>();
         let mut lost = 0u64;
         let mut timeouts = 0u64;
         for run in &multi.runs {
@@ -290,8 +291,8 @@ fn chaos_run_conserves_jobs_and_leaks_nothing() {
 /// wall-clock state or allocation order.
 #[test]
 fn chaos_runs_are_deterministic() {
-    let a = chaos_scenario(FailurePolicy::Requeue, [77]).run_summary();
-    let b = chaos_scenario(FailurePolicy::Requeue, [77]).run_summary();
+    let a = chaos_scenario(FailurePolicy::Requeue, [77]).run::<SummaryReport>();
+    let b = chaos_scenario(FailurePolicy::Requeue, [77]).run::<SummaryReport>();
     assert_eq!(a.runs, b.runs, "same-seed chaos runs diverged");
     assert_eq!(a.pooled(), b.pooled());
 }
@@ -329,7 +330,7 @@ fn lost_releases_are_reclaimed_by_the_orphan_sweep() {
         .seeds([5, 6])
         .build()
         .unwrap();
-    let multi = scenario.run_summary();
+    let multi = scenario.run::<SummaryReport>();
     for run in &multi.runs {
         assert_conserved(run);
     }
@@ -353,8 +354,11 @@ fn chaos_seq_and_par_agree() {
         chaos_scenario(FailurePolicy::Requeue, [1, 2, 3, 4]),
         sweep_kill_cell(),
     ] {
-        let seq = scenario.run_summary();
-        let par = scenario.run_summary_with_threads(2);
+        let seq = scenario.run::<SummaryReport>();
+        let par = MultiSummary::new(
+            scenario.config().name.clone(),
+            koala::run(&Run::seeds(scenario.config(), scenario.seeds()).threads(2)).unwrap(),
+        );
         assert_eq!(
             format!("{:?}", seq.runs),
             format!("{:?}", par.runs),

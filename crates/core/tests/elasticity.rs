@@ -4,15 +4,24 @@
 //! determinism.
 
 use appsim::workload::WorkloadSpec;
+use koala::config::ExperimentConfig;
 use koala::scenario::Scenario;
 use koala::sim::Ev;
-use koala::{
-    run_experiment, run_seeds_sequential, run_seeds_summary_sequential,
-    run_seeds_summary_with_threads, run_seeds_with_threads, JobPhase, World,
-};
+use koala::{JobPhase, Report, Run, RunReport, SummaryReport, World};
 use koala_metrics::JobOutcome;
 use multicluster::{FailurePolicy, FailureSpec};
 use simcore::{Engine, SimDuration};
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn failures_every(mtbf_s: u64) -> FailureSpec {
     FailureSpec::new(
@@ -92,15 +101,15 @@ fn elastic_scenario_is_bit_identical_parallel_vs_sequential() {
         let scenario = builder.build().unwrap();
         let cfg = scenario.config();
         let seeds = scenario.seeds();
-        let sequential = run_seeds_sequential(cfg, seeds);
-        let parallel = run_seeds_with_threads(cfg, seeds, 3);
+        let sequential = sweep::<RunReport>(cfg, seeds, 1);
+        let parallel = sweep::<RunReport>(cfg, seeds, 3);
         assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),
             "{name}: elastic full-report sweep diverged across thread counts"
         );
-        let seq_summary = run_seeds_summary_sequential(cfg, seeds);
-        let par_summary = run_seeds_summary_with_threads(cfg, seeds, 3);
+        let seq_summary = sweep::<SummaryReport>(cfg, seeds, 1);
+        let par_summary = sweep::<SummaryReport>(cfg, seeds, 3);
         assert_eq!(
             format!("{seq_summary:?}"),
             format!("{par_summary:?}"),
@@ -139,7 +148,7 @@ fn soak_autoscaled_with_failures_completes_every_job() {
         .seed(11)
         .build()
         .unwrap();
-    let r = run_experiment(scenario.config());
+    let r = one::<RunReport>(scenario.config());
     assert_eq!(r.jobs.len(), 600);
     assert!(
         r.jobs_requeued > 0,
@@ -171,7 +180,7 @@ fn kill_policy_kills_and_accounts_for_crashed_jobs() {
         .seed(5)
         .build()
         .unwrap();
-    let r = run_experiment(scenario.config());
+    let r = one::<RunReport>(scenario.config());
     assert!(
         r.jobs_killed > 0,
         "no job was ever on a crashed node — tune mtbf down"
@@ -204,8 +213,8 @@ fn monitoring_does_not_perturb_the_run() {
         .seed(3);
     let plain = base.clone().build().unwrap();
     let monitored = base.monitor(SimDuration::from_secs(60)).build().unwrap();
-    let r_plain = run_experiment(plain.config());
-    let r_mon = run_experiment(monitored.config());
+    let r_plain = one::<RunReport>(plain.config());
+    let r_mon = one::<RunReport>(monitored.config());
     assert_eq!(
         format!("{:?}", r_plain.jobs),
         format!("{:?}", r_mon.jobs),
@@ -229,7 +238,7 @@ fn threshold_scaler_shrinks_an_idle_system() {
         .seed(2)
         .build()
         .unwrap();
-    let r = run_experiment(scenario.config());
+    let r = one::<RunReport>(scenario.config());
     assert!(
         r.scale_downs > 0,
         "an almost-empty DAS-3 should trip the low-utilization band"

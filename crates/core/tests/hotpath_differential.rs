@@ -23,7 +23,7 @@ use appsim::{AppKind, JobSpec};
 use koala::config::{ExperimentConfig, FileSpec, NetworkConfig, RetryConfig};
 use koala::report::SummaryReport;
 use koala::scenario::Scenario;
-use koala::{run_experiment_summary, run_seeds_summary_sequential, run_seeds_summary_with_threads};
+use koala::Run;
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
 };
@@ -109,14 +109,19 @@ fn scenarios() -> Vec<(&'static str, ExperimentConfig, Vec<u64>)> {
 // The matrix: (sequential | parallel) per scenario.
 // ----------------------------------------------------------------------
 
+/// `cfg` once per seed on `threads` workers, summarized.
+fn summaries(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> Vec<SummaryReport> {
+    koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap()
+}
+
 /// Sequential and parallel execution produce byte-identical summarized
 /// sweeps on every full-stack scenario, even under crash churn, lossy
 /// retries and staged transfers.
 #[test]
 fn hotpath_matrix_is_bit_identical_across_threads() {
     for (tag, cfg, seeds) in scenarios() {
-        let seq = run_seeds_summary_sequential(&cfg, &seeds);
-        let par = run_seeds_summary_with_threads(&cfg, &seeds, 3);
+        let seq = summaries(&cfg, &seeds, 1);
+        let par = summaries(&cfg, &seeds, 3);
         assert_eq!(
             format!("{par:?}"),
             format!("{seq:?}"),
@@ -136,8 +141,8 @@ fn avail_index_is_trajectory_passive_on_the_full_stack() {
         let mut off = cfg.clone();
         off.sched.avail_index = false;
         assert_eq!(
-            format!("{:?}", run_seeds_summary_sequential(&on, &seeds)),
-            format!("{:?}", run_seeds_summary_sequential(&off, &seeds)),
+            format!("{:?}", summaries(&on, &seeds, 1)),
+            format!("{:?}", summaries(&off, &seeds, 1)),
             "{tag}: the availability index changed the trajectory"
         );
     }
@@ -217,7 +222,10 @@ fn staging_trajectory_matches_golden() {
         ],
         reconfig_gb_per_proc: 0.0,
     });
-    let text = render_staging("staging flat_wan seed 7", &run_experiment_summary(&cfg));
+    let text = render_staging(
+        "staging flat_wan seed 7",
+        &summaries(&cfg, &[cfg.seed], 1)[0],
+    );
 
     let path = golden_dir().join("pr9_staging.txt");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -277,8 +285,8 @@ mod index_props {
             let mut off = cfg;
             off.sched.avail_index = false;
             prop_assert_eq!(
-                format!("{:?}", run_experiment_summary(&on)),
-                format!("{:?}", run_experiment_summary(&off)),
+                format!("{:?}", summaries(&on, &[on.seed], 1)),
+                format!("{:?}", summaries(&off, &[off.seed], 1)),
                 "{}/{} pwa={} seed={}: index changed the trajectory",
                 placement, malleability, pwa, seed
             );

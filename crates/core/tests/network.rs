@@ -6,9 +6,22 @@
 use appsim::workload::{SubmittedJob, WorkloadSpec};
 use appsim::{AppKind, JobSpec};
 use koala::config::{ClaimingPolicy, ExperimentConfig, FileSpec, NetworkConfig};
+use koala::parallel::default_threads;
 use koala::sim::World;
+use koala::{Report, Run, RunReport, SummaryReport};
 use multicluster::BackgroundLoad;
 use simcore::{Engine, SimDuration, SimTime};
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn staged_job(at_s: u64, size: u32, files: Vec<u64>) -> SubmittedJob {
     let mut spec = JobSpec::rigid(AppKind::Gadget2, size);
@@ -46,7 +59,7 @@ fn staging_delays_job_start_under_networking() {
         reconfig_gb_per_proc: 0.0,
     });
     let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_completion(&mut engine);
+    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     let rec = &r.jobs.records()[0];
     let wait = rec.wait_time().expect("job started");
     assert!(
@@ -67,7 +80,7 @@ fn staging_delays_job_start_under_networking() {
     // alone — the delay above is genuinely the network layer's.
     cfg.network = None;
     let mut engine = Engine::new();
-    let r_off = World::new(&cfg).run_to_completion(&mut engine);
+    let r_off = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     let wait_off = r_off.jobs.records()[0].wait_time().expect("job started");
     assert!(
         wait_off < 60.0,
@@ -98,7 +111,7 @@ fn concurrent_transfers_contend_on_shared_links() {
         reconfig_gb_per_proc: 0.0,
     });
     let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_completion(&mut engine);
+    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     let wait = r.jobs.records()[0].wait_time().expect("job started");
     assert!(
         (790.0..900.0).contains(&wait),
@@ -150,8 +163,8 @@ fn close_to_files_beats_worst_fit_on(topology: &str) {
         // Staged transfers stay thread-count independent on every
         // topology.
         let seeds = [7, 8];
-        let seq = koala::run_seeds_summary_sequential(&cfg, &seeds);
-        let par = koala::run_seeds_summary_with_threads(&cfg, &seeds, 3);
+        let seq = sweep::<SummaryReport>(&cfg, &seeds, 1);
+        let par = sweep::<SummaryReport>(&cfg, &seeds, 3);
         assert_eq!(
             format!("{seq:?}"),
             format!("{par:?}"),
@@ -162,7 +175,7 @@ fn close_to_files_beats_worst_fit_on(topology: &str) {
             format!("{:?}", par.pooled()),
             "{topology}/{placement}: pooled summaries diverged"
         );
-        koala::run_experiment_summary(&cfg)
+        one::<SummaryReport>(&cfg)
     };
     let cf = run("close_to_files");
     let wf = run("worst_fit");
@@ -203,7 +216,7 @@ fn deferred_claiming_claims_after_real_transfers() {
         reconfig_gb_per_proc: 0.0,
     });
     let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_completion(&mut engine);
+    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     let rec = &r.jobs.records()[0];
     let wait = rec.wait_time().expect("job started");
     assert!(
@@ -227,7 +240,7 @@ fn reconfigurations_open_traffic_when_configured() {
         reconfig_gb_per_proc: 0.25,
     });
     let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_completion(&mut engine);
+    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     assert!(
         r.net.reconfig_transfers > 0,
         "a Wm run grows malleable jobs; each grow should open traffic"
@@ -267,14 +280,14 @@ fn networking_on_is_deterministic_and_seq_matches_par() {
         reconfig_gb_per_proc: 0.1,
     });
     let seeds: Vec<u64> = (0..4).collect();
-    let seq = koala::parallel::run_seeds_sequential(&cfg, &seeds);
-    let par = koala::run_seeds(&cfg, &seeds);
+    let seq = sweep::<RunReport>(&cfg, &seeds, 1);
+    let par = sweep::<RunReport>(&cfg, &seeds, default_threads());
     assert_eq!(
         format!("{seq:?}"),
         format!("{par:?}"),
         "seq and par diverged with networking on"
     );
-    let again = koala::parallel::run_seeds_sequential(&cfg, &seeds);
+    let again = sweep::<RunReport>(&cfg, &seeds, 1);
     assert_eq!(format!("{seq:?}"), format!("{again:?}"), "rerun diverged");
 }
 

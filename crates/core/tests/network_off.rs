@@ -110,7 +110,7 @@ fn fingerprint() -> String {
             let mut engine = Engine::new();
             let r = World::new(&c)
                 .with_files(catalog())
-                .run_to_completion(&mut engine);
+                .run_to_end::<RunReport>(&mut engine);
             text.push_str(&render(&format!("{placement} / {label}"), &r));
         }
     }

@@ -10,11 +10,14 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig};
-use koala::{
-    run_seeds_sequential, run_seeds_summary_sequential, run_seeds_summary_with_threads,
-    run_seeds_with_threads,
-};
+use koala::{Report, Run, RunReport, SummaryReport};
 use proptest::prelude::*;
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
 
 fn policies() -> [&'static str; 5] {
     [
@@ -62,8 +65,8 @@ proptest! {
         threads in 2usize..9,
     ) {
         let (cfg, seeds) = random_cfg(policy_idx, pwa, prime, jobs, seed0);
-        let sequential = run_seeds_sequential(&cfg, &seeds);
-        let parallel = run_seeds_with_threads(&cfg, &seeds, threads);
+        let sequential = sweep::<RunReport>(&cfg, &seeds, 1);
+        let parallel = sweep::<RunReport>(&cfg, &seeds, threads);
         prop_assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),
@@ -92,8 +95,8 @@ proptest! {
     ) {
         let (mut cfg, seeds) = random_cfg(policy_idx, pwa, prime, jobs, seed0);
         cfg.report.warmup = simcore::SimDuration::from_secs(warmup_s);
-        let sequential = run_seeds_summary_sequential(&cfg, &seeds);
-        let parallel = run_seeds_summary_with_threads(&cfg, &seeds, threads);
+        let sequential = sweep::<SummaryReport>(&cfg, &seeds, 1);
+        let parallel = sweep::<SummaryReport>(&cfg, &seeds, threads);
         prop_assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),

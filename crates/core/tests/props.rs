@@ -145,7 +145,7 @@ proptest! {
 mod end_to_end {
     use appsim::workload::WorkloadSpec;
     use koala::config::ExperimentConfig;
-    use koala::run_experiment;
+    use koala::{Run, RunReport};
     use proptest::prelude::*;
 
     proptest! {
@@ -170,7 +170,7 @@ mod end_to_end {
             };
             cfg.workload.jobs = jobs;
             cfg.seed = seed;
-            let r = run_experiment(&cfg);
+            let r: RunReport = koala::run(&Run::cell(&cfg)).unwrap().remove(0);
             prop_assert_eq!(r.jobs.len(), jobs);
             prop_assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12, "unfinished jobs");
             // Utilization can never exceed the 272 DAS-3 processors.

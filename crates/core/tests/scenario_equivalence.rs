@@ -14,10 +14,16 @@ use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ConfigError, ExperimentConfig, SchedulerConfig};
 use koala::policy::PolicyRegistry;
 use koala::scenario::Scenario;
-use koala::{run_seeds_sequential, run_seeds_with_threads};
+use koala::{Report, Run, RunReport};
 use multicluster::BackgroundLoad;
 use proptest::prelude::*;
 use simcore::SimDuration;
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
 
 /// The field-by-field configuration the legacy `paper_pra`/`paper_pwa`
 /// constructors assembled before the builder existed. The equivalence
@@ -115,7 +121,7 @@ fn new_registry_policies_run_end_to_end() {
         .build()
         .unwrap();
     assert_eq!(scenario.config().name, "GGLS/Wm'");
-    let m = scenario.run();
+    let m = scenario.run::<RunReport>();
     assert_eq!(m.runs.len(), 2);
     assert!(
         (m.completion_ratio() - 1.0).abs() < 1e-12,
@@ -154,14 +160,14 @@ proptest! {
             .unwrap();
         prop_assert_eq!(scenario.config(), &legacy, "configs must match field for field");
         let seeds: Vec<u64> = (0..3).map(|i| seed0.wrapping_add(i * 7919)).collect();
-        let legacy_seq = run_seeds_sequential(&legacy, &seeds);
-        let builder_seq = run_seeds_sequential(scenario.config(), &seeds);
+        let legacy_seq = sweep::<RunReport>(&legacy, &seeds, 1);
+        let builder_seq = sweep::<RunReport>(scenario.config(), &seeds, 1);
         prop_assert_eq!(
             format!("{legacy_seq:?}"),
             format!("{builder_seq:?}"),
             "sequential runs diverged"
         );
-        let builder_par = run_seeds_with_threads(scenario.config(), &seeds, threads);
+        let builder_par = sweep::<RunReport>(scenario.config(), &seeds, threads);
         prop_assert_eq!(
             format!("{legacy_seq:?}"),
             format!("{builder_par:?}"),

@@ -14,11 +14,9 @@
 
 use appsim::workload::WorkloadSpec;
 use koala::config::{ExperimentConfig, RetryConfig, WarmFork};
+use koala::parallel::{run_cells_summary, Cell};
 use koala::scenario::Scenario;
-use koala::{
-    fork_summary, resume_summary, run_experiment_summary_seeded, warm_snapshot_seeded,
-    SnapshotError,
-};
+use koala::{fork_summary, resume_summary, warm_snapshot_seeded, SnapshotError};
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
 };
@@ -102,7 +100,7 @@ fn scenarios() -> Vec<(&'static str, ExperimentConfig)> {
 
 /// Cold run vs snapshot-at-`t`-then-resume, compared byte-for-byte.
 fn assert_resume_is_invisible(tag: &str, cfg: &ExperimentConfig, seed: u64, at: SimTime) {
-    let cold = run_experiment_summary_seeded(cfg, seed);
+    let cold = run_cells_summary(&[Cell { cfg, seed }], 1).remove(0);
     let snap = warm_snapshot_seeded(cfg, seed, at)
         .unwrap_or_else(|e| panic!("{tag}: snapshot at {at:?} failed: {e}"));
     let warm = resume_summary(cfg, &snap)
@@ -155,7 +153,7 @@ fn fork_reproduces_every_policy_cell_from_one_warm_prefix() {
             cell.sched.malleability = malleability.to_string();
             cell.sched.placement = placement.to_string();
             cell.name = format!("{placement}/{malleability}");
-            let cold = run_experiment_summary_seeded(&cell, seed);
+            let cold = run_cells_summary(&[Cell { cfg: &cell, seed }], 1).remove(0);
             let warm = fork_summary(&cell, &snap)
                 .unwrap_or_else(|e| panic!("fork into {placement}/{malleability} failed: {e}"));
             assert_eq!(
@@ -305,7 +303,7 @@ mod resume_props {
             }
             let cfg = b.build().unwrap().into_config();
             let at = SimTime::from_secs(at_s);
-            let cold = run_experiment_summary_seeded(&cfg, seed);
+            let cold = run_cells_summary(&[Cell { cfg: &cfg, seed }], 1).remove(0);
             let snap = warm_snapshot_seeded(&cfg, seed, at).unwrap();
             let warm = resume_summary(&cfg, &snap).unwrap();
             prop_assert_eq!(

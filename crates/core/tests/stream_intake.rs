@@ -4,13 +4,27 @@
 
 use appsim::generate::{VecStream, WorkloadRegistry};
 use appsim::workload::WorkloadSpec;
+use koala::config::{ExperimentConfig, WarmFork};
+use koala::parallel::default_threads;
 use koala::scenario::Scenario;
-use koala::{
-    run_experiment_summary_seeded, run_generator_summary_seeded,
-    run_seeds_stream_summary_sequential, run_seeds_stream_summary_with_threads, run_stream_summary,
-    SummaryReport,
-};
+use koala::{run_stream_summary, Run, SummaryReport};
 use multicluster::BackgroundLoad;
+use simcore::SimDuration;
+
+/// One eager summarized run of `cfg` under `seed`.
+fn eager(cfg: &ExperimentConfig, seed: u64) -> SummaryReport {
+    koala::run(&Run::seeds(cfg, &[seed])).unwrap().remove(0)
+}
+
+/// `cfg` streamed once per seed with `lookahead`, on `threads` workers.
+fn streamed(
+    cfg: &ExperimentConfig,
+    seeds: &[u64],
+    threads: usize,
+    lookahead: usize,
+) -> Vec<SummaryReport> {
+    koala::run(&Run::seeds(cfg, seeds).threads(threads).streamed(lookahead)).unwrap()
+}
 
 /// Strips the one field that legitimately differs between intake modes:
 /// eager runs materialize the whole workload (peak = job count), the
@@ -51,19 +65,48 @@ fn streamed_replay_of_a_fixed_trace_matches_the_eager_run() {
     // bootstrap schedules exactly the event sequence of the eager one,
     // so the summaries must agree bit for bit — the deepest check the
     // job-slab refactor gets.
-    let mut cfg = koala::ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
-    cfg.workload.jobs = 40;
-    let trace = cfg.generate_workload_for_seed(9);
-    cfg.trace = Some(trace.clone());
-    let eager = run_experiment_summary_seeded(&cfg, 9);
-    let mut stream = VecStream::new(trace);
-    let streamed = run_stream_summary(&cfg, 9, &mut stream, 1024);
-    assert!(streamed.peak_live_jobs < 40, "streamed runs retire jobs");
-    assert_eq!(
-        eager.peak_live_jobs, 40,
-        "eager runs materialize everything"
-    );
-    assert_eq!(normalized(eager), normalized(streamed));
+    // The warm-forked input runs the EGS prefix to 3000 s, then FPSMA,
+    // on every intake.
+    let mut forked = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm_prime());
+    forked.warm_fork = Some(WarmFork {
+        base_malleability: "egs".to_string(),
+        ..WarmFork::at(SimDuration::from_secs(3000))
+    });
+    let inputs = [
+        (
+            ExperimentConfig::paper_pra("egs", WorkloadSpec::wm()),
+            40,
+            9,
+        ),
+        (forked, 12, 5),
+    ];
+    for (mut cfg, jobs, seed) in inputs {
+        cfg.workload.jobs = jobs;
+        let trace = cfg.generate_workload_for_seed(seed);
+        cfg.trace = Some(trace.clone());
+        let mut stream = VecStream::new(trace);
+        let replayed = run_stream_summary(&cfg, seed, &mut stream, 1024);
+        let from_config = streamed(&cfg, &[seed], 1, 1024).remove(0);
+        let eager = eager(&cfg, seed);
+        assert!(
+            replayed.peak_live_jobs < jobs as u64,
+            "streamed runs retire jobs"
+        );
+        assert_eq!(
+            eager.peak_live_jobs, jobs as u64,
+            "eager runs materialize everything"
+        );
+        if cfg.warm_fork.take().is_some() {
+            let unforked = normalized(koala::run(&Run::seeds(&cfg, &[seed])).unwrap().remove(0));
+            assert_ne!(
+                unforked,
+                normalized(eager.clone()),
+                "the fork changes nothing"
+            );
+        }
+        assert_eq!(normalized(from_config), normalized(replayed.clone()));
+        assert_eq!(normalized(eager), normalized(replayed));
+    }
 }
 
 #[test]
@@ -74,8 +117,8 @@ fn streamed_generator_matches_the_eager_generator_path() {
     for source in ["poisson_lublin", "bursty_loguniform"] {
         let cfg = generator_cfg(source, 120);
         for seed in [3u64, 17] {
-            let eager = run_experiment_summary_seeded(&cfg, seed);
-            let streamed = run_generator_summary_seeded(&cfg, seed, 16);
+            let eager = eager(&cfg, seed);
+            let streamed = streamed(&cfg, &[seed], 1, 16).remove(0);
             assert_eq!(
                 normalized(eager),
                 normalized(streamed),
@@ -88,8 +131,8 @@ fn streamed_generator_matches_the_eager_generator_path() {
 #[test]
 fn lookahead_size_does_not_change_results() {
     let cfg = generator_cfg("poisson_loguniform", 150);
-    let tiny = run_generator_summary_seeded(&cfg, 5, 1);
-    let huge = run_generator_summary_seeded(&cfg, 5, 100_000);
+    let tiny = streamed(&cfg, &[5], 1, 1).remove(0);
+    let huge = streamed(&cfg, &[5], 1, 100_000).remove(0);
     assert_eq!(normalized(tiny), normalized(huge));
 }
 
@@ -104,9 +147,9 @@ fn streamed_sweeps_are_identical_across_thread_counts() {
         (trace1m_cfg(2_000), vec![42, 43], 1024),
     ];
     for (cfg, seeds, lookahead) in &inputs {
-        let sequential = run_seeds_stream_summary_sequential(cfg, seeds, *lookahead);
+        let sequential = streamed(cfg, seeds, 1, *lookahead);
         for threads in [2, 4] {
-            let parallel = run_seeds_stream_summary_with_threads(cfg, seeds, threads, *lookahead);
+            let parallel = streamed(cfg, seeds, threads, *lookahead);
             assert_eq!(
                 sequential, parallel,
                 "{}: threads={threads} diverged",
@@ -135,11 +178,11 @@ mod registry_determinism {
             let name = &names[source_idx % names.len()];
             let cfg = generator_cfg(name, 30);
             let seeds = [seed0, seed0 + 1];
-            let sequential = run_seeds_stream_summary_sequential(&cfg, &seeds, 8);
-            let parallel = run_seeds_stream_summary_with_threads(&cfg, &seeds, threads, 8);
+            let sequential = streamed(&cfg, &seeds, 1, 8);
+            let parallel = streamed(&cfg, &seeds, threads, 8);
             prop_assert_eq!(&sequential, &parallel, "{} diverged across runners", name);
             prop_assert_ne!(
-                &sequential.runs[0], &sequential.runs[1],
+                &sequential[0], &sequential[1],
                 "{} ignores its seed", name
             );
         }
@@ -164,15 +207,15 @@ fn every_registered_source_builds_and_runs_by_name() {
             format!("FPSMA/{}", src.label()),
             "cell names derive from the source label"
         );
-        let eager = scenario.run_summary();
+        let eager = scenario.run::<SummaryReport>();
         assert_eq!(eager.runs.len(), 1);
         assert_eq!(eager.runs[0].jobs_submitted, 25, "{name}");
-        let streamed = scenario.run_summary_streamed(8);
-        assert_eq!(streamed.runs[0].jobs_submitted, 25, "{name}");
+        let streamed = streamed(scenario.config(), scenario.seeds(), default_threads(), 8);
+        assert_eq!(streamed[0].jobs_submitted, 25, "{name}");
         assert!(
-            streamed.runs[0].completion_ratio() > 0.9,
+            streamed[0].completion_ratio() > 0.9,
             "{name}: completion {}",
-            streamed.runs[0].completion_ratio()
+            streamed[0].completion_ratio()
         );
     }
 }
@@ -188,8 +231,8 @@ fn explicit_traces_keep_their_precedence_on_the_streamed_path() {
         .unwrap()
         .generate(123, 50);
     cfg.trace = Some(trace);
-    let eager = run_experiment_summary_seeded(&cfg, 9);
-    let streamed = run_generator_summary_seeded(&cfg, 9, 1024);
+    let eager = eager(&cfg, 9);
+    let streamed = streamed(&cfg, &[9], 1, 1024).remove(0);
     assert_eq!(normalized(eager), normalized(streamed));
 }
 
@@ -231,7 +274,7 @@ fn unknown_source_names_fail_the_build_with_the_known_list() {
 #[ignore = "million-job run: release-only"]
 fn million_job_stream_runs_in_bounded_memory() {
     const JOBS: usize = 1_000_000;
-    let report = run_generator_summary_seeded(&trace1m_cfg(JOBS), 42, 1024);
+    let report = streamed(&trace1m_cfg(JOBS), &[42], 1, 1024).remove(0);
     assert_eq!(report.jobs_submitted, JOBS as u64);
     assert!((report.completion_ratio() - 1.0).abs() < 1e-9);
     assert!(
@@ -241,8 +284,8 @@ fn million_job_stream_runs_in_bounded_memory() {
     );
     let cfg = trace1m_cfg(20_000);
     let seeds = [42u64, 43];
-    let sequential = run_seeds_stream_summary_sequential(&cfg, &seeds, 1024);
-    let parallel = run_seeds_stream_summary_with_threads(&cfg, &seeds, 2, 1024);
+    let sequential = streamed(&cfg, &seeds, 1, 1024);
+    let parallel = streamed(&cfg, &seeds, 2, 1024);
     assert_eq!(
         sequential, parallel,
         "streamed parallel runner diverged from sequential"
@@ -258,7 +301,7 @@ fn long_streams_run_in_bounded_memory() {
     // `million_job_stream_runs_in_bounded_memory`; same code path,
     // larger N.)
     const JOBS: usize = 30_000;
-    let report = run_generator_summary_seeded(&trace1m_cfg(JOBS), 42, 256);
+    let report = streamed(&trace1m_cfg(JOBS), &[42], 1, 256).remove(0);
     assert_eq!(report.jobs_submitted, JOBS as u64);
     assert!(
         (report.completion_ratio() - 1.0).abs() < 1e-9,

@@ -14,10 +14,13 @@
 use appsim::workload::WorkloadSpec;
 use koala::config::ExperimentConfig;
 use koala::scenario::Scenario;
-use koala::{
-    run_experiment, run_experiment_summary, run_experiment_summary_seeded, ReportMode, World,
-};
+use koala::{Report, ReportMode, Run, RunReport, SummaryReport, World};
 use koala_metrics::Ecdf;
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn small(policy: &str, jobs: usize, seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper_pra(policy, WorkloadSpec::wm());
@@ -34,8 +37,8 @@ fn ecdf_of(full: &koala::RunReport, f: impl Fn(&koala_metrics::JobRecord) -> Opt
 #[test]
 fn summary_matches_full_report_on_the_same_run() {
     let cfg = small("egs", 40, 11);
-    let full = run_experiment(&cfg);
-    let summary = run_experiment_summary(&cfg);
+    let full = one::<RunReport>(&cfg);
+    let summary = one::<SummaryReport>(&cfg);
 
     // Passivity: identical trajectory.
     assert_eq!(summary.events, full.events);
@@ -92,7 +95,7 @@ fn summary_matches_full_report_on_the_same_run() {
 fn summary_memory_is_bounded_by_capacity_not_job_count() {
     let mut cfg = small("fpsma", 120, 5);
     cfg.report.quantile_capacity = 16;
-    let summary = run_experiment_summary(&cfg);
+    let summary = one::<SummaryReport>(&cfg);
     assert_eq!(summary.jobs_completed, 120);
     for stream in [
         &summary.execution_time,
@@ -128,15 +131,15 @@ fn summarized_worlds_never_enable_tracing() {
 }
 
 #[test]
-#[should_panic(expected = "run_to_summary")]
+#[should_panic(expected = "report a SummaryReport")]
 fn full_finish_of_a_summarized_world_panics() {
     let cfg = small("egs", 2, 1);
     let mut engine = simcore::Engine::new();
-    let _ = World::for_seed_summarized(&cfg, 1).run_to_completion(&mut engine);
+    let _ = World::for_seed_summarized(&cfg, 1).run_to_end::<RunReport>(&mut engine);
 }
 
 #[test]
-#[should_panic(expected = "use Scenario::run_summary()")]
+#[should_panic(expected = "run it for SummaryReports")]
 fn summarized_scenarios_refuse_full_runs() {
     let s = Scenario::builder()
         .malleability("egs")
@@ -146,17 +149,17 @@ fn summarized_scenarios_refuse_full_runs() {
         .build()
         .unwrap();
     assert_eq!(s.mode(), ReportMode::Summarized);
-    let _ = s.run();
+    let _ = s.run::<RunReport>();
 }
 
 #[test]
 fn warmup_trims_early_submissions_and_activity() {
     let cfg = small("egs", 30, 9);
-    let all = run_experiment_summary(&cfg);
+    let all = one::<SummaryReport>(&cfg);
     let mut trimmed_cfg = cfg.clone();
     // Cut at the workload midpoint: Wm arrives every ~120 s.
     trimmed_cfg.report.warmup = simcore::SimDuration::from_secs(15 * 120);
-    let trimmed = run_experiment_summary(&trimmed_cfg);
+    let trimmed = one::<SummaryReport>(&trimmed_cfg);
     // Same trajectory either way...
     assert_eq!(trimmed.events, all.events);
     assert_eq!(trimmed.makespan, all.makespan);
@@ -180,7 +183,7 @@ fn replications_builder_derives_consecutive_seeds() {
         .build()
         .unwrap();
     assert_eq!(s.seeds(), &[100, 101, 102]);
-    let m = s.run_summary();
+    let m = s.run::<SummaryReport>();
     assert_eq!(m.runs.len(), 3);
     assert_eq!(m.runs[0].seed, 100);
     assert_eq!(m.runs[2].seed, 102);
@@ -277,7 +280,7 @@ fn thousand_cell_summarized_matrix_is_deterministic() {
 #[test]
 fn summary_seeded_matches_cfg_seed_path() {
     let cfg = small("egs", 10, 77);
-    let a = run_experiment_summary(&cfg);
-    let b = run_experiment_summary_seeded(&cfg, 77);
+    let a = one::<SummaryReport>(&cfg);
+    let b: SummaryReport = koala::run(&Run::seeds(&cfg, &[77])).unwrap().remove(0);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

@@ -230,8 +230,9 @@ proptest! {
             reconfig_gb_per_proc: 0.2,
         });
         let seeds: Vec<u64> = (0..3).map(|i| seed0.wrapping_add(i * 7919)).collect();
-        let seq = koala::parallel::run_seeds_sequential(&cfg, &seeds);
-        let par = koala::parallel::run_seeds_with_threads(&cfg, &seeds, threads);
+        let seq: Vec<koala::RunReport> = koala::run(&koala::Run::seeds(&cfg, &seeds).threads(1)).unwrap();
+        let par: Vec<koala::RunReport> =
+            koala::run(&koala::Run::seeds(&cfg, &seeds).threads(threads)).unwrap();
         prop_assert_eq!(
             format!("{seq:?}"),
             format!("{par:?}"),

@@ -11,7 +11,7 @@
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Run, RunReport};
 use malleable_koala::multicluster::BackgroundLoad;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
             cfg.background = bg.clone();
             cfg.sched.grow_reserve = reserve;
             cfg.seed = 9;
-            let r = run_experiment(&cfg);
+            let r: RunReport = koala::run(&Run::cell(&cfg)).unwrap().remove(0);
             let jobs = &r.jobs;
             println!(
                 "{:<26} {:>8} {:>11.1} {:>11.0} {:>11.0}",

@@ -11,6 +11,7 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::sim::{Ev, World};
+use malleable_koala::koala::RunReport;
 use malleable_koala::multicluster::ClusterId;
 use malleable_koala::simcore::{Engine, SimTime};
 
@@ -44,7 +45,7 @@ fn main() {
         "running {} with a 60-node withdrawal at t=1500s (restore t=4000s) ...",
         cfg.name
     );
-    let report = World::new(&cfg).run_to_completion(&mut engine);
+    let report = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
 
     println!(
         "\ncompleted {:.1}% of {} jobs despite losing 60/85 nodes of the largest cluster",

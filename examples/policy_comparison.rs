@@ -11,7 +11,8 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::policy::PolicyRegistry;
-use malleable_koala::koala::run_seeds;
+use malleable_koala::koala::report::MultiReport;
+use malleable_koala::koala::{self, Run};
 
 fn main() {
     let seeds = [1u64, 2, 3];
@@ -27,7 +28,8 @@ fn main() {
     for policy in registry.malleability_names() {
         let mut cfg = ExperimentConfig::paper_pra(&policy, WorkloadSpec::wm());
         cfg.workload.jobs = 100;
-        let m = run_seeds(&cfg, &seeds);
+        let runs = koala::run(&Run::seeds(&cfg, &seeds)).expect("registered policies run");
+        let m = MultiReport::new(cfg.name.clone(), runs);
         let jobs = m.merged_jobs();
         let avg = jobs.average_size_ecdf();
         let exec = jobs.execution_time_ecdf();

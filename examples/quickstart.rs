@@ -7,7 +7,7 @@
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Run, RunReport};
 use malleable_koala::koala_metrics::plot;
 
 fn main() {
@@ -22,7 +22,9 @@ fn main() {
         "running {} ({} jobs, seed {}) ...",
         cfg.name, cfg.workload.jobs, cfg.seed
     );
-    let report = run_experiment(&cfg);
+    let report: RunReport = koala::run(&Run::cell(&cfg))
+        .expect("a paper cell is valid")
+        .remove(0);
 
     println!(
         "\ncompleted {:.1}% of {} jobs",

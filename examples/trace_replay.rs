@@ -10,6 +10,7 @@ use malleable_koala::appsim::swf;
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::sim::World;
+use malleable_koala::koala::RunReport;
 use malleable_koala::simcore::{Engine, SimRng};
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
     let mut engine = Engine::new();
     let report = World::new(&cfg)
         .with_trace(4096)
-        .run_to_completion(&mut engine);
+        .run_to_end::<RunReport>(&mut engine);
 
     println!(
         "\nreplayed {} jobs, {:.0}% complete, {} trace entries",

@@ -21,7 +21,7 @@ use malleable_koala::appsim::swf;
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::report::MultiReport;
-use malleable_koala::koala::run_seeds;
+use malleable_koala::koala::{self, Run};
 use malleable_koala::koala_metrics::csv::Csv;
 use malleable_koala::koala_metrics::JobRecord;
 
@@ -136,7 +136,8 @@ fn run(
         }
         println!("workload exported to {}", path.display());
     }
-    let m = run_seeds(&cfg, seeds);
+    let runs = koala::run(&Run::seeds(&cfg, seeds)).expect("validated above");
+    let m = MultiReport::new(cfg.name.clone(), runs);
     print_report(&m);
     if let Some(dir) = csv_dir {
         if let Err(e) = std::fs::create_dir_all(&dir) {

@@ -6,7 +6,12 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::appsim::AppKind;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Report, Run, RunReport};
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn ft_only(policy: &str, pwa: bool, jobs: usize, seed: u64) -> ExperimentConfig {
     let workload = WorkloadSpec {
@@ -32,7 +37,7 @@ fn ft_jobs_only_ever_run_at_powers_of_two() {
     for policy in ["fpsma", "egs"] {
         for pwa in [false, true] {
             let cfg = ft_only(policy, pwa, 80, 31);
-            let r = run_experiment(&cfg);
+            let r = one::<RunReport>(&cfg);
             assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
             for rec in r.jobs.records() {
                 for &(_, size) in rec.size_history.points() {
@@ -53,7 +58,7 @@ fn mixed_workload_respects_per_app_constraints_and_bounds() {
     let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
     cfg.workload.jobs = 150;
     cfg.seed = 77;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     for rec in r.jobs.records() {
         let (min, max) = if rec.app == "FT" {
             (2u32, 32u32)
@@ -94,7 +99,7 @@ fn gadget_accepts_arbitrary_sizes() {
     let mut cfg = ExperimentConfig::paper_pra("egs", workload);
     cfg.workload.jobs = 60;
     cfg.seed = 8;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     let odd_size_seen = r.jobs.records().iter().any(|rec| {
         rec.size_history
             .points()

@@ -6,6 +6,7 @@ use malleable_koala::appsim::workload::{SubmittedJob, WorkloadSpec};
 use malleable_koala::appsim::{AppKind, JobSpec};
 use malleable_koala::koala::config::{ClaimingPolicy, ExperimentConfig};
 use malleable_koala::koala::sim::World;
+use malleable_koala::koala::RunReport;
 use malleable_koala::multicluster::{BackgroundLoad, ClusterId, FileCatalog};
 use malleable_koala::simcore::{Engine, SimDuration, SimTime};
 
@@ -51,7 +52,7 @@ fn close_to_files_avoids_staging_entirely() {
     let mut engine = Engine::new();
     let r = World::new(&c)
         .with_files(catalog())
-        .run_to_completion(&mut engine);
+        .run_to_end::<RunReport>(&mut engine);
     let rec = &r.jobs.records()[0];
     assert!(
         rec.wait_time().unwrap() < 10.0,
@@ -74,7 +75,7 @@ fn deferred_claim_fires_near_the_end_of_staging() {
     let mut engine = Engine::new();
     let r = World::new(&c)
         .with_files(catalog())
-        .run_to_completion(&mut engine);
+        .run_to_end::<RunReport>(&mut engine);
     let rec = &r.jobs.records()[0];
     let wait = rec.wait_time().unwrap();
     assert!(
@@ -100,7 +101,7 @@ fn immediate_claiming_holds_processors_through_staging() {
     let mut engine = Engine::new();
     let r = World::new(&c)
         .with_files(catalog())
-        .run_to_completion(&mut engine);
+        .run_to_end::<RunReport>(&mut engine);
     assert!(
         r.koala_used.value_at(SimTime::from_secs(1), 0.0) > 0.0,
         "immediate claiming takes processors at placement"
@@ -128,7 +129,7 @@ fn failed_deferred_claims_bounce_back_to_the_queue() {
     );
     let r = World::new(&c)
         .with_files(catalog())
-        .run_to_completion(&mut engine);
+        .run_to_end::<RunReport>(&mut engine);
     assert!(
         (r.jobs.completion_ratio() - 1.0).abs() < 1e-12,
         "the job must be re-placed and complete"

@@ -5,8 +5,13 @@
 use malleable_koala::appsim::workload::{SubmittedJob, WorkloadSpec};
 use malleable_koala::appsim::{swf, AppKind, JobSpec};
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Report, Run, RunReport};
 use malleable_koala::simcore::SimTime;
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn trace_cfg(trace: Vec<SubmittedJob>) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
@@ -36,7 +41,7 @@ fn coallocated_jobs_run_and_release_all_components() {
             spec: JobSpec::rigid(AppKind::Ft, 4),
         },
     ];
-    let r = run_experiment(&trace_cfg(trace));
+    let r = one::<RunReport>(&trace_cfg(trace));
     assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // Everything must be released at the end: final utilization 0.
     assert_eq!(r.utilization.last_value(), Some(0.0));
@@ -52,8 +57,8 @@ fn wide_area_penalty_slows_spanning_jobs() {
         spec: JobSpec::rigid(AppKind::Gadget2, 46),
     }]);
     let spanning = trace_cfg(vec![coalloc_job(0, vec![16, 16, 14])]);
-    let r1 = run_experiment(&single);
-    let r2 = run_experiment(&spanning);
+    let r1 = one::<RunReport>(&single);
+    let r2 = one::<RunReport>(&spanning);
     let e1 = r1.jobs.records()[0].execution_time().unwrap();
     let e2 = r2.jobs.records()[0].execution_time().unwrap();
     // Worst-Fit spreads the components over at least two clusters (it
@@ -75,10 +80,10 @@ fn cluster_minimization_packs_and_beats_worst_fit() {
     wf.sched.placement = "worst_fit".to_string();
     let mut cm = trace_cfg(trace);
     cm.sched.placement = "cluster_min".to_string();
-    let e_wf = run_experiment(&wf).jobs.records()[0]
+    let e_wf = one::<RunReport>(&wf).jobs.records()[0]
         .execution_time()
         .unwrap();
-    let e_cm = run_experiment(&cm).jobs.records()[0]
+    let e_cm = one::<RunReport>(&cm).jobs.records()[0]
         .execution_time()
         .unwrap();
     assert!(
@@ -97,7 +102,7 @@ fn swf_trace_replays_end_to_end() {
     let text = swf::export(&original);
     let reimported = swf::SwfImport::default().convert(&swf::parse(&text).unwrap());
     assert_eq!(reimported.len(), 25);
-    let r = run_experiment(&trace_cfg(reimported));
+    let r = one::<RunReport>(&trace_cfg(reimported));
     assert_eq!(r.jobs.len(), 25);
     assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
 }
@@ -109,6 +114,6 @@ fn trace_overrides_generated_workload() {
         spec: JobSpec::rigid(AppKind::Ft, 2),
     }]);
     cfg.workload.jobs = 300; // would be 300 jobs if the trace were ignored
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     assert_eq!(r.jobs.len(), 1, "the explicit trace wins");
 }

@@ -13,7 +13,12 @@ use std::process::Command;
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment_summary;
+use malleable_koala::koala::{self, Report, Run, SummaryReport};
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 /// A small template rendered as the JSON `koala-sim init` would write.
 fn template_json() -> String {
@@ -47,8 +52,8 @@ fn retired_coalesce_timers_field_is_ignored() {
         serde_json::from_str(&template_json()).expect("template parses");
     assert_eq!(format!("{old:?}"), format!("{current:?}"));
     assert_eq!(
-        format!("{:?}", run_experiment_summary(&old)),
-        format!("{:?}", run_experiment_summary(&current))
+        format!("{:?}", one::<SummaryReport>(&old)),
+        format!("{:?}", one::<SummaryReport>(&current))
     );
 }
 

@@ -3,7 +3,19 @@
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::{run_experiment, run_seeds, RunReport};
+use malleable_koala::koala::parallel::default_threads;
+use malleable_koala::koala::{self, Report, Run, RunReport};
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 fn cfg(seed: u64) -> ExperimentConfig {
     let mut c = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wmr_prime());
@@ -29,8 +41,8 @@ fn fingerprint(r: &RunReport) -> (u64, u64, u64, usize, usize, Vec<u64>) {
 
 #[test]
 fn same_seed_same_everything() {
-    let a = run_experiment(&cfg(1234));
-    let b = run_experiment(&cfg(1234));
+    let a = one::<RunReport>(&cfg(1234));
+    let b = one::<RunReport>(&cfg(1234));
     assert_eq!(fingerprint(&a), fingerprint(&b));
     // Including the exact utilization trace.
     assert_eq!(a.utilization.points(), b.utilization.points());
@@ -40,9 +52,9 @@ fn same_seed_same_everything() {
 fn determinism_holds_across_threads() {
     let sequential: Vec<_> = [5u64, 6, 7]
         .iter()
-        .map(|&s| fingerprint(&run_experiment(&cfg(s))))
+        .map(|&s| fingerprint(&one::<RunReport>(&cfg(s))))
         .collect();
-    let parallel = run_seeds(&cfg(0), &[5, 6, 7]);
+    let parallel = sweep::<RunReport>(&cfg(0), &[5, 6, 7], default_threads());
     let parallel_fp: Vec<_> = parallel.runs.iter().map(fingerprint).collect();
     assert_eq!(
         sequential, parallel_fp,
@@ -52,8 +64,8 @@ fn determinism_holds_across_threads() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_experiment(&cfg(1));
-    let b = run_experiment(&cfg(2));
+    let a = one::<RunReport>(&cfg(1));
+    let b = one::<RunReport>(&cfg(2));
     assert_ne!(
         fingerprint(&a),
         fingerprint(&b),
@@ -64,10 +76,10 @@ fn different_seeds_differ() {
 #[test]
 fn policy_choice_changes_the_trajectory() {
     let mut base = cfg(3);
-    let a = run_experiment(&base);
+    let a = one::<RunReport>(&base);
     base.sched.malleability = "fpsma".to_string();
     base.name = "FPSMA/Wmr'".into();
-    let b = run_experiment(&base);
+    let b = one::<RunReport>(&base);
     assert_ne!(
         a.grow_messages, b.grow_messages,
         "EGS and FPSMA must behave differently"

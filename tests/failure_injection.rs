@@ -5,6 +5,7 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::sim::{Ev, World};
+use malleable_koala::koala::RunReport;
 use malleable_koala::multicluster::ClusterId;
 use malleable_koala::simcore::{Engine, SimTime};
 
@@ -28,7 +29,7 @@ fn withdrawal_of_free_nodes_is_absorbed() {
             },
         );
     }
-    let report = World::new(&cfg(30, 5)).run_to_completion(&mut engine);
+    let report = World::new(&cfg(30, 5)).run_to_end::<RunReport>(&mut engine);
     assert!(
         (report.jobs.completion_ratio() - 1.0).abs() < 1e-12,
         "all jobs must survive the withdrawal"
@@ -46,7 +47,7 @@ fn withdrawal_beyond_free_nodes_forces_shrinks() {
             count: 80,
         },
     );
-    let report = World::new(&cfg(40, 9)).run_to_completion(&mut engine);
+    let report = World::new(&cfg(40, 9)).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // The withdrawal exceeded free nodes at that point, so if any
     // malleable job held grown capacity on VU it must have shrunk.
@@ -79,7 +80,7 @@ fn restore_after_withdrawal_reenables_growth() {
             },
         );
     }
-    let report = World::new(&cfg(40, 11)).run_to_completion(&mut engine);
+    let report = World::new(&cfg(40, 11)).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // Restoration counts as newly available capacity, so growth must
     // have continued after t = 3000 s.
@@ -112,6 +113,6 @@ fn repeated_withdraw_restore_cycles_are_stable() {
             },
         );
     }
-    let report = World::new(&cfg(35, 13)).run_to_completion(&mut engine);
+    let report = World::new(&cfg(35, 13)).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
 }

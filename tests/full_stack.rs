@@ -8,8 +8,13 @@ use malleable_koala::koala::config::{Approach, ExperimentConfig};
 use malleable_koala::koala::placement::{
     CloseToFiles, ComponentRequest, Placement, PlacementRequest, WorstFit,
 };
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Report, Run, RunReport};
 use malleable_koala::multicluster::{das3, ClusterId, FileCatalog};
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 #[test]
 fn every_policy_combination_completes() {
@@ -34,7 +39,7 @@ fn every_policy_combination_completes() {
                 cfg.workload.jobs = 15;
                 cfg.seed = 21;
                 cfg.name = format!("{placement}/{malleability}/{}", approach.label());
-                let r = run_experiment(&cfg);
+                let r = one::<RunReport>(&cfg);
                 assert!(
                     (r.jobs.completion_ratio() - 1.0).abs() < 1e-12,
                     "{} failed to complete all jobs",
@@ -97,7 +102,7 @@ fn engine_horizon_bounds_runaway_runs() {
     cfg.workload.jobs = 50;
     cfg.horizon = Some(simcore::SimDuration::from_secs(500));
     cfg.seed = 33;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     assert_eq!(r.jobs.len(), 50);
     assert!(
         r.jobs.completion_ratio() < 1.0,
@@ -111,7 +116,7 @@ fn reports_expose_consistent_utilization_accounting() {
     let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
     cfg.workload.jobs = 20;
     cfg.seed = 44;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     // KOALA usage is a component of total usage at every transition.
     for &(t, koala) in r.koala_used.points() {
         let total = r.utilization.value_at(t, 0.0);

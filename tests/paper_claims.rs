@@ -4,9 +4,16 @@
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
+use malleable_koala::koala::parallel::default_threads;
 use malleable_koala::koala::report::MultiReport;
-use malleable_koala::koala::run_seeds;
+use malleable_koala::koala::{self, Report, Run, RunReport};
 use malleable_koala::koala_metrics::JobRecord;
+
+/// `cfg` once per seed on `threads` workers, aggregated in seed order.
+fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
+    let runs = koala::run(&Run::seeds(cfg, seeds).threads(threads)).unwrap();
+    R::aggregate(cfg.name.clone(), runs)
+}
 
 const SEEDS: [u64; 2] = [101, 202];
 const JOBS: usize = 150;
@@ -14,13 +21,13 @@ const JOBS: usize = 150;
 fn pra(policy: &str, workload: WorkloadSpec) -> MultiReport {
     let mut cfg = ExperimentConfig::paper_pra(policy, workload);
     cfg.workload.jobs = JOBS;
-    run_seeds(&cfg, &SEEDS)
+    sweep::<RunReport>(&cfg, &SEEDS, default_threads())
 }
 
 fn pwa(policy: &str, workload: WorkloadSpec) -> MultiReport {
     let mut cfg = ExperimentConfig::paper_pwa(policy, workload);
     cfg.workload.jobs = JOBS;
-    run_seeds(&cfg, &SEEDS)
+    sweep::<RunReport>(&cfg, &SEEDS, default_threads())
 }
 
 #[test]

@@ -5,8 +5,13 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::appsim::GrowInitiative;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::{run_experiment, run_experiment_summary};
+use malleable_koala::koala::{self, Report, Run, RunReport, SummaryReport};
 use malleable_koala::simcore::{SimDuration, SimTime};
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 #[test]
 fn six_hundred_jobs_with_everything_enabled() {
@@ -23,7 +28,7 @@ fn six_hundred_jobs_with_everything_enabled() {
     cfg.workload.initiative_fraction = 0.3;
     cfg.heterogeneous = true;
     cfg.seed = 2024;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     assert_eq!(r.jobs.len(), 600);
     assert!(
         (r.jobs.completion_ratio() - 1.0).abs() < 1e-12,
@@ -75,7 +80,7 @@ fn summarized_long_horizon_soak_holds_the_same_invariants() {
     cfg.seed = 2024;
     cfg.report.warmup = SimDuration::from_secs(600);
     cfg.report.quantile_capacity = 128;
-    let r = run_experiment_summary(&cfg);
+    let r = one::<SummaryReport>(&cfg);
 
     // Completion invariants hold without a job table.
     assert_eq!(r.jobs_submitted, 600);
@@ -135,7 +140,7 @@ fn summarized_long_horizon_soak_holds_the_same_invariants() {
     // configuration without warmup trimming).
     let mut full_cfg = cfg.clone();
     full_cfg.report = Default::default();
-    let full = run_experiment(&full_cfg);
+    let full = one::<RunReport>(&full_cfg);
     assert_eq!(r.events, full.events);
     assert_eq!(r.makespan, full.makespan);
     assert_eq!(r.grow_messages, full.grow_messages);
@@ -149,7 +154,7 @@ fn per_job_times_are_internally_consistent() {
     let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wmr());
     cfg.workload.jobs = 250;
     cfg.seed = 777;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     for rec in r.jobs.records() {
         let submit = rec.submitted;
         let placed = rec.placed.expect("all placed");

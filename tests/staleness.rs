@@ -5,9 +5,14 @@
 
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::run_experiment;
+use malleable_koala::koala::{self, Report, Run, RunReport};
 use malleable_koala::multicluster::BackgroundLoad;
 use malleable_koala::simcore::SimDuration;
+
+/// One run of `cfg` under its own seed.
+fn one<R: Report>(cfg: &ExperimentConfig) -> R {
+    koala::run(&Run::cell(cfg)).unwrap().remove(0)
+}
 
 #[test]
 fn stale_snapshots_cause_failed_claims_under_heavy_background() {
@@ -19,7 +24,7 @@ fn stale_snapshots_cause_failed_claims_under_heavy_background() {
     cfg.sched.kis_poll_period = SimDuration::from_secs(60);
     cfg.sched.queue_scan_period = SimDuration::from_secs(60);
     cfg.seed = 5;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     assert!(
         r.placement_tries > 0,
         "with 60 s stale snapshots and 70% background churn, some placements must bounce"
@@ -39,7 +44,7 @@ fn fresher_snapshots_reduce_wait_times() {
         cfg.sched.kis_poll_period = SimDuration::from_secs(poll_s);
         cfg.sched.queue_scan_period = SimDuration::from_secs(poll_s);
         cfg.seed = 9;
-        run_experiment(&cfg)
+        one::<RunReport>(&cfg)
     };
     let fresh = run(5);
     let stale = run(120);
@@ -74,9 +79,9 @@ fn heterogeneous_clusters_speed_up_fast_site_jobs() {
     cfg.background = BackgroundLoad::none();
     cfg.trace = Some(vec![job]);
     cfg.seed = 2;
-    let homo = run_experiment(&cfg);
+    let homo = one::<RunReport>(&cfg);
     cfg.heterogeneous = true;
-    let hetero = run_experiment(&cfg);
+    let hetero = one::<RunReport>(&cfg);
     let e_homo = homo.jobs.records()[0].execution_time().unwrap();
     let e_hetero = hetero.jobs.records()[0].execution_time().unwrap();
     assert!(
@@ -98,7 +103,7 @@ fn zero_latency_gram_still_schedules_correctly() {
     cfg.sched.gram = malleable_koala::multicluster::GramConfig::instantaneous();
     cfg.sched.reconfig = malleable_koala::appsim::ReconfigCost::Free;
     cfg.seed = 11;
-    let r = run_experiment(&cfg);
+    let r = one::<RunReport>(&cfg);
     assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // With free reconfiguration every execution time is bounded by the
     // size-2 curve exactly (no pause inflation).
