@@ -132,10 +132,16 @@ impl AvailIndex {
             min_need = min_need.min(c.min);
             total_need += u64::from(c.min);
         }
-        if total_need == 0 {
-            return true;
-        }
-        min_need <= self.max_eff && total_need <= self.sum_eff
+        self.can_fit(min_need, total_need)
+    }
+
+    /// [`AvailIndex::can_satisfy`] from the two numbers it reads off a
+    /// request: the smallest component minimum and the sum of all
+    /// component minimums. The queue scan computes them from the job
+    /// itself, so a refused job never has its request built. A zero
+    /// total (no components) always passes.
+    pub fn can_fit(&self, min_need: u32, total_need: u64) -> bool {
+        total_need == 0 || (min_need <= self.max_eff && total_need <= self.sum_eff)
     }
 
     /// Records one quick-rejected placement attempt.

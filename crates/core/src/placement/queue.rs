@@ -8,14 +8,12 @@
 //! number exceeds a certain threshold value, the submission of that job
 //! fails."
 
-use std::collections::VecDeque;
-
 use crate::ids::JobId;
 
 /// FIFO placement queue with per-job retry counts.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementQueue {
-    entries: VecDeque<(JobId, u32)>,
+    entries: Vec<(JobId, u32)>,
     total_tries: u64,
     failed_submissions: u64,
 }
@@ -29,7 +27,7 @@ impl PlacementQueue {
     /// Appends a newly submitted (or bounced) job at the tail.
     pub fn push_back(&mut self, job: JobId) {
         debug_assert!(!self.contains(job), "job queued twice");
-        self.entries.push_back((job, 0));
+        self.entries.push((job, 0));
     }
 
     /// Jobs in head-to-tail order (the scan order).
@@ -37,17 +35,9 @@ impl PlacementQueue {
         self.entries.iter().map(|&(j, _)| j).collect()
     }
 
-    /// [`PlacementQueue::scan_order`] into a reusable buffer — the queue
-    /// scan snapshots the order every tick (it mutates the queue while
-    /// iterating) and must not allocate per tick.
-    pub fn scan_order_into(&self, buf: &mut Vec<JobId>) {
-        buf.clear();
-        buf.extend(self.entries.iter().map(|&(j, _)| j));
-    }
-
     /// The job at the head, if any.
     pub fn head(&self) -> Option<JobId> {
-        self.entries.front().map(|&(j, _)| j)
+        self.entries.first().map(|&(j, _)| j)
     }
 
     /// Number of queued jobs.
@@ -83,19 +73,55 @@ impl PlacementQueue {
     /// Records a failed placement try. Returns `true` when the job's
     /// tries now exceed `threshold` — the caller must fail the
     /// submission (the job is removed from the queue).
+    ///
+    /// The claim-failure paths call this right after re-queueing the job
+    /// at the tail, so the search runs tail first. The queue scan counts
+    /// its own failures in place, on the detached queue.
     pub fn record_failed_try(&mut self, job: JobId, threshold: u32) -> bool {
         self.total_tries += 1;
-        let Some(entry) = self.entries.iter_mut().find(|(j, _)| *j == job) else {
+        let Some(at) = self.entries.iter().rposition(|&(j, _)| j == job) else {
             return false;
         };
-        entry.1 += 1;
-        if entry.1 > threshold {
+        self.entries[at].1 += 1;
+        if self.entries[at].1 > threshold {
             self.failed_submissions += 1;
-            self.remove(job);
+            self.entries.remove(at);
             true
         } else {
             false
         }
+    }
+
+    /// Takes the whole queue out for one head-to-tail scan, leaving an
+    /// empty queue behind until [`PlacementQueue::reattach`]. The scan
+    /// walks the entries in place, so it needs no copy of the scan order
+    /// and no search per visited job.
+    pub(crate) fn detach(&mut self) -> QueueWalk {
+        QueueWalk {
+            queue: std::mem::take(self),
+            read: 0,
+            kept: 0,
+            visiting: false,
+        }
+    }
+
+    /// Puts a finished walk back: the survivors, in order, with their
+    /// retry counts, and the walk's tries and failed submissions added to
+    /// the lifetime tallies. Entries the walk did not reach stay queued
+    /// behind the survivors.
+    pub(crate) fn reattach(&mut self, walk: QueueWalk) {
+        debug_assert!(
+            self.entries.is_empty() && self.total_tries == 0 && self.failed_submissions == 0,
+            "the placement queue changed during a scan"
+        );
+        let QueueWalk {
+            mut queue,
+            read,
+            kept,
+            ..
+        } = walk;
+        queue.entries.drain(kept..read);
+        *self = queue;
     }
 
     /// Total failed placement tries across all jobs (for reports).
@@ -112,7 +138,7 @@ impl PlacementQueue {
     /// retry counts plus the lifetime tallies — for checkpointing.
     pub fn capture_state(&self) -> PlacementQueueState {
         PlacementQueueState {
-            entries: self.entries.iter().copied().collect(),
+            entries: self.entries.clone(),
             total_tries: self.total_tries,
             failed_submissions: self.failed_submissions,
         }
@@ -123,9 +149,69 @@ impl PlacementQueue {
     /// retry count of every entry.
     pub fn from_state(s: PlacementQueueState) -> Self {
         PlacementQueue {
-            entries: s.entries.into_iter().collect(),
+            entries: s.entries,
             total_tries: s.total_tries,
             failed_submissions: s.failed_submissions,
+        }
+    }
+}
+
+/// A [`PlacementQueue`] detached for one scan (see
+/// [`PlacementQueue::detach`]).
+///
+/// [`QueueWalk::visit`] steps through the jobs head to tail. A visited
+/// entry stays queued unless the scan drops it with
+/// [`QueueWalk::remove_current`] (placed) or
+/// [`QueueWalk::fail_current`] (the retry threshold failed it).
+/// Survivors are compacted towards the head as the walk goes, so every
+/// visit, rejected or not, costs O(1).
+#[derive(Debug)]
+pub(crate) struct QueueWalk {
+    /// The detached queue; `entries[..kept]` are the survivors so far
+    /// and `entries[read..]` the jobs not yet visited.
+    queue: PlacementQueue,
+    read: usize,
+    kept: usize,
+    /// Whether the last visited entry is still the current one (not yet
+    /// removed or failed).
+    visiting: bool,
+}
+
+impl QueueWalk {
+    /// Visits the next queued job. It stays queued unless the caller
+    /// removes or fails it before the next visit.
+    pub(crate) fn visit(&mut self) -> Option<JobId> {
+        let entry = *self.queue.entries.get(self.read)?;
+        self.read += 1;
+        self.queue.entries[self.kept] = entry;
+        self.kept += 1;
+        self.visiting = true;
+        Some(entry.0)
+    }
+
+    /// Drops the current job from the queue (it was placed).
+    pub(crate) fn remove_current(&mut self) {
+        debug_assert!(self.visiting, "no current entry to remove");
+        self.visiting = false;
+        self.kept -= 1;
+    }
+
+    /// Records a failed placement try for the current job, like
+    /// [`PlacementQueue::record_failed_try`]: returns `true` when its
+    /// tries now exceed `threshold`, in which case the job has left the
+    /// queue and the caller must fail the submission.
+    pub(crate) fn fail_current(&mut self, threshold: u32) -> bool {
+        debug_assert!(self.visiting, "no current entry to fail");
+        self.visiting = false;
+        self.queue.total_tries += 1;
+        let tries = &mut self.queue.entries[self.kept - 1].1;
+        *tries += 1;
+        if *tries > threshold {
+            self.queue.failed_submissions += 1;
+            self.kept -= 1;
+            true
+        } else {
+            false
         }
     }
 }
@@ -212,5 +298,91 @@ mod tests {
         assert!(q.remove(JobId(1)));
         assert!(!q.remove(JobId(1)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn walk_compacts_survivors_in_order() {
+        let mut q = PlacementQueue::new();
+        for j in 1..=6 {
+            q.push_back(JobId(j));
+        }
+        let mut walk = q.detach();
+        assert!(q.is_empty(), "the scan holds the entries");
+        while let Some(j) = walk.visit() {
+            match j.0 {
+                2 | 5 => walk.remove_current(),
+                3 => assert!(walk.fail_current(0), "threshold 0 fails at once"),
+                4 => assert!(!walk.fail_current(10)),
+                _ => {}
+            }
+        }
+        q.reattach(walk);
+        assert_eq!(q.scan_order(), vec![JobId(1), JobId(4), JobId(6)]);
+        assert_eq!(q.tries(JobId(4)), Some(1));
+        assert_eq!(q.total_tries(), 2);
+        assert_eq!(q.failed_submissions(), 1);
+    }
+
+    #[test]
+    fn unvisited_entries_stay_queued_behind_the_survivors() {
+        let mut q = PlacementQueue::new();
+        for j in 1..=4 {
+            q.push_back(JobId(j));
+        }
+        let mut walk = q.detach();
+        walk.visit();
+        walk.remove_current();
+        walk.visit();
+        q.reattach(walk);
+        assert_eq!(q.scan_order(), vec![JobId(2), JobId(3), JobId(4)]);
+    }
+
+    proptest::proptest! {
+        /// A walk leaves exactly the state the snapshot-and-search scan
+        /// left: visit a copy of the scan order, `remove` placed jobs and
+        /// `record_failed_try` rejected ones.
+        #[test]
+        fn walk_matches_the_snapshot_scan(
+            pushed in 0usize..24,
+            rounds in proptest::collection::vec(
+                proptest::collection::vec(0u8..3, 24..25),
+                1..6,
+            ),
+            threshold in 0u32..4,
+        ) {
+            let mut walked = PlacementQueue::new();
+            for j in 0..pushed as u32 {
+                walked.push_back(JobId(j));
+            }
+            let mut searched = walked.clone();
+            for decisions in &rounds {
+                let order = searched.scan_order();
+                for (&id, &d) in order.iter().zip(decisions) {
+                    match d {
+                        0 => {}
+                        1 => {
+                            searched.remove(id);
+                        }
+                        _ => {
+                            searched.record_failed_try(id, threshold);
+                        }
+                    }
+                }
+                let mut walk = walked.detach();
+                let mut i = 0;
+                while let Some(_id) = walk.visit() {
+                    match decisions[i] {
+                        0 => {}
+                        1 => walk.remove_current(),
+                        _ => {
+                            walk.fail_current(threshold);
+                        }
+                    }
+                    i += 1;
+                }
+                walked.reattach(walk);
+                proptest::prop_assert_eq!(walked.capture_state(), searched.capture_state());
+            }
+        }
     }
 }

@@ -41,6 +41,7 @@
 //! transfer lands, so data movement genuinely delays job starts.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use appsim::dynaco::{Dynaco, Phase as DynacoPhase};
 use appsim::generate::JobStream;
@@ -340,6 +341,36 @@ enum Intake<'a> {
     },
 }
 
+/// Multiply-shift hasher for [`JobSlab::index`]'s `u32` job ids.
+///
+/// The ids come from the simulator, never from outside it, so they need
+/// no protection against crafted collisions; the odd multiplier spreads
+/// sequential ids over the buckets and the table's tag bits. The map is
+/// never iterated, so the hasher cannot reach the trajectory.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    /// 2⁶⁴ divided by the golden ratio, rounded to odd.
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(Self::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Job storage of a world: a slab indexed by job id.
 ///
 /// In **fixed** mode (eager intake) ids are dense indices and jobs stay
@@ -373,7 +404,7 @@ struct JobSlab {
     /// Free slot indices (streaming mode only).
     free: Vec<u32>,
     /// Job id → slot (streaming mode only; fixed mode uses id = slot).
-    index: HashMap<u32, u32>,
+    index: HashMap<u32, u32, BuildHasherDefault<IdHasher>>,
     streaming: bool,
     /// Jobs created and not yet retired.
     live: usize,
@@ -393,7 +424,7 @@ impl JobSlab {
             clusters: vec![None; n],
             running: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             streaming: false,
             live: n,
             peak_live: n,
@@ -413,7 +444,7 @@ impl JobSlab {
             clusters: Vec::new(),
             running: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             streaming: true,
             live: 0,
             peak_live: 0,
@@ -734,12 +765,10 @@ pub struct World<'a> {
     /// the default — making the whole layer strictly passive).
     net: Option<NetRuntime>,
     trace: Trace,
-    /// Reusable scratch for [`World::scan_queue`] (scan-order snapshot,
-    /// live availability, budget-capped availability, the placement
-    /// policy's all-or-nothing copy, and the request being placed) —
-    /// the scheduling hot path allocates nothing per tick in steady
-    /// state.
-    scan_buf: Vec<JobId>,
+    /// Reusable scratch for [`World::scan_queue`] (live availability,
+    /// budget-capped availability, the placement policy's all-or-nothing
+    /// copy, and the request being placed) — the scheduling hot path
+    /// allocates nothing per tick in steady state.
     scratch_avail: Vec<u32>,
     scratch_eff: Vec<u32>,
     scratch_place: Vec<u32>,
@@ -759,6 +788,14 @@ pub struct World<'a> {
     /// Whether [`World::bootstrap`] has run: [`World::run_to_end`]
     /// bootstraps a fresh world and resumes a started one.
     started: bool,
+    /// `(total capacity, cap)` of the last [`World::koala_cap`] call: the
+    /// cap's float product and floor are redone only when the platform's
+    /// capacity changed since. `(0, 0)` is exact for every share.
+    koala_cap_memo: (u32, u32),
+    /// True while [`World::on_node_crash`] cleans up its victims — the
+    /// one window in which a job that still looks Running may have lost
+    /// its whole allocation (see [`World::malleable_running_on`]).
+    crash_cleanup: bool,
 }
 
 impl<'a> World<'a> {
@@ -963,7 +1000,6 @@ impl<'a> World<'a> {
             ctrl: CtrlStats::default(),
             net,
             trace: Trace::disabled(),
-            scan_buf: Vec::new(),
             scratch_avail: Vec::with_capacity(n_clusters),
             scratch_eff: Vec::with_capacity(n_clusters),
             scratch_place: Vec::with_capacity(n_clusters),
@@ -971,6 +1007,8 @@ impl<'a> World<'a> {
             scratch_views: Vec::new(),
             avail_idx: AvailIndex::new(n_clusters),
             started: false,
+            koala_cap_memo: (0, 0),
+            crash_cleanup: false,
         };
         let mut w = w_init;
         w.idle_baseline = w.mc.clusters().map(|c| c.idle()).collect();
@@ -1266,7 +1304,6 @@ impl<'a> World<'a> {
             ctrl: self.ctrl,
             net: self.net.clone(),
             trace: self.trace.clone(),
-            scan_buf: Vec::new(),
             scratch_avail: Vec::with_capacity(self.mc.len()),
             scratch_eff: Vec::with_capacity(self.mc.len()),
             scratch_place: Vec::with_capacity(self.mc.len()),
@@ -1274,6 +1311,8 @@ impl<'a> World<'a> {
             scratch_views: Vec::new(),
             avail_idx: self.avail_idx.clone(),
             started: self.started,
+            koala_cap_memo: (0, 0),
+            crash_cleanup: false,
         }
     }
 
@@ -1464,6 +1503,22 @@ impl<'a> World<'a> {
         );
     }
 
+    /// The `(smallest component minimum, summed minimums)` of the request
+    /// [`World::request_for`] builds for `job`: all the availability
+    /// index needs to refuse the job ([`AvailIndex::can_fit`]).
+    fn placement_need(job: &Job) -> (u32, u64) {
+        match &job.spec.coalloc {
+            Some(comps) => (
+                comps.iter().copied().min().unwrap_or(u32::MAX),
+                comps.iter().map(|&c| u64::from(c)).sum(),
+            ),
+            None => {
+                let min = job.spec.class.min_size();
+                (min, u64::from(min))
+            }
+        }
+    }
+
     /// Estimated staging time of a job's input files at `cluster` (zero
     /// without a catalog or files).
     fn staging_time(&self, job: &Job, cluster: ClusterId) -> simcore::SimDuration {
@@ -1485,13 +1540,17 @@ impl<'a> World<'a> {
     /// whatever fits. Under PWA, the first job that does not fit triggers
     /// mandatory shrinking (Section V-B).
     ///
-    /// This is the scheduling hot path: with hundreds of queued jobs and
-    /// a 10 s scan period it runs O(jobs × clusters) work per tick, so
-    /// every buffer it touches is a reusable scratch field of the world
-    /// (zero allocations in steady state) and the budget-capped
-    /// availability `eff` is only recomputed when a successful placement
-    /// or a PWA intervention actually invalidated it (the dirty flag),
-    /// instead of once per queued job.
+    /// This is the scheduling hot path: it runs on every arrival, release
+    /// and poll, and under overload almost every visit is a rejection. A
+    /// scan therefore costs O(queued jobs) plus the policy calls it
+    /// cannot avoid: the queue is detached and walked in place (a
+    /// rejected job's retry count is bumped where it sits, placed jobs
+    /// are compacted out), a job the availability index refuses is
+    /// rejected before its request is even built, every buffer is a
+    /// reusable scratch field of the world (zero allocations in steady
+    /// state), and the budget-capped availability `eff` is only
+    /// recomputed when a successful placement or a PWA intervention
+    /// actually invalidated it (the dirty flag).
     fn scan_queue(&mut self, engine: &mut Engine<Ev>) {
         // Detach the scratch buffers from `self` for the duration of the
         // scan (they are re-attached at the end, keeping their capacity).
@@ -1507,13 +1566,11 @@ impl<'a> World<'a> {
         let mut eff = std::mem::take(&mut self.scratch_eff);
         let mut place_scratch = std::mem::take(&mut self.scratch_place);
         let mut req = std::mem::take(&mut self.scratch_req);
-        let mut scan = std::mem::take(&mut self.scan_buf);
-        self.queue.scan_order_into(&mut scan);
         // Graceful degradation: refuse to place blind. A cluster whose
         // control channel is inside a flaky episode would lose most of
         // the submissions sent its way, so its capacity is masked out of
         // this scan and the jobs wait for a healthier window instead.
-        if !scan.is_empty() {
+        if !self.queue.is_empty() {
             if let Some(faults) = self.faults.as_mut() {
                 if faults.spec().flaky.is_some() {
                     let now = engine.now();
@@ -1532,17 +1589,21 @@ impl<'a> World<'a> {
         // recomputation is gated on this dirty flag.
         let mut eff_dirty = true;
         let mut pwa_handled = false;
+        let threshold = self.cfg.sched.placement_retry_threshold;
         #[cfg(debug_assertions)]
         self.jobs.assert_hot_coherent();
-        for &id in &scan {
+        // Nothing below touches `self.queue` until the walk is put back;
+        // `reattach` asserts that in debug builds.
+        let mut walk = self.queue.detach();
+        while let Some(id) = walk.visit() {
             // Hot filter: the contiguous phase column answers "still
             // queued?" without pulling the wide `Job` struct into cache.
             let slot = self.jobs.slot_of(id);
             if self.jobs.phase_at(slot) != JobPhase::Queued {
                 continue;
             }
-            let job = self.jobs.get(id).expect("queued job is live");
-            Self::request_for(job, &mut req);
+            let (min_need, total_need) =
+                Self::placement_need(self.jobs.get(id).expect("queued job is live"));
             // Availability for KOALA is the snapshot idle count further
             // capped by the expansion threshold's remaining headroom
             // (live, since earlier placements in this scan consume it).
@@ -1557,8 +1618,9 @@ impl<'a> World<'a> {
             // the job's smallest component, or the platform's total
             // headroom is below its summed minimums, every policy is
             // guaranteed to return `None` (see [`crate::avail`]) — take
-            // the failure path without paying for the policy walk.
-            if self.cfg.sched.avail_index && !self.avail_idx.can_satisfy(&req) {
+            // the failure path without building the request or paying
+            // for the policy walk.
+            if self.cfg.sched.avail_index && !self.avail_idx.can_fit(min_need, total_need) {
                 self.avail_idx.note_quick_reject();
                 if self.cfg.sched.approach == Approach::Pwa && !pwa_handled {
                     pwa_handled = true;
@@ -1567,9 +1629,12 @@ impl<'a> World<'a> {
                     // consuming expansion-threshold headroom.
                     eff_dirty = true;
                 }
-                self.fail_try(id);
+                if walk.fail_current(threshold) {
+                    self.fail_submission(id);
+                }
                 continue;
             }
+            Self::request_for(self.jobs.get(id).expect("queued job is live"), &mut req);
             let placed =
                 self.placement
                     .place_in(&req, &mut eff, &mut place_scratch, self.files.as_ref());
@@ -1607,7 +1672,7 @@ impl<'a> World<'a> {
                                 !stage.is_zero()
                             };
                             if divert {
-                                self.queue.remove(id);
+                                walk.remove_current();
                                 let now = engine.now();
                                 let slot = self.jobs.slot_of(id);
                                 let job = self.jobs.get_mut(id).expect("placed job");
@@ -1654,13 +1719,15 @@ impl<'a> World<'a> {
                         for &(c, _, size) in &got {
                             avail[c.index()] = avail[c.index()].saturating_sub(size);
                         }
-                        self.queue.remove(id);
+                        walk.remove_current();
                         self.commit_placement(engine, id, got);
                     } else {
                         for (c, alloc, _) in got {
                             self.mc.cluster_mut(c).release(alloc).expect("just claimed");
                         }
-                        self.fail_try(id);
+                        if walk.fail_current(threshold) {
+                            self.fail_submission(id);
+                        }
                     }
                 }
                 None => {
@@ -1671,30 +1738,40 @@ impl<'a> World<'a> {
                         // consuming expansion-threshold headroom.
                         eff_dirty = true;
                     }
-                    self.fail_try(id);
+                    if walk.fail_current(threshold) {
+                        self.fail_submission(id);
+                    }
                 }
             }
         }
-        self.scan_buf = scan;
+        self.queue.reattach(walk);
         self.scratch_avail = avail;
         self.scratch_eff = eff;
         self.scratch_place = place_scratch;
         self.scratch_req = req;
     }
 
+    /// A failed placement try outside the queue scan: a claim that lost
+    /// its race after the job went back to the queue.
     fn fail_try(&mut self, id: JobId) {
-        let exceeded = self
+        if self
             .queue
-            .record_failed_try(id, self.cfg.sched.placement_retry_threshold);
-        if exceeded {
-            let slot = self.jobs.slot_of(id);
-            let job = self.jobs.get_mut(id).expect("failing job is live");
-            job.phase = JobPhase::Failed;
-            job.gen.bump(); // invalidate every remaining event for this job
-            self.jobs.sync_hot(id);
-            self.collect.placement_failed(slot);
-            self.jobs.retire(id);
+            .record_failed_try(id, self.cfg.sched.placement_retry_threshold)
+        {
+            self.fail_submission(id);
         }
+    }
+
+    /// The retry threshold failed `id`'s submission; it has already left
+    /// the queue.
+    fn fail_submission(&mut self, id: JobId) {
+        let slot = self.jobs.slot_of(id);
+        let job = self.jobs.get_mut(id).expect("failing job is live");
+        job.phase = JobPhase::Failed;
+        job.gen.bump(); // invalidate every remaining event for this job
+        self.jobs.sync_hot(id);
+        self.collect.placement_failed(slot);
+        self.jobs.retire(id);
     }
 
     fn commit_placement(
@@ -1838,9 +1915,13 @@ impl<'a> World<'a> {
         // is not re-offered until it is released again.
         self.idle_baseline[cluster.index()] = idle;
         let reserve_room = idle.saturating_sub(self.cfg.sched.grow_reserve);
-        let grow_value = new.min(reserve_room).min(self.koala_headroom());
-        if grow_value > 0 {
-            self.grow_cluster(engine, cluster, grow_value);
+        // Usually nothing new became idle: skip the headroom sums then.
+        let room = new.min(reserve_room);
+        if room > 0 {
+            let grow_value = room.min(self.koala_headroom());
+            if grow_value > 0 {
+                self.grow_cluster(engine, cluster, grow_value);
+            }
         }
     }
 
@@ -1893,13 +1974,18 @@ impl<'a> World<'a> {
     /// The most processors KOALA may occupy across the whole system —
     /// the Section V-B expansion threshold: "a threshold is set over
     /// which KOALA never expands the total set of the jobs it manages".
-    fn koala_cap(&self) -> u32 {
-        (self.mc.total_capacity() as f64 * self.cfg.sched.koala_share).floor() as u32
+    fn koala_cap(&mut self) -> u32 {
+        let total = self.mc.total_capacity();
+        if self.koala_cap_memo.0 != total {
+            let cap = (total as f64 * self.cfg.sched.koala_share).floor() as u32;
+            self.koala_cap_memo = (total, cap);
+        }
+        self.koala_cap_memo.1
     }
 
     /// Processors KOALA may still take (anywhere) before hitting the
     /// expansion threshold.
-    fn koala_headroom(&self) -> u32 {
+    fn koala_headroom(&mut self) -> u32 {
         self.koala_cap()
             .saturating_sub(self.mc.total_used_by_koala())
     }
@@ -3144,6 +3230,9 @@ impl<'a> World<'a> {
         self.trace.record(now, "crash", cluster.0 as u64, || {
             format!("{taken} nodes, {} victim allocations", victims.len())
         });
+        // Until the last victim is cleaned up, a job may still look
+        // Running on an allocation the crash destroyed.
+        self.crash_cleanup = true;
         for v in &victims {
             match v.owner {
                 AllocOwner::Koala(jid) => {
@@ -3156,6 +3245,7 @@ impl<'a> World<'a> {
                 }
             }
         }
+        self.crash_cleanup = false;
         if taken > 0 {
             self.sync_baseline(cluster);
             self.touch_util(now);
@@ -3282,10 +3372,18 @@ impl<'a> World<'a> {
             // A crash can destroy a job's allocation outright; until its
             // victim cleanup runs (later in the same event), the job
             // still looks Running but can no longer receive grow/shrink
-            // requests — its allocation handle dangles.
+            // requests — its allocation handle dangles. Outside that
+            // window every Running job's allocation is live.
             .filter(move |j| {
-                j.alloc
-                    .is_some_and(|a| self.mc.cluster(cluster).alloc_size(a).is_some())
+                let live = |a| self.mc.cluster(cluster).alloc_size(a).is_some();
+                match j.alloc {
+                    Some(a) if self.crash_cleanup => live(a),
+                    Some(a) => {
+                        debug_assert!(live(a), "{:?} runs on a dead allocation", j.id);
+                        true
+                    }
+                    None => false,
+                }
             })
     }
 
@@ -5189,6 +5287,154 @@ mod tests {
             Ok(before),
             "forking changed the warmed world"
         );
+    }
+
+    /// The scan's quick-reject reads the job's need straight off its
+    /// spec; it must answer exactly as the request it replaces would.
+    #[test]
+    fn placement_need_answers_like_the_built_request() {
+        use appsim::{AppKind, JobSpec};
+        let mut moldable = JobSpec::rigid(AppKind::Gadget2, 4);
+        moldable.class = JobClass::Moldable { min: 3, max: 9 };
+        let specs = [
+            JobSpec::rigid(AppKind::Gadget2, 5),
+            JobSpec::paper_malleable(AppKind::Ft),
+            moldable,
+            JobSpec::coallocated(AppKind::Gadget2, vec![6, 2, 4]),
+            JobSpec::coallocated(AppKind::Gadget2, vec![]),
+        ];
+        let mut idx = AvailIndex::new(3);
+        let mut req = PlacementRequest::default();
+        for eff in [[0, 0, 0], [5, 1, 1], [6, 4, 2], [2, 2, 2], [9, 0, 3]] {
+            idx.rebuild(&eff);
+            for spec in &specs {
+                let job = Job::new(JobId(0), spec.clone(), SimTime::ZERO);
+                World::request_for(&job, &mut req);
+                let (min, total) = World::placement_need(&job);
+                assert_eq!(
+                    idx.can_fit(min, total),
+                    idx.can_satisfy(&req),
+                    "{eff:?} {spec:?}"
+                );
+            }
+        }
+    }
+
+    /// The crash window. A crash destroys every allocation on a cluster,
+    /// and its victims are cleaned up one at a time. Cleaning the first
+    /// victim, a co-allocated job, re-queues it and releases its
+    /// surviving component on the other cluster, so a PWA scan fires
+    /// inside the crash event while the second victim, a malleable job,
+    /// still looks Running with a dead allocation. The re-queued job
+    /// does not fit, so PWA weighs shrinking: counting the dead job's
+    /// shrinkable processors would pick its cluster and shrink it. That
+    /// job must be absent from the grow and shrink views and from
+    /// `shrinkable_on`, and the run must go on to the pinned outcome.
+    #[test]
+    fn crash_window_hides_dead_allocations_from_job_management() {
+        use appsim::workload::SubmittedJob;
+        use appsim::JobSpec;
+        let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
+        cfg.uniform_topology = Some(crate::config::UniformTopology {
+            clusters: 2,
+            nodes_per_cluster: 16,
+        });
+        cfg.background = multicluster::BackgroundLoad::none();
+        cfg.sched.koala_share = 1.0;
+        cfg.elasticity.failure_policy = FailurePolicy::Requeue;
+        let mut malleable = JobSpec::paper_malleable(appsim::AppKind::Gadget2);
+        malleable.class = JobClass::Malleable {
+            min: 2,
+            max: 16,
+            initial: 13,
+        };
+        let at = |s: u64, spec: JobSpec| SubmittedJob {
+            at: SimTime::from_secs(s),
+            spec,
+        };
+        cfg.trace = Some(vec![
+            at(
+                0,
+                JobSpec::coallocated(appsim::AppKind::Gadget2, vec![2, 2]),
+            ),
+            at(30, malleable),
+            at(60, JobSpec::rigid(appsim::AppKind::Gadget2, 13)),
+        ]);
+        cfg.seed = 3;
+        let (coalloc, mall, rigid) = (JobId(0), JobId(1), JobId(2));
+        let (c0, c1) = (ClusterId(0), ClusterId(1));
+
+        let mut w = World::new(&cfg);
+        let mut engine = Engine::new();
+        w.bootstrap(&mut engine);
+        w.run_until(&mut engine, SimTime::from_secs(120));
+        // The set-up the window needs: both victims hold processors on
+        // cluster 0, the co-allocated job also on cluster 1, the rigid
+        // job fills cluster 1, and one processor is idle on each.
+        for id in [coalloc, mall, rigid] {
+            assert_eq!(w.job_phase(id), JobPhase::Running, "{id:?}");
+        }
+        assert_eq!(w.jobs.get(coalloc).and_then(|j| j.cluster), Some(c0));
+        assert!(!w.jobs.get(coalloc).expect("live").extra_allocs.is_empty());
+        assert_eq!(w.jobs.get(mall).and_then(|j| j.cluster), Some(c0));
+        assert_eq!(w.jobs.get(rigid).and_then(|j| j.cluster), Some(c1));
+        assert_eq!((w.mc.cluster(c0).idle(), w.mc.cluster(c1).idle()), (1, 1));
+        assert!(w.queue.is_empty());
+        assert_eq!(
+            w.shrinkable_on(c0),
+            11,
+            "the malleable job can shrink by 11"
+        );
+
+        // Inside the window: the crash has destroyed both allocations and
+        // no victim is cleaned yet.
+        let mut probe = w.fork_clone(&cfg);
+        let capacity = probe.mc.cluster(c0).capacity();
+        let (_, victims) = probe.mc.cluster_mut(c0).crash(capacity);
+        assert_eq!(victims.len(), 2);
+        probe.crash_cleanup = true;
+        assert!(probe.malleable_running_on(c0).all(|j| j.id != mall));
+        let mut views = Vec::new();
+        for for_grow in [true, false] {
+            probe.running_views_into(c0, for_grow, &mut views);
+            assert!(views.iter().all(|v| v.job != mall), "grow={for_grow}");
+        }
+        assert_eq!(probe.shrinkable_on(c0), 0);
+
+        // The real event: the scan inside it records a failed try for the
+        // re-queued job, the dead job is not shrunk, and the run
+        // finishes as pinned.
+        let tries = w.queue.total_tries();
+        w.on_node_crash(&mut engine, c0, capacity, SimDuration::from_secs(600));
+        assert!(w.queue.total_tries() > tries, "no scan fired in the crash");
+        assert_eq!(w.shrink_messages, 0, "the dead job was asked to shrink");
+        assert_ne!(w.job_phase(mall), JobPhase::Running);
+        while let Some((_, ev)) = engine.pop() {
+            w.handle(&mut engine, ev);
+            if w.done() {
+                break;
+            }
+        }
+        let r = w.finish(&engine);
+        let mut text = format!(
+            "placement_tries={} failed_submissions={} requeued={} makespan={:?}\n",
+            r.placement_tries, r.failed_submissions, r.jobs_requeued, r.makespan
+        );
+        for j in r.jobs.records() {
+            text.push_str(&format!(
+                "job {} {:?} placed={:?} done={:?} grows={} shrinks={}\n",
+                j.id, j.outcome, j.placed, j.completed, j.grows, j.shrinks
+            ));
+        }
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/crash_window.txt");
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&path, &text).expect("write golden file");
+            return;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+        assert_eq!(text, golden, "the crash-window run drifted from its golden");
     }
 
     #[test]

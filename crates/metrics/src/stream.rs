@@ -365,6 +365,16 @@ impl StreamQuantiles {
         let priority = mix64(self.seed ^ mix64(self.pushed));
         self.pushed += 1;
         let e = (priority, x);
+        // Full and sorting after the largest kept key: the search below
+        // would land at `capacity` and drop the sample anyway.
+        if self.entries.len() >= self.capacity
+            && self
+                .entries
+                .last()
+                .is_some_and(|l| Self::key(&e) > Self::key(l))
+        {
+            return;
+        }
         let at = self
             .entries
             .partition_point(|p| Self::key(p) < Self::key(&e));
@@ -837,5 +847,49 @@ mod tests {
         assert_eq!(one.lo(), 7.0);
         assert_eq!(one.hi(), 7.0);
         assert_eq!(format!("{one}"), "7.00 ± n/a");
+    }
+
+    /// The reservoir insert without the early reject: search, insert,
+    /// truncate.
+    fn push_by_search(q: &mut StreamQuantiles, x: f64) {
+        if x.is_nan() {
+            return;
+        }
+        let e = (mix64(q.seed ^ mix64(q.pushed)), x);
+        q.pushed += 1;
+        let at = q
+            .entries
+            .partition_point(|p| StreamQuantiles::key(p) < StreamQuantiles::key(&e));
+        if at < q.capacity {
+            q.entries.insert(at, e);
+            q.entries.truncate(q.capacity);
+        }
+    }
+
+    proptest::proptest! {
+        /// The early reject keeps exactly what the plain search keeps,
+        /// for any stream (NaNs and repeated values included) and any
+        /// capacity.
+        #[test]
+        fn early_reject_keeps_the_searched_reservoir(
+            seed in proptest::prelude::any::<u64>(),
+            capacity in 1usize..40,
+            samples in proptest::collection::vec(
+                proptest::prop_oneof![
+                    -1e6f64..1e6,
+                    proptest::prelude::Just(f64::NAN),
+                    proptest::prelude::Just(1.5),
+                ],
+                0..300,
+            ),
+        ) {
+            let mut fast = StreamQuantiles::new(seed, capacity);
+            let mut searched = StreamQuantiles::new(seed, capacity);
+            for &x in &samples {
+                fast.push(x);
+                push_by_search(&mut searched, x);
+                proptest::prop_assert_eq!(fast.state(), searched.state());
+            }
+        }
     }
 }
