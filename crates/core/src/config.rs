@@ -395,10 +395,11 @@ pub struct SchedulerConfig {
     /// inert without [`ElasticityConfig::ctrl_faults`]).
     #[serde(default)]
     pub retry: RetryConfig,
-    /// Event-queue implementation backing the engine. The binary heap
-    /// ([`simcore::QueueImpl::Heap`]) is the only one; the field stays
-    /// because stored configurations and external benchmark drivers
-    /// name it (`Engine::configured(cfg.sched.event_queue, ..)`).
+    /// Event-queue implementation backing the engine. The monotone radix
+    /// queue ([`simcore::QueueImpl::Heap`], named for the binary heap it
+    /// replaced) is the only one; the field stays because stored
+    /// configurations and external benchmark drivers name it
+    /// (`Engine::configured(cfg.sched.event_queue, ..)`).
     #[serde(default)]
     pub event_queue: simcore::QueueImpl,
     /// Incremental per-cluster availability index: `scan_queue` consults

@@ -2560,19 +2560,20 @@ impl<'a> World<'a> {
             .cluster_mut(cluster)
             .release(alloc)
             .expect("completed job held an allocation");
-        let mut freed_clusters = vec![cluster];
-        for (c, a) in extras {
+        for &(c, a) in &extras {
             self.mc
                 .cluster_mut(c)
                 .release(a)
                 .expect("completed job held all its components");
-            if !freed_clusters.contains(&c) {
-                freed_clusters.push(c);
-            }
         }
         self.touch_util(now);
-        for c in freed_clusters {
-            self.capacity_freed(engine, c);
+        // The primary cluster first, then each other component cluster
+        // once, in component order.
+        self.capacity_freed(engine, cluster);
+        for (i, &(c, _)) in extras.iter().enumerate() {
+            if c != cluster && extras[..i].iter().all(|&(d, _)| d != c) {
+                self.capacity_freed(engine, c);
+            }
         }
     }
 
@@ -4797,7 +4798,8 @@ fn topology_for(cfg: &ExperimentConfig) -> Multicluster {
 /// Builds a run engine for `cfg`: horizon from the configuration, event
 /// queue pre-sized from the workload (the bootstrap schedules one arrival
 /// per job up front, so the pending-event peak is at least the job
-/// count — sizing here avoids the heap growing incrementally mid-run).
+/// count — sizing here avoids the queue's slot arena growing
+/// incrementally mid-run).
 pub fn engine_for(cfg: &ExperimentConfig) -> Engine<Ev> {
     let jobs = cfg
         .trace

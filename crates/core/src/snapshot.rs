@@ -24,7 +24,7 @@
 //! gates [`World::fork_with`](crate::World::fork_with), which resumes
 //! the warmed prefix under a *different* policy cell of the same sweep.
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, SchedulerConfig};
 
 /// Magic bytes opening every serialized snapshot.
 pub const MAGIC: [u8; 4] = *b"KSNP";
@@ -162,7 +162,11 @@ pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
 /// exactly those fields — fingerprints identically and may fork from
 /// one shared warmup snapshot.
 pub fn fork_fingerprint(cfg: &ExperimentConfig) -> u64 {
-    fnv1a(format!("{:?}", fork_canonical(cfg)).as_bytes())
+    let c = ForkCanonical {
+        cfg,
+        with_trace: true,
+    };
+    fnv1a(format!("{c:?}").as_bytes())
 }
 
 /// The fork-equivalence key of a configuration: the canonical
@@ -174,19 +178,66 @@ pub fn fork_fingerprint(cfg: &ExperimentConfig) -> u64 {
 /// risk, save that `==` does not tell `0.0` from `-0.0` in a synthetic
 /// speedup model.
 pub(crate) fn fork_key(cfg: &ExperimentConfig) -> String {
-    let mut c = fork_canonical(cfg);
-    c.trace = None;
+    let c = ForkCanonical {
+        cfg,
+        with_trace: false,
+    };
     format!("{c:?}")
 }
 
-/// `cfg` with the fields the policy cells of one sweep differ in blanked.
-fn fork_canonical(cfg: &ExperimentConfig) -> ExperimentConfig {
-    let mut c = cfg.clone();
-    c.name = String::new();
-    c.sched.placement = String::new();
-    c.sched.malleability = String::new();
-    c.seed = 0;
-    c
+/// The `Debug` rendering of `cfg` with the fields the policy cells of
+/// one sweep differ in blanked (and, unless `with_trace`, the `trace`
+/// too), written straight from the borrowed configuration: it renders
+/// exactly what the derived `Debug` of the blanked copy would, without
+/// copying the job trace.
+struct ForkCanonical<'a> {
+    cfg: &'a ExperimentConfig,
+    with_trace: bool,
+}
+
+impl std::fmt::Debug for ForkCanonical<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Destructured in full: a field added to `ExperimentConfig` stops
+        // this compiling until it is rendered here, in declaration order.
+        let ExperimentConfig {
+            name: _,
+            sched,
+            workload,
+            generator,
+            background,
+            seed: _,
+            horizon,
+            trace,
+            heterogeneous,
+            uniform_topology,
+            report,
+            elasticity,
+            network,
+            warm_fork,
+        } = self.cfg;
+        let sched = SchedulerConfig {
+            placement: String::new(),
+            malleability: String::new(),
+            ..sched.clone()
+        };
+        let trace = if self.with_trace { trace } else { &None };
+        f.debug_struct("ExperimentConfig")
+            .field("name", &"")
+            .field("sched", &sched)
+            .field("workload", workload)
+            .field("generator", generator)
+            .field("background", background)
+            .field("seed", &0u64)
+            .field("horizon", horizon)
+            .field("trace", trace)
+            .field("heterogeneous", heterogeneous)
+            .field("uniform_topology", uniform_topology)
+            .field("report", report)
+            .field("elasticity", elasticity)
+            .field("network", network)
+            .field("warm_fork", warm_fork)
+            .finish()
+    }
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -497,5 +548,38 @@ mod tests {
         let mut c = a.clone();
         c.workload.jobs += 1;
         assert_ne!(fork_fingerprint(&a), fork_fingerprint(&c));
+    }
+
+    #[test]
+    fn fork_renderings_match_the_blanked_copy() {
+        use crate::scenario::Scenario;
+        use appsim::workload::WorkloadSpec;
+        let w = WorkloadSpec::wm_prime();
+        let trace = w.generate(&mut simcore::SimRng::seed_from_u64(7));
+        let cfg = Scenario::builder()
+            .name("first_fit+egs")
+            .placement("first_fit")
+            .malleability("egs")
+            .pwa()
+            .workload(w)
+            .seed(11)
+            .warm_fork(simcore::SimDuration::from_secs(600))
+            .trace(trace)
+            .network("das3")
+            .network_file(20.0, [0])
+            .summarized()
+            .build()
+            .expect("valid scenario")
+            .into_config();
+        // The rendering of a blanked copy, as the fork key and the fork
+        // fingerprint were first defined.
+        let mut c = cfg.clone();
+        c.name = String::new();
+        c.sched.placement = String::new();
+        c.sched.malleability = String::new();
+        c.seed = 0;
+        assert_eq!(fork_fingerprint(&cfg), fnv1a(format!("{c:?}").as_bytes()));
+        c.trace = None;
+        assert_eq!(fork_key(&cfg), format!("{c:?}"));
     }
 }

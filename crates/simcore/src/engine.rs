@@ -44,16 +44,18 @@ pub struct EngineStats {
     pub beyond_horizon: u64,
 }
 
-/// The event-queue implementation an [`Engine`] runs on: the binary-heap
-/// [`EventQueue`] is the only one.
+/// The event-queue implementation an [`Engine`] runs on: the monotone
+/// radix [`EventQueue`] is the only one.
 ///
 /// The type survives, with its single variant, because configurations
 /// carry it (`SchedulerConfig::event_queue`) and external benchmark
 /// drivers pass it as the first argument of [`Engine::configured`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum QueueImpl {
-    /// The binary-heap [`EventQueue`]: O(log n) push/pop, FIFO among
-    /// equal timestamps.
+    /// The [`EventQueue`]: a monotone radix queue with O(1) push,
+    /// amortized O(digits) pop, and FIFO among equal timestamps. The
+    /// variant keeps the name it had when the queue was a binary heap,
+    /// because stored configurations spell it.
     #[default]
     Heap,
 }
@@ -80,7 +82,9 @@ pub struct EngineSnapshot<E> {
 ///
 /// Generic over the event type `E`; see the module docs for the driver
 /// pattern. The clock only moves forward, in the order fixed by the
-/// stable `(time, seq)` queue.
+/// stable `(time, seq)` queue. Every schedule is clamped to `now`, so the
+/// queue only ever sees pushes at or after its last pop: the monotone
+/// case its O(1) push is built for.
 ///
 /// A clone carries the clock, counters and every pending event with its
 /// sequence number, so it pops exactly what the original would from
@@ -114,9 +118,11 @@ impl<E> Engine<E> {
     }
 
     /// Creates an engine whose event queue has room for `cap` pending
-    /// events before reallocating. Drivers that know their workload size
-    /// up front (e.g. one arrival per job plus periodic timers) use this
-    /// to keep the queue from growing incrementally during the run.
+    /// events before its slot arena reallocates. Drivers that know their
+    /// workload size up front (e.g. one arrival per job plus periodic
+    /// timers) use this to keep the queue from growing incrementally
+    /// during the run. The queue's 256 buckets are lists through that one
+    /// arena, so nothing is reserved per bucket.
     pub fn with_capacity(cap: usize) -> Self {
         Engine::configured(QueueImpl::Heap, None, cap)
     }
@@ -127,8 +133,9 @@ impl<E> Engine<E> {
     }
 
     /// The fully explicit constructor: queue implementation, optional
-    /// horizon (`None` = unbounded), and initial queue capacity. The
-    /// first parameter can only be [`QueueImpl::Heap`]; it stays because
+    /// horizon (`None` = unbounded), and the pending-event capacity
+    /// `cap` (as in [`Engine::with_capacity`]). The first
+    /// parameter can only be [`QueueImpl::Heap`]; it stays because
     /// external benchmark drivers pass `cfg.sched.event_queue` here.
     pub fn configured(queue: QueueImpl, horizon: Option<SimTime>, cap: usize) -> Self {
         let QueueImpl::Heap = queue;

@@ -8,8 +8,9 @@
 //!   time makes runs bit-reproducible across platforms; a millisecond is
 //!   fine-grained enough for the latencies the paper discusses (GRAM
 //!   submission seconds, message round-trips tens of milliseconds).
-//! * [`EventQueue`] — a priority queue that breaks ties in insertion order,
-//!   so simultaneous events execute deterministically.
+//! * [`EventQueue`] — a monotone radix priority queue (O(1) push) that
+//!   keeps ties in insertion order by construction, so simultaneous events
+//!   execute deterministically.
 //! * [`Engine`] — clock + queue + bookkeeping. The engine deliberately does
 //!   *not* own the simulated world; callers pop events and dispatch them to
 //!   their own state, which keeps borrow checking trivial and lets each
