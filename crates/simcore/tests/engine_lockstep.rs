@@ -26,8 +26,6 @@ enum Op {
     Burst(u64, u8),
     /// `schedule_in` a year or so out: past any horizon the script sets.
     FarFuture(u64),
-    /// Pop once.
-    Pop,
     /// Pop `n` times.
     Drain(u8),
     /// Drop every pending event.
@@ -45,9 +43,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u8..12).prop_map(Op::NowBurst),
         ((0u64..60_000), (2u8..16)).prop_map(|(t, n)| Op::Burst(t, n)),
         (0u64..1_000).prop_map(Op::FarFuture),
-        Just(Op::Pop),
-        Just(Op::Pop),
-        Just(Op::Pop),
+        Just(Op::Drain(1)),
+        Just(Op::Drain(1)),
+        Just(Op::Drain(1)),
         (1u8..40).prop_map(Op::Drain),
         Just(Op::Clear),
         Just(Op::Fork),
@@ -161,11 +159,7 @@ fn run_lockstep(ops: &[Op], horizon: u64, cap: usize) {
                 engines.iter_mut().for_each(|e| e.schedule_in(d, i));
                 model.schedule_at(model.now + d, i);
             }
-            Op::Pop | Op::Drain(_) => {
-                let n = match *op {
-                    Op::Drain(n) => n,
-                    _ => 1,
-                };
+            Op::Drain(n) => {
                 for _ in 0..n {
                     let want = model.pop();
                     for e in engines.iter_mut() {
@@ -236,7 +230,7 @@ fn every_operation_in_one_script() {
         Op::Burst(5_000, 6),
         Op::At(1_000),
         Op::FarFuture(3),
-        Op::Pop,
+        Op::Drain(1),
         Op::NowBurst(4),
         Op::At(0),
         Op::Fork,
