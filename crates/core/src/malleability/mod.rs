@@ -34,6 +34,8 @@
 //! The accept callback is how the simulation wires these policies to each
 //! job's DYNACO instance; unit tests here use plain closures.
 
+use std::borrow::Cow;
+
 use simcore::SimTime;
 
 use crate::ids::JobId;
@@ -97,20 +99,20 @@ impl<Op> Default for PolicyOutcome<Op> {
     }
 }
 
-/// Views sorted oldest-first (the grow order of FPSMA and the EGS bonus
-/// order).
-fn oldest_first(jobs: &[RunningView]) -> Vec<RunningView> {
-    let mut order = jobs.to_vec();
-    order.sort_by_key(|v| (v.started, v.job));
-    order
-}
-
-/// Views sorted youngest-first (the shrink order of FPSMA and the EGS
-/// malus order).
-fn youngest_first(jobs: &[RunningView]) -> Vec<RunningView> {
-    let mut order = jobs.to_vec();
-    order.sort_by_key(|v| (std::cmp::Reverse(v.started), std::cmp::Reverse(v.job)));
-    order
+/// Views sorted oldest-first by `(started, job)` (the grow order of
+/// FPSMA and the EGS bonus order); walked backwards, youngest-first (the
+/// shrink order of FPSMA and the EGS malus order). The scheduler hands
+/// policies their views already in this order, which is then borrowed;
+/// any other input is copied and sorted.
+fn oldest_first(jobs: &[RunningView]) -> Cow<'_, [RunningView]> {
+    let key = |v: &RunningView| (v.started, v.job);
+    if jobs.is_sorted_by_key(key) {
+        Cow::Borrowed(jobs)
+    } else {
+        let mut order = jobs.to_vec();
+        order.sort_by_key(key);
+        Cow::Owned(order)
+    }
 }
 
 /// Offers the whole remaining budget to each view in `order` until it is
@@ -198,7 +200,7 @@ impl Malleability for Fpsma {
         // Fig. 4: youngest job first; each is asked for the whole
         // remaining shrink value.
         let mut remaining = shrink_value;
-        for v in &youngest_first(jobs) {
+        for v in oldest_first(jobs).iter().rev() {
             out.messages += 1;
             let released = accept(v.job, remaining);
             if released > 0 {
@@ -282,11 +284,11 @@ impl Malleability for Egs {
         // `i ≥ growRemainder` over the descending list, which would
         // spare the youngest jobs — we follow the stated intent
         // instead.)
-        let order = youngest_first(jobs);
+        let order = oldest_first(jobs);
         let n = order.len() as u32;
         let share = shrink_value / n;
         let rem = shrink_value % n;
-        for (i, v) in order.iter().enumerate() {
+        for (i, v) in order.iter().rev().enumerate() {
             let malus = u32::from((i as u32) < rem);
             let requested = share + malus;
             if requested == 0 {
@@ -370,13 +372,13 @@ impl Malleability for Equipartition {
         }
         // Drive sizes toward an equal share of (current holdings − the
         // processors being reclaimed).
-        let order = youngest_first(jobs);
+        let order = oldest_first(jobs);
         let n = order.len() as u32;
         let pool: u32 = order.iter().map(|v| v.size).sum::<u32>();
         let pool = pool.saturating_sub(shrink_value);
         let share = pool / n;
         let mut remaining = shrink_value;
-        for v in &order {
+        for v in order.iter().rev() {
             if remaining == 0 {
                 break;
             }
@@ -425,7 +427,7 @@ impl Malleability for Folding {
         }
         // Unfold (double) jobs oldest-first while the budget lasts.
         let mut remaining = grow_value;
-        for v in &oldest_first(jobs) {
+        for v in oldest_first(jobs).iter() {
             if remaining == 0 {
                 break;
             }
@@ -460,7 +462,7 @@ impl Malleability for Folding {
         }
         // Fold (halve) jobs youngest-first until satisfied.
         let mut remaining = shrink_value;
-        for v in &youngest_first(jobs) {
+        for v in oldest_first(jobs).iter().rev() {
             if remaining == 0 {
                 break;
             }

@@ -73,7 +73,9 @@ pub trait Placement: Send + Sync {
     /// stash the buffer or rely on its previous contents.
     ///
     /// Returns `None` when the job cannot be placed now (the caller
-    /// queues it).
+    /// queues it). A returned decision is a fresh `Vec`: with
+    /// [`PolicyOutcome::ops`](crate::malleability::PolicyOutcome), one
+    /// of the two per-call heap allocations left on the scheduling path.
     fn place_in(
         &self,
         req: &PlacementRequest,
@@ -105,6 +107,13 @@ pub trait Placement: Send + Sync {
 /// the scheduler never reasons about application size constraints), and
 /// the policy updates its remaining budget. Like [`Placement`],
 /// implementations must be stateless across calls.
+///
+/// The simulator passes `jobs` sorted oldest first by `(started, job)`,
+/// so an age-ordered policy can walk the slice (backwards for
+/// youngest-first) without copying it. The returned
+/// [`PolicyOutcome::ops`] is one of the two heap allocations left per
+/// policy call on the scheduling path (the other is a placement's
+/// [`PlacementDecision`]); everything else the scheduler reuses.
 pub trait Malleability: Send + Sync {
     /// Registry key (`snake_case`), e.g. `"fpsma"`.
     fn name(&self) -> &'static str;

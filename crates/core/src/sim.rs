@@ -41,7 +41,6 @@
 //! transfer lands, so data movement genuinely delays job starts.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use appsim::dynaco::{Dynaco, Phase as DynacoPhase};
 use appsim::generate::JobStream;
@@ -55,7 +54,7 @@ use multicluster::{
     MessageClass, Multicluster, NodeId, NodeState, SubmitOutcome,
 };
 use simcore::{
-    Engine, EngineSnapshot, EngineStats, Generation, SimDuration, SimRng, SimTime, Trace,
+    Engine, EngineSnapshot, EngineStats, Generation, IdHashMap, SimDuration, SimRng, SimTime, Trace,
 };
 
 use crate::autoscaler::{Autoscaler, AutoscalerRegistry, ClusterObservation, ScaleDecision};
@@ -341,36 +340,6 @@ enum Intake<'a> {
     },
 }
 
-/// Multiply-shift hasher for [`JobSlab::index`]'s `u32` job ids.
-///
-/// The ids come from the simulator, never from outside it, so they need
-/// no protection against crafted collisions; the odd multiplier spreads
-/// sequential ids over the buckets and the table's tag bits. The map is
-/// never iterated, so the hasher cannot reach the trajectory.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    /// 2⁶⁴ divided by the golden ratio, rounded to odd.
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(Self::K);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Job storage of a world: a slab indexed by job id.
 ///
 /// In **fixed** mode (eager intake) ids are dense indices and jobs stay
@@ -404,7 +373,8 @@ struct JobSlab {
     /// Free slot indices (streaming mode only).
     free: Vec<u32>,
     /// Job id → slot (streaming mode only; fixed mode uses id = slot).
-    index: HashMap<u32, u32, BuildHasherDefault<IdHasher>>,
+    /// Never iterated, so its hash order cannot reach the trajectory.
+    index: IdHashMap<u32, u32>,
     streaming: bool,
     /// Jobs created and not yet retired.
     live: usize,
@@ -424,7 +394,7 @@ impl JobSlab {
             clusters: vec![None; n],
             running: Vec::new(),
             free: Vec::new(),
-            index: HashMap::default(),
+            index: IdHashMap::default(),
             streaming: false,
             live: n,
             peak_live: n,
@@ -444,7 +414,7 @@ impl JobSlab {
             clusters: Vec::new(),
             running: Vec::new(),
             free: Vec::new(),
-            index: HashMap::default(),
+            index: IdHashMap::default(),
             streaming: true,
             live: 0,
             peak_live: 0,
@@ -777,6 +747,10 @@ pub struct World<'a> {
     /// shrink procedures' policy input), detached and re-attached like
     /// the scan buffers above.
     scratch_views: Vec<RunningView>,
+    /// Reusable scratch for the allocations one placement claims
+    /// (`(cluster, allocation, size)` per component), filled by
+    /// [`World::claim`] and read by [`World::commit_placement`].
+    scratch_claims: Vec<(ClusterId, AllocId, u32)>,
     /// Incremental per-cluster availability index (see [`crate::avail`]):
     /// capacity mutations mark their cluster dirty, and the scan's
     /// effective-availability aggregates quick-reject placement attempts
@@ -1005,6 +979,7 @@ impl<'a> World<'a> {
             scratch_place: Vec::with_capacity(n_clusters),
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
+            scratch_claims: Vec::new(),
             avail_idx: AvailIndex::new(n_clusters),
             started: false,
             koala_cap_memo: (0, 0),
@@ -1309,6 +1284,7 @@ impl<'a> World<'a> {
             scratch_place: Vec::with_capacity(self.mc.len()),
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
+            scratch_claims: Vec::new(),
             avail_idx: self.avail_idx.clone(),
             started: self.started,
             koala_cap_memo: (0, 0),
@@ -1520,20 +1496,17 @@ impl<'a> World<'a> {
     }
 
     /// Estimated staging time of a job's input files at `cluster` (zero
-    /// without a catalog or files).
+    /// without a catalog or files): [`FileCatalog::staging_time`] over
+    /// the spec's file ids, summed in place.
     fn staging_time(&self, job: &Job, cluster: ClusterId) -> simcore::SimDuration {
-        match &self.files {
-            Some(cat) => {
-                let files: Vec<multicluster::FileId> = job
-                    .spec
-                    .input_files
-                    .iter()
-                    .map(|&f| multicluster::FileId(f))
-                    .collect();
-                cat.staging_time(&files, cluster)
-            }
-            None => simcore::SimDuration::ZERO,
-        }
+        let Some(cat) = &self.files else {
+            return simcore::SimDuration::ZERO;
+        };
+        job.spec
+            .input_files
+            .iter()
+            .filter_map(|&f| cat.transfer_time(FileId(f), cluster))
+            .fold(simcore::SimDuration::ZERO, |acc, d| acc + d)
     }
 
     /// Scans the placement queue head-to-tail (Section IV-A), placing
@@ -1697,38 +1670,21 @@ impl<'a> World<'a> {
                     // The claim runs against *live* state; a stale
                     // snapshot can make it fail, which counts as a
                     // failed placement try (the job stays queued).
-                    // Co-allocated claims are all-or-nothing: a partial
-                    // failure releases what was already claimed, as in
-                    // KOALA's co-allocator.
-                    let mut got: Vec<(ClusterId, AllocId, u32)> = Vec::new();
-                    let mut all_ok = true;
-                    for cp in &placement {
-                        match self
-                            .mc
-                            .cluster_mut(cp.cluster)
-                            .allocate(AllocOwner::Koala(id.0 as u64), cp.size)
-                        {
-                            Ok(alloc) => got.push((cp.cluster, alloc, cp.size)),
-                            Err(_) => {
-                                all_ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if all_ok {
+                    let mut got = std::mem::take(&mut self.scratch_claims);
+                    if self.claim(
+                        id,
+                        placement.iter().map(|cp| (cp.cluster, cp.size)),
+                        &mut got,
+                    ) {
                         for &(c, _, size) in &got {
                             avail[c.index()] = avail[c.index()].saturating_sub(size);
                         }
                         walk.remove_current();
-                        self.commit_placement(engine, id, got);
-                    } else {
-                        for (c, alloc, _) in got {
-                            self.mc.cluster_mut(c).release(alloc).expect("just claimed");
-                        }
-                        if walk.fail_current(threshold) {
-                            self.fail_submission(id);
-                        }
+                        self.commit_placement(engine, id, &got);
+                    } else if walk.fail_current(threshold) {
+                        self.fail_submission(id);
                     }
+                    self.scratch_claims = got;
                 }
                 None => {
                     if self.cfg.sched.approach == Approach::Pwa && !pwa_handled {
@@ -1774,11 +1730,42 @@ impl<'a> World<'a> {
         self.jobs.retire(id);
     }
 
+    /// Claims `components` (`(cluster, size)` each) for job `id` against
+    /// live cluster state, filling `got` (cleared first) with one
+    /// `(cluster, allocation, size)` per component. Co-allocated claims
+    /// are all-or-nothing, as in KOALA's co-allocator: on the first
+    /// failure what was already claimed is released and `false`
+    /// returned.
+    fn claim(
+        &mut self,
+        id: JobId,
+        components: impl Iterator<Item = (ClusterId, u32)>,
+        got: &mut Vec<(ClusterId, AllocId, u32)>,
+    ) -> bool {
+        got.clear();
+        for (cluster, size) in components {
+            match self
+                .mc
+                .cluster_mut(cluster)
+                .allocate(AllocOwner::Koala(id.0 as u64), size)
+            {
+                Ok(alloc) => got.push((cluster, alloc, size)),
+                Err(_) => {
+                    for &(c, alloc, _) in got.iter() {
+                        self.mc.cluster_mut(c).release(alloc).expect("just claimed");
+                    }
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     fn commit_placement(
         &mut self,
         engine: &mut Engine<Ev>,
         id: JobId,
-        components: Vec<(ClusterId, AllocId, u32)>,
+        components: &[(ClusterId, AllocId, u32)],
     ) {
         let now = engine.now();
         let total: u32 = components.iter().map(|&(_, _, s)| s).sum();
@@ -1818,7 +1805,7 @@ impl<'a> World<'a> {
             let delay = self.cfg.sched.gram.batch_submit_time(total);
             self.send_ctrl(engine, id, gen, CtrlOp::Start, Some(cluster), delay, 0);
         }
-        for &(c, _, _) in &components {
+        for &(c, _, _) in components {
             self.avail_idx.mark(c);
             self.sync_baseline(c);
         }
@@ -2405,22 +2392,16 @@ impl<'a> World<'a> {
                     .cluster_mut(cluster)
                     .release(alloc)
                     .expect("surrendered allocation was held");
-                let mut freed = vec![cluster];
-                for (c, a) in extras {
+                for &(c, a) in &extras {
                     self.mc
                         .cluster_mut(c)
                         .release(a)
                         .expect("surrendered component was held");
-                    if !freed.contains(&c) {
-                        freed.push(c);
-                    }
                 }
                 self.queue.push_back(id);
                 self.fail_try(id);
                 self.touch_util(now);
-                for c in freed {
-                    self.capacity_freed(engine, c);
-                }
+                self.job_capacity_freed(engine, cluster, &extras);
             }
             CtrlOp::Grow => {
                 let job = self
@@ -2567,8 +2548,18 @@ impl<'a> World<'a> {
                 .expect("completed job held all its components");
         }
         self.touch_util(now);
-        // The primary cluster first, then each other component cluster
-        // once, in component order.
+        self.job_capacity_freed(engine, cluster, &extras);
+    }
+
+    /// [`World::capacity_freed`] for every cluster a job held: the
+    /// primary `cluster` first, then each other component cluster once,
+    /// in component order.
+    fn job_capacity_freed(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        cluster: ClusterId,
+        extras: &[(ClusterId, AllocId)],
+    ) {
         self.capacity_freed(engine, cluster);
         for (i, &(c, _)) in extras.iter().enumerate() {
             if c != cluster && extras[..i].iter().all(|&(d, _)| d != c) {
@@ -2676,27 +2667,10 @@ impl<'a> World<'a> {
             .pending_claim
             .take()
             .expect("staging job has a pending claim");
-        let mut got: Vec<(ClusterId, AllocId, u32)> = Vec::new();
-        let mut all_ok = true;
-        for &(cluster, size) in &components {
-            match self
-                .mc
-                .cluster_mut(cluster)
-                .allocate(AllocOwner::Koala(id.0 as u64), size)
-            {
-                Ok(alloc) => got.push((cluster, alloc, size)),
-                Err(_) => {
-                    all_ok = false;
-                    break;
-                }
-            }
-        }
-        if all_ok {
-            self.commit_placement(engine, id, got);
+        let mut got = std::mem::take(&mut self.scratch_claims);
+        if self.claim(id, components.into_iter(), &mut got) {
+            self.commit_placement(engine, id, &got);
         } else {
-            for (c, alloc, _) in got {
-                self.mc.cluster_mut(c).release(alloc).expect("just claimed");
-            }
             let job = self.jobs.get_mut(id).expect("staging job is live");
             job.phase = JobPhase::Queued;
             job.cluster = None;
@@ -2704,6 +2678,7 @@ impl<'a> World<'a> {
             self.queue.push_back(id);
             self.fail_try(id);
         }
+        self.scratch_claims = got;
     }
 
     // ------------------------------------------------------------------
@@ -2788,7 +2763,7 @@ impl<'a> World<'a> {
                 );
                 net.stats.transfers_opened += 1;
                 net.stats.bytes_staged_gb += meta.size_gb;
-                for s in scheds {
+                for s in &scheds {
                     engine.schedule_at(
                         s.eta,
                         Ev::TransferDone {
@@ -2797,6 +2772,7 @@ impl<'a> World<'a> {
                         },
                     );
                 }
+                net.flows.recycle(scheds);
                 opened += 1;
             }
             if opened > 0 {
@@ -2832,7 +2808,7 @@ impl<'a> World<'a> {
         let Some((done, scheds)) = net.flows.complete(now, transfer, gen) else {
             return; // stale estimate
         };
-        for s in scheds {
+        for s in &scheds {
             engine.schedule_at(
                 s.eta,
                 Ev::TransferDone {
@@ -2841,6 +2817,7 @@ impl<'a> World<'a> {
                 },
             );
         }
+        net.flows.recycle(scheds);
         let owner = net
             .owners
             .remove(&transfer)
@@ -2942,7 +2919,7 @@ impl<'a> World<'a> {
         );
         net.stats.transfers_opened += 1;
         net.stats.reconfig_transfers += 1;
-        for s in scheds {
+        for s in &scheds {
             engine.schedule_at(
                 s.eta,
                 Ev::TransferDone {
@@ -2951,6 +2928,7 @@ impl<'a> World<'a> {
                 },
             );
         }
+        net.flows.recycle(scheds);
     }
 
     /// Finalizes the network tallies: drains link busy-time up to the
@@ -3392,9 +3370,12 @@ impl<'a> World<'a> {
     /// running on `cluster` that can currently receive requests.
     /// `for_grow` filters to jobs below their maximum ("as long as at
     /// least one running malleable job can still be grown"); otherwise
-    /// to jobs above their minimum. `out` is a detached scratch buffer
-    /// ([`World::scratch_views`]): cleared here, re-attached by the
-    /// caller, so steady-state calls allocate nothing.
+    /// to jobs above their minimum. The views come oldest first, sorted
+    /// by `(started, job)` — the order the malleability policies walk —
+    /// so a policy borrows them instead of copying and sorting. `out` is
+    /// a detached scratch buffer ([`World::scratch_views`]): cleared
+    /// here, re-attached by the caller, so steady-state calls allocate
+    /// nothing.
     fn running_views_into(&self, cluster: ClusterId, for_grow: bool, out: &mut Vec<RunningView>) {
         out.clear();
         out.extend(self.malleable_running_on(cluster).filter_map(|j| {
@@ -3410,6 +3391,9 @@ impl<'a> World<'a> {
                 max,
             })
         }));
+        // In place (no buffer); the keys are distinct, so unstable is
+        // exact.
+        out.sort_unstable_by_key(|v| (v.started, v.job));
     }
 
     /// Processors mandatory shrinks could reclaim on `cluster`: the sum

@@ -388,35 +388,45 @@ impl StreamQuantiles {
     /// Merges another reservoir: keeps the `capacity` smallest
     /// priorities of the union (the merged capacity is the larger of
     /// the two). Exactly order-insensitive.
+    ///
+    /// Merges in place, from the back: the union's largest keys beyond
+    /// the capacity are skipped first, then the kept ones are written
+    /// from the last slot down, so `self.entries` grows at most to the
+    /// merged length and no other buffer is built. On equal keys `self`'s
+    /// entry sorts first.
     pub fn merge(&mut self, other: &StreamQuantiles) {
         self.capacity = self.capacity.max(other.capacity);
         self.pushed += other.pushed;
-        let mut merged =
-            Vec::with_capacity((self.entries.len() + other.entries.len()).min(self.capacity));
-        let (mut i, mut j) = (0, 0);
-        while merged.len() < self.capacity {
-            match (self.entries.get(i), other.entries.get(j)) {
-                (Some(a), Some(b)) => {
-                    if Self::key(a) <= Self::key(b) {
-                        merged.push(*a);
-                        i += 1;
-                    } else {
-                        merged.push(*b);
-                        j += 1;
-                    }
-                }
-                (Some(a), None) => {
-                    merged.push(*a);
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    merged.push(*b);
-                    j += 1;
-                }
-                (None, None) => break,
+        let b = &other.entries;
+        let (mut i, mut j) = (self.entries.len(), b.len());
+        let keep = (i + j).min(self.capacity);
+        // Drop the largest `i + j − keep` keys of the union. Walking
+        // down, a tie takes `other`'s entry: it sorts after `self`'s.
+        for _ in keep..i + j {
+            if j > 0 && (i == 0 || Self::key(&b[j - 1]) >= Self::key(&self.entries[i - 1])) {
+                j -= 1;
+            } else {
+                i -= 1;
             }
         }
-        self.entries = merged;
+        // Now `i + j == keep`: fill slots `keep − 1` down to 0. Slot
+        // `i + j − 1 ≥ i` while `j > 0`, so no unread entry of `self`
+        // is overwritten, and once `j == 0` the rest is already in place.
+        let a = &mut self.entries;
+        if a.len() < keep {
+            a.resize(keep, (0, 0.0));
+        }
+        while j > 0 {
+            let slot = i + j - 1;
+            if i > 0 && Self::key(&a[i - 1]) > Self::key(&b[j - 1]) {
+                a[slot] = a[i - 1];
+                i -= 1;
+            } else {
+                a[slot] = b[j - 1];
+                j -= 1;
+            }
+        }
+        a.truncate(keep);
     }
 
     /// Number of samples fed in (across merges).
@@ -765,6 +775,70 @@ mod tests {
         assert_eq!(abc.ecdf(), acb.ecdf());
         assert_eq!(abc.count(), 150);
         assert_eq!(abc.retained(), 8);
+    }
+
+    fn reservoir(capacity: usize, entries: &[(u64, f64)]) -> StreamQuantiles {
+        StreamQuantiles::from_state(StreamQuantilesState {
+            seed: 0,
+            capacity,
+            pushed: entries.len() as u64,
+            entries: entries.to_vec(),
+        })
+    }
+
+    #[test]
+    fn reservoir_merge_truncates_through_ties() {
+        // Equal keys on both sides straddle the cut: the union keeps
+        // both copies of a tied key when they fit and drops the
+        // duplicates past the capacity.
+        let mut a = reservoir(4, &[(1, 1.0), (3, 3.0), (5, 5.0), (7, 7.0)]);
+        let b = reservoir(4, &[(3, 3.0), (5, 5.0), (5, 5.5), (9, 9.0)]);
+        a.merge(&b);
+        assert_eq!(
+            a.state().entries,
+            vec![(1, 1.0), (3, 3.0), (3, 3.0), (5, 5.0)]
+        );
+        assert_eq!(a.count(), 8);
+        // The cut falls between the two copies of a tied key.
+        let mut a = reservoir(3, &[(2, 2.0), (4, 4.0), (6, 6.0)]);
+        let b = reservoir(3, &[(1, 1.0), (4, 4.0), (8, 8.0)]);
+        a.merge(&b);
+        assert_eq!(a.state().entries, vec![(1, 1.0), (2, 2.0), (4, 4.0)]);
+        // Merging a reservoir with itself keeps each entry twice, in
+        // order, up to the capacity.
+        let mut a = reservoir(5, &[(1, 1.0), (2, 2.0), (3, 3.0)]);
+        a.merge(&a.clone());
+        assert_eq!(
+            a.state().entries,
+            vec![(1, 1.0), (1, 1.0), (2, 2.0), (2, 2.0), (3, 3.0)]
+        );
+    }
+
+    #[test]
+    fn reservoir_merge_of_unequal_capacities() {
+        let small = reservoir(2, &[(4, 4.0), (10, 10.0)]);
+        let large = reservoir(5, &[(1, 1.0), (5, 5.0), (6, 6.0), (8, 8.0), (12, 12.0)]);
+        let want = vec![(1, 1.0), (4, 4.0), (5, 5.0), (6, 6.0), (8, 8.0)];
+        // The merged capacity is the larger one, from either side.
+        let mut s = small.clone();
+        s.merge(&large);
+        assert_eq!(s.capacity(), 5);
+        assert_eq!(s.state().entries, want);
+        let mut l = large.clone();
+        l.merge(&small);
+        assert_eq!(l.capacity(), 5);
+        assert_eq!(l.state().entries, want);
+        // Growing into the larger capacity without truncating, and
+        // merging with empty reservoirs on either side.
+        let mut s = small.clone();
+        s.merge(&reservoir(6, &[(2, 2.0)]));
+        assert_eq!(s.state().entries, vec![(2, 2.0), (4, 4.0), (10, 10.0)]);
+        let mut e = reservoir(3, &[]);
+        e.merge(&large);
+        assert_eq!(e.state().entries, large.state().entries);
+        let mut l = large.clone();
+        l.merge(&reservoir(1, &[]));
+        assert_eq!(l.state().entries, large.state().entries);
     }
 
     #[test]

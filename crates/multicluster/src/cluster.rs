@@ -10,8 +10,16 @@
 //! Node identity is tracked explicitly (not just counters) so that the
 //! availability experiments can withdraw specific nodes and so invariants
 //! ("a node belongs to at most one allocation") are checkable.
+//!
+//! Every background job and every KOALA claim creates and frees an
+//! allocation, so the bookkeeping is built to allocate nothing in steady
+//! state: live allocations sit in a table hashed by their (monotone,
+//! never reused) id with [`simcore::IdHasher`], and the node list of a
+//! released allocation is kept, emptied, for the next allocation to
+//! fill. The table's order is never observable — captures, invariant
+//! reports, restores and crash victims all run in id order.
 
-use std::collections::BTreeMap;
+use simcore::IdHashMap;
 
 use crate::ids::{AllocId, NodeId};
 
@@ -163,6 +171,12 @@ pub struct ClusterState {
 }
 
 /// A cluster: nodes, free list, and live allocations.
+///
+/// Allocation ids count up from zero and are never reused; node ids are
+/// handed out from the free stack, so which nodes an allocation receives
+/// depends only on the sequence of operations. Lookups by id are O(1);
+/// the operations that walk every allocation (capture, restore, the
+/// invariant check, a crash's victim list) visit them in id order.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
@@ -170,7 +184,15 @@ pub struct Cluster {
     /// Free nodes kept as a stack; lowest ids allocated first for
     /// determinism.
     free: Vec<NodeId>,
-    allocs: BTreeMap<AllocId, Allocation>,
+    /// Live allocations. Hash order is arbitrary: nothing observable
+    /// iterates this table without sorting the ids first.
+    allocs: IdHashMap<AllocId, Allocation>,
+    /// Node lists of dead allocations, emptied but keeping their
+    /// capacity, reused last-in first-out by [`Cluster::allocate`]. Each
+    /// one was a live allocation's list, so live allocations plus spares
+    /// never exceed the peak live count, and each list's capacity never
+    /// exceeds the node count (lists only grow by exact reservations).
+    spare: Vec<Vec<NodeId>>,
     next_alloc: u64,
     down: u32,
     /// Nodes held by KOALA-owned allocations — derived state kept by
@@ -190,7 +212,8 @@ impl Cluster {
             states: vec![NodeState::Free; n as usize],
             // Reverse order so pops hand out the lowest node id first.
             free: (0..n).rev().map(NodeId).collect(),
-            allocs: BTreeMap::new(),
+            allocs: IdHashMap::default(),
+            spare: Vec::new(),
             next_alloc: 0,
             down: 0,
             koala: 0,
@@ -227,7 +250,7 @@ impl Cluster {
         self.used() - self.koala
     }
 
-    /// Recounts KOALA-held nodes from the allocation map — the slow
+    /// Recounts KOALA-held nodes from the allocation table — the slow
     /// reference the incremental counter is checked against.
     fn count_koala(&self) -> u32 {
         self.allocs
@@ -265,7 +288,8 @@ impl Cluster {
         }
         let id = AllocId(self.next_alloc);
         self.next_alloc += 1;
-        let mut nodes = Vec::with_capacity(count as usize);
+        let mut nodes = self.spare.pop().unwrap_or_default();
+        nodes.reserve_exact(count as usize);
         for _ in 0..count {
             let n = self.free.pop().expect("checked idle() above");
             self.states[n.0 as usize] = NodeState::Busy(id);
@@ -295,6 +319,7 @@ impl Cluster {
                 available,
             });
         }
+        alloc.nodes.reserve_exact(extra as usize);
         for _ in 0..extra {
             let n = self.free.pop().expect("checked idle() above");
             self.states[n.0 as usize] = NodeState::Busy(id);
@@ -333,7 +358,8 @@ impl Cluster {
             self.koala -= by;
         }
         if alloc.nodes.is_empty() {
-            self.allocs.remove(&id);
+            let alloc = self.allocs.remove(&id).expect("found above");
+            self.recycle(alloc.nodes);
         }
         Ok(by)
     }
@@ -348,11 +374,18 @@ impl Cluster {
         if alloc.is_koala() {
             self.koala -= n;
         }
-        for node in alloc.nodes {
+        for &node in &alloc.nodes {
             self.states[node.0 as usize] = NodeState::Free;
             self.free.push(node);
         }
+        self.recycle(alloc.nodes);
         Ok(n)
+    }
+
+    /// Keeps a dead allocation's node list for the next allocation.
+    fn recycle(&mut self, mut nodes: Vec<NodeId>) {
+        nodes.clear();
+        self.spare.push(nodes);
     }
 
     /// Withdraws up to `count` *free* nodes from the pool (maintenance /
@@ -373,11 +406,11 @@ impl Cluster {
     /// node-id order among those not already down, so a crash
     /// deterministically hits the oldest allocations first (low ids are
     /// handed out first). Returns how many nodes actually went down plus
-    /// one [`CrashVictim`] per allocation that lost nodes; crashed nodes
-    /// rejoin the pool via [`Cluster::restore`].
+    /// one [`CrashVictim`] per allocation that lost nodes, in allocation
+    /// id order; crashed nodes rejoin the pool via [`Cluster::restore`].
     pub fn crash(&mut self, count: u32) -> (u32, Vec<CrashVictim>) {
         let mut taken = 0u32;
-        let mut victims: BTreeMap<AllocId, CrashVictim> = BTreeMap::new();
+        let mut victims: Vec<CrashVictim> = Vec::new();
         for i in 0..self.states.len() {
             if taken == count {
                 break;
@@ -412,23 +445,31 @@ impl Cluster {
                     let owner = alloc.owner;
                     let destroyed = alloc.nodes.is_empty();
                     if destroyed {
-                        self.allocs.remove(&id);
+                        let alloc = self.allocs.remove(&id).expect("found above");
+                        self.recycle(alloc.nodes);
                     }
                     self.states[i] = NodeState::Down;
                     self.down += 1;
                     taken += 1;
-                    let v = victims.entry(id).or_insert(CrashVictim {
-                        alloc: id,
-                        owner,
-                        lost: 0,
-                        destroyed: false,
-                    });
+                    let v = match victims.iter().position(|v| v.alloc == id) {
+                        Some(k) => &mut victims[k],
+                        None => {
+                            victims.push(CrashVictim {
+                                alloc: id,
+                                owner,
+                                lost: 0,
+                                destroyed: false,
+                            });
+                            victims.last_mut().expect("just pushed")
+                        }
+                    };
                     v.lost += 1;
                     v.destroyed = destroyed;
                 }
             }
         }
-        (taken, victims.into_values().collect())
+        victims.sort_unstable_by_key(|v| v.alloc);
+        (taken, victims)
     }
 
     /// Returns withdrawn nodes to the pool. Returns how many came back.
@@ -451,14 +492,16 @@ impl Cluster {
     /// Captures the cluster's dynamic state (see [`ClusterState`] for
     /// the ordering guarantees). The cluster is untouched.
     pub fn capture_state(&self) -> ClusterState {
+        let mut allocs: Vec<(AllocId, AllocOwner, Vec<NodeId>)> = self
+            .allocs
+            .iter()
+            .map(|(&id, a)| (id, a.owner, a.nodes.clone()))
+            .collect();
+        allocs.sort_unstable_by_key(|&(id, _, _)| id);
         ClusterState {
             states: self.states.clone(),
             free: self.free.clone(),
-            allocs: self
-                .allocs
-                .iter()
-                .map(|(&id, a)| (id, a.owner, a.nodes.clone()))
-                .collect(),
+            allocs,
             next_alloc: self.next_alloc,
             down: self.down,
         }
@@ -492,11 +535,14 @@ impl Cluster {
         }
         self.states = state.states;
         self.free = state.free;
+        // Rebuilt in the capture's (id) order; buffers recycled before
+        // the restore belong to another history and are dropped.
         self.allocs = state
             .allocs
             .into_iter()
             .map(|(id, owner, nodes)| (id, Allocation { owner, nodes }))
             .collect();
+        self.spare = Vec::new();
         self.next_alloc = state.next_alloc;
         self.down = state.down;
         self.koala = self.count_koala();
@@ -508,7 +554,9 @@ impl Cluster {
 
     /// Internal consistency check: every node appears in exactly one of
     /// {free list, some allocation, down}; the down and KOALA-held
-    /// counters agree with a recount. O(nodes + allocations). Used by
+    /// counters agree with a recount. Allocations are checked in id
+    /// order, so the first violation reported does not depend on the
+    /// table's layout. O(nodes + allocations · log allocations). Used by
     /// tests, debug assertions in the scheduler and once per run at
     /// report time.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -522,13 +570,16 @@ impl Cluster {
                 ));
             }
         }
-        for (id, a) in &self.allocs {
+        let mut ids: Vec<AllocId> = self.allocs.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let a = &self.allocs[&id];
             if a.nodes.is_empty() {
                 return Err(format!("{id:?} is empty but still registered"));
             }
             for n in &a.nodes {
                 seen[n.0 as usize] += 1;
-                if self.states[n.0 as usize] != NodeState::Busy(*id) {
+                if self.states[n.0 as usize] != NodeState::Busy(id) {
                     return Err(format!(
                         "{n:?} in {id:?} but state {:?}",
                         self.states[n.0 as usize]

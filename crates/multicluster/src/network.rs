@@ -594,6 +594,21 @@ struct Flow {
     opened_at: SimTime,
 }
 
+/// Working buffers of [`FlowNet::recompute`], kept between calls so a
+/// recomputation allocates nothing once they have grown. Not state:
+/// never captured, and their contents are meaningless between calls.
+#[derive(Debug, Clone, Default)]
+struct FairShareScratch {
+    /// Capacity not yet handed out, per link.
+    residual: Vec<f64>,
+    /// Unfixed flows crossing each link.
+    count: Vec<u32>,
+    /// Flows whose rate is not fixed yet, in id order.
+    unfixed: Vec<u64>,
+    /// The next round's `unfixed`.
+    still: Vec<u64>,
+}
+
 /// Runtime fair-share state over a [`NetworkTopology`]: tracks active
 /// flows, assigns max-min fair rates, and re-estimates completion
 /// times whenever the flow set changes.
@@ -607,6 +622,10 @@ pub struct FlowNet {
     /// Accumulated busy time (≥ 1 active flow) per link.
     busy_s: Vec<f64>,
     last_update: SimTime,
+    scratch: FairShareScratch,
+    /// A consumed reschedule list handed back through
+    /// [`FlowNet::recycle`], reused by the next `open`/`complete`.
+    spare_schedules: Vec<FlowSchedule>,
 }
 
 impl FlowNet {
@@ -620,6 +639,8 @@ impl FlowNet {
             link_load: vec![0; n],
             busy_s: vec![0.0; n],
             last_update: SimTime::ZERO,
+            scratch: FairShareScratch::default(),
+            spare_schedules: Vec::new(),
         }
     }
 
@@ -740,15 +761,23 @@ impl FlowNet {
     /// it at that share, subtract, repeat. Deterministic because flows
     /// iterate in `BTreeMap` (id) order and links by index.
     fn recompute(&mut self) {
-        let nl = self.topo.links().len();
-        let mut residual: Vec<f64> = self.topo.links().iter().map(|l| l.bandwidth_gbps).collect();
-        let mut count: Vec<u32> = vec![0; nl];
+        let FairShareScratch {
+            residual,
+            count,
+            unfixed,
+            still,
+        } = &mut self.scratch;
+        residual.clear();
+        residual.extend(self.topo.links().iter().map(|l| l.bandwidth_gbps));
+        count.clear();
+        count.resize(residual.len(), 0);
         for f in self.flows.values() {
             for l in &f.route {
                 count[l.index()] += 1;
             }
         }
-        let mut unfixed: Vec<u64> = self.flows.keys().copied().collect();
+        unfixed.clear();
+        unfixed.extend(self.flows.keys().copied());
         while !unfixed.is_empty() {
             let mut best: Option<(f64, usize)> = None;
             for (i, &c) in count.iter().enumerate() {
@@ -763,8 +792,8 @@ impl FlowNet {
             let Some((share, bottleneck)) = best else {
                 break;
             };
-            let mut still = Vec::with_capacity(unfixed.len());
-            for id in unfixed {
+            still.clear();
+            for &id in unfixed.iter() {
                 let f = self.flows.get_mut(&id).expect("unfixed flow exists");
                 if f.route.iter().any(|l| l.index() == bottleneck) {
                     f.rate_gbps = share;
@@ -776,7 +805,7 @@ impl FlowNet {
                     still.push(id);
                 }
             }
-            unfixed = still;
+            std::mem::swap(unfixed, still);
         }
     }
 
@@ -785,7 +814,8 @@ impl FlowNet {
     /// Flows already fully drained keep their scheduled event (their
     /// ETA is a constant latency tail that no rate change can move).
     fn reschedules(&mut self, now: SimTime) -> Vec<FlowSchedule> {
-        let mut out = Vec::with_capacity(self.flows.len());
+        let mut out = std::mem::take(&mut self.spare_schedules);
+        out.clear();
         for (&id, f) in self.flows.iter_mut() {
             if f.remaining_gb <= EPS_GB && f.gen > 0 {
                 continue;
@@ -805,6 +835,13 @@ impl FlowNet {
             });
         }
         out
+    }
+
+    /// Hands back a reschedule list returned by [`FlowNet::open`],
+    /// [`FlowNet::open_on`] or [`FlowNet::complete`] once its entries
+    /// are consumed, so the next call fills it instead of allocating.
+    pub fn recycle(&mut self, schedules: Vec<FlowSchedule>) {
+        self.spare_schedules = schedules;
     }
 
     /// Total accumulated link-busy seconds (over all links), up to the

@@ -25,6 +25,8 @@
 //!   queue scans, utilization sampling).
 //! * [`Trace`] — bounded, near-free-when-disabled event tracing with CSV
 //!   export.
+//! * [`IdHasher`] / [`IdHashMap`] — the multiply-shift hasher shared by
+//!   every table keyed by simulator-issued ids (jobs, allocations).
 //!
 //! ## Determinism contract
 //!
@@ -39,6 +41,7 @@
 
 mod engine;
 mod generation;
+mod hash;
 mod queue;
 mod rng;
 mod time;
@@ -49,6 +52,7 @@ pub mod dist;
 
 pub use engine::{Engine, EngineSnapshot, EngineStats, QueueImpl};
 pub use generation::Generation;
+pub use hash::{IdHashMap, IdHasher};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
