@@ -12,14 +12,12 @@
 //! Binaries print human-readable summaries (with ASCII charts) and write
 //! the exact curves as CSV under `repro_out/`.
 //!
-//! The figure binaries run in **summarized mode by default** (see
-//! [`koala::report::SummaryReport`]): every `(config, seed)` cell
-//! streams its metrics through bounded-memory accumulators, the panels
-//! come from the pooled quantile reservoirs (exact at paper scale), and
-//! a `*_summary_ci.csv` table reports each metric as mean ± 95 % CI
-//! across the replications. Pass `--full` for the legacy
-//! materialize-everything pipeline (which the utilization/operations
-//! time-series panels still need).
+//! `fig7` and `fig8` run each `(config, seed)` cell once for a
+//! [`koala::RunReport`]: panels (a)–(d) come from the pooled quantile
+//! reservoirs of the runs' [`koala::report::SummaryReport`]s (exact at
+//! paper scale), a `*_summary_ci.csv` table reports each metric as
+//! mean ± 95 % CI across the replications, and the time-series panels
+//! (e)/(f) come from the per-job detail ([`figure_outputs`]).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,7 +30,7 @@ use koala::report::{MultiReport, MultiSummary, SummaryReport};
 use koala::scenario::{cell_label, Scenario};
 use koala::Report;
 use koala_metrics::csv::Csv;
-use koala_metrics::{Ecdf, JobRecord, MetricStream};
+use koala_metrics::{Ecdf, MetricStream};
 use simcore::{SimDuration, SimTime};
 
 /// The seeds used for every configuration — the paper repeats each
@@ -294,25 +292,15 @@ pub fn ecdf_csv_string(metric_name: &str, series: &[(&str, &Ecdf)]) -> String {
     csv.into_string()
 }
 
-/// Writes an ECDF panel (one column per configuration) as CSV. A panel
-/// with no finite samples writes nothing (so globbing `repro_out/`
-/// never picks up data-less files), as before the string refactor.
-pub fn write_ecdf_csv(path: &Path, metric_name: &str, series: &[(&str, &Ecdf)]) {
-    let text = ecdf_csv_string(metric_name, series);
-    if text.lines().count() <= 1 {
-        return;
-    }
-    write_csv(path, &text);
-}
-
-/// Writes a time-series panel (`t` in seconds, one column per config).
-pub fn write_timeseries_csv(path: &Path, series: &[(&str, Vec<(f64, f64)>)]) {
+/// A time-series panel (`t` in seconds, one column per configuration)
+/// rendered as CSV text: every series is resampled stepwise at the union
+/// of all sampling instants.
+pub fn timeseries_csv_string(series: &[(&str, Vec<(f64, f64)>)]) -> String {
     let mut header = vec!["t_seconds"];
     for (name, _) in series {
         header.push(name);
     }
     let mut csv = Csv::with_header(&header);
-    // Union of sampling instants, resampled stepwise.
     let mut ts: Vec<f64> = series
         .iter()
         .flat_map(|(_, pts)| pts.iter().map(|&(t, _)| t))
@@ -335,7 +323,7 @@ pub fn write_timeseries_csv(path: &Path, series: &[(&str, Vec<(f64, f64)>)]) {
         }
         csv.row_f64(&row, 3);
     }
-    write_csv(path, csv.as_str());
+    csv.into_string()
 }
 
 /// Resamples a report's mean utilization across seeds on a fixed grid.
@@ -343,7 +331,7 @@ pub fn utilization_points(report: &MultiReport, step_s: u64) -> Vec<(f64, f64)> 
     let horizon = report
         .runs
         .iter()
-        .map(|r| r.makespan)
+        .map(|r| r.summary.makespan)
         .max()
         .unwrap_or(SimTime::ZERO);
     let step = SimDuration::from_secs(step_s.max(1));
@@ -388,25 +376,12 @@ pub fn ops_points(report: &MultiReport, grow_only: bool, step_s: u64) -> Vec<(f6
     out
 }
 
-/// A per-job metric extractor, as plotted in the figure panels.
-pub type PanelMetric = fn(&JobRecord) -> Option<f64>;
-
-/// The four per-job metrics of Figs. 7/8(a–d).
-pub fn panel_metrics() -> [(&'static str, PanelMetric); 4] {
-    [
-        ("avg_processors", JobRecord::average_size as PanelMetric),
-        ("max_processors", JobRecord::max_size),
-        ("execution_time_s", JobRecord::execution_time),
-        ("response_time_s", JobRecord::response_time),
-    ]
-}
-
 /// A summarized panel metric: the figure's stream inside a
 /// [`SummaryReport`].
 pub type SummaryPanelMetric = fn(&SummaryReport) -> &MetricStream;
 
-/// The four Figs. 7/8(a–d) metrics on the summary path (same names and
-/// order as [`panel_metrics`], so summarized and full CSVs align).
+/// The four Figs. 7/8(a–d) metrics: the figure's panel name and its
+/// stream in the summary.
 pub fn summary_panel_metrics() -> [(&'static str, SummaryPanelMetric); 4] {
     [
         (
@@ -576,11 +551,51 @@ pub fn summary_panel_series(
         .collect()
 }
 
-/// Prints the figure's four ASCII panel charts (a–d) from the pooled
-/// cells — the one render loop both `fig7` and `fig8` share, so the
-/// terminal charts cannot drift from each other (the CSV artifacts come
-/// from [`figure_summary_outputs`]).
-pub fn print_summary_panels(figure: PaperFigure, pooled: &[SummaryReport]) {
+/// A time-series panel: its CSV file name, its chart title and one
+/// `(t, value)` curve per configuration.
+pub type TimeSeriesPanel<'a> = (String, &'static str, Vec<(&'a str, Vec<(f64, f64)>)>);
+
+/// A figure's time-series panels (e)/(f): the seed-mean total
+/// utilization and the per-run average of cumulative malleability
+/// operations — grows only for Fig. 7, grows and shrinks for Fig. 8 — on
+/// a 60 s grid, one curve per cell.
+pub fn timeseries_panels(figure: PaperFigure, reports: &[MultiReport]) -> [TimeSeriesPanel<'_>; 2] {
+    let prefix = figure.prefix();
+    let grow_only = figure == PaperFigure::Fig7;
+    let (ops_file, ops_title) = if grow_only {
+        (
+            "grow_operations",
+            "cumulative grow operations (per-run average)",
+        )
+    } else {
+        (
+            "malleability_operations",
+            "cumulative malleability operations (grows + shrinks, per-run average)",
+        )
+    };
+    let util = reports
+        .iter()
+        .map(|m| (m.name.as_str(), utilization_points(m, 60)))
+        .collect();
+    let ops = reports
+        .iter()
+        .map(|m| (m.name.as_str(), ops_points(m, grow_only, 60)))
+        .collect();
+    [
+        (
+            format!("{prefix}e_utilization.csv"),
+            "total used processors over time",
+            util,
+        ),
+        (format!("{prefix}f_{ops_file}.csv"), ops_title, ops),
+    ]
+}
+
+/// Prints the figure's six ASCII panel charts — (a)–(d) from the pooled
+/// summaries, (e)/(f) from the per-job detail — in the one render loop
+/// both `fig7` and `fig8` share, so the terminal charts cannot drift
+/// from each other (the CSV artifacts come from [`figure_outputs`]).
+pub fn print_panels(figure: PaperFigure, pooled: &[SummaryReport], reports: &[MultiReport]) {
     for (panel, (metric, f)) in ["a", "b", "c", "d"].iter().zip(summary_panel_metrics()) {
         let ecdfs = summary_panel_series(pooled, f);
         let series: Vec<(&str, &Ecdf)> = ecdfs.iter().map(|(n, e)| (n.as_str(), e)).collect();
@@ -590,19 +605,24 @@ pub fn print_summary_panels(figure: PaperFigure, pooled: &[SummaryReport]) {
         );
         print!("{}", koala_metrics::plot::ecdf_chart(&series, 64, 12));
     }
+    for (panel, (_, title, series)) in ["e", "f"].iter().zip(timeseries_panels(figure, reports)) {
+        let refs: Vec<(&str, &[(f64, f64)])> =
+            series.iter().map(|(n, p)| (*n, p.as_slice())).collect();
+        println!("\n{}({panel}) — {title}", figure.label());
+        print!("{}", koala_metrics::plot::timeseries_chart(&refs, 64, 12));
+    }
 }
 
-/// Renders a summarized figure's CSV artifacts as `(file name, text)`
-/// pairs: the four ECDF panels (a–d) from the pooled quantile
-/// reservoirs, plus the replication `mean ± ci` table. Pinned by the
-/// golden regression test, so refactors cannot silently shift the
-/// paper numbers.
-pub fn figure_summary_outputs(
-    figure: PaperFigure,
-    reports: &[MultiSummary],
-) -> Vec<(String, String)> {
+/// Renders a figure's seven CSV artifacts as `(file name, text)` pairs:
+/// the four ECDF panels (a)–(d) from the pooled quantile reservoirs of
+/// the runs' summaries, the time-series panels (e)/(f) from their
+/// per-job detail, and the replication `mean ± ci` table. Pinned by the
+/// golden regression test, so refactors cannot silently shift the paper
+/// numbers.
+pub fn figure_outputs(figure: PaperFigure, reports: &[MultiReport]) -> Vec<(String, String)> {
     let prefix = figure.prefix();
-    let pooled = pooled_cells(reports);
+    let summaries: Vec<MultiSummary> = reports.iter().map(MultiReport::summary).collect();
+    let pooled = pooled_cells(&summaries);
     let mut out = Vec::new();
     for (panel, (metric, f)) in ["a", "b", "c", "d"].iter().zip(summary_panel_metrics()) {
         let ecdfs = summary_panel_series(&pooled, f);
@@ -612,29 +632,14 @@ pub fn figure_summary_outputs(
             ecdf_csv_string(metric, &series),
         ));
     }
-    out.push((format!("{prefix}_summary_ci.csv"), summary_ci_csv(reports)));
+    for (name, _, series) in timeseries_panels(figure, reports) {
+        out.push((name, timeseries_csv_string(&series)));
+    }
+    out.push((
+        format!("{prefix}_summary_ci.csv"),
+        summary_ci_csv(&summaries),
+    ));
     out
-}
-
-/// Renders a quick terminal summary of one configuration.
-pub fn cell_summary(m: &MultiReport) -> String {
-    let jobs = m.merged_jobs();
-    let exec = jobs.execution_time_ecdf();
-    let resp = jobs.response_time_ecdf();
-    let avg = jobs.average_size_ecdf();
-    let maxs = jobs.max_size_ecdf();
-    format!(
-        "{:<12} jobs={} done={:.1}% | avg_size med={:>5.1} | max_size med={:>5.1} | exec med={:>6.1}s | resp med={:>6.1}s | grows/run={:>6.1} shrinks/run={:>5.1}",
-        m.name,
-        jobs.len(),
-        100.0 * m.completion_ratio(),
-        avg.median().unwrap_or(f64::NAN),
-        maxs.median().unwrap_or(f64::NAN),
-        exec.median().unwrap_or(f64::NAN),
-        resp.median().unwrap_or(f64::NAN),
-        m.runs.iter().map(|r| r.grow_ops.total()).sum::<usize>() as f64 / m.runs.len() as f64,
-        m.runs.iter().map(|r| r.shrink_ops.total()).sum::<usize>() as f64 / m.runs.len() as f64,
-    )
 }
 
 #[cfg(test)]
@@ -661,16 +666,6 @@ mod tests {
             .downcast_ref::<String>()
             .expect("formatted panic message");
         assert!(msg.contains(&path.display().to_string()), "{msg}");
-    }
-
-    #[test]
-    fn cell_summary_formats() {
-        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
-        cfg.workload.jobs = 5;
-        let m = sweep::<RunReport>(&cfg, &[1, 2]);
-        let s = cell_summary(&m);
-        assert!(s.contains("FPSMA/Wm"));
-        assert!(s.contains("done=100.0%"));
     }
 
     #[test]

@@ -12,21 +12,14 @@ use koala::config::{Approach, ExperimentConfig};
 use koala::parallel::run_cells_summary;
 use koala::report::{MultiReport, MultiSummary, SummaryReport};
 use koala::scenario::Scenario;
-use koala::Run;
+use koala::{Run, RunReport};
 use koala_bench::{
-    cell_summary, ops_points, panel_metrics, scenario_matrix, utilization_points, write_ecdf_csv,
-    write_timeseries_csv, SEEDS,
+    figure_matrix, figure_outputs, per_config, scenario_matrix, write_csv, PaperFigure, SEEDS,
 };
-use koala_metrics::Ecdf;
 use multicluster::das3;
 
 /// Two seeds (instead of the paper's four) on 10 jobs: seconds, not minutes.
 const SMOKE_SEEDS: [u64; 2] = [7, 11];
-
-fn tiny(mut cfg: ExperimentConfig) -> ExperimentConfig {
-    cfg.workload.jobs = 10;
-    cfg
-}
 
 fn smoke_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("koala_figure_smoke_{}", std::process::id()));
@@ -59,58 +52,96 @@ fn fig6_speedup_models_are_calibrated() {
     assert!(g2.exec_time(46) > g2.exec_time(g2_best));
 }
 
-/// Fig. 7's pipeline: a PRA cell through run → pooled ECDF panels → CSV.
-#[test]
-fn fig7_pra_cell_runs_end_to_end() {
-    let cfg = tiny(ExperimentConfig::paper_pra("egs", WorkloadSpec::wm()));
-    let runs = koala::run(&Run::seeds(&cfg, &SMOKE_SEEDS)).unwrap();
-    let m = MultiReport::new(cfg.name.clone(), runs);
-    assert_eq!(m.runs.len(), SMOKE_SEEDS.len());
-    assert_eq!(m.completion_ratio(), 1.0, "10 jobs all complete");
-    assert!(cell_summary(&m).contains(&m.name));
-
-    // Panels (a)-(d): every per-job metric yields a populated pooled ECDF.
-    let dir = smoke_dir();
-    for (metric, f) in panel_metrics() {
-        let ecdf = m.ecdf_of(f);
-        assert!(!ecdf.is_empty(), "{metric} ECDF populated");
-        let path = dir.join(format!("fig7_smoke_{metric}.csv"));
-        let series: Vec<(&str, &Ecdf)> = vec![(m.name.as_str(), &ecdf)];
-        write_ecdf_csv(&path, metric, &series);
-        let text = std::fs::read_to_string(&path).expect("CSV written");
-        assert!(text.lines().count() > 2, "{metric} CSV has header and rows");
-        assert!(text.lines().next().unwrap().contains(metric));
+/// A figure's pipeline at smoke size: the matrix run once for full
+/// reports, its seven CSV artifacts written and read back.
+fn smoke_figure(figure: PaperFigure) -> (Vec<MultiReport>, Vec<(String, String)>) {
+    let cells = figure_matrix(figure, 10);
+    let runs = koala::run(&Run::matrix(&cells, &SMOKE_SEEDS)).unwrap();
+    let reports = per_config::<RunReport>(&cells, runs);
+    for m in &reports {
+        assert_eq!(m.runs.len(), SMOKE_SEEDS.len());
+        assert_eq!(
+            m.completion_ratio(),
+            1.0,
+            "{}: 10 jobs all complete",
+            m.name
+        );
     }
-
-    // Panels (e)/(f): time series cover the horizon and reach the CSV writer.
-    let util = utilization_points(&m, 60);
-    let grows = ops_points(&m, true, 60);
-    assert!(util.len() > 1 && grows.len() > 1);
-    assert!(
-        util.iter().any(|&(_, v)| v > 0.0),
-        "some utilization observed"
-    );
-    let path = dir.join("fig7_smoke_timeseries.csv");
-    write_timeseries_csv(&path, &[("util", util), ("grows", grows)]);
-    assert!(std::fs::read_to_string(&path).unwrap().lines().count() > 2);
+    let outputs = figure_outputs(figure, &reports);
+    let dir = smoke_dir();
+    for (name, text) in &outputs {
+        let path = dir.join(name);
+        write_csv(&path, text);
+        let back = std::fs::read_to_string(&path).expect("CSV written");
+        assert_eq!(&back, text);
+        assert!(back.lines().count() > 2, "{name} has header and rows");
+    }
+    (reports, outputs)
 }
 
-/// Fig. 8's pipeline: a PWA cell (growing *and* shrinking) actually shrinks.
+/// The last row of a time-series panel: each cell's final value.
+fn final_values(outputs: &[(String, String)], suffix: &str) -> Vec<String> {
+    let (_, text) = outputs
+        .iter()
+        .find(|(n, _)| n.ends_with(suffix))
+        .unwrap_or_else(|| panic!("no {suffix} panel"));
+    let last = text.lines().last().expect("rows");
+    last.split(',').skip(1).map(str::to_string).collect()
+}
+
+/// The per-run mean of a summary counter, as the panels print it.
+fn per_run_mean(m: &MultiReport, f: impl Fn(&koala::SummaryReport) -> u64) -> String {
+    let total: u64 = m.runs.iter().map(|r| f(&r.summary)).sum();
+    format!("{:.3}", total as f64 / m.runs.len() as f64)
+}
+
+/// Fig. 7's pipeline: PRA cells through run → panels (a)–(f) and the
+/// ci table → CSV. Panel (f)'s detail timeline ends at the summaries'
+/// per-run grow count.
+#[test]
+fn fig7_pra_cell_runs_end_to_end() {
+    let (reports, outputs) = smoke_figure(PaperFigure::Fig7);
+    let names: Vec<&str> = outputs.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "fig7a_avg_processors.csv",
+            "fig7b_max_processors.csv",
+            "fig7c_execution_time_s.csv",
+            "fig7d_response_time_s.csv",
+            "fig7e_utilization.csv",
+            "fig7f_grow_operations.csv",
+            "fig7_summary_ci.csv",
+        ]
+    );
+    let util = &outputs[4].1;
+    assert!(
+        util.lines()
+            .skip(1)
+            .flat_map(|l| l.split(',').skip(1))
+            .any(|v| v.parse::<f64>().unwrap() > 0.0),
+        "some utilization observed"
+    );
+    let grows: Vec<String> = reports
+        .iter()
+        .map(|m| per_run_mean(m, |s| s.grow_ops))
+        .collect();
+    assert_eq!(final_values(&outputs, "f_grow_operations.csv"), grows);
+}
+
+/// Fig. 8's pipeline: PWA cells (growing *and* shrinking) grow, and
+/// panel (f) ends at the summaries' per-run grows + shrinks.
 #[test]
 fn fig8_pwa_cell_runs_end_to_end() {
-    let cfg = tiny(ExperimentConfig::paper_pwa(
-        "fpsma",
-        WorkloadSpec::wm_prime(),
-    ));
-    let runs = koala::run(&Run::seeds(&cfg, &SMOKE_SEEDS)).unwrap();
-    let m = MultiReport::new(cfg.name.clone(), runs);
-    assert_eq!(m.runs.len(), SMOKE_SEEDS.len());
-    assert_eq!(m.completion_ratio(), 1.0, "10 jobs all complete");
-    let grows: usize = m.runs.iter().map(|r| r.grow_ops.total()).sum();
+    let (reports, outputs) = smoke_figure(PaperFigure::Fig8);
+    assert_eq!(outputs.len(), 7);
+    let grows: u64 = reports[0].runs.iter().map(|r| r.summary.grow_ops).sum();
     assert!(grows > 0, "PWA cells grow malleable jobs");
-    let all = ops_points(&m, false, 60);
-    let grow_only = ops_points(&m, true, 60);
-    assert!(all.last().unwrap().1 >= grow_only.last().unwrap().1);
+    let ops: Vec<String> = reports
+        .iter()
+        .map(|m| per_run_mean(m, |s| s.grow_ops + s.shrink_ops))
+        .collect();
+    assert_eq!(final_values(&outputs, "f_malleability_operations.csv"), ops);
 }
 
 /// Table I's entry point: the DAS-3 topology constant.

@@ -1,5 +1,6 @@
-//! Golden regression test: the summarized fig7/fig8 CSV artifacts are
-//! pinned byte-for-byte for a fixed small configuration and seed set.
+//! Golden regression test: all seven fig7/fig8 CSV artifacts — panels
+//! (a)–(f) and the mean ± ci table — are pinned byte-for-byte for a
+//! fixed small configuration and seed set.
 //! Any refactor that silently shifts the paper numbers — scheduler
 //! behaviour, metric formulas, accumulator merging, CSV formatting —
 //! fails here with a diff pointer instead of publishing drifted curves.
@@ -12,8 +13,9 @@
 //!
 //! and commit the updated files under `tests/golden/` with a rationale.
 
-use koala::{Run, SummaryReport};
-use koala_bench::{figure_matrix, figure_summary_outputs, per_config, PaperFigure};
+use koala::report::MultiReport;
+use koala::{Run, RunReport};
+use koala_bench::{figure_matrix, figure_outputs, per_config, PaperFigure};
 
 /// Small but non-trivial: 12 jobs × 2 seeds per cell keeps the test in
 /// the sub-second range while exercising growth (and, under Fig. 8's
@@ -27,12 +29,16 @@ fn golden_dir() -> std::path::PathBuf {
         .join("golden")
 }
 
-fn check_figure(figure: PaperFigure) {
+/// The figure's golden-scale reports, one aggregate per cell.
+fn golden_reports(figure: PaperFigure) -> Vec<MultiReport> {
     let cells = figure_matrix(figure, GOLDEN_JOBS);
     let runs = koala::run(&Run::matrix(&cells, &GOLDEN_SEEDS)).unwrap();
-    let reports = per_config::<SummaryReport>(&cells, runs);
-    let outputs = figure_summary_outputs(figure, &reports);
-    assert_eq!(outputs.len(), 5, "four panels + the mean ± ci table");
+    per_config::<RunReport>(&cells, runs)
+}
+
+fn check_figure(figure: PaperFigure) {
+    let outputs = figure_outputs(figure, &golden_reports(figure));
+    assert_eq!(outputs.len(), 7, "six panels + the mean ± ci table");
     let update = std::env::var("UPDATE_GOLDEN").is_ok();
     for (name, text) in &outputs {
         let path = golden_dir().join(name);
@@ -67,10 +73,8 @@ fn fig8_summarized_csvs_match_golden() {
 /// byte comparison alone would not explain on failure.
 #[test]
 fn summary_outputs_are_structurally_complete() {
-    let cells = figure_matrix(PaperFigure::Fig7, GOLDEN_JOBS);
-    let runs = koala::run(&Run::matrix(&cells, &GOLDEN_SEEDS)).unwrap();
-    let reports = per_config::<SummaryReport>(&cells, runs);
-    let outputs = figure_summary_outputs(PaperFigure::Fig7, &reports);
+    let reports = golden_reports(PaperFigure::Fig7);
+    let outputs = figure_outputs(PaperFigure::Fig7, &reports);
     let ci = &outputs.last().unwrap().1;
     // Header + 4 cells × 10 metrics.
     assert_eq!(ci.lines().count(), 1 + 4 * 10, "ci table rows");
@@ -82,7 +86,7 @@ fn summary_outputs_are_structurally_complete() {
     for m in &reports {
         assert!(ci.contains(&m.name), "{} missing from ci table", m.name);
     }
-    for (name, text) in &outputs[..4] {
+    for (name, text) in &outputs[..6] {
         let header = text.lines().next().unwrap();
         assert_eq!(
             header.split(',').count(),

@@ -435,8 +435,9 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Tunables of the memory-bounded summary path (see
-/// [`crate::report::SummaryReport`]). Inert in full-report runs.
+/// Tunables of the summary every run reports (see
+/// [`crate::report::SummaryReport`], also a full report's `summary`).
+/// The per-job detail of a full report is untrimmed.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReportConfig {
     /// Warmup window: jobs submitted before it, and utilization /

@@ -35,9 +35,9 @@
 //!   `multicluster` and `appsim` substrates; event definitions and
 //!   handlers.
 //! * [`run()`] — the one run entry point: a [`Run`] of
-//!   `(configuration × seed)` cells, eager or streamed, reported in full
-//!   ([`RunReport`]) or summarized ([`SummaryReport`]), warm-forked when
-//!   the configuration asks for it.
+//!   `(configuration × seed)` cells, eager or streamed, each reported as
+//!   a [`SummaryReport`] or as a [`RunReport`] (that summary plus the
+//!   per-job detail), warm-forked when the configuration asks for it.
 //! * [`parallel`] — the work-stealing cell runner behind [`run()`],
 //!   with deterministic, sequential-identical merged output.
 //! * [`config`] — scheduler and experiment configuration, including every

@@ -1,21 +1,21 @@
-//! Per-run and multi-seed experiment reports — full and memory-bounded.
+//! Per-run and multi-seed experiment reports.
 //!
-//! A [`RunReport`] carries everything the paper's figures need for one
-//! run; a [`MultiReport`] aggregates the 4-seed repetitions the paper
-//! performs per configuration ("we have done 4 runs for each
-//! combination").
+//! Every run produces a [`SummaryReport`]: scalars and fixed-size
+//! streaming accumulators (see [`koala_metrics::stream`]) whose size is
+//! independent of job count and run length — what makes matrices of
+//! thousands of `(scenario × seed)` cells feasible. A [`MultiSummary`]
+//! aggregates replication cells into mean ± 95 % confidence intervals
+//! (Student-t) per metric.
 //!
-//! A [`SummaryReport`] is the **memory-bounded** alternative: instead of
-//! a full job table and step series, it carries streaming accumulators
-//! (see [`koala_metrics::stream`]) whose size is independent of job
-//! count and run length — what makes matrices of thousands of
-//! `(scenario × seed)` cells feasible. A [`MultiSummary`] aggregates
-//! replication cells into mean ± 95 % confidence intervals (Student-t)
-//! per metric. Summarized runs are requested through
-//! [`crate::scenario::ScenarioBuilder::summarized`] or the
-//! `run_*_summary` entry points; warmup-window trimming and the quantile
-//! reservoir capacity come from
-//! [`crate::config::ExperimentConfig::report`].
+//! A [`RunReport`] is that same summary plus the per-job detail the
+//! paper's figures draw: the job table, the utilization step series and
+//! the operation timelines of Figs. 7e/f and 8e/f. A [`MultiReport`]
+//! aggregates the 4-seed repetitions the paper performs per
+//! configuration ("we have done 4 runs for each combination"). The
+//! report type a caller asks [`crate::run()`] for picks the collector;
+//! [`crate::scenario::ScenarioBuilder::summarized`] marks a scenario as
+//! summary-only. Warmup-window trimming and the quantile reservoir
+//! capacity come from [`crate::config::ExperimentConfig::report`].
 
 use koala_metrics::{
     mean_ci95, CumulativeCounter, Ecdf, JobOutcome, JobRecord, JobTable, MeanCi, MetricStream,
@@ -117,13 +117,15 @@ impl NetStats {
     }
 }
 
-/// Everything measured in one simulation run.
+/// One simulation run: its [`SummaryReport`] plus the per-job detail
+/// the figures draw. Every scalar (name, seed, makespan, message and
+/// operation counts, control-plane and network tallies) lives in
+/// [`RunReport::summary`], exactly as a summarized run of the same cell
+/// reports it.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Configuration label (e.g. `"EGS/Wm"`).
-    pub name: String,
-    /// The seed that produced this run.
-    pub seed: u64,
+    /// The run's summary, identical to what a summarized run reports.
+    pub summary: SummaryReport,
     /// Per-job records.
     pub jobs: JobTable,
     /// Total used processors over time (KOALA + background) —
@@ -135,20 +137,6 @@ pub struct RunReport {
     pub grow_ops: CumulativeCounter,
     /// Accepted shrink operations over time — with grows, Fig. 8f.
     pub shrink_ops: CumulativeCounter,
-    /// Grow requests sent (including declined offers).
-    pub grow_messages: u64,
-    /// Shrink requests sent (including declined requests).
-    pub shrink_messages: u64,
-    /// Instant the last job left the system.
-    pub makespan: SimTime,
-    /// KIS polls performed.
-    pub kis_polls: u64,
-    /// Failed placement tries.
-    pub placement_tries: u64,
-    /// Submissions dropped by the retry threshold.
-    pub failed_submissions: u64,
-    /// Events the engine delivered.
-    pub events: u64,
     /// Job-lifecycle trace (empty unless `World::with_trace` was used).
     pub trace: simcore::Trace,
     /// Used processors over time, per cluster (indexed by cluster id).
@@ -156,18 +144,6 @@ pub struct RunReport {
     /// KOALA placement-queue depth over time, sampled by the monitoring
     /// subsystem (empty unless `elasticity.monitor_period` is set).
     pub queue_depth: StepSeries,
-    /// Autoscaler grow decisions applied (nodes repaired into the pool).
-    pub scale_ups: u64,
-    /// Autoscaler shrink decisions applied (free nodes withdrawn).
-    pub scale_downs: u64,
-    /// KOALA jobs killed by node crashes (`FailurePolicy::Kill`).
-    pub jobs_killed: u64,
-    /// KOALA jobs re-queued after node crashes (`FailurePolicy::Requeue`).
-    pub jobs_requeued: u64,
-    /// Control-plane fault counters (all zero when faults are off).
-    pub ctrl: CtrlStats,
-    /// Network-layer counters (all zero when networking is off).
-    pub net: NetStats,
 }
 
 impl RunReport {
@@ -207,6 +183,12 @@ impl MultiReport {
             name: name.into(),
             runs,
         }
+    }
+
+    /// The runs' summaries as one replication aggregate.
+    pub fn summary(&self) -> MultiSummary {
+        let runs = self.runs.iter().map(|r| r.summary.clone()).collect();
+        MultiSummary::new(self.name.clone(), runs)
     }
 
     /// All job records across seeds, merged (the paper's CDFs pool the
@@ -267,7 +249,7 @@ impl MultiReport {
     pub fn max_makespan(&self) -> SimTime {
         self.runs
             .iter()
-            .map(|r| r.makespan)
+            .map(|r| r.summary.makespan)
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -276,8 +258,9 @@ impl MultiReport {
 /// How a run reports its results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
-    /// Full [`RunReport`]: complete job table, utilization step series,
-    /// operation timelines, optional lifecycle trace.
+    /// Full [`RunReport`]: the summary plus the complete job table,
+    /// utilization step series, operation timelines and optional
+    /// lifecycle trace.
     #[default]
     Full,
     /// Memory-bounded [`SummaryReport`]: streaming accumulators only —
@@ -285,9 +268,9 @@ pub enum ReportMode {
     Summarized,
 }
 
-/// The memory-bounded counterpart of [`RunReport`]: everything is a
-/// scalar or a fixed-size streaming accumulator, so a report's footprint
-/// does not grow with job count or run length.
+/// The report every run produces (a [`RunReport`] carries one too):
+/// everything is a scalar or a fixed-size streaming accumulator, so a
+/// report's footprint does not grow with job count or run length.
 ///
 /// Per-job metrics (execution/response/wait time, time-averaged and
 /// maximum size, bounded slowdown) stream through
@@ -541,10 +524,11 @@ struct JobMeter {
     size_max: f64,
 }
 
-/// The full collector: exactly the measurement state a [`RunReport`]
-/// renders (job table, step series, operation timelines).
+/// The per-job detail a [`RunReport`] adds to its summary: job table,
+/// step series and operation timelines. Every count lives in the
+/// [`SummaryCollector`], so this keeps no tallies of its own.
 #[derive(Debug, Clone)]
-pub(crate) struct FullCollector {
+pub(crate) struct DetailCollector {
     records: Vec<JobRecord>,
     util_total: StepSeries,
     util_koala: StepSeries,
@@ -552,13 +536,50 @@ pub(crate) struct FullCollector {
     grow_ops: CumulativeCounter,
     shrink_ops: CumulativeCounter,
     queue_depth: StepSeries,
-    scale_ups: u64,
-    scale_downs: u64,
-    jobs_killed: u64,
-    jobs_requeued: u64,
 }
 
-/// The memory-bounded collector: streaming accumulators plus one
+impl DetailCollector {
+    /// Detail with one [`JobRecord`] per workload entry.
+    pub(crate) fn new(
+        submissions: impl Iterator<Item = (String, bool, SimTime)>,
+        n_clusters: usize,
+    ) -> Self {
+        let records = submissions
+            .enumerate()
+            .map(|(i, (app, malleable, at))| JobRecord::new(i as u64, app, malleable, at))
+            .collect();
+        DetailCollector {
+            records,
+            util_total: StepSeries::with_initial(0.0),
+            util_koala: StepSeries::with_initial(0.0),
+            util_per_cluster: vec![StepSeries::with_initial(0.0); n_clusters],
+            grow_ops: CumulativeCounter::new(),
+            shrink_ops: CumulativeCounter::new(),
+            queue_depth: StepSeries::with_initial(0.0),
+        }
+    }
+
+    /// Renders the full report around the run's finished `summary`.
+    pub(crate) fn finish(self, summary: SummaryReport, trace: simcore::Trace) -> RunReport {
+        let mut jobs = JobTable::new();
+        for rec in self.records {
+            jobs.push(rec);
+        }
+        RunReport {
+            summary,
+            jobs,
+            utilization: self.util_total,
+            koala_used: self.util_koala,
+            grow_ops: self.grow_ops,
+            shrink_ops: self.shrink_ops,
+            trace,
+            per_cluster_used: self.util_per_cluster,
+            queue_depth: self.queue_depth,
+        }
+    }
+}
+
+/// The always-on summary collector: streaming accumulators plus one
 /// fixed-size meter per **live** job (streamed runs reuse meter slots
 /// as jobs retire, so the meter table tracks in-flight jobs, not the
 /// stream length).
@@ -751,92 +772,68 @@ pub(crate) struct SummaryCollectorState {
     pub(crate) util_koala_integral: f64,
 }
 
-/// The measurement sink a [`crate::World`] feeds while it runs. The
-/// variant is chosen at construction ([`ReportMode`]); the simulation
-/// trajectory is identical either way — collectors are strictly passive.
-// One collector exists per world (never in collections), so the size
-// difference between the variants costs nothing; boxing would add a
-// pointer chase to every measurement call on the hot path instead.
-#[allow(clippy::large_enum_variant)]
+/// The measurement sink a [`crate::World`] feeds while it runs: the
+/// always-on [`SummaryCollector`], plus the [`DetailCollector`] when the
+/// world reports a [`RunReport`] ([`ReportMode`]). Both halves are
+/// strictly passive — the simulation trajectory is identical either way.
 #[derive(Debug, Clone)]
-pub(crate) enum Collector {
-    Full(FullCollector),
-    Summary(SummaryCollector),
+pub(crate) struct Collector {
+    pub(crate) summary: SummaryCollector,
+    /// Boxed so a summarized world carries one null pointer, not the
+    /// detail's inline footprint.
+    pub(crate) detail: Option<Box<DetailCollector>>,
 }
 
 impl Collector {
-    /// A full collector with one [`JobRecord`] per workload entry.
-    pub(crate) fn full(
-        submissions: impl Iterator<Item = (String, bool, SimTime)>,
-        n_clusters: usize,
-    ) -> Collector {
-        let records = submissions
-            .enumerate()
-            .map(|(i, (app, malleable, at))| JobRecord::new(i as u64, app, malleable, at))
-            .collect();
-        Collector::Full(FullCollector {
-            records,
-            util_total: StepSeries::with_initial(0.0),
-            util_koala: StepSeries::with_initial(0.0),
-            util_per_cluster: vec![StepSeries::with_initial(0.0); n_clusters],
-            grow_ops: CumulativeCounter::new(),
-            shrink_ops: CumulativeCounter::new(),
-            queue_depth: StepSeries::with_initial(0.0),
-            scale_ups: 0,
-            scale_downs: 0,
-            jobs_killed: 0,
-            jobs_requeued: 0,
-        })
-    }
-
-    /// An empty summarized collector; jobs are registered through
-    /// [`Collector::arrived`] (upfront for eager runs, at arrival for
-    /// streamed ones). Reservoirs are keyed off the cell `seed`.
-    pub(crate) fn summarized(seed: u64, report: &ReportConfig) -> Collector {
+    /// A collector with empty streams; reservoirs are keyed off the cell
+    /// `seed`. Jobs are registered through [`Collector::arrived`]
+    /// (upfront for eager runs, at arrival for streamed ones).
+    pub(crate) fn new(seed: u64, report: &ReportConfig, detail: Option<DetailCollector>) -> Self {
         let stream = |i: usize| MetricStream::new(seed ^ STREAM_SALTS[i], report.quantile_capacity);
-        Collector::Summary(SummaryCollector {
-            warmup: SimTime::ZERO + report.warmup,
-            meters: Vec::new(),
-            jobs_submitted: 0,
-            execution_time: stream(0),
-            response_time: stream(1),
-            wait_time: stream(2),
-            avg_size: stream(3),
-            max_size: stream(4),
-            slowdown: stream(5),
-            jobs_completed: 0,
-            jobs_failed: 0,
-            grow_ops: 0,
-            shrink_ops: 0,
-            monitor_utilization: stream(6),
-            monitor_queue_depth: stream(7),
-            transfer_time: stream(8),
-            staging_delay: stream(9),
-            scale_ups: 0,
-            scale_downs: 0,
-            jobs_killed: 0,
-            jobs_requeued: 0,
-            last_t: SimTime::ZERO,
-            last_total: 0.0,
-            last_koala: 0.0,
-            util_integral: 0.0,
-            util_koala_integral: 0.0,
-        })
+        Collector {
+            summary: SummaryCollector {
+                warmup: SimTime::ZERO + report.warmup,
+                meters: Vec::new(),
+                jobs_submitted: 0,
+                execution_time: stream(0),
+                response_time: stream(1),
+                wait_time: stream(2),
+                avg_size: stream(3),
+                max_size: stream(4),
+                slowdown: stream(5),
+                jobs_completed: 0,
+                jobs_failed: 0,
+                grow_ops: 0,
+                shrink_ops: 0,
+                monitor_utilization: stream(6),
+                monitor_queue_depth: stream(7),
+                transfer_time: stream(8),
+                staging_delay: stream(9),
+                scale_ups: 0,
+                scale_downs: 0,
+                jobs_killed: 0,
+                jobs_requeued: 0,
+                last_t: SimTime::ZERO,
+                last_total: 0.0,
+                last_koala: 0.0,
+                util_integral: 0.0,
+                util_koala_integral: 0.0,
+            },
+            detail: detail.map(Box::new),
+        }
     }
 
-    /// True for the memory-bounded variant.
+    /// True when the run keeps no per-job detail.
     pub(crate) fn is_summarized(&self) -> bool {
-        matches!(self, Collector::Summary(_))
+        self.detail.is_none()
     }
 
     /// A job was submitted: registers its meter at `slot`. Streamed
     /// worlds reuse slots as jobs retire (the previous occupant's
-    /// metrics were streamed at completion); the full collector builds
-    /// its records upfront, so this is a no-op there.
+    /// metrics were streamed at completion); the detail builds its
+    /// records upfront.
     pub(crate) fn arrived(&mut self, slot: usize, at: SimTime) {
-        let Collector::Summary(c) = self else {
-            return;
-        };
+        let c = &mut self.summary;
         c.jobs_submitted += 1;
         let meter = JobMeter {
             submitted: at,
@@ -854,327 +851,203 @@ impl Collector {
         }
     }
 
-    /// The job was successfully placed (allocation decided).
+    /// The job was successfully placed (allocation decided). Summary
+    /// metrics derive from submission/start/completion; the placement
+    /// instant itself is not streamed.
     pub(crate) fn placed(&mut self, index: usize, t: SimTime) {
-        if let Collector::Full(c) = self {
-            c.records[index].placed = Some(t);
+        if let Some(d) = &mut self.detail {
+            d.records[index].placed = Some(t);
         }
-        // Summarized metrics derive from submission/start/completion;
-        // the placement instant itself is not streamed.
     }
 
     /// The job started executing at `size` processors.
     pub(crate) fn started(&mut self, index: usize, t: SimTime, size: u32) {
-        match self {
-            Collector::Full(c) => {
-                c.records[index].started = Some(t);
-                c.records[index].size_history.set(t, size as f64);
-            }
-            Collector::Summary(c) => {
-                let m = &mut c.meters[index];
-                m.started = Some(t);
-                m.size = size as f64;
-                m.last_change = t;
-                m.size_integral = 0.0;
-                m.size_max = size as f64;
-            }
+        if let Some(d) = &mut self.detail {
+            d.records[index].started = Some(t);
+            d.records[index].size_history.set(t, size as f64);
         }
+        let m = &mut self.summary.meters[index];
+        m.started = Some(t);
+        m.size = size as f64;
+        m.last_change = t;
+        m.size_integral = 0.0;
+        m.size_max = size as f64;
     }
 
     /// The job resumed at a new size after a grow (`grow = true`) or
     /// shrink reconfiguration.
     pub(crate) fn resized(&mut self, index: usize, t: SimTime, size: u32, grow: bool) {
-        match self {
-            Collector::Full(c) => {
-                let rec = &mut c.records[index];
-                rec.size_history.set(t, size as f64);
-                if grow {
-                    rec.grows += 1;
-                } else {
-                    rec.shrinks += 1;
-                }
-            }
-            Collector::Summary(c) => {
-                let m = &mut c.meters[index];
-                m.size_integral += m.size * (t - m.last_change).as_secs_f64();
-                m.size = size as f64;
-                m.last_change = t;
-                m.size_max = m.size_max.max(size as f64);
+        if let Some(d) = &mut self.detail {
+            let rec = &mut d.records[index];
+            rec.size_history.set(t, size as f64);
+            if grow {
+                rec.grows += 1;
+            } else {
+                rec.shrinks += 1;
             }
         }
+        let m = &mut self.summary.meters[index];
+        m.size_integral += m.size * (t - m.last_change).as_secs_f64();
+        m.size = size as f64;
+        m.last_change = t;
+        m.size_max = m.size_max.max(size as f64);
     }
 
-    /// The job completed; in summarized mode its metrics stream into the
-    /// accumulators (post-warmup submissions only) and the meter is
-    /// final.
+    /// The job completed: its metrics stream into the accumulators
+    /// (post-warmup submissions only) and the meter is final.
     pub(crate) fn completed(&mut self, index: usize, t: SimTime) {
-        match self {
-            Collector::Full(c) => {
-                c.records[index].completed = Some(t);
-                c.records[index].outcome = JobOutcome::Completed;
-            }
-            Collector::Summary(c) => {
-                c.jobs_completed += 1;
-                let m = &mut c.meters[index];
-                m.size_integral += m.size * (t - m.last_change).as_secs_f64();
-                m.last_change = t;
-                if m.submitted < c.warmup {
-                    return;
-                }
-                let started = m.started.expect("completed job has started");
-                // The exact formulas of `JobRecord`: same subtractions,
-                // same float operations, so a summary of a run streams
-                // bit-identical samples to the full report's ECDFs.
-                let exec = (t - started).as_secs_f64();
-                let resp = (t - m.submitted).as_secs_f64();
-                let wait = (started - m.submitted).as_secs_f64();
-                let avg = m.size_integral / exec; // NaN (skipped) when exec is 0
-                c.execution_time.push(exec);
-                c.response_time.push(resp);
-                c.wait_time.push(wait);
-                c.avg_size.push(avg);
-                c.max_size.push(m.size_max);
-                c.slowdown.push((resp / exec.max(10.0)).max(1.0));
-            }
+        if let Some(d) = &mut self.detail {
+            d.records[index].completed = Some(t);
+            d.records[index].outcome = JobOutcome::Completed;
         }
+        let c = &mut self.summary;
+        c.jobs_completed += 1;
+        let m = &mut c.meters[index];
+        m.size_integral += m.size * (t - m.last_change).as_secs_f64();
+        m.last_change = t;
+        if m.submitted < c.warmup {
+            return;
+        }
+        let started = m.started.expect("completed job has started");
+        // The exact formulas of `JobRecord`: same subtractions, same
+        // float operations, so a summary streams bit-identical samples
+        // to the detail's ECDFs.
+        let exec = (t - started).as_secs_f64();
+        let resp = (t - m.submitted).as_secs_f64();
+        let wait = (started - m.submitted).as_secs_f64();
+        let avg = m.size_integral / exec; // NaN (skipped) when exec is 0
+        c.execution_time.push(exec);
+        c.response_time.push(resp);
+        c.wait_time.push(wait);
+        c.avg_size.push(avg);
+        c.max_size.push(m.size_max);
+        c.slowdown.push((resp / exec.max(10.0)).max(1.0));
     }
 
     /// The job was dropped by the placement-retry threshold.
     pub(crate) fn placement_failed(&mut self, index: usize) {
-        match self {
-            Collector::Full(c) => c.records[index].outcome = JobOutcome::PlacementFailed,
-            Collector::Summary(c) => c.jobs_failed += 1,
+        if let Some(d) = &mut self.detail {
+            d.records[index].outcome = JobOutcome::PlacementFailed;
         }
+        self.summary.jobs_failed += 1;
     }
 
     /// An accepted grow operation.
     pub(crate) fn grow_op(&mut self, t: SimTime) {
-        match self {
-            Collector::Full(c) => c.grow_ops.record(t),
-            Collector::Summary(c) => {
-                if t >= c.warmup {
-                    c.grow_ops += 1;
-                }
-            }
+        if let Some(d) = &mut self.detail {
+            d.grow_ops.record(t);
+        }
+        if t >= self.summary.warmup {
+            self.summary.grow_ops += 1;
         }
     }
 
     /// An accepted shrink operation.
     pub(crate) fn shrink_op(&mut self, t: SimTime) {
-        match self {
-            Collector::Full(c) => c.shrink_ops.record(t),
-            Collector::Summary(c) => {
-                if t >= c.warmup {
-                    c.shrink_ops += 1;
-                }
-            }
+        if let Some(d) = &mut self.detail {
+            d.shrink_ops.record(t);
+        }
+        if t >= self.summary.warmup {
+            self.summary.shrink_ops += 1;
         }
     }
 
     /// One monitoring tick: per-cluster utilization fractions plus the
-    /// current KOALA placement-queue depth. Full mode records the queue
-    /// depth as a step series (per-cluster utilization already has its
-    /// own series); summarized mode streams both into the monitor
-    /// accumulators (post-warmup only, like the operation counts).
+    /// current KOALA placement-queue depth, streamed into the monitor
+    /// accumulators (post-warmup only, like the operation counts). The
+    /// detail records the queue depth as a step series (per-cluster
+    /// utilization already has its own series).
     pub(crate) fn monitor_sample(
         &mut self,
         t: SimTime,
         cluster_utilization: impl Iterator<Item = f64>,
         queue_depth: usize,
     ) {
-        match self {
-            Collector::Full(c) => {
-                // Exhaust the iterator either way so both modes drive
-                // the caller identically.
-                cluster_utilization.for_each(drop);
-                c.queue_depth.set(t, queue_depth as f64);
-            }
-            Collector::Summary(c) => {
-                if t < c.warmup {
-                    cluster_utilization.for_each(drop);
-                    return;
-                }
-                for u in cluster_utilization {
-                    c.monitor_utilization.push(u);
-                }
-                c.monitor_queue_depth.push(queue_depth as f64);
-            }
+        if let Some(d) = &mut self.detail {
+            d.queue_depth.set(t, queue_depth as f64);
         }
+        let c = &mut self.summary;
+        if t < c.warmup {
+            return;
+        }
+        for u in cluster_utilization {
+            c.monitor_utilization.push(u);
+        }
+        c.monitor_queue_depth.push(queue_depth as f64);
     }
 
     /// A staging or redistribution transfer completed after `secs`
-    /// seconds on the wire. Full mode keeps only the [`NetStats`]
-    /// tallies (tracked by the world); summarized mode streams the
-    /// duration (post-warmup, gated on the completion instant like the
-    /// operation counts).
+    /// seconds on the wire; streamed post-warmup (gated on the
+    /// completion instant like the operation counts).
     pub(crate) fn transfer_done(&mut self, t: SimTime, secs: f64) {
-        if let Collector::Summary(c) = self {
-            if t >= c.warmup {
-                c.transfer_time.push(secs);
-            }
+        if t >= self.summary.warmup {
+            self.summary.transfer_time.push(secs);
         }
     }
 
     /// A job finished staging `secs` seconds after its processors'
     /// placement was committed (zero when every input was already
-    /// local). Summarized mode streams it post-warmup; the full report
-    /// exposes staging through the job wait times instead.
+    /// local); streamed post-warmup. The detail exposes staging through
+    /// the job wait times.
     pub(crate) fn staging_delayed(&mut self, t: SimTime, secs: f64) {
-        if let Collector::Summary(c) = self {
-            if t >= c.warmup {
-                c.staging_delay.push(secs);
-            }
+        if t >= self.summary.warmup {
+            self.summary.staging_delay.push(secs);
         }
     }
 
     /// An applied autoscale decision (`grow` repaired nodes into the
-    /// pool, otherwise free nodes were withdrawn).
+    /// pool, otherwise free nodes were withdrawn), counted post-warmup.
     pub(crate) fn scale_op(&mut self, t: SimTime, grow: bool) {
-        let (ups, downs, warmup) = match self {
-            Collector::Full(c) => (&mut c.scale_ups, &mut c.scale_downs, SimTime::ZERO),
-            Collector::Summary(c) => (&mut c.scale_ups, &mut c.scale_downs, c.warmup),
-        };
-        if t >= warmup {
+        let c = &mut self.summary;
+        if t >= c.warmup {
             if grow {
-                *ups += 1;
+                c.scale_ups += 1;
             } else {
-                *downs += 1;
+                c.scale_downs += 1;
             }
         }
     }
 
     /// A KOALA job was killed by a node crash.
     pub(crate) fn job_killed(&mut self, index: usize) {
-        match self {
-            Collector::Full(c) => {
-                c.records[index].outcome = JobOutcome::Killed;
-                c.jobs_killed += 1;
-            }
-            Collector::Summary(c) => c.jobs_killed += 1,
+        if let Some(d) = &mut self.detail {
+            d.records[index].outcome = JobOutcome::Killed;
         }
+        self.summary.jobs_killed += 1;
     }
 
     /// A KOALA job lost its nodes to a crash and went back in the queue.
     pub(crate) fn job_requeued(&mut self) {
-        match self {
-            Collector::Full(c) => c.jobs_requeued += 1,
-            Collector::Summary(c) => c.jobs_requeued += 1,
-        }
+        self.summary.jobs_requeued += 1;
     }
 
     /// Samples platform utilization after an allocation change.
     pub(crate) fn utilization(&mut self, t: SimTime, mc: &Multicluster) {
-        match self {
-            Collector::Full(c) => {
-                c.util_total.set(t, mc.total_used() as f64);
-                c.util_koala.set(t, mc.total_used_by_koala() as f64);
-                for (i, series) in c.util_per_cluster.iter_mut().enumerate() {
-                    series.set(
-                        t,
-                        mc.cluster(multicluster::ClusterId(i as u16)).used() as f64,
-                    );
-                }
-            }
-            Collector::Summary(c) => {
-                c.integrate_to(t);
-                c.last_t = t;
-                c.last_total = mc.total_used() as f64;
-                c.last_koala = mc.total_used_by_koala() as f64;
+        let (total, koala) = (mc.total_used() as f64, mc.total_used_by_koala() as f64);
+        if let Some(d) = &mut self.detail {
+            d.util_total.set(t, total);
+            d.util_koala.set(t, koala);
+            for (i, series) in d.util_per_cluster.iter_mut().enumerate() {
+                series.set(
+                    t,
+                    mc.cluster(multicluster::ClusterId(i as u16)).used() as f64,
+                );
             }
         }
-    }
-
-    /// Unwraps the full variant (the `World::finish` path).
-    pub(crate) fn into_full(self) -> FullCollector {
-        match self {
-            Collector::Full(c) => c,
-            Collector::Summary(_) => {
-                panic!("world runs summarized: report a SummaryReport (finish_summary)")
-            }
-        }
-    }
-
-    /// Unwraps the summarized variant (the `finish_summary` path).
-    pub(crate) fn into_summary(self) -> SummaryCollector {
-        match self {
-            Collector::Summary(c) => c,
-            Collector::Full(_) => {
-                panic!("world runs with a full report: report a RunReport (finish)")
-            }
-        }
-    }
-}
-
-impl FullCollector {
-    /// Renders the full report (the caller supplies the scalar tallies
-    /// the world tracked itself).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        self,
-        name: String,
-        seed: u64,
-        makespan: SimTime,
-        grow_messages: u64,
-        shrink_messages: u64,
-        kis_polls: u64,
-        placement_tries: u64,
-        failed_submissions: u64,
-        events: u64,
-        ctrl: CtrlStats,
-        net: NetStats,
-        trace: simcore::Trace,
-    ) -> RunReport {
-        let mut jobs = JobTable::new();
-        for rec in self.records {
-            jobs.push(rec);
-        }
-        RunReport {
-            name,
-            seed,
-            jobs,
-            utilization: self.util_total,
-            koala_used: self.util_koala,
-            grow_ops: self.grow_ops,
-            shrink_ops: self.shrink_ops,
-            grow_messages,
-            shrink_messages,
-            makespan,
-            kis_polls,
-            placement_tries,
-            failed_submissions,
-            events,
-            trace,
-            per_cluster_used: self.util_per_cluster,
-            queue_depth: self.queue_depth,
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            jobs_killed: self.jobs_killed,
-            jobs_requeued: self.jobs_requeued,
-            ctrl,
-            net,
-        }
+        let c = &mut self.summary;
+        c.integrate_to(t);
+        c.last_t = t;
+        c.last_total = total;
+        c.last_koala = koala;
     }
 }
 
 impl SummaryCollector {
-    /// Renders the memory-bounded report, closing the utilization
-    /// integral at the makespan.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        mut self,
-        name: String,
-        seed: u64,
-        makespan: SimTime,
-        grow_messages: u64,
-        shrink_messages: u64,
-        kis_polls: u64,
-        placement_tries: u64,
-        failed_submissions: u64,
-        events: u64,
-        peak_live_jobs: u64,
-        ctrl: CtrlStats,
-        net: NetStats,
-    ) -> SummaryReport {
+    /// Renders the summary, closing the utilization integral at the
+    /// makespan. The tallies the world keeps itself (messages, polls,
+    /// tries, events, peak live jobs, control-plane and network
+    /// counters) start at zero for the caller to fill in.
+    pub(crate) fn finish(mut self, name: String, seed: u64, makespan: SimTime) -> SummaryReport {
         self.integrate_to(makespan);
         let warmup = self.warmup.saturating_since(SimTime::ZERO);
         SummaryReport {
@@ -1192,22 +1065,22 @@ impl SummaryCollector {
             slowdown: self.slowdown,
             grow_ops: self.grow_ops,
             shrink_ops: self.shrink_ops,
-            grow_messages,
-            shrink_messages,
+            grow_messages: 0,
+            shrink_messages: 0,
             makespan,
-            kis_polls,
-            placement_tries,
-            failed_submissions,
-            events,
-            peak_live_jobs,
+            kis_polls: 0,
+            placement_tries: 0,
+            failed_submissions: 0,
+            events: 0,
+            peak_live_jobs: 0,
             monitor_utilization: self.monitor_utilization,
             monitor_queue_depth: self.monitor_queue_depth,
             scale_ups: self.scale_ups,
             scale_downs: self.scale_downs,
             jobs_killed: self.jobs_killed,
             jobs_requeued: self.jobs_requeued,
-            ctrl,
-            net,
+            ctrl: CtrlStats::default(),
+            net: NetStats::default(),
             transfer_time: self.transfer_time,
             staging_delay: self.staging_delay,
             util_integral: self.util_integral,
@@ -1251,30 +1124,20 @@ mod tests {
         util.set(SimTime::from_secs(exec_s), 0.0);
         let mut grow_ops = CumulativeCounter::new();
         grow_ops.record(SimTime::from_secs(1));
+        let makespan = SimTime::from_secs(exec_s);
+        let summary = Collector::new(seed, &ReportConfig::default(), None)
+            .summary
+            .finish("T".into(), seed, makespan);
         RunReport {
-            name: "T".into(),
-            seed,
+            summary,
             jobs,
             utilization: util,
             koala_used: StepSeries::new(),
             grow_ops,
             shrink_ops: CumulativeCounter::new(),
-            grow_messages: 1,
-            shrink_messages: 0,
-            makespan: SimTime::from_secs(exec_s),
-            kis_polls: 10,
-            placement_tries: 0,
-            failed_submissions: 0,
-            events: 42,
             trace: simcore::Trace::disabled(),
             per_cluster_used: Vec::new(),
             queue_depth: StepSeries::new(),
-            scale_ups: 0,
-            scale_downs: 0,
-            jobs_killed: 0,
-            jobs_requeued: 0,
-            ctrl: CtrlStats::default(),
-            net: NetStats::default(),
         }
     }
 
@@ -1318,7 +1181,7 @@ mod tests {
             warmup,
             quantile_capacity: 8,
         };
-        let mut c = Collector::summarized(seed, &report);
+        let mut c = Collector::new(seed, &report, None);
         c.arrived(0, SimTime::ZERO);
         c.arrived(1, SimTime::from_secs(100));
         let mc = multicluster::das3();
@@ -1332,20 +1195,7 @@ mod tests {
         c.resized(1, SimTime::from_secs(160), 6, true);
         c.completed(1, SimTime::from_secs(200));
         c.utilization(SimTime::from_secs(100), &mc);
-        c.into_summary().finish(
-            "T".into(),
-            seed,
-            SimTime::from_secs(200),
-            3,
-            0,
-            10,
-            0,
-            0,
-            42,
-            2,
-            CtrlStats::default(),
-            NetStats::default(),
-        )
+        c.summary.finish("T".into(), seed, SimTime::from_secs(200))
     }
 
     #[test]
@@ -1394,13 +1244,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "report a SummaryReport")]
-    fn full_unwrap_of_summary_collector_panics() {
-        let report = ReportConfig::default();
-        Collector::summarized(0, &report).into_full();
-    }
-
-    #[test]
     fn summary_collector_capture_restore_is_transparent() {
         // Drive two collectors identically, checkpointing one mid-run:
         // the rendered reports must be byte-identical (debug equality),
@@ -1427,38 +1270,20 @@ mod tests {
             c.utilization(SimTime::from_secs(60), &mc);
             c.completed(1, SimTime::from_secs(80));
         };
-        let finish = |c: Collector| {
-            c.into_summary().finish(
-                "T".into(),
-                7,
-                SimTime::from_secs(80),
-                1,
-                0,
-                5,
-                0,
-                0,
-                99,
-                2,
-                CtrlStats::default(),
-                NetStats::default(),
-            )
-        };
-        let mut straight = Collector::summarized(7, &report);
+        let finish = |c: Collector| c.summary.finish("T".into(), 7, SimTime::from_secs(80));
+        let mut straight = Collector::new(7, &report, None);
         drive_prefix(&mut straight);
         drive_suffix(&mut straight);
-        let mut original = Collector::summarized(7, &report);
+        let mut original = Collector::new(7, &report, None);
         drive_prefix(&mut original);
-        let state = match &original {
-            Collector::Summary(c) => c.capture_state(),
-            Collector::Full(_) => unreachable!(),
+        let state = original.summary.capture_state();
+        let mut restored = Collector {
+            summary: SummaryCollector::from_state(state.clone()),
+            detail: None,
         };
-        let mut restored = Collector::Summary(SummaryCollector::from_state(state.clone()));
         assert_eq!(
             state,
-            match &restored {
-                Collector::Summary(c) => c.capture_state(),
-                Collector::Full(_) => unreachable!(),
-            },
+            restored.summary.capture_state(),
             "capture → restore → capture is a fixed point"
         );
         drive_suffix(&mut restored);
@@ -1472,7 +1297,7 @@ mod tests {
         // The streamed-intake contract: re-registering a slot replaces
         // its meter without disturbing already-streamed metrics.
         let report = ReportConfig::default();
-        let mut c = Collector::summarized(1, &report);
+        let mut c = Collector::new(1, &report, None);
         c.arrived(0, SimTime::ZERO);
         c.started(0, SimTime::ZERO, 2);
         c.completed(0, SimTime::from_secs(50));
@@ -1480,31 +1305,11 @@ mod tests {
         c.arrived(0, SimTime::from_secs(100));
         c.started(0, SimTime::from_secs(110), 4);
         c.completed(0, SimTime::from_secs(140));
-        let s = c.into_summary().finish(
-            "T".into(),
-            1,
-            SimTime::from_secs(140),
-            0,
-            0,
-            0,
-            0,
-            0,
-            0,
-            1,
-            CtrlStats::default(),
-            NetStats::default(),
-        );
+        let s = c.summary.finish("T".into(), 1, SimTime::from_secs(140));
         assert_eq!(s.jobs_submitted, 2);
         assert_eq!(s.jobs_completed, 2);
         assert_eq!(s.execution_time.count(), 2);
         assert_eq!(s.execution_time.mean(), Some(40.0), "(50 + 30) / 2");
         assert_eq!(s.wait_time.mean(), Some(5.0), "(0 + 10) / 2");
-        assert_eq!(s.peak_live_jobs, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "report a RunReport")]
-    fn summary_unwrap_of_full_collector_panics() {
-        Collector::full(std::iter::empty(), 5).into_summary();
     }
 }

@@ -80,8 +80,9 @@ impl<'a> Run<'a> {
     }
 }
 
-/// The report a run produces: [`RunReport`] (full job tables and step
-/// series) or [`SummaryReport`] (memory-bounded accumulators).
+/// The report a run produces: [`SummaryReport`] (memory-bounded
+/// accumulators) or [`RunReport`] (that summary plus job tables and step
+/// series).
 pub trait Report: Send + Sized + sealed::Sealed {
     /// The collector a world reporting `Self` is built with.
     const MODE: ReportMode;

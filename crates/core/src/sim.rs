@@ -65,7 +65,9 @@ use crate::job::{Job, JobPhase};
 use crate::malleability::RunningView;
 use crate::placement::{ComponentRequest, PlacementQueue, PlacementRequest};
 use crate::policy::{Malleability, Placement, PolicyRegistry};
-use crate::report::{Collector, CtrlStats, NetStats, ReportMode, RunReport, SummaryReport};
+use crate::report::{
+    Collector, CtrlStats, DetailCollector, NetStats, ReportMode, RunReport, SummaryReport,
+};
 use crate::run::Report;
 use crate::runner::MRunner;
 
@@ -793,8 +795,8 @@ impl<'a> World<'a> {
     }
 
     /// [`World::for_seed`] in memory-bounded summary mode: the run
-    /// collects streaming accumulators only (no job table, no step
-    /// series, no trace) and finishes as a [`SummaryReport`]. Warmup
+    /// collects the summary's streaming accumulators only (no job table,
+    /// no step series, no trace) and finishes as a [`SummaryReport`]. Warmup
     /// trimming and reservoir capacity come from `cfg.report`.
     pub fn for_seed_summarized(cfg: &'a ExperimentConfig, seed: u64) -> Self {
         Self::for_seed_with_mode(cfg, seed, ReportMode::Summarized)
@@ -829,8 +831,8 @@ impl<'a> World<'a> {
             .map(|(i, s)| Job::new(JobId(i as u32), s.spec.clone(), s.at))
             .collect();
         let mc = topology_for(cfg);
-        let collect = match mode {
-            ReportMode::Full => Collector::full(
+        let detail = (mode == ReportMode::Full).then(|| {
+            DetailCollector::new(
                 workload.iter().map(|s| {
                     (
                         s.spec.kind.label().to_string(),
@@ -839,15 +841,12 @@ impl<'a> World<'a> {
                     )
                 }),
                 mc.len(),
-            ),
-            ReportMode::Summarized => {
-                let mut c = Collector::summarized(seed, &cfg.report);
-                for (i, s) in workload.iter().enumerate() {
-                    c.arrived(i, s.at);
-                }
-                c
-            }
-        };
+            )
+        });
+        let mut collect = Collector::new(seed, &cfg.report, detail);
+        for (i, s) in workload.iter().enumerate() {
+            collect.arrived(i, s.at);
+        }
         Self::assemble(
             cfg,
             seed,
@@ -893,7 +892,7 @@ impl<'a> World<'a> {
             topology_for(cfg),
             intake,
             JobSlab::streaming(),
-            Collector::summarized(seed, &cfg.report),
+            Collector::new(seed, &cfg.report, None),
             bg_rng,
             failure_rng,
             fault_rng,
@@ -1159,8 +1158,8 @@ impl<'a> World<'a> {
 
     /// Runs the event loop until every job is terminal (or the engine
     /// drains or hits its horizon) and returns the report `R` — a
-    /// [`RunReport`] or a [`SummaryReport`], matching the mode the world
-    /// was built in.
+    /// [`SummaryReport`], or a [`RunReport`] when the world collects the
+    /// per-job detail.
     ///
     /// A fresh world is bootstrapped first, and the loop pops one event
     /// before its first [`World::done`] check. A started world — a warmed
@@ -1170,7 +1169,7 @@ impl<'a> World<'a> {
     /// event the uninterrupted run never saw.
     ///
     /// # Panics
-    /// Panics when `R` does not match the world's report mode.
+    /// Panics when `R` is [`RunReport`] and the world runs summarized.
     pub fn run_to_end<R: Report>(mut self, engine: &mut Engine<Ev>) -> R {
         if !self.started {
             self.bootstrap(engine);
@@ -3412,64 +3411,48 @@ impl<'a> World<'a> {
         self.collect.utilization(now, &self.mc);
     }
 
-    /// End-of-run accounting check, compiled into release builds too
-    /// (the per-event check in [`World::handle`] is debug-only): every
-    /// cluster's incremental occupancy counters must still agree with a
-    /// recount of its allocations. O(nodes + allocations), once per run.
-    fn check_final_accounting(&self) {
-        self.mc
-            .check_invariants()
-            .expect("cluster occupancy counters must match a recount at the end of a run");
-    }
-
-    /// Finalizes the full report.
+    /// Finalizes the report: the run's [`SummaryReport`] (the one
+    /// finalization path) plus the per-job detail.
     ///
     /// # Panics
     /// Panics in summarized mode — use [`World::finish_summary`].
     pub fn finish(mut self, engine: &Engine<Ev>) -> RunReport {
-        self.check_final_accounting();
-        let mut ctrl = self.ctrl;
-        ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
-        let net = self.final_net_stats(engine.now());
-        self.collect.into_full().finish(
-            self.cfg.name.clone(),
-            self.seed,
-            engine.now(),
-            self.grow_messages,
-            self.shrink_messages,
-            self.kis.polls(),
-            self.queue.total_tries(),
-            self.queue.failed_submissions(),
-            engine.stats().delivered,
-            ctrl,
-            net,
-            self.trace,
-        )
+        let detail = self
+            .collect
+            .detail
+            .take()
+            .expect("world runs summarized: report a SummaryReport (finish_summary)");
+        let trace = std::mem::take(&mut self.trace);
+        detail.finish(self.finish_summary(engine), trace)
     }
 
-    /// Finalizes the memory-bounded summary report.
-    ///
-    /// # Panics
-    /// Panics in full-report mode — use [`World::finish`].
+    /// Finalizes the summary report (a full world's detail is dropped).
     pub fn finish_summary(mut self, engine: &Engine<Ev>) -> SummaryReport {
-        self.check_final_accounting();
-        let mut ctrl = self.ctrl;
-        ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
-        let net = self.final_net_stats(engine.now());
-        self.collect.into_summary().finish(
-            self.cfg.name.clone(),
-            self.seed,
-            engine.now(),
-            self.grow_messages,
-            self.shrink_messages,
-            self.kis.polls(),
-            self.queue.total_tries(),
-            self.queue.failed_submissions(),
-            engine.stats().delivered,
-            self.jobs.peak_live() as u64,
-            ctrl,
-            net,
-        )
+        // End-of-run accounting check, compiled into release builds too
+        // (the per-event check in `handle` is debug-only): every
+        // cluster's incremental occupancy counters must still agree with
+        // a recount of its allocations. O(nodes + allocations), once per
+        // run.
+        self.mc
+            .check_invariants()
+            .expect("cluster occupancy counters must match a recount at the end of a run");
+        let now = engine.now();
+        let net = self.final_net_stats(now);
+        let mut s = self
+            .collect
+            .summary
+            .finish(self.cfg.name.clone(), self.seed, now);
+        s.grow_messages = self.grow_messages;
+        s.shrink_messages = self.shrink_messages;
+        s.kis_polls = self.kis.polls();
+        s.placement_tries = self.queue.total_tries();
+        s.failed_submissions = self.queue.failed_submissions();
+        s.events = engine.stats().delivered;
+        s.peak_live_jobs = self.jobs.peak_live() as u64;
+        s.ctrl = self.ctrl;
+        s.ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
+        s.net = net;
+        s
     }
 }
 
@@ -3750,10 +3733,7 @@ impl<'a> World<'a> {
         w.u64(self.jobs.live as u64);
         w.u64(self.jobs.peak_live as u64);
         // --- streaming collector --------------------------------------
-        let Collector::Summary(c) = &self.collect else {
-            unreachable!("snapshot() gates on summarized mode");
-        };
-        enc_collector(&mut w, &c.capture_state());
+        enc_collector(&mut w, &self.collect.summary.capture_state());
         w.into_bytes()
     }
 
@@ -4048,7 +4028,7 @@ impl<'a> World<'a> {
         self.jobs.peak_live = peak_live;
         // --- streaming collector --------------------------------------
         let cstate = dec_collector(r)?;
-        self.collect = Collector::Summary(crate::report::SummaryCollector::from_state(cstate));
+        self.collect.summary = crate::report::SummaryCollector::from_state(cstate);
         Ok(engine)
     }
 }
@@ -4918,7 +4898,7 @@ mod tests {
         );
         assert!(r.shrink_ops.total() > 0, "PWA under W'm should shrink");
         assert!(
-            r.placement_tries > 0,
+            r.summary.placement_tries > 0,
             "saturation should cause failed placement tries"
         );
     }
@@ -4928,7 +4908,7 @@ mod tests {
         let cfg = small("egs", WorkloadSpec::wm(), 25);
         let r = report(&cfg);
         assert_eq!(r.shrink_ops.total(), 0);
-        assert_eq!(r.shrink_messages, 0);
+        assert_eq!(r.summary.shrink_messages, 0);
     }
 
     #[test]
@@ -4936,9 +4916,9 @@ mod tests {
         let cfg = small("egs", WorkloadSpec::wmr(), 15);
         let a = report(&cfg);
         let b = report(&cfg);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.grow_messages, b.grow_messages);
+        assert_eq!(a.summary.makespan, b.summary.makespan);
+        assert_eq!(a.summary.events, b.summary.events);
+        assert_eq!(a.summary.grow_messages, b.summary.grow_messages);
         let ea: Vec<f64> = a.jobs.execution_time_ecdf().samples().to_vec();
         let eb: Vec<f64> = b.jobs.execution_time_ecdf().samples().to_vec();
         assert_eq!(ea, eb);
@@ -5404,7 +5384,10 @@ mod tests {
         let r = w.finish(&engine);
         let mut text = format!(
             "placement_tries={} failed_submissions={} requeued={} makespan={:?}\n",
-            r.placement_tries, r.failed_submissions, r.jobs_requeued, r.makespan
+            r.summary.placement_tries,
+            r.summary.failed_submissions,
+            r.summary.jobs_requeued,
+            r.summary.makespan
         );
         for j in r.jobs.records() {
             text.push_str(&format!(

@@ -151,10 +151,10 @@ fn soak_autoscaled_with_failures_completes_every_job() {
     let r = one::<RunReport>(scenario.config());
     assert_eq!(r.jobs.len(), 600);
     assert!(
-        r.jobs_requeued > 0,
+        r.summary.jobs_requeued > 0,
         "the failure stream never hit a running job — tune mtbf down"
     );
-    assert_eq!(r.jobs_killed, 0, "requeue policy must not kill");
+    assert_eq!(r.summary.jobs_killed, 0, "requeue policy must not kill");
     for rec in r.jobs.records() {
         assert_eq!(
             rec.outcome,
@@ -182,7 +182,7 @@ fn kill_policy_kills_and_accounts_for_crashed_jobs() {
         .unwrap();
     let r = one::<RunReport>(scenario.config());
     assert!(
-        r.jobs_killed > 0,
+        r.summary.jobs_killed > 0,
         "no job was ever on a crashed node — tune mtbf down"
     );
     let killed = r
@@ -191,7 +191,10 @@ fn kill_policy_kills_and_accounts_for_crashed_jobs() {
         .iter()
         .filter(|rec| rec.outcome == JobOutcome::Killed)
         .count() as u64;
-    assert_eq!(killed, r.jobs_killed, "counter and job table disagree");
+    assert_eq!(
+        killed, r.summary.jobs_killed,
+        "counter and job table disagree"
+    );
     for rec in r.jobs.records() {
         assert_ne!(
             rec.outcome,
@@ -220,7 +223,7 @@ fn monitoring_does_not_perturb_the_run() {
         format!("{:?}", r_mon.jobs),
         "monitoring changed job outcomes"
     );
-    assert_eq!(r_plain.makespan, r_mon.makespan);
+    assert_eq!(r_plain.summary.makespan, r_mon.summary.makespan);
 }
 
 /// A mostly idle system under the threshold scaler gets scaled down —
@@ -240,7 +243,7 @@ fn threshold_scaler_shrinks_an_idle_system() {
         .unwrap();
     let r = one::<RunReport>(scenario.config());
     assert!(
-        r.scale_downs > 0,
+        r.summary.scale_downs > 0,
         "an almost-empty DAS-3 should trip the low-utilization band"
     );
     assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);

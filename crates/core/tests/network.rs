@@ -70,11 +70,15 @@ fn staging_delays_job_start_under_networking() {
         wait < 900.0,
         "an uncontended transfer should not take much over 800 s: {wait}"
     );
-    assert_eq!(r.net.transfers_opened, 1);
-    assert_eq!(r.net.transfers_completed, 1);
-    assert_eq!(r.net.bytes_staged_gb, 100.0);
-    assert!(r.net.link_busy_s > 790.0, "busy {}", r.net.link_busy_s);
-    assert!(r.net.link_busy_fraction() > 0.0);
+    assert_eq!(r.summary.net.transfers_opened, 1);
+    assert_eq!(r.summary.net.transfers_completed, 1);
+    assert_eq!(r.summary.net.bytes_staged_gb, 100.0);
+    assert!(
+        r.summary.net.link_busy_s > 790.0,
+        "busy {}",
+        r.summary.net.link_busy_s
+    );
+    assert!(r.summary.net.link_busy_fraction() > 0.0);
 
     // The identical run with networking off starts after GRAM latency
     // alone — the delay above is genuinely the network layer's.
@@ -86,7 +90,7 @@ fn staging_delays_job_start_under_networking() {
         wait_off < 60.0,
         "without networking the wait is GRAM latency only, got {wait_off}"
     );
-    assert_eq!(r_off.net.transfers_opened, 0);
+    assert_eq!(r_off.summary.net.transfers_opened, 0);
 }
 
 /// Two concurrent transfers over the shared 1 Gb/s WAN halve each
@@ -117,7 +121,7 @@ fn concurrent_transfers_contend_on_shared_links() {
         (790.0..900.0).contains(&wait),
         "two 50 GB flows share the 1 Gb/s WAN: ~800 s total, got {wait}"
     );
-    assert_eq!(r.net.transfers_completed, 2);
+    assert_eq!(r.summary.net.transfers_completed, 2);
 }
 
 /// The contended placement matrix, over one topology of each registry
@@ -223,7 +227,7 @@ fn deferred_claiming_claims_after_real_transfers() {
         wait >= 800.0,
         "the deferred claim fires only after the 800 s transfer: {wait}"
     );
-    assert_eq!(r.net.transfers_completed, 1);
+    assert_eq!(r.summary.net.transfers_completed, 1);
     assert!(rec.response_time().is_some(), "job ran to completion");
 }
 
@@ -242,14 +246,14 @@ fn reconfigurations_open_traffic_when_configured() {
     let mut engine = Engine::new();
     let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
     assert!(
-        r.net.reconfig_transfers > 0,
+        r.summary.net.reconfig_transfers > 0,
         "a Wm run grows malleable jobs; each grow should open traffic"
     );
     assert_eq!(
-        r.net.transfers_opened, r.net.reconfig_transfers,
+        r.summary.net.transfers_opened, r.summary.net.reconfig_transfers,
         "no input files: every flow is reconfig traffic"
     );
-    assert_eq!(r.net.bytes_staged_gb, 0.0);
+    assert_eq!(r.summary.net.bytes_staged_gb, 0.0);
 }
 
 /// With networking ON the whole stack stays deterministic: identical

@@ -82,10 +82,13 @@ fn render(tag: &str, r: &RunReport) -> String {
             rec.response_time()
         ));
     }
-    out.push_str(&format!("makespan: {:?}\n", r.makespan));
+    out.push_str(&format!("makespan: {:?}\n", r.summary.makespan));
     out.push_str(&format!(
         "counters: placement_tries={} failed_submissions={} events={} kis_polls={}\n",
-        r.placement_tries, r.failed_submissions, r.events, r.kis_polls
+        r.summary.placement_tries,
+        r.summary.failed_submissions,
+        r.summary.events,
+        r.summary.kis_polls
     ));
     out.push_str(&format!(
         "koala_used: {:?}\n",

@@ -176,7 +176,7 @@ mod end_to_end {
             // Utilization can never exceed the 272 DAS-3 processors.
             let peak = r
                 .utilization
-                .max_in(simcore::SimTime::ZERO, r.makespan)
+                .max_in(simcore::SimTime::ZERO, r.summary.makespan)
                 .unwrap_or(0.0);
             prop_assert!(peak <= 272.0 + 1e-9, "peak {peak}");
             if !pwa {

@@ -191,7 +191,7 @@ fn run_case(approach: Approach, threshold: u32, tag: &str) -> (RunReport, Kinds)
     };
     // Every failed try of the scan is one of the three kinds.
     assert_eq!(
-        on.placement_tries,
+        on.summary.placement_tries,
         kinds.quick_rejects + kinds.policy_nones + kinds.claim_failures,
         "{tag}: failed tries do not split into the three kinds"
     );
@@ -202,14 +202,14 @@ fn run_case(approach: Approach, threshold: u32, tag: &str) -> (RunReport, Kinds)
 fn render_outcome(r: &RunReport) -> String {
     let mut out = format!(
         "placement_tries={} failed_submissions={} jobs_failed={} makespan={:?}\n",
-        r.placement_tries,
-        r.failed_submissions,
+        r.summary.placement_tries,
+        r.summary.failed_submissions,
         r.jobs
             .records()
             .iter()
             .filter(|j| j.outcome == JobOutcome::PlacementFailed)
             .count(),
-        r.makespan,
+        r.summary.makespan,
     );
     for j in r.jobs.records() {
         out.push_str(&format!(
@@ -243,7 +243,10 @@ fn retry_threshold_outcomes_match_golden() {
         assert!(k.quick_rejects > 0, "{tag}: no quick-reject");
         assert!(k.policy_nones > 0, "{tag}: no policy None");
         assert!(k.claim_failures > 0, "{tag}: no claim failure");
-        assert!(r.failed_submissions > 0, "{tag}: the threshold never fired");
+        assert!(
+            r.summary.failed_submissions > 0,
+            "{tag}: the threshold never fired"
+        );
         text.push_str(&format!(
             "== {tag} ==\nquick_rejects={} policy_nones={} claim_failures={}\n{}",
             k.quick_rejects,

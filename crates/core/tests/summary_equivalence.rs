@@ -1,10 +1,10 @@
 //! The summary path's contract, enforced end to end:
 //!
-//! * **Passivity** — reporting mode must not change the simulation
-//!   trajectory: a summarized run's scalar tallies (events, makespan,
-//!   operations, messages, polls) are bit-identical to the full run's.
-//! * **Agreement** — streamed per-job metrics equal the full report's
-//!   (exactly, while the quantile reservoirs are below capacity).
+//! * **Passivity** — collecting the per-job detail changes nothing: a
+//!   full run's `summary` equals the summarized run of the same cell,
+//!   down to the reservoirs, registry-wide and under every subsystem.
+//! * **Agreement** — streamed per-job metrics equal the detail's job
+//!   table (exactly, while the quantile reservoirs are below capacity).
 //! * **Memory bound** — summarized runs keep at most
 //!   `quantile_capacity` samples per metric regardless of job count,
 //!   and never materialize job tables or traces.
@@ -12,10 +12,13 @@
 //!   parallel results bit-identical to sequential.
 
 use appsim::workload::WorkloadSpec;
-use koala::config::ExperimentConfig;
-use koala::scenario::Scenario;
+use koala::config::{Approach, ExperimentConfig, RetryConfig};
+use koala::policy::PolicyRegistry;
+use koala::scenario::{Scenario, ScenarioBuilder};
 use koala::{Report, ReportMode, Run, RunReport, SummaryReport, World};
 use koala_metrics::Ecdf;
+use multicluster::{ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec};
+use simcore::SimDuration;
 
 /// One run of `cfg` under its own seed.
 fn one<R: Report>(cfg: &ExperimentConfig) -> R {
@@ -40,22 +43,10 @@ fn summary_matches_full_report_on_the_same_run() {
     let full = one::<RunReport>(&cfg);
     let summary = one::<SummaryReport>(&cfg);
 
-    // Passivity: identical trajectory.
-    assert_eq!(summary.events, full.events);
-    assert_eq!(summary.makespan, full.makespan);
-    assert_eq!(summary.grow_ops as usize, full.grow_ops.total());
-    assert_eq!(summary.shrink_ops as usize, full.shrink_ops.total());
-    assert_eq!(summary.grow_messages, full.grow_messages);
-    assert_eq!(summary.shrink_messages, full.shrink_messages);
-    assert_eq!(summary.kis_polls, full.kis_polls);
-    assert_eq!(summary.placement_tries, full.placement_tries);
-    assert_eq!(summary.failed_submissions, full.failed_submissions);
+    // Passivity: the full report's summary is the summarized run.
+    assert_eq!(full.summary, summary);
+    assert_eq!(format!("{:?}", full.summary), format!("{summary:?}"));
     assert_eq!(summary.jobs_submitted as usize, full.jobs.len());
-    assert_eq!(
-        summary.jobs_completed as usize,
-        full.jobs.completed().count()
-    );
-    assert!((summary.completion_ratio() - full.jobs.completion_ratio()).abs() < 1e-12);
 
     // Agreement: with 40 jobs the 512-slot reservoirs hold everything,
     // so the streamed samples are *exactly* the full report's ECDFs.
@@ -83,12 +74,156 @@ fn summary_matches_full_report_on_the_same_run() {
 
     // Mean utilization over the same window agrees with the step-series
     // integral of the full report.
-    let full_util = full.mean_utilization(simcore::SimTime::ZERO, full.makespan);
+    let full_util = full.mean_utilization(simcore::SimTime::ZERO, summary.makespan);
     assert!(
         (summary.mean_utilization() - full_util).abs() <= 1e-9 * full_util.max(1.0),
         "{} vs {full_util}",
         summary.mean_utilization()
     );
+}
+
+/// Runs every cell of `cfgs × seeds` for full reports and for summaries
+/// and checks each full report's summary against its summarized twin —
+/// equal values and equal `{:?}` renderings, reservoirs included.
+fn assert_detail_is_passive(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<SummaryReport> {
+    let run = Run::matrix(cfgs, seeds);
+    let full: Vec<RunReport> = koala::run(&run).unwrap();
+    let summarized: Vec<SummaryReport> = koala::run(&run).unwrap();
+    assert_eq!(full.len(), summarized.len());
+    for (full, summarized) in full.iter().zip(&summarized) {
+        let cell = format!("{} seed {}", summarized.name, summarized.seed);
+        assert_eq!(full.summary, *summarized, "{cell}");
+        assert_eq!(
+            format!("{:?}", full.summary),
+            format!("{summarized:?}"),
+            "{cell}"
+        );
+        assert_eq!(full.jobs.len() as u64, summarized.jobs_submitted, "{cell}");
+    }
+    summarized
+}
+
+#[test]
+fn detail_is_passive_across_the_malleability_registry() {
+    let mut cfgs = Vec::new();
+    for (approach, workload) in [
+        (Approach::Pra, WorkloadSpec::wm()),
+        (Approach::Pwa, WorkloadSpec::wm_prime()),
+    ] {
+        for policy in PolicyRegistry::global().malleability_names() {
+            let mut cfg = Scenario::builder()
+                .approach(approach)
+                .malleability(policy.as_str())
+                .workload(workload.clone())
+                .jobs(16)
+                .build()
+                .unwrap()
+                .into_config();
+            cfg.report.quantile_capacity = 8;
+            cfgs.push(cfg);
+        }
+    }
+    assert!(cfgs.len() >= 10, "both approaches × the whole registry");
+    let runs = assert_detail_is_passive(&cfgs, &[3, 4]);
+    assert!(runs.iter().any(|r| r.shrink_ops > 0), "PWA cells shrink");
+    assert!(
+        runs.iter().any(|r| !r.execution_time.quantiles.is_exact()),
+        "some reservoir overflows, so sampling is compared too"
+    );
+}
+
+/// A PWA W'm scenario every subsystem case below starts from.
+fn pwa(jobs: usize) -> ScenarioBuilder {
+    Scenario::builder()
+        .malleability("egs")
+        .pwa()
+        .workload(WorkloadSpec::wm_prime())
+        .jobs(jobs)
+}
+
+#[test]
+fn detail_is_passive_with_warmup_and_the_threshold_autoscaler() {
+    let cfg = pwa(40)
+        .failures(FailureSpec::new(
+            SimDuration::from_secs(900),
+            SimDuration::from_secs(300),
+            8,
+        ))
+        .failure_policy(FailurePolicy::Requeue)
+        .autoscaler("threshold")
+        .autoscale_timing(SimDuration::from_secs(300), SimDuration::from_secs(30))
+        .monitor(SimDuration::from_secs(120))
+        .warmup(SimDuration::from_secs(600))
+        .build()
+        .unwrap()
+        .into_config();
+    let runs = assert_detail_is_passive(std::slice::from_ref(&cfg), &[1, 2]);
+    assert!(runs.iter().all(|r| r.warmup > SimDuration::ZERO));
+    assert!(
+        runs.iter().any(|r| r.scale_ups + r.scale_downs > 0),
+        "the autoscaler acts"
+    );
+    assert!(runs.iter().any(|r| r.monitor_queue_depth.count() > 0));
+}
+
+#[test]
+fn detail_is_passive_under_a_lossy_control_plane() {
+    let cfg = pwa(30)
+        .ctrl_faults(ControlPlaneFaultSpec {
+            loss: ClassLoss::uniform(0.15),
+            duplicate: 0.05,
+            max_jitter: SimDuration::from_millis(400),
+            flaky: None,
+        })
+        .retry(RetryConfig {
+            timeout: SimDuration::from_secs(10),
+            max_timeout: SimDuration::from_secs(40),
+            max_attempts: 4,
+            orphan_sweep_period: SimDuration::from_secs(60),
+            orphan_grace: SimDuration::from_secs(90),
+        })
+        .build()
+        .unwrap()
+        .into_config();
+    let runs = assert_detail_is_passive(std::slice::from_ref(&cfg), &[1, 2]);
+    assert!(runs
+        .iter()
+        .any(|r| r.ctrl.messages_lost > 0 && r.ctrl.retries > 0));
+}
+
+#[test]
+fn detail_is_passive_on_the_das3_network_with_files() {
+    let base = pwa(24).build().unwrap().into_config();
+    let mut trace = base.generate_workload_for_seed(5);
+    for (k, job) in trace.iter_mut().enumerate() {
+        job.spec.input_files = vec![k as u64 % 3];
+    }
+    let mut b = pwa(24).trace(trace).network("das3").reconfig_traffic(0.25);
+    for home in [4, 1, 3] {
+        b = b.network_file(20.0, [home]);
+    }
+    let cfg = b.build().unwrap().into_config();
+    let runs = assert_detail_is_passive(std::slice::from_ref(&cfg), &[5]);
+    assert!(runs[0].net.transfers_opened > 0, "files were staged");
+    assert!(runs[0].transfer_time.count() > 0);
+}
+
+#[test]
+fn detail_is_passive_in_warm_forks() {
+    // Three policy cells sharing one warmed prefix: the run forks the
+    // warmed world, detail and all, into each cell.
+    let cfgs: Vec<ExperimentConfig> = ["fpsma", "egs", "greedy_grow_lazy_shrink"]
+        .into_iter()
+        .map(|policy| {
+            pwa(30)
+                .malleability(policy)
+                .warm_fork(SimDuration::from_secs(600))
+                .build()
+                .unwrap()
+                .into_config()
+        })
+        .collect();
+    assert_detail_is_passive(&cfgs, &[7, 8]);
 }
 
 #[test]

@@ -31,13 +31,16 @@ fn main() {
         100.0 * report.jobs.completion_ratio(),
         report.jobs.len()
     );
-    println!("makespan: {}", report.makespan);
-    println!("events: {}, KIS polls: {}", report.events, report.kis_polls);
+    println!("makespan: {}", report.summary.makespan);
+    println!(
+        "events: {}, KIS polls: {}",
+        report.summary.events, report.summary.kis_polls
+    );
     println!(
         "malleability: {} grow ops, {} shrink ops ({} grow messages sent)",
         report.grow_ops.total(),
         report.shrink_ops.total(),
-        report.grow_messages
+        report.summary.grow_messages
     );
 
     let exec = report.jobs.execution_time_ecdf();

@@ -74,13 +74,10 @@ fn main() -> ExitCode {
                         let Some(list) = args.get(i + 1) else {
                             return usage();
                         };
-                        seeds = list
-                            .split(',')
-                            .filter_map(|s| s.trim().parse().ok())
-                            .collect();
-                        if seeds.is_empty() {
+                        let Ok(parsed) = list.split(',').map(|s| s.trim().parse()).collect() else {
                             return usage();
-                        }
+                        };
+                        seeds = parsed;
                         i += 2;
                     }
                     "--csv" => {
@@ -144,7 +141,10 @@ fn run(
             eprintln!("cannot create {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
-        write_csvs(&m, &dir);
+        if let Err(e) = write_csvs(&m, &dir) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
         println!("CSVs written under {}", dir.display());
     }
     ExitCode::SUCCESS
@@ -199,7 +199,14 @@ fn print_report(m: &MultiReport) {
     );
 }
 
-fn write_csvs(m: &MultiReport, dir: &std::path::Path) {
+/// Writes the ECDF and utilization CSVs, naming the first file that
+/// cannot be written.
+fn write_csvs(m: &MultiReport, dir: &std::path::Path) -> Result<(), String> {
+    let write = |name: &str, csv: &Csv| {
+        let path = dir.join(name);
+        std::fs::write(&path, csv.as_str())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
     let jobs = m.merged_jobs();
     let metrics: [(&str, Metric); 4] = [
         ("execution_time", JobRecord::execution_time),
@@ -213,7 +220,7 @@ fn write_csvs(m: &MultiReport, dir: &std::path::Path) {
         for (x, p) in e.curve_points() {
             csv.row_f64(&[x, p], 3);
         }
-        let _ = std::fs::write(dir.join(format!("{name}.csv")), csv.as_str());
+        write(&format!("{name}.csv"), &csv)?;
     }
     // The first seed's utilization trace is representative for plotting.
     let mut csv = Csv::with_header(&["t_seconds", "used_processors"]);
@@ -222,5 +229,5 @@ fn write_csvs(m: &MultiReport, dir: &std::path::Path) {
             csv.row_f64(&[t.as_secs_f64(), v], 1);
         }
     }
-    let _ = std::fs::write(dir.join("utilization.csv"), csv.as_str());
+    write("utilization.csv", &csv)
 }

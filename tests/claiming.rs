@@ -135,7 +135,7 @@ fn failed_deferred_claims_bounce_back_to_the_queue() {
         "the job must be re-placed and complete"
     );
     assert!(
-        r.placement_tries > 0,
+        r.summary.placement_tries > 0,
         "the failed claim counts as a placement try"
     );
 }

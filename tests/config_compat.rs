@@ -7,6 +7,9 @@
 //! * One that names the retired `"event_queue": "Calendar"` is refused
 //!   by `serde_json::from_str` with an error, and `koala-sim run` turns
 //!   that into exit status 1 with a message — not a panic.
+//! * `koala-sim run` refuses a `--seeds` list with an unparsable entry
+//!   (usage, exit status 2), and a `--csv` write that fails names the
+//!   file and exits 1 instead of reporting success.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -97,4 +100,61 @@ fn cli_exits_1_on_calendar_and_runs_with_coalesce_timers() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn cli_rejects_malformed_seed_lists() {
+    let bin = env!("CARGO_BIN_EXE_koala-sim");
+    let cfg = temp_file("seeds", &template_json());
+    for list in ["1,x,3", "1,,3", "-1"] {
+        let out = Command::new(bin)
+            .arg("run")
+            .arg(&cfg)
+            .args(["--seeds", list])
+            .output()
+            .expect("run koala-sim");
+        assert_eq!(out.status.code(), Some(2), "--seeds {list}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "--seeds {list}: {stderr}");
+        assert!(out.stdout.is_empty(), "--seeds {list} must not run");
+    }
+    let out = Command::new(bin)
+        .arg("run")
+        .arg(&cfg)
+        .args(["--seeds", "1, 2"])
+        .output()
+        .expect("run koala-sim");
+    let _ = std::fs::remove_file(&cfg);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("6 jobs x 2 seeds"));
+}
+
+#[test]
+fn cli_exits_1_when_a_csv_cannot_be_written() {
+    let bin = env!("CARGO_BIN_EXE_koala-sim");
+    let cfg = temp_file("csv", &template_json());
+    let dir = std::env::temp_dir().join(format!("koala-config-compat-{}-csv", std::process::id()));
+    // A directory squatting on the utilization CSV's path.
+    let squatter = dir.join("utilization.csv");
+    std::fs::create_dir_all(&squatter).expect("create the squatting directory");
+    let out = Command::new(bin)
+        .arg("run")
+        .arg(&cfg)
+        .arg("--csv")
+        .arg(&dir)
+        .output()
+        .expect("run koala-sim");
+    let _ = std::fs::remove_file(&cfg);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a failed CSV write is exit status 1"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&squatter.display().to_string()),
+        "stderr: {stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("CSVs written"));
 }

@@ -26,9 +26,9 @@ fn cfg(seed: u64) -> ExperimentConfig {
 
 fn fingerprint(r: &RunReport) -> (u64, u64, u64, usize, usize, Vec<u64>) {
     (
-        r.makespan.as_millis(),
-        r.events,
-        r.grow_messages,
+        r.summary.makespan.as_millis(),
+        r.summary.events,
+        r.summary.grow_messages,
         r.grow_ops.total(),
         r.shrink_ops.total(),
         r.jobs
@@ -81,7 +81,7 @@ fn policy_choice_changes_the_trajectory() {
     base.name = "FPSMA/Wmr'".into();
     let b = one::<RunReport>(&base);
     assert_ne!(
-        a.grow_messages, b.grow_messages,
+        a.summary.grow_messages, b.summary.grow_messages,
         "EGS and FPSMA must behave differently"
     );
 }

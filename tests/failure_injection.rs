@@ -56,7 +56,7 @@ fn withdrawal_beyond_free_nodes_forces_shrinks() {
     // World's internal debug assertions.)
     let peak_after = report
         .utilization
-        .max_in(SimTime::from_secs(2100), report.makespan)
+        .max_in(SimTime::from_secs(2100), report.summary.makespan)
         .unwrap_or(0.0);
     assert!(peak_after <= 272.0);
 }
@@ -86,7 +86,7 @@ fn restore_after_withdrawal_reenables_growth() {
     // have continued after t = 3000 s.
     let grows_after_restore = report
         .grow_ops
-        .count_in(SimTime::from_secs(3000), report.makespan);
+        .count_in(SimTime::from_secs(3000), report.summary.makespan);
     assert!(
         grows_after_restore > 0,
         "restored capacity should fuel growth (got {grows_after_restore})"

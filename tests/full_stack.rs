@@ -108,7 +108,7 @@ fn engine_horizon_bounds_runaway_runs() {
         r.jobs.completion_ratio() < 1.0,
         "500s cannot finish 50 jobs"
     );
-    assert!(r.makespan <= simcore::SimTime::from_secs(500));
+    assert!(r.summary.makespan <= simcore::SimTime::from_secs(500));
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn reports_expose_consistent_utilization_accounting() {
     let cap = (272.0 * cfg.sched.koala_share).floor();
     let peak = r
         .koala_used
-        .max_in(simcore::SimTime::ZERO, r.makespan)
+        .max_in(simcore::SimTime::ZERO, r.summary.makespan)
         .unwrap_or(0.0);
     assert!(peak <= cap + 1e-9, "koala peak {peak} exceeds cap {cap}");
 }

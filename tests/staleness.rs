@@ -26,7 +26,7 @@ fn stale_snapshots_cause_failed_claims_under_heavy_background() {
     cfg.seed = 5;
     let r = one::<RunReport>(&cfg);
     assert!(
-        r.placement_tries > 0,
+        r.summary.placement_tries > 0,
         "with 60 s stale snapshots and 70% background churn, some placements must bounce"
     );
     assert!(
@@ -61,7 +61,7 @@ fn fresher_snapshots_reduce_wait_times() {
         wait(&stale)
     );
     // And the poll counters reflect the configuration.
-    assert!(fresh.kis_polls > stale.kis_polls);
+    assert!(fresh.summary.kis_polls > stale.summary.kis_polls);
 }
 
 #[test]
