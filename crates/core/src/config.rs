@@ -405,12 +405,16 @@ pub struct SchedulerConfig {
     /// Incremental per-cluster availability index: `scan_queue` consults
     /// cheap per-scan aggregates (largest single-cluster headroom, total
     /// headroom) to skip placement attempts that provably cannot succeed.
-    /// Trajectory-preserving, so it defaults on. Note the *serde* default
-    /// when the field is absent from a stored config is `false` (the
-    /// stand-in derive uses `bool::default()`); in-code construction via
-    /// [`SchedulerConfig::default`] enables it.
-    #[serde(default)]
+    /// Trajectory-preserving, so it defaults on — also when a stored
+    /// config omits the field.
+    #[serde(default = "default_avail_index")]
     pub avail_index: bool,
+}
+
+/// The serde default of [`SchedulerConfig::avail_index`] (on, like
+/// [`SchedulerConfig::default`]).
+fn default_avail_index() -> bool {
+    true
 }
 
 impl Default for SchedulerConfig {

@@ -73,6 +73,7 @@ pub mod autoscaler;
 pub mod avail;
 pub mod config;
 pub mod malleability;
+pub mod obs;
 pub mod parallel;
 pub mod placement;
 pub mod policy;
@@ -96,6 +97,7 @@ pub use config::{
 };
 pub use ids::JobId;
 pub use job::{Job, JobPhase};
+pub use obs::Obs;
 pub use policy::{Malleability, Placement, PolicyError, PolicyRegistry};
 pub use report::{MultiReport, MultiSummary, ReportMode, RunReport, SummaryReport};
 pub use run::{run, run_stream_summary, try_run_stream_summary, Intake, Report, Run};

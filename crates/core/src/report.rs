@@ -25,6 +25,9 @@ use multicluster::Multicluster;
 use simcore::{SimDuration, SimTime};
 
 use crate::config::ReportConfig;
+use crate::ids::JobId;
+use crate::obs::Obs;
+use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 
 /// Control-plane health counters: what the retry/timeout machinery of
 /// the lossy KOALA↔GRAM messaging layer observed during a run. All
@@ -137,8 +140,6 @@ pub struct RunReport {
     pub grow_ops: CumulativeCounter,
     /// Accepted shrink operations over time — with grows, Fig. 8f.
     pub shrink_ops: CumulativeCounter,
-    /// Job-lifecycle trace (empty unless `World::with_trace` was used).
-    pub trace: simcore::Trace,
     /// Used processors over time, per cluster (indexed by cluster id).
     pub per_cluster_used: Vec<StepSeries>,
     /// KOALA placement-queue depth over time, sampled by the monitoring
@@ -259,12 +260,11 @@ impl MultiReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// Full [`RunReport`]: the summary plus the complete job table,
-    /// utilization step series, operation timelines and optional
-    /// lifecycle trace.
+    /// utilization step series and operation timelines.
     #[default]
     Full,
     /// Memory-bounded [`SummaryReport`]: streaming accumulators only —
-    /// no per-job vectors, no step series, no trace.
+    /// no per-job vectors, no step series.
     Summarized,
 }
 
@@ -560,7 +560,7 @@ impl DetailCollector {
     }
 
     /// Renders the full report around the run's finished `summary`.
-    pub(crate) fn finish(self, summary: SummaryReport, trace: simcore::Trace) -> RunReport {
+    pub(crate) fn finish(self, summary: SummaryReport) -> RunReport {
         let mut jobs = JobTable::new();
         for rec in self.records {
             jobs.push(rec);
@@ -572,7 +572,6 @@ impl DetailCollector {
             koala_used: self.util_koala,
             grow_ops: self.grow_ops,
             shrink_ops: self.shrink_ops,
-            trace,
             per_cluster_used: self.util_per_cluster,
             queue_depth: self.queue_depth,
         }
@@ -615,6 +614,54 @@ pub(crate) struct SummaryCollector {
 }
 
 impl SummaryCollector {
+    /// Registers a submitted job's meter at `slot`. Streamed worlds
+    /// reuse slots as jobs retire (the previous occupant's metrics were
+    /// streamed at completion).
+    fn arrived(&mut self, slot: usize, at: SimTime) {
+        self.jobs_submitted += 1;
+        let meter = JobMeter {
+            submitted: at,
+            started: None,
+            size: 0.0,
+            last_change: at,
+            size_integral: 0.0,
+            size_max: 0.0,
+        };
+        if slot < self.meters.len() {
+            self.meters[slot] = meter;
+        } else {
+            debug_assert_eq!(slot, self.meters.len(), "meter slots grow densely");
+            self.meters.push(meter);
+        }
+    }
+
+    /// The job at `slot` completed: its metrics stream into the
+    /// accumulators (post-warmup submissions only) and the meter is
+    /// final.
+    fn completed(&mut self, slot: usize, t: SimTime) {
+        self.jobs_completed += 1;
+        let m = &mut self.meters[slot];
+        m.size_integral += m.size * (t - m.last_change).as_secs_f64();
+        m.last_change = t;
+        if m.submitted < self.warmup {
+            return;
+        }
+        let started = m.started.expect("completed job has started");
+        // The exact formulas of `JobRecord`: same subtractions, same
+        // float operations, so a summary streams bit-identical samples
+        // to the detail's ECDFs.
+        let exec = (t - started).as_secs_f64();
+        let resp = (t - m.submitted).as_secs_f64();
+        let wait = (started - m.submitted).as_secs_f64();
+        let avg = m.size_integral / exec; // NaN (skipped) when exec is 0
+        self.execution_time.push(exec);
+        self.response_time.push(resp);
+        self.wait_time.push(wait);
+        self.avg_size.push(avg);
+        self.max_size.push(m.size_max);
+        self.slowdown.push((resp / exec.max(10.0)).max(1.0));
+    }
+
     /// Advances the utilization integrals to `t` (clipping the warmup
     /// window), leaving the last-value registers untouched.
     fn integrate_to(&mut self, t: SimTime) {
@@ -626,150 +673,176 @@ impl SummaryCollector {
         }
     }
 
-    /// Captures the complete collector state — meters, counters, the
-    /// utilization registers, and every streaming accumulator's raw
-    /// internals (exact-sum partials, Welford registers, reservoir
-    /// priorities *and* the priority-stream position) — so a restored
-    /// collector streams bit-identical samples from here on.
-    pub(crate) fn capture_state(&self) -> SummaryCollectorState {
-        let cap = |s: &MetricStream| (s.stats.state(), s.quantiles.state());
-        SummaryCollectorState {
-            warmup: self.warmup,
-            meters: self
-                .meters
-                .iter()
-                .map(|m| JobMeterState {
-                    submitted: m.submitted,
-                    started: m.started,
-                    size: m.size,
-                    last_change: m.last_change,
-                    size_integral: m.size_integral,
-                    size_max: m.size_max,
-                })
-                .collect(),
-            jobs_submitted: self.jobs_submitted,
-            jobs_completed: self.jobs_completed,
-            jobs_failed: self.jobs_failed,
-            grow_ops: self.grow_ops,
-            shrink_ops: self.shrink_ops,
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            jobs_killed: self.jobs_killed,
-            jobs_requeued: self.jobs_requeued,
-            streams: vec![
-                cap(&self.execution_time),
-                cap(&self.response_time),
-                cap(&self.wait_time),
-                cap(&self.avg_size),
-                cap(&self.max_size),
-                cap(&self.slowdown),
-                cap(&self.monitor_utilization),
-                cap(&self.monitor_queue_depth),
-                cap(&self.transfer_time),
-                cap(&self.staging_delay),
-            ],
-            last_t: self.last_t,
-            last_total: self.last_total,
-            last_koala: self.last_koala,
-            util_integral: self.util_integral,
-            util_koala_integral: self.util_koala_integral,
-        }
+    /// The ten metric streams, in checkpoint order.
+    fn streams(&self) -> [&MetricStream; 10] {
+        [
+            &self.execution_time,
+            &self.response_time,
+            &self.wait_time,
+            &self.avg_size,
+            &self.max_size,
+            &self.slowdown,
+            &self.monitor_utilization,
+            &self.monitor_queue_depth,
+            &self.transfer_time,
+            &self.staging_delay,
+        ]
     }
 
-    /// Reconstructs a collector from a captured
-    /// [`SummaryCollector::capture_state`].
-    ///
-    /// # Panics
-    /// Panics when the state does not carry exactly the ten metric
-    /// streams [`SummaryCollector::capture_state`] produces (the byte
-    /// codec validates counts before calling this).
-    pub(crate) fn from_state(s: SummaryCollectorState) -> Self {
-        assert_eq!(s.streams.len(), 10, "summary collector has ten streams");
-        let mut streams = s.streams.into_iter().map(|(st, q)| MetricStream {
-            stats: koala_metrics::StreamStats::from_state(st),
-            quantiles: koala_metrics::StreamQuantiles::from_state(q),
-        });
-        let mut next = || streams.next().expect("length checked above");
-        SummaryCollector {
-            warmup: s.warmup,
-            meters: s
-                .meters
-                .into_iter()
-                .map(|m| JobMeter {
-                    submitted: m.submitted,
-                    started: m.started,
-                    size: m.size,
-                    last_change: m.last_change,
-                    size_integral: m.size_integral,
-                    size_max: m.size_max,
-                })
-                .collect(),
-            jobs_submitted: s.jobs_submitted,
+    /// Writes the complete collector state — meters, counters, the
+    /// utilization registers, and every streaming accumulator's raw
+    /// internals (exact-sum partials, Welford registers, reservoir
+    /// priorities *and* the priority-stream position) — so a
+    /// [`SummaryCollector::decode`]d copy streams bit-identical samples
+    /// from here on.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        w.u64(self.warmup.as_millis());
+        w.len(self.meters.len());
+        for m in &self.meters {
+            w.u64(m.submitted.as_millis());
+            w.opt(m.started.as_ref(), |w, t| w.u64(t.as_millis()));
+            w.f64(m.size);
+            w.u64(m.last_change.as_millis());
+            w.f64(m.size_integral);
+            w.f64(m.size_max);
+        }
+        w.u64(self.jobs_submitted);
+        w.u64(self.jobs_completed);
+        w.u64(self.jobs_failed);
+        w.u64(self.grow_ops);
+        w.u64(self.shrink_ops);
+        w.u64(self.scale_ups);
+        w.u64(self.scale_downs);
+        w.u64(self.jobs_killed);
+        w.u64(self.jobs_requeued);
+        let streams = self.streams();
+        w.len(streams.len());
+        for s in streams {
+            let (stats, quant) = (s.stats.state(), s.quantiles.state());
+            w.u64(stats.count);
+            w.len(stats.partials.len());
+            for &p in &stats.partials {
+                w.f64(p);
+            }
+            w.f64(stats.w_mean);
+            w.f64(stats.m2);
+            w.f64(stats.min);
+            w.f64(stats.max);
+            w.u64(quant.seed);
+            w.u64(quant.capacity as u64);
+            w.u64(quant.pushed);
+            w.len(quant.entries.len());
+            for (pri, v) in &quant.entries {
+                w.u64(*pri);
+                w.f64(*v);
+            }
+        }
+        w.u64(self.last_t.as_millis());
+        w.f64(self.last_total);
+        w.f64(self.last_koala);
+        w.f64(self.util_integral);
+        w.f64(self.util_koala_integral);
+    }
+
+    /// Reads back a collector written by [`SummaryCollector::encode`];
+    /// malformed bytes are a [`SnapshotError::Corrupt`], never a panic.
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let warmup = SimTime::from_millis(r.u64()?);
+        let n = r.len(41)?;
+        let mut meters = Vec::with_capacity(n);
+        for _ in 0..n {
+            meters.push(JobMeter {
+                submitted: SimTime::from_millis(r.u64()?),
+                started: r.opt(|r| Ok(SimTime::from_millis(r.u64()?)))?,
+                size: r.f64()?,
+                last_change: SimTime::from_millis(r.u64()?),
+                size_integral: r.f64()?,
+                size_max: r.f64()?,
+            });
+        }
+        let jobs_submitted = r.u64()?;
+        let jobs_completed = r.u64()?;
+        let jobs_failed = r.u64()?;
+        let grow_ops = r.u64()?;
+        let shrink_ops = r.u64()?;
+        let scale_ups = r.u64()?;
+        let scale_downs = r.u64()?;
+        let jobs_killed = r.u64()?;
+        let jobs_requeued = r.u64()?;
+        let n = r.len(64)?;
+        if n != 10 {
+            return Err(SnapshotError::Corrupt("summary stream count".into()));
+        }
+        let mut streams = Vec::with_capacity(n);
+        for _ in 0..n {
+            let count = r.u64()?;
+            let n_part = r.len(8)?;
+            let mut partials = Vec::with_capacity(n_part);
+            for _ in 0..n_part {
+                partials.push(r.f64()?);
+            }
+            let stats = koala_metrics::StreamStatsState {
+                count,
+                partials,
+                w_mean: r.f64()?,
+                m2: r.f64()?,
+                min: r.f64()?,
+                max: r.f64()?,
+            };
+            let seed = r.u64()?;
+            let capacity = r.u64()? as usize;
+            let pushed = r.u64()?;
+            let n_ent = r.len(16)?;
+            if capacity == 0 || n_ent > capacity {
+                return Err(SnapshotError::Corrupt("reservoir capacity".into()));
+            }
+            let mut entries = Vec::with_capacity(n_ent);
+            for _ in 0..n_ent {
+                entries.push((r.u64()?, r.f64()?));
+            }
+            streams.push(MetricStream {
+                stats: koala_metrics::StreamStats::from_state(stats),
+                quantiles: koala_metrics::StreamQuantiles::from_state(
+                    koala_metrics::StreamQuantilesState {
+                        seed,
+                        capacity,
+                        pushed,
+                        entries,
+                    },
+                ),
+            });
+        }
+        let mut streams = streams.into_iter();
+        let mut next = || streams.next().expect("ten streams were read");
+        Ok(SummaryCollector {
+            warmup,
+            meters,
+            jobs_submitted,
             execution_time: next(),
             response_time: next(),
             wait_time: next(),
             avg_size: next(),
             max_size: next(),
             slowdown: next(),
-            jobs_completed: s.jobs_completed,
-            jobs_failed: s.jobs_failed,
-            grow_ops: s.grow_ops,
-            shrink_ops: s.shrink_ops,
+            jobs_completed,
+            jobs_failed,
+            grow_ops,
+            shrink_ops,
             monitor_utilization: next(),
             monitor_queue_depth: next(),
             transfer_time: next(),
             staging_delay: next(),
-            scale_ups: s.scale_ups,
-            scale_downs: s.scale_downs,
-            jobs_killed: s.jobs_killed,
-            jobs_requeued: s.jobs_requeued,
-            last_t: s.last_t,
-            last_total: s.last_total,
-            last_koala: s.last_koala,
-            util_integral: s.util_integral,
-            util_koala_integral: s.util_koala_integral,
-        }
+            scale_ups,
+            scale_downs,
+            jobs_killed,
+            jobs_requeued,
+            last_t: SimTime::from_millis(r.u64()?),
+            last_total: r.f64()?,
+            last_koala: r.f64()?,
+            util_integral: r.f64()?,
+            util_koala_integral: r.f64()?,
+        })
     }
-}
-
-/// Captured per-live-job metering state (see [`JobMeter`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct JobMeterState {
-    pub(crate) submitted: SimTime,
-    pub(crate) started: Option<SimTime>,
-    pub(crate) size: f64,
-    pub(crate) last_change: SimTime,
-    pub(crate) size_integral: f64,
-    pub(crate) size_max: f64,
-}
-
-/// The raw internals of a [`SummaryCollector`], exposed for
-/// checkpointing. The ten stream states are ordered exactly as
-/// [`SummaryCollector::capture_state`] lists them (execution, response,
-/// wait, avg size, max size, slowdown, monitor utilization, monitor
-/// queue depth, transfer time, staging delay).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SummaryCollectorState {
-    pub(crate) warmup: SimTime,
-    pub(crate) meters: Vec<JobMeterState>,
-    pub(crate) jobs_submitted: u64,
-    pub(crate) jobs_completed: u64,
-    pub(crate) jobs_failed: u64,
-    pub(crate) grow_ops: u64,
-    pub(crate) shrink_ops: u64,
-    pub(crate) scale_ups: u64,
-    pub(crate) scale_downs: u64,
-    pub(crate) jobs_killed: u64,
-    pub(crate) jobs_requeued: u64,
-    pub(crate) streams: Vec<(
-        koala_metrics::StreamStatsState,
-        koala_metrics::StreamQuantilesState,
-    )>,
-    pub(crate) last_t: SimTime,
-    pub(crate) last_total: f64,
-    pub(crate) last_koala: f64,
-    pub(crate) util_integral: f64,
-    pub(crate) util_koala_integral: f64,
 }
 
 /// The measurement sink a [`crate::World`] feeds while it runs: the
@@ -782,12 +855,15 @@ pub(crate) struct Collector {
     /// Boxed so a summarized world carries one null pointer, not the
     /// detail's inline footprint.
     pub(crate) detail: Option<Box<DetailCollector>>,
+    /// Whether every job was registered at construction
+    /// ([`Collector::register_upfront`]) rather than at its arrival.
+    upfront: bool,
 }
 
 impl Collector {
     /// A collector with empty streams; reservoirs are keyed off the cell
-    /// `seed`. Jobs are registered through [`Collector::arrived`]
-    /// (upfront for eager runs, at arrival for streamed ones).
+    /// `seed`. Jobs register at their [`Obs::Arrive`] unless the
+    /// workload is registered upfront.
     pub(crate) fn new(seed: u64, report: &ReportConfig, detail: Option<DetailCollector>) -> Self {
         let stream = |i: usize| MetricStream::new(seed ^ STREAM_SALTS[i], report.quantile_capacity);
         Collector {
@@ -820,135 +896,105 @@ impl Collector {
                 util_koala_integral: 0.0,
             },
             detail: detail.map(Box::new),
+            upfront: false,
         }
     }
 
-    /// True when the run keeps no per-job detail.
-    pub(crate) fn is_summarized(&self) -> bool {
-        self.detail.is_none()
+    /// Registers every job of an eager workload at construction, in
+    /// workload order, so `jobs_submitted` counts the whole workload
+    /// even when a horizon cuts the run short; arrivals then register
+    /// nothing. Streamed runs register each job as it arrives.
+    pub(crate) fn register_upfront(&mut self, submissions: impl Iterator<Item = SimTime>) {
+        for (slot, at) in submissions.enumerate() {
+            self.summary.arrived(slot, at);
+        }
+        self.upfront = true;
     }
 
-    /// A job was submitted: registers its meter at `slot`. Streamed
-    /// worlds reuse slots as jobs retire (the previous occupant's
-    /// metrics were streamed at completion); the detail builds its
-    /// records upfront.
-    pub(crate) fn arrived(&mut self, slot: usize, at: SimTime) {
+    /// Folds one lifecycle observation into the summary and, when the
+    /// run keeps it, the detail. `slot_of` maps the observed job to its
+    /// meter slot (its workload index in eager runs); it is called only
+    /// by the kinds that touch a meter or a record.
+    pub(crate) fn observe(&mut self, t: SimTime, obs: &Obs, slot_of: impl FnOnce(JobId) -> usize) {
         let c = &mut self.summary;
-        c.jobs_submitted += 1;
-        let meter = JobMeter {
-            submitted: at,
-            started: None,
-            size: 0.0,
-            last_change: at,
-            size_integral: 0.0,
-            size_max: 0.0,
-        };
-        if slot < c.meters.len() {
-            c.meters[slot] = meter;
-        } else {
-            debug_assert_eq!(slot, c.meters.len(), "meter slots grow densely");
-            c.meters.push(meter);
-        }
-    }
-
-    /// The job was successfully placed (allocation decided). Summary
-    /// metrics derive from submission/start/completion; the placement
-    /// instant itself is not streamed.
-    pub(crate) fn placed(&mut self, index: usize, t: SimTime) {
-        if let Some(d) = &mut self.detail {
-            d.records[index].placed = Some(t);
-        }
-    }
-
-    /// The job started executing at `size` processors.
-    pub(crate) fn started(&mut self, index: usize, t: SimTime, size: u32) {
-        if let Some(d) = &mut self.detail {
-            d.records[index].started = Some(t);
-            d.records[index].size_history.set(t, size as f64);
-        }
-        let m = &mut self.summary.meters[index];
-        m.started = Some(t);
-        m.size = size as f64;
-        m.last_change = t;
-        m.size_integral = 0.0;
-        m.size_max = size as f64;
-    }
-
-    /// The job resumed at a new size after a grow (`grow = true`) or
-    /// shrink reconfiguration.
-    pub(crate) fn resized(&mut self, index: usize, t: SimTime, size: u32, grow: bool) {
-        if let Some(d) = &mut self.detail {
-            let rec = &mut d.records[index];
-            rec.size_history.set(t, size as f64);
-            if grow {
-                rec.grows += 1;
-            } else {
-                rec.shrinks += 1;
+        let d = self.detail.as_deref_mut();
+        match *obs {
+            Obs::Arrive { job } if !self.upfront => c.arrived(slot_of(job), t),
+            Obs::Place { job, .. } => {
+                if let Some(d) = d {
+                    d.records[slot_of(job)].placed = Some(t);
+                }
             }
-        }
-        let m = &mut self.summary.meters[index];
-        m.size_integral += m.size * (t - m.last_change).as_secs_f64();
-        m.size = size as f64;
-        m.last_change = t;
-        m.size_max = m.size_max.max(size as f64);
-    }
-
-    /// The job completed: its metrics stream into the accumulators
-    /// (post-warmup submissions only) and the meter is final.
-    pub(crate) fn completed(&mut self, index: usize, t: SimTime) {
-        if let Some(d) = &mut self.detail {
-            d.records[index].completed = Some(t);
-            d.records[index].outcome = JobOutcome::Completed;
-        }
-        let c = &mut self.summary;
-        c.jobs_completed += 1;
-        let m = &mut c.meters[index];
-        m.size_integral += m.size * (t - m.last_change).as_secs_f64();
-        m.last_change = t;
-        if m.submitted < c.warmup {
-            return;
-        }
-        let started = m.started.expect("completed job has started");
-        // The exact formulas of `JobRecord`: same subtractions, same
-        // float operations, so a summary streams bit-identical samples
-        // to the detail's ECDFs.
-        let exec = (t - started).as_secs_f64();
-        let resp = (t - m.submitted).as_secs_f64();
-        let wait = (started - m.submitted).as_secs_f64();
-        let avg = m.size_integral / exec; // NaN (skipped) when exec is 0
-        c.execution_time.push(exec);
-        c.response_time.push(resp);
-        c.wait_time.push(wait);
-        c.avg_size.push(avg);
-        c.max_size.push(m.size_max);
-        c.slowdown.push((resp / exec.max(10.0)).max(1.0));
-    }
-
-    /// The job was dropped by the placement-retry threshold.
-    pub(crate) fn placement_failed(&mut self, index: usize) {
-        if let Some(d) = &mut self.detail {
-            d.records[index].outcome = JobOutcome::PlacementFailed;
-        }
-        self.summary.jobs_failed += 1;
-    }
-
-    /// An accepted grow operation.
-    pub(crate) fn grow_op(&mut self, t: SimTime) {
-        if let Some(d) = &mut self.detail {
-            d.grow_ops.record(t);
-        }
-        if t >= self.summary.warmup {
-            self.summary.grow_ops += 1;
-        }
-    }
-
-    /// An accepted shrink operation.
-    pub(crate) fn shrink_op(&mut self, t: SimTime) {
-        if let Some(d) = &mut self.detail {
-            d.shrink_ops.record(t);
-        }
-        if t >= self.summary.warmup {
-            self.summary.shrink_ops += 1;
+            Obs::PlacementFailed { job } => {
+                if let Some(d) = d {
+                    d.records[slot_of(job)].outcome = JobOutcome::PlacementFailed;
+                }
+                c.jobs_failed += 1;
+            }
+            Obs::Start { job, size } => {
+                let i = slot_of(job);
+                if let Some(d) = d {
+                    d.records[i].started = Some(t);
+                    d.records[i].size_history.set(t, size as f64);
+                }
+                let m = &mut c.meters[i];
+                m.started = Some(t);
+                m.size = size as f64;
+                m.last_change = t;
+                m.size_integral = 0.0;
+                m.size_max = size as f64;
+            }
+            Obs::Grow { .. } => {
+                if let Some(d) = d {
+                    d.grow_ops.record(t);
+                }
+                if t >= c.warmup {
+                    c.grow_ops += 1;
+                }
+            }
+            Obs::Shrink { .. } => {
+                if let Some(d) = d {
+                    d.shrink_ops.record(t);
+                }
+                if t >= c.warmup {
+                    c.shrink_ops += 1;
+                }
+            }
+            Obs::Resume { job, size, grow } => {
+                let i = slot_of(job);
+                if let Some(d) = d {
+                    let rec = &mut d.records[i];
+                    rec.size_history.set(t, size as f64);
+                    if grow {
+                        rec.grows += 1;
+                    } else {
+                        rec.shrinks += 1;
+                    }
+                }
+                let m = &mut c.meters[i];
+                m.size_integral += m.size * (t - m.last_change).as_secs_f64();
+                m.size = size as f64;
+                m.last_change = t;
+                m.size_max = m.size_max.max(size as f64);
+            }
+            Obs::Complete { job } => {
+                let i = slot_of(job);
+                if let Some(d) = d {
+                    d.records[i].completed = Some(t);
+                    d.records[i].outcome = JobOutcome::Completed;
+                }
+                c.completed(i, t);
+            }
+            Obs::ScaleUp { .. } if t >= c.warmup => c.scale_ups += 1,
+            Obs::ScaleDown { .. } if t >= c.warmup => c.scale_downs += 1,
+            Obs::Killed { job, .. } => {
+                if let Some(d) = d {
+                    d.records[slot_of(job)].outcome = JobOutcome::Killed;
+                }
+                c.jobs_killed += 1;
+            }
+            Obs::Requeue { .. } => c.jobs_requeued += 1,
+            _ => {}
         }
     }
 
@@ -993,32 +1039,6 @@ impl Collector {
         if t >= self.summary.warmup {
             self.summary.staging_delay.push(secs);
         }
-    }
-
-    /// An applied autoscale decision (`grow` repaired nodes into the
-    /// pool, otherwise free nodes were withdrawn), counted post-warmup.
-    pub(crate) fn scale_op(&mut self, t: SimTime, grow: bool) {
-        let c = &mut self.summary;
-        if t >= c.warmup {
-            if grow {
-                c.scale_ups += 1;
-            } else {
-                c.scale_downs += 1;
-            }
-        }
-    }
-
-    /// A KOALA job was killed by a node crash.
-    pub(crate) fn job_killed(&mut self, index: usize) {
-        if let Some(d) = &mut self.detail {
-            d.records[index].outcome = JobOutcome::Killed;
-        }
-        self.summary.jobs_killed += 1;
-    }
-
-    /// A KOALA job lost its nodes to a crash and went back in the queue.
-    pub(crate) fn job_requeued(&mut self) {
-        self.summary.jobs_requeued += 1;
     }
 
     /// Samples platform utilization after an allocation change.
@@ -1135,7 +1155,6 @@ mod tests {
             koala_used: StepSeries::new(),
             grow_ops,
             shrink_ops: CumulativeCounter::new(),
-            trace: simcore::Trace::disabled(),
             per_cluster_used: Vec::new(),
             queue_depth: StepSeries::new(),
         }
@@ -1173,6 +1192,11 @@ mod tests {
         MultiReport::new("x", vec![]);
     }
 
+    /// Feeds `obs` to `c` at `t` seconds (meter slot = job index).
+    fn see(c: &mut Collector, t: u64, obs: Obs) {
+        c.observe(SimTime::from_secs(t), &obs, JobId::index);
+    }
+
     /// A hand-driven summary collector: two jobs, one inside the warmup
     /// window, a grow, and utilization samples.
     fn tiny_summary(seed: u64) -> SummaryReport {
@@ -1182,18 +1206,32 @@ mod tests {
             quantile_capacity: 8,
         };
         let mut c = Collector::new(seed, &report, None);
-        c.arrived(0, SimTime::ZERO);
-        c.arrived(1, SimTime::from_secs(100));
+        let (j0, j1) = (JobId(0), JobId(1));
+        see(&mut c, 0, Obs::Arrive { job: j0 });
+        see(&mut c, 100, Obs::Arrive { job: j1 });
         let mc = multicluster::das3();
         // Job 0 (pre-warmup, excluded): runs 0→40 s.
-        c.started(0, SimTime::ZERO, 2);
-        c.completed(0, SimTime::from_secs(40));
+        see(&mut c, 0, Obs::Start { job: j0, size: 2 });
+        see(&mut c, 40, Obs::Complete { job: j0 });
         // Job 1 (measured): starts at 120 s at size 2, grows to 6 at
         // 160 s, completes at 200 s → avg size 4, max 6, exec 80.
-        c.started(1, SimTime::from_secs(120), 2);
-        c.grow_op(SimTime::from_secs(150));
-        c.resized(1, SimTime::from_secs(160), 6, true);
-        c.completed(1, SimTime::from_secs(200));
+        see(&mut c, 120, Obs::Start { job: j1, size: 2 });
+        let grow = Obs::Grow {
+            job: j1,
+            accepted: 4,
+            offered: 4,
+        };
+        see(&mut c, 150, grow);
+        see(
+            &mut c,
+            160,
+            Obs::Resume {
+                job: j1,
+                size: 6,
+                grow: true,
+            },
+        );
+        see(&mut c, 200, Obs::Complete { job: j1 });
         c.utilization(SimTime::from_secs(100), &mc);
         c.summary.finish("T".into(), seed, SimTime::from_secs(200))
     }
@@ -1253,22 +1291,36 @@ mod tests {
             quantile_capacity: 4,
         };
         let mc = multicluster::das3();
+        let (j0, j1) = (JobId(0), JobId(1));
         let drive_prefix = |c: &mut Collector| {
-            c.arrived(0, SimTime::ZERO);
-            c.arrived(1, SimTime::from_secs(20));
-            c.started(0, SimTime::from_secs(15), 2);
+            see(c, 0, Obs::Arrive { job: j0 });
+            see(c, 20, Obs::Arrive { job: j1 });
+            see(c, 15, Obs::Start { job: j0, size: 2 });
             c.utilization(SimTime::from_secs(15), &mc);
-            c.grow_op(SimTime::from_secs(18));
-            c.resized(0, SimTime::from_secs(25), 6, true);
-            c.completed(0, SimTime::from_secs(40));
+            let grow = Obs::Grow {
+                job: j0,
+                accepted: 4,
+                offered: 4,
+            };
+            see(c, 18, grow);
+            see(
+                c,
+                25,
+                Obs::Resume {
+                    job: j0,
+                    size: 6,
+                    grow: true,
+                },
+            );
+            see(c, 40, Obs::Complete { job: j0 });
         };
         let drive_suffix = |c: &mut Collector| {
-            c.started(1, SimTime::from_secs(45), 4);
+            see(c, 45, Obs::Start { job: j1, size: 4 });
             c.monitor_sample(SimTime::from_secs(50), [0.5, 0.25].into_iter(), 3);
             c.transfer_done(SimTime::from_secs(55), 12.5);
             c.staging_delayed(SimTime::from_secs(55), 1.5);
             c.utilization(SimTime::from_secs(60), &mc);
-            c.completed(1, SimTime::from_secs(80));
+            see(c, 80, Obs::Complete { job: j1 });
         };
         let finish = |c: Collector| c.summary.finish("T".into(), 7, SimTime::from_secs(80));
         let mut straight = Collector::new(7, &report, None);
@@ -1276,15 +1328,23 @@ mod tests {
         drive_suffix(&mut straight);
         let mut original = Collector::new(7, &report, None);
         drive_prefix(&mut original);
-        let state = original.summary.capture_state();
-        let mut restored = Collector {
-            summary: SummaryCollector::from_state(state.clone()),
-            detail: None,
+        let encode = |c: &SummaryCollector| {
+            let mut w = ByteWriter::new();
+            c.encode(&mut w);
+            w.into_bytes()
         };
+        let bytes = encode(&original.summary);
+        let mut r = ByteReader::new(&bytes);
+        let mut restored = Collector {
+            summary: SummaryCollector::decode(&mut r).unwrap(),
+            detail: None,
+            upfront: false,
+        };
+        r.finish().unwrap();
         assert_eq!(
-            state,
-            restored.summary.capture_state(),
-            "capture → restore → capture is a fixed point"
+            bytes,
+            encode(&restored.summary),
+            "encode → decode → encode is a fixed point"
         );
         drive_suffix(&mut restored);
         let a = finish(straight);
@@ -1298,13 +1358,15 @@ mod tests {
         // its meter without disturbing already-streamed metrics.
         let report = ReportConfig::default();
         let mut c = Collector::new(1, &report, None);
-        c.arrived(0, SimTime::ZERO);
-        c.started(0, SimTime::ZERO, 2);
-        c.completed(0, SimTime::from_secs(50));
-        // Slot 0 reused by a later job.
-        c.arrived(0, SimTime::from_secs(100));
-        c.started(0, SimTime::from_secs(110), 4);
-        c.completed(0, SimTime::from_secs(140));
+        // Slot 0 (the meter slot `see` maps job 0 to), then reused by a
+        // later arrival.
+        let job = JobId(0);
+        see(&mut c, 0, Obs::Arrive { job });
+        see(&mut c, 0, Obs::Start { job, size: 2 });
+        see(&mut c, 50, Obs::Complete { job });
+        see(&mut c, 100, Obs::Arrive { job });
+        see(&mut c, 110, Obs::Start { job, size: 4 });
+        see(&mut c, 140, Obs::Complete { job });
         let s = c.summary.finish("T".into(), 1, SimTime::from_secs(140));
         assert_eq!(s.jobs_submitted, 2);
         assert_eq!(s.jobs_completed, 2);

@@ -48,13 +48,13 @@ use appsim::workload::SubmittedJob;
 use appsim::{JobClass, Progress, SizeConstraint};
 use multicluster::{
     das3, AllocId, AllocOwner, ClusterId, ClusterState, ControlPlaneFaults,
-    ControlPlaneFaultsState, CrashVictim, FailurePolicy, FailureStream, FailureStreamState,
-    FileCatalog, FileCatalogState, FileId, FileMeta, FlakyChannelState, FlowNet, FlowNetState,
-    FlowState, InfoService, InfoSnapshot, InfoState, LinkId, LocalJob, LocalJobId, LrmState,
-    MessageClass, Multicluster, NodeId, NodeState, SubmitOutcome,
+    ControlPlaneFaultsState, FailurePolicy, FailureStream, FailureStreamState, FileCatalog,
+    FileCatalogState, FileId, FileMeta, FlakyChannelState, FlowNet, FlowNetState, FlowState,
+    InfoService, InfoSnapshot, InfoState, LinkId, LocalJob, LocalJobId, LrmState, MessageClass,
+    Multicluster, NodeId, NodeState, SubmitOutcome,
 };
 use simcore::{
-    Engine, EngineSnapshot, EngineStats, Generation, IdHashMap, SimDuration, SimRng, SimTime, Trace,
+    Engine, EngineSnapshot, EngineStats, Generation, IdHashMap, SimDuration, SimRng, SimTime,
 };
 
 use crate::autoscaler::{Autoscaler, AutoscalerRegistry, ClusterObservation, ScaleDecision};
@@ -63,6 +63,7 @@ use crate::config::{Approach, ClaimingPolicy, ExperimentConfig};
 use crate::ids::JobId;
 use crate::job::{Job, JobPhase};
 use crate::malleability::RunningView;
+use crate::obs::Obs;
 use crate::placement::{ComponentRequest, PlacementQueue, PlacementRequest};
 use crate::policy::{Malleability, Placement, PolicyRegistry};
 use crate::report::{
@@ -668,6 +669,10 @@ struct NetRuntime {
     stats: NetStats,
 }
 
+/// A caller's observation sink, borrowed for the world's lifetime (see
+/// [`World::with_sink`]).
+type SinkRef<'a> = &'a mut (dyn FnMut(SimTime, &Obs) + 'a);
+
 /// The simulation world. Construct with [`World::new`], drive with
 /// [`World::run_to_end`] (or run configurations through
 /// [`crate::run()`]).
@@ -736,7 +741,9 @@ pub struct World<'a> {
     /// The contended-network layer (`None` without a network config —
     /// the default — making the whole layer strictly passive).
     net: Option<NetRuntime>,
-    trace: Trace,
+    /// The caller's observation sink ([`World::with_sink`]). Borrowed,
+    /// not world state: copies, forks and snapshots never carry it.
+    sink: Option<SinkRef<'a>>,
     /// Reusable scratch for [`World::scan_queue`] (live availability,
     /// budget-capped availability, the placement policy's all-or-nothing
     /// copy, and the request being placed) — the scheduling hot path
@@ -844,9 +851,7 @@ impl<'a> World<'a> {
             )
         });
         let mut collect = Collector::new(seed, &cfg.report, detail);
-        for (i, s) in workload.iter().enumerate() {
-            collect.arrived(i, s.at);
-        }
+        collect.register_upfront(workload.iter().map(|s| s.at));
         Self::assemble(
             cfg,
             seed,
@@ -972,7 +977,7 @@ impl<'a> World<'a> {
             faults,
             ctrl: CtrlStats::default(),
             net,
-            trace: Trace::disabled(),
+            sink: None,
             scratch_avail: Vec::with_capacity(n_clusters),
             scratch_eff: Vec::with_capacity(n_clusters),
             scratch_place: Vec::with_capacity(n_clusters),
@@ -1002,26 +1007,13 @@ impl<'a> World<'a> {
         self
     }
 
-    /// Enables job-lifecycle tracing, keeping the most recent `capacity`
-    /// entries (exported in the run report). Ignored in summarized mode:
-    /// the memory-bounded path never materializes a trace.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        if !self.collect.is_summarized() {
-            self.trace = Trace::enabled(capacity);
-        }
+    /// Attaches `sink`, which sees every lifecycle [`Obs`] the
+    /// collector sees, at its instant — in every report mode and intake.
+    /// The sink is passive: the trajectory and the report are the same
+    /// with or without it.
+    pub fn with_sink(mut self, sink: &'a mut (dyn FnMut(SimTime, &Obs) + 'a)) -> Self {
+        self.sink = Some(sink);
         self
-    }
-
-    /// Whether job-lifecycle tracing is active (tests; always `false`
-    /// in summarized mode).
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    /// Whether this world reports through the memory-bounded summary
-    /// path.
-    pub fn is_summarized(&self) -> bool {
-        self.collect.is_summarized()
     }
 
     /// Direct access to the multicluster state (tests and examples).
@@ -1277,7 +1269,7 @@ impl<'a> World<'a> {
             faults: self.faults.clone(),
             ctrl: self.ctrl,
             net: self.net.clone(),
-            trace: self.trace.clone(),
+            sink: None,
             scratch_avail: Vec::with_capacity(self.mc.len()),
             scratch_eff: Vec::with_capacity(self.mc.len()),
             scratch_place: Vec::with_capacity(self.mc.len()),
@@ -1361,26 +1353,12 @@ impl<'a> World<'a> {
             // the window's front is always the job this event is for.
             let sj = pending.pop_front().expect("arrival without pending job");
             let job = Job::new(id, sj.spec, sj.at);
-            let slot = self.jobs.insert(job);
-            self.collect.arrived(slot, sj.at);
+            self.jobs.insert(job);
             // Keep the look-ahead window full.
             self.pull_one(engine);
         }
         debug_assert!(self.jobs.get(id).is_some(), "arrival for unknown job");
-        if self.trace.is_enabled() {
-            // The label clone is gated on tracing: a streamed million-job
-            // run must not pay a String allocation per arrival.
-            let label = self
-                .jobs
-                .get(id)
-                .expect("arrival for unknown job")
-                .spec
-                .kind
-                .label()
-                .to_string();
-            self.trace
-                .record(engine.now(), "arrive", id.0 as u64, || label);
-        }
+        self.observe(engine.now(), Obs::Arrive { job: id });
         self.queue.push_back(id);
         // "Upon receiving a job request … the scheduler uses one of the
         // placement policies to try to place job components."
@@ -1602,7 +1580,7 @@ impl<'a> World<'a> {
                     eff_dirty = true;
                 }
                 if walk.fail_current(threshold) {
-                    self.fail_submission(id);
+                    self.fail_submission(engine.now(), id);
                 }
                 continue;
             }
@@ -1645,15 +1623,19 @@ impl<'a> World<'a> {
                             };
                             if divert {
                                 walk.remove_current();
-                                let now = engine.now();
-                                let slot = self.jobs.slot_of(id);
                                 let job = self.jobs.get_mut(id).expect("placed job");
                                 job.phase = JobPhase::Staging;
                                 job.cluster = Some(cp.cluster);
                                 job.pending_claim = Some(vec![(cp.cluster, cp.size)]);
-                                self.collect.placed(slot, now);
                                 let gen = job.gen;
                                 self.jobs.sync_hot(id);
+                                let place = Obs::Place {
+                                    job: id,
+                                    cluster: cp.cluster,
+                                    procs: cp.size,
+                                    components: 1,
+                                };
+                                self.observe(engine.now(), place);
                                 if networked {
                                     engine.schedule_now(Ev::TransferStart { job: id, gen });
                                 } else {
@@ -1681,7 +1663,7 @@ impl<'a> World<'a> {
                         walk.remove_current();
                         self.commit_placement(engine, id, &got);
                     } else if walk.fail_current(threshold) {
-                        self.fail_submission(id);
+                        self.fail_submission(engine.now(), id);
                     }
                     self.scratch_claims = got;
                 }
@@ -1694,7 +1676,7 @@ impl<'a> World<'a> {
                         eff_dirty = true;
                     }
                     if walk.fail_current(threshold) {
-                        self.fail_submission(id);
+                        self.fail_submission(engine.now(), id);
                     }
                 }
             }
@@ -1708,24 +1690,23 @@ impl<'a> World<'a> {
 
     /// A failed placement try outside the queue scan: a claim that lost
     /// its race after the job went back to the queue.
-    fn fail_try(&mut self, id: JobId) {
+    fn fail_try(&mut self, now: SimTime, id: JobId) {
         if self
             .queue
             .record_failed_try(id, self.cfg.sched.placement_retry_threshold)
         {
-            self.fail_submission(id);
+            self.fail_submission(now, id);
         }
     }
 
     /// The retry threshold failed `id`'s submission; it has already left
     /// the queue.
-    fn fail_submission(&mut self, id: JobId) {
-        let slot = self.jobs.slot_of(id);
+    fn fail_submission(&mut self, now: SimTime, id: JobId) {
         let job = self.jobs.get_mut(id).expect("failing job is live");
         job.phase = JobPhase::Failed;
         job.gen.bump(); // invalidate every remaining event for this job
         self.jobs.sync_hot(id);
-        self.collect.placement_failed(slot);
+        self.observe(now, Obs::PlacementFailed { job: id });
         self.jobs.retire(id);
     }
 
@@ -1769,7 +1750,6 @@ impl<'a> World<'a> {
         let now = engine.now();
         let total: u32 = components.iter().map(|&(_, _, s)| s).sum();
         let (cluster, alloc, size) = components[0];
-        let slot = self.jobs.slot_of(id);
         let job = self.jobs.get_mut(id).expect("placed job is live");
         job.phase = JobPhase::Starting;
         job.cluster = Some(cluster);
@@ -1783,17 +1763,15 @@ impl<'a> World<'a> {
             let dynaco = Dynaco::new(min, max, job.spec.kind.constraint(), size);
             job.runner = Some(MRunner::new(dynaco, size));
         }
-        self.collect.placed(slot, now);
-        self.trace.record(now, "place", id.0 as u64, || {
-            format!(
-                "{} procs on {:?} (+{} components)",
-                total,
-                cluster,
-                components.len() - 1
-            )
-        });
         let gen = job.gen;
         self.jobs.sync_hot(id);
+        let place = Obs::Place {
+            job: id,
+            cluster,
+            procs: total,
+            components: components.len() as u32,
+        };
+        self.observe(now, place);
         if self.staging_required(id, cluster) {
             // Bandwidth-true staging: the GRAM submission waits until
             // the input transfers land. The allocation is held through
@@ -1859,11 +1837,8 @@ impl<'a> World<'a> {
             size,
             job.spec.work_scale * penalty / speed,
         ));
-        let slot = self.jobs.slot_of(id);
         self.jobs.sync_hot(id);
-        self.collect.started(slot, now, size);
-        self.trace
-            .record(now, "start", id.0 as u64, || format!("size {size}"));
+        self.observe(now, Obs::Start { job: id, size });
         self.schedule_completion(engine, id);
         self.schedule_initiative(engine, id);
     }
@@ -1936,10 +1911,12 @@ impl<'a> World<'a> {
         self.scratch_views = views;
         self.grow_messages += outcome.messages as u64;
         for op in &outcome.ops {
-            self.collect.grow_op(now);
-            self.trace.record(now, "grow", op.job.0 as u64, || {
-                format!("accepted {} of {} on {cluster:?}", op.accepted, op.offered)
-            });
+            let grow = Obs::Grow {
+                job: op.job,
+                accepted: op.accepted,
+                offered: op.offered,
+            };
+            self.observe(now, grow);
             let job = self.jobs.get(op.job).expect("growing job is live");
             let alloc = job.alloc.expect("running job has an allocation");
             let gen = job.gen;
@@ -2098,13 +2075,12 @@ impl<'a> World<'a> {
         self.scratch_views = views;
         self.shrink_messages += outcome.messages as u64;
         for op in &outcome.ops {
-            self.collect.shrink_op(now);
-            self.trace.record(now, "shrink", op.job.0 as u64, || {
-                format!(
-                    "releasing {} of {} requested on {cluster:?}",
-                    op.released, op.requested
-                )
-            });
+            let shrink = Obs::Shrink {
+                job: op.job,
+                released: op.released,
+                requested: op.requested,
+            };
+            self.observe(now, shrink);
             self.pending_release[cluster.index()] += op.released;
             let job = self.jobs.get_mut(op.job).expect("shrinking job is live");
             let runner = job
@@ -2160,10 +2136,12 @@ impl<'a> World<'a> {
         progress.resume(now, &job.model);
         job.phase = JobPhase::Running;
         self.jobs.sync_hot(id);
-        self.trace
-            .record(now, "resume", id.0 as u64, || format!("size {new_size}"));
-        let slot = self.jobs.slot_of(id);
-        self.collect.resized(slot, now, new_size, grow);
+        let resume = Obs::Resume {
+            job: id,
+            size: new_size,
+            grow,
+        };
+        self.observe(now, resume);
         self.schedule_completion(engine, id);
         self.schedule_initiative(engine, id);
         if released > 0 {
@@ -2384,9 +2362,7 @@ impl<'a> World<'a> {
                 job.phase = JobPhase::Queued;
                 job.gen.bump(); // orphan any in-flight duplicate StartHeld
                 self.jobs.sync_hot(id);
-                self.trace.record(now, "ctrl-requeue", id.0 as u64, || {
-                    "start submission timed out".to_string()
-                });
+                self.observe(now, Obs::CtrlRequeue { job: id });
                 self.mc
                     .cluster_mut(cluster)
                     .release(alloc)
@@ -2398,7 +2374,7 @@ impl<'a> World<'a> {
                         .expect("surrendered component was held");
                 }
                 self.queue.push_back(id);
-                self.fail_try(id);
+                self.fail_try(now, id);
                 self.touch_util(now);
                 self.job_capacity_freed(engine, cluster, &extras);
             }
@@ -2412,9 +2388,7 @@ impl<'a> World<'a> {
                 let runner = job.runner.as_mut().expect("grow implies malleable");
                 let stubs = runner.submitting();
                 runner.abort_grow();
-                self.trace.record(now, "ctrl-abort-grow", id.0 as u64, || {
-                    format!("{stubs} stubs timed out")
-                });
+                self.observe(now, Obs::CtrlAbortGrow { job: id, stubs });
                 if stubs > 0 {
                     self.mc
                         .cluster_mut(cluster)
@@ -2426,12 +2400,7 @@ impl<'a> World<'a> {
             }
             CtrlOp::RecruitSync | CtrlOp::ShrinkSync => {
                 let grow = op == CtrlOp::RecruitSync;
-                self.trace.record(now, "ctrl-force-sync", id.0 as u64, || {
-                    format!(
-                        "{} sync timed out; completing locally",
-                        if grow { "grow" } else { "shrink" }
-                    )
-                });
+                self.observe(now, Obs::CtrlForceSync { job: id, grow });
                 let gen = self
                     .jobs
                     .get(id)
@@ -2442,8 +2411,7 @@ impl<'a> World<'a> {
             CtrlOp::Release { .. } => {
                 // Keep the batch earmarked; the orphaned-allocation
                 // sweep reclaims it after the grace window.
-                self.trace
-                    .record(now, "ctrl-release-lost", id.0 as u64, String::new);
+                self.observe(now, Obs::CtrlReleaseLost { job: id });
             }
         }
     }
@@ -2473,9 +2441,7 @@ impl<'a> World<'a> {
             let count = runner.releasing();
             runner.release_confirmed();
             job.release_since = None;
-            self.trace.record(now, "ctrl-reclaim", id.0 as u64, || {
-                format!("{count} orphaned processors on {cluster:?}")
-            });
+            self.observe(now, Obs::CtrlReclaim { job: id });
             self.mc
                 .cluster_mut(cluster)
                 .shrink(alloc, count)
@@ -2497,11 +2463,9 @@ impl<'a> World<'a> {
 
     fn on_completion(&mut self, engine: &mut Engine<Ev>, id: JobId, gen: Generation) {
         let now = engine.now();
-        let slot = match self.jobs.get(id) {
-            Some(_) => self.jobs.slot_of(id),
-            None => return,
+        let Some(job) = self.jobs.get_mut(id) else {
+            return;
         };
-        let job = self.jobs.get_mut(id).expect("checked live above");
         if !job.gen.matches(gen) || job.phase != JobPhase::Running {
             return;
         }
@@ -2531,8 +2495,7 @@ impl<'a> World<'a> {
         job.phase = JobPhase::Completed;
         job.gen.bump(); // invalidate every remaining event for this job
         self.jobs.sync_hot(id);
-        self.trace.record(now, "complete", id.0 as u64, String::new);
-        self.collect.completed(slot, now);
+        self.observe(now, Obs::Complete { job: id });
         // Terminal: the slab drops the job in streaming mode, bounding
         // live memory to the in-flight job count.
         self.jobs.retire(id);
@@ -2675,7 +2638,7 @@ impl<'a> World<'a> {
             job.cluster = None;
             self.jobs.sync_hot(id);
             self.queue.push_back(id);
-            self.fail_try(id);
+            self.fail_try(engine.now(), id);
         }
         self.scratch_claims = got;
     }
@@ -2724,7 +2687,7 @@ impl<'a> World<'a> {
             return;
         }
         let dest = job.cluster.expect("a staging job was placed");
-        let mut opened = 0u32;
+        let mut transfers = 0u32;
         {
             let net = self
                 .net
@@ -2772,25 +2735,23 @@ impl<'a> World<'a> {
                     );
                 }
                 net.flows.recycle(scheds);
-                opened += 1;
+                transfers += 1;
             }
-            if opened > 0 {
+            if transfers > 0 {
                 net.staging.insert(
                     id.0,
                     StagingState {
-                        pending: opened,
+                        pending: transfers,
                         gen,
                         since: now,
                     },
                 );
             }
         }
-        if opened == 0 {
+        if transfers == 0 {
             self.finish_staging(engine, id);
         } else {
-            self.trace.record(now, "stage", id.0 as u64, || {
-                format!("{opened} transfers to {dest:?}")
-            });
+            self.observe(now, Obs::Stage { job: id, transfers });
         }
     }
 
@@ -3023,9 +2984,14 @@ impl<'a> World<'a> {
         if accepted == 0 {
             return;
         }
-        self.collect.grow_op(now);
         let alloc = job.alloc.expect("running job allocated");
         let gen = job.gen;
+        let grow = Obs::Grow {
+            job: id,
+            accepted,
+            offered: grant,
+        };
+        self.observe(now, grow);
         self.mc
             .cluster_mut(cluster)
             .grow(alloc, accepted)
@@ -3041,19 +3007,16 @@ impl<'a> World<'a> {
     // Availability variation (node withdrawal / restore)
     // ------------------------------------------------------------------
 
-    fn on_node_withdraw(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId, count: u32) {
+    fn on_node_withdraw(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId, nodes: u32) {
         let now = engine.now();
-        self.trace
-            .record(engine.now(), "withdraw", cluster.0 as u64, || {
-                format!("{count} nodes requested")
-            });
-        let taken = self.mc.cluster_mut(cluster).withdraw_free(count);
+        self.observe(now, Obs::Withdraw { cluster, nodes });
+        let taken = self.mc.cluster_mut(cluster).withdraw_free(nodes);
         if taken > 0 {
             self.avail_idx.mark(cluster);
             self.sync_baseline(cluster);
             self.touch_util(now);
         }
-        let remaining = count - taken;
+        let remaining = nodes - taken;
         if remaining == 0 {
             return;
         }
@@ -3167,22 +3130,16 @@ impl<'a> World<'a> {
     ) {
         let now = engine.now();
         if grow {
-            let restored = self.mc.cluster_mut(cluster).restore(count);
-            if restored > 0 {
-                self.collect.scale_op(now, true);
-                self.trace.record(now, "scale-up", cluster.0 as u64, || {
-                    format!("{restored} nodes")
-                });
+            let nodes = self.mc.cluster_mut(cluster).restore(count);
+            if nodes > 0 {
+                self.observe(now, Obs::ScaleUp { cluster, nodes });
                 self.touch_util(now);
                 self.capacity_freed(engine, cluster);
             }
         } else {
-            let taken = self.mc.cluster_mut(cluster).withdraw_free(count);
-            if taken > 0 {
-                self.collect.scale_op(now, false);
-                self.trace.record(now, "scale-down", cluster.0 as u64, || {
-                    format!("{taken} nodes")
-                });
+            let nodes = self.mc.cluster_mut(cluster).withdraw_free(count);
+            if nodes > 0 {
+                self.observe(now, Obs::ScaleDown { cluster, nodes });
                 self.avail_idx.mark(cluster);
                 self.sync_baseline(cluster);
                 self.touch_util(now);
@@ -3205,16 +3162,18 @@ impl<'a> World<'a> {
         if taken > 0 {
             self.avail_idx.mark(cluster);
         }
-        self.trace.record(now, "crash", cluster.0 as u64, || {
-            format!("{taken} nodes, {} victim allocations", victims.len())
-        });
+        let crash = Obs::Crash {
+            cluster,
+            nodes: taken,
+        };
+        self.observe(now, crash);
         // Until the last victim is cleaned up, a job may still look
         // Running on an allocation the crash destroyed.
         self.crash_cleanup = true;
         for v in &victims {
             match v.owner {
                 AllocOwner::Koala(jid) => {
-                    self.crash_koala_victim(engine, JobId(jid as u32), v);
+                    self.crash_koala_victim(engine, JobId(jid as u32));
                 }
                 AllocOwner::Local(_) => {
                     // The background job's allocation shrank in place or
@@ -3255,7 +3214,7 @@ impl<'a> World<'a> {
     /// co-allocated components elsewhere), then kill or re-queue the job
     /// per the failure policy. The work done so far is lost either way —
     /// the paper's malleable applications checkpoint nothing.
-    fn crash_koala_victim(&mut self, engine: &mut Engine<Ev>, id: JobId, v: &CrashVictim) {
+    fn crash_koala_victim(&mut self, engine: &mut Engine<Ev>, id: JobId) {
         let now = engine.now();
         let Some(job) = self.jobs.get(id) else {
             return;
@@ -3263,7 +3222,6 @@ impl<'a> World<'a> {
         if job.is_terminal() {
             return;
         }
-        let slot = self.jobs.slot_of(id);
         let job = self.jobs.get_mut(id).expect("checked live above");
         let home = job.cluster.take();
         // Cancel any in-flight malleability state, as on completion.
@@ -3290,18 +3248,12 @@ impl<'a> World<'a> {
         match self.cfg.elasticity.failure_policy {
             FailurePolicy::Kill => {
                 job.phase = JobPhase::Failed;
-                self.trace.record(now, "killed", id.0 as u64, || {
-                    format!("crash took {} nodes", v.lost)
-                });
-                self.collect.job_killed(slot);
+                self.observe(now, Obs::Killed { job: id });
                 self.jobs.retire(id);
             }
             FailurePolicy::Requeue => {
                 job.phase = JobPhase::Queued;
-                self.trace.record(now, "requeue", id.0 as u64, || {
-                    format!("crash took {} nodes", v.lost)
-                });
-                self.collect.job_requeued();
+                self.observe(now, Obs::Requeue { job: id });
                 self.queue.push_back(id);
             }
         }
@@ -3411,6 +3363,18 @@ impl<'a> World<'a> {
         self.collect.utilization(now, &self.mc);
     }
 
+    /// Reports one lifecycle transition: the collector folds it into
+    /// the report, then the caller's sink (if any) sees it. Called
+    /// while the observed job is still live (before a terminal
+    /// transition retires it).
+    fn observe(&mut self, now: SimTime, obs: Obs) {
+        let jobs = &self.jobs;
+        self.collect.observe(now, &obs, |id| jobs.slot_of(id));
+        if let Some(sink) = self.sink.as_mut() {
+            sink(now, &obs);
+        }
+    }
+
     /// Finalizes the report: the run's [`SummaryReport`] (the one
     /// finalization path) plus the per-job detail.
     ///
@@ -3422,8 +3386,7 @@ impl<'a> World<'a> {
             .detail
             .take()
             .expect("world runs summarized: report a SummaryReport (finish_summary)");
-        let trace = std::mem::take(&mut self.trace);
-        detail.finish(self.finish_summary(engine), trace)
+        detail.finish(self.finish_summary(engine))
     }
 
     /// Finalizes the summary report (a full world's detail is dropped).
@@ -3474,12 +3437,13 @@ impl<'a> World<'a> {
     /// accumulators and every seeded RNG position. The world is
     /// untouched; a [`World::restore`]d copy continues bit-identically.
     ///
-    /// Only **summarized-mode, fixed-intake, trace-disabled** worlds
-    /// can be captured (full reports hold unbounded job tables, and a
-    /// job stream cannot be rewound); anything else is a typed
-    /// [`SnapshotError::UnsupportedMode`].
+    /// Only **summarized-mode, fixed-intake** worlds can be captured
+    /// (full reports hold unbounded job tables, and a job stream cannot
+    /// be rewound); anything else is a typed
+    /// [`SnapshotError::UnsupportedMode`]. An attached sink is not
+    /// world state: it is neither captured nor a reason to refuse.
     pub fn snapshot(&self, engine: &Engine<Ev>) -> Result<Snapshot, SnapshotError> {
-        if !self.collect.is_summarized() {
+        if self.collect.detail.is_some() {
             return Err(SnapshotError::UnsupportedMode(
                 "full-report mode (build with World::for_seed_summarized)".into(),
             ));
@@ -3487,11 +3451,6 @@ impl<'a> World<'a> {
         if !matches!(self.intake, Intake::Fixed(_)) {
             return Err(SnapshotError::UnsupportedMode(
                 "streaming intake (the job stream cannot be rewound)".into(),
-            ));
-        }
-        if self.trace.is_enabled() {
-            return Err(SnapshotError::UnsupportedMode(
-                "job-lifecycle trace enabled".into(),
             ));
         }
         if self.files.is_some() && self.cfg.network.is_none() {
@@ -3733,7 +3692,7 @@ impl<'a> World<'a> {
         w.u64(self.jobs.live as u64);
         w.u64(self.jobs.peak_live as u64);
         // --- streaming collector --------------------------------------
-        enc_collector(&mut w, &self.collect.summary.capture_state());
+        self.collect.summary.encode(&mut w);
         w.into_bytes()
     }
 
@@ -4027,8 +3986,7 @@ impl<'a> World<'a> {
         self.jobs.live = live;
         self.jobs.peak_live = peak_live;
         // --- streaming collector --------------------------------------
-        let cstate = dec_collector(r)?;
-        self.collect.summary = crate::report::SummaryCollector::from_state(cstate);
+        self.collect.summary = crate::report::SummaryCollector::decode(r)?;
         Ok(engine)
     }
 }
@@ -4565,141 +4523,6 @@ fn dec_job_into(r: &mut ByteReader<'_>, job: &mut Job) -> Result<(), SnapshotErr
     Ok(())
 }
 
-fn enc_collector(w: &mut ByteWriter, s: &crate::report::SummaryCollectorState) {
-    w.u64(s.warmup.as_millis());
-    w.len(s.meters.len());
-    for m in &s.meters {
-        w.u64(m.submitted.as_millis());
-        w.opt(m.started.as_ref(), |w, t| w.u64(t.as_millis()));
-        w.f64(m.size);
-        w.u64(m.last_change.as_millis());
-        w.f64(m.size_integral);
-        w.f64(m.size_max);
-    }
-    w.u64(s.jobs_submitted);
-    w.u64(s.jobs_completed);
-    w.u64(s.jobs_failed);
-    w.u64(s.grow_ops);
-    w.u64(s.shrink_ops);
-    w.u64(s.scale_ups);
-    w.u64(s.scale_downs);
-    w.u64(s.jobs_killed);
-    w.u64(s.jobs_requeued);
-    w.len(s.streams.len());
-    for (stats, quant) in &s.streams {
-        w.u64(stats.count);
-        w.len(stats.partials.len());
-        for &p in &stats.partials {
-            w.f64(p);
-        }
-        w.f64(stats.w_mean);
-        w.f64(stats.m2);
-        w.f64(stats.min);
-        w.f64(stats.max);
-        w.u64(quant.seed);
-        w.u64(quant.capacity as u64);
-        w.u64(quant.pushed);
-        w.len(quant.entries.len());
-        for (pri, v) in &quant.entries {
-            w.u64(*pri);
-            w.f64(*v);
-        }
-    }
-    w.u64(s.last_t.as_millis());
-    w.f64(s.last_total);
-    w.f64(s.last_koala);
-    w.f64(s.util_integral);
-    w.f64(s.util_koala_integral);
-}
-
-fn dec_collector(
-    r: &mut ByteReader<'_>,
-) -> Result<crate::report::SummaryCollectorState, SnapshotError> {
-    use crate::report::{JobMeterState, SummaryCollectorState};
-    let warmup = SimTime::from_millis(r.u64()?);
-    let n = r.len(41)?;
-    let mut meters = Vec::with_capacity(n);
-    for _ in 0..n {
-        meters.push(JobMeterState {
-            submitted: SimTime::from_millis(r.u64()?),
-            started: r.opt(|r| Ok(SimTime::from_millis(r.u64()?)))?,
-            size: r.f64()?,
-            last_change: SimTime::from_millis(r.u64()?),
-            size_integral: r.f64()?,
-            size_max: r.f64()?,
-        });
-    }
-    let jobs_submitted = r.u64()?;
-    let jobs_completed = r.u64()?;
-    let jobs_failed = r.u64()?;
-    let grow_ops = r.u64()?;
-    let shrink_ops = r.u64()?;
-    let scale_ups = r.u64()?;
-    let scale_downs = r.u64()?;
-    let jobs_killed = r.u64()?;
-    let jobs_requeued = r.u64()?;
-    let n = r.len(64)?;
-    if n != 10 {
-        return Err(SnapshotError::Corrupt("summary stream count".into()));
-    }
-    let mut streams = Vec::with_capacity(n);
-    for _ in 0..n {
-        let count = r.u64()?;
-        let n_part = r.len(8)?;
-        let mut partials = Vec::with_capacity(n_part);
-        for _ in 0..n_part {
-            partials.push(r.f64()?);
-        }
-        let stats = koala_metrics::StreamStatsState {
-            count,
-            partials,
-            w_mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        };
-        let seed = r.u64()?;
-        let capacity = r.u64()? as usize;
-        let pushed = r.u64()?;
-        let n_ent = r.len(16)?;
-        if n_ent > capacity {
-            return Err(SnapshotError::Corrupt("reservoir over capacity".into()));
-        }
-        let mut entries = Vec::with_capacity(n_ent);
-        for _ in 0..n_ent {
-            entries.push((r.u64()?, r.f64()?));
-        }
-        streams.push((
-            stats,
-            koala_metrics::StreamQuantilesState {
-                seed,
-                capacity,
-                pushed,
-                entries,
-            },
-        ));
-    }
-    Ok(SummaryCollectorState {
-        warmup,
-        meters,
-        jobs_submitted,
-        jobs_completed,
-        jobs_failed,
-        grow_ops,
-        shrink_ops,
-        scale_ups,
-        scale_downs,
-        jobs_killed,
-        jobs_requeued,
-        streams,
-        last_t: SimTime::from_millis(r.u64()?),
-        last_total: r.f64()?,
-        last_koala: r.f64()?,
-        util_integral: r.f64()?,
-        util_koala_integral: r.f64()?,
-    })
-}
-
 /// The policies `cfg` names, resolved against the global registries:
 /// placement, malleability management, and the autoscaler (`None` when
 /// the configuration is not autoscaled). Policies are stateless, so a
@@ -5053,32 +4876,6 @@ mod tests {
             );
             assert!(max >= 2.0);
         }
-    }
-
-    #[test]
-    fn trace_records_the_full_lifecycle() {
-        let cfg = small("egs", WorkloadSpec::wm(), 5);
-        let mut engine = simcore::Engine::new();
-        let r: RunReport = World::new(&cfg).with_trace(10_000).run_to_end(&mut engine);
-        assert!(r.trace.is_enabled());
-        assert_eq!(r.trace.of_category("arrive").count(), 5);
-        assert_eq!(r.trace.of_category("place").count(), 5);
-        assert_eq!(r.trace.of_category("start").count(), 5);
-        assert_eq!(r.trace.of_category("complete").count(), 5);
-        // Per-job lifecycle order: arrive ≤ place ≤ start ≤ complete.
-        for j in 0..5u64 {
-            let cats: Vec<&str> = r.trace.of_subject(j).map(|e| e.category).collect();
-            let pos = |c: &str| cats.iter().position(|&x| x == c).unwrap();
-            assert!(pos("arrive") < pos("place"));
-            assert!(pos("place") < pos("start"));
-            assert!(pos("start") < pos("complete"));
-        }
-        // Grow entries are always followed by a resume for the same job.
-        assert_eq!(
-            r.trace.of_category("grow").count(),
-            r.trace.of_category("resume").count(),
-            "every accepted grow must resume"
-        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum SnapshotError {
     /// mismatched cluster count, inconsistent lengths).
     Corrupt(String),
     /// The world cannot be snapshotted: only summarized-mode,
-    /// fixed-intake, trace-disabled worlds have a serializable closure.
+    /// fixed-intake worlds have a serializable closure.
     UnsupportedMode(String),
 }
 

@@ -5,7 +5,9 @@
 //! pipelines run from bootstrap to their last event — one paper cell
 //! (PWA, FPSMA, W'm, 300 jobs, background load on) and a 20,000-job
 //! streamed `trace1m` slice — and the allocations per terminal job must
-//! stay under a bound. What still allocates per job is the job itself
+//! stay under a bound — and must not rise when a counting observation
+//! sink is attached, since an `Obs` costs no allocation. What still
+//! allocates per job is the job itself
 //! (its spec and runner as it arrives), its pending events' payloads,
 //! and each policy call's returned decision (`PlacementDecision`,
 //! `PolicyOutcome::ops`); cluster bookkeeping, claims, policy views and
@@ -25,7 +27,7 @@ use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig};
 use koala::scenario::Scenario;
 use koala::sim::{Ev, World};
-use koala::SummaryReport;
+use koala::{Obs, SummaryReport};
 use multicluster::{AllocOwner, BackgroundLoad, Cluster, ClusterSpec};
 use simcore::{Engine, SimTime};
 
@@ -97,6 +99,43 @@ fn counted(mut world: World<'_>, engine: &mut Engine<Ev>) -> (u64, SummaryReport
     (n, world.finish_summary(engine))
 }
 
+/// An optional observation sink for a budget run.
+type Sink<'s> = Option<&'s mut dyn FnMut(SimTime, &Obs)>;
+
+/// Runs a pipeline once bare and once with a sink tallying every
+/// observation per kind: the summaries must agree, the sink must see
+/// events, and it must add no allocation. Returns the bare run's count.
+fn with_and_without_sink(run: impl Fn(Sink<'_>) -> (u64, SummaryReport)) -> (u64, SummaryReport) {
+    let (bare, summary) = run(None);
+    let mut counts = [0u64; Obs::NAMES.len()];
+    let (sunk, with_sink) = run(Some(&mut |_, obs| counts[obs.kind()] += 1));
+    assert_eq!(
+        with_sink, summary,
+        "{}: a sink changed the run",
+        summary.name
+    );
+    assert!(counts.iter().sum::<u64>() > 0, "the sink saw nothing");
+    eprintln!(
+        "{}: {bare} allocations bare, {sunk} with a sink",
+        summary.name
+    );
+    assert!(
+        sunk <= bare,
+        "{}: an attached sink added {} allocations",
+        summary.name,
+        sunk - bare
+    );
+    (bare, summary)
+}
+
+/// Attaches `sink` to `world`, if there is one.
+fn attach<'a, 's: 'a>(world: World<'a>, sink: Sink<'s>) -> World<'a> {
+    match sink {
+        Some(sink) => world.with_sink(sink),
+        None => world,
+    }
+}
+
 fn per_terminal_job(allocs: u64, s: &SummaryReport) -> f64 {
     let terminal = s.jobs_completed + s.jobs_failed;
     assert!(terminal > 0, "{}: no job finished", s.name);
@@ -133,9 +172,10 @@ fn paper_cell_allocations_per_job_stay_bounded() {
         cfg.background.is_active(),
         "the paper cell runs background load"
     );
-    let mut engine = koala::engine_for(&cfg);
-    let world = World::for_seed_summarized(&cfg, 1);
-    let (n, summary) = counted(world, &mut engine);
+    let (n, summary) = with_and_without_sink(|sink| {
+        let world = attach(World::for_seed_summarized(&cfg, 1), sink);
+        counted(world, &mut koala::engine_for(&cfg))
+    });
     let per_job = per_terminal_job(n, &summary);
     eprintln!("paper cell: {n} allocations, {per_job:.2} per terminal job");
     assert!(
@@ -165,14 +205,16 @@ fn trace_slice_allocations_per_job_stay_bounded() {
     let source = WorkloadRegistry::global()
         .source("trace1m")
         .expect("trace1m is registered");
-    let mut stream = source.stream(1, JOBS);
-    let mut engine = Engine::configured(
-        cfg.sched.event_queue,
-        cfg.horizon.map(|h| SimTime::ZERO + h),
-        LOOKAHEAD * 2 + 64,
-    );
-    let world = World::for_stream_summarized(&cfg, 1, stream.as_mut(), LOOKAHEAD);
-    let (n, summary) = counted(world, &mut engine);
+    let (n, summary) = with_and_without_sink(|sink| {
+        let mut stream = source.stream(1, JOBS);
+        let mut engine = Engine::configured(
+            cfg.sched.event_queue,
+            cfg.horizon.map(|h| SimTime::ZERO + h),
+            LOOKAHEAD * 2 + 64,
+        );
+        let world = World::for_stream_summarized(&cfg, 1, stream.as_mut(), LOOKAHEAD);
+        counted(attach(world, sink), &mut engine)
+    });
     assert_eq!(summary.jobs_completed + summary.jobs_failed, JOBS);
     let per_job = per_terminal_job(n, &summary);
     eprintln!("trace slice: {n} allocations, {per_job:.2} per terminal job");

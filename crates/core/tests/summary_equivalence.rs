@@ -3,11 +3,12 @@
 //! * **Passivity** — collecting the per-job detail changes nothing: a
 //!   full run's `summary` equals the summarized run of the same cell,
 //!   down to the reservoirs, registry-wide and under every subsystem.
+//!   Neither does an attached observation sink, streamed runs included.
 //! * **Agreement** — streamed per-job metrics equal the detail's job
 //!   table (exactly, while the quantile reservoirs are below capacity).
 //! * **Memory bound** — summarized runs keep at most
 //!   `quantile_capacity` samples per metric regardless of job count,
-//!   and never materialize job tables or traces.
+//!   and never materialize job tables.
 //! * **Scale** — a 1000-cell summarized matrix runs to completion with
 //!   parallel results bit-identical to sequential.
 
@@ -15,10 +16,10 @@ use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig, RetryConfig};
 use koala::policy::PolicyRegistry;
 use koala::scenario::{Scenario, ScenarioBuilder};
-use koala::{Report, ReportMode, Run, RunReport, SummaryReport, World};
+use koala::{Obs, Report, ReportMode, Run, RunReport, SummaryReport, World};
 use koala_metrics::Ecdf;
-use multicluster::{ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec};
-use simcore::SimDuration;
+use multicluster::{BackgroundLoad, ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec};
+use simcore::{Engine, SimDuration, SimTime};
 
 /// One run of `cfg` under its own seed.
 fn one<R: Report>(cfg: &ExperimentConfig) -> R {
@@ -82,15 +83,47 @@ fn summary_matches_full_report_on_the_same_run() {
     );
 }
 
+/// Runs `cfg` under `seed` the way [`koala::run`] runs a lone cell —
+/// cold, or through its warm-fork prefix with the policies switched in
+/// place — with a sink attached. Returns the report and how many
+/// observations the sink saw.
+fn with_sink<R: Report>(cfg: &ExperimentConfig, seed: u64) -> (R, u64) {
+    let mut seen = 0u64;
+    let mut sink = |_: SimTime, _: &Obs| seen += 1;
+    let world = match R::MODE {
+        ReportMode::Full => World::for_seed(cfg, seed),
+        ReportMode::Summarized => World::for_seed_summarized(cfg, seed),
+    };
+    let mut world = world.with_sink(&mut sink);
+    let mut engine = koala::engine_for(cfg);
+    if let Some(wf) = &cfg.warm_fork {
+        world
+            .use_policies(&wf.base_placement, &wf.base_malleability)
+            .unwrap();
+        world.bootstrap(&mut engine);
+        world.run_until(&mut engine, SimTime::ZERO + wf.at);
+        world
+            .use_policies(&cfg.sched.placement, &cfg.sched.malleability)
+            .unwrap();
+    }
+    let report = world.run_to_end(&mut engine);
+    (report, seen)
+}
+
 /// Runs every cell of `cfgs × seeds` for full reports and for summaries
 /// and checks each full report's summary against its summarized twin —
-/// equal values and equal `{:?}` renderings, reservoirs included.
+/// equal values and equal `{:?}` renderings, reservoirs included. Each
+/// cell runs once more both ways with a sink attached, and must report
+/// exactly what it reports without one.
 fn assert_detail_is_passive(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<SummaryReport> {
     let run = Run::matrix(cfgs, seeds);
     let full: Vec<RunReport> = koala::run(&run).unwrap();
     let summarized: Vec<SummaryReport> = koala::run(&run).unwrap();
     assert_eq!(full.len(), summarized.len());
-    for (full, summarized) in full.iter().zip(&summarized) {
+    let cells = cfgs
+        .iter()
+        .flat_map(|cfg| seeds.iter().map(move |&s| (cfg, s)));
+    for ((full, summarized), (cfg, seed)) in full.iter().zip(&summarized).zip(cells) {
         let cell = format!("{} seed {}", summarized.name, summarized.seed);
         assert_eq!(full.summary, *summarized, "{cell}");
         assert_eq!(
@@ -99,6 +132,18 @@ fn assert_detail_is_passive(cfgs: &[ExperimentConfig], seeds: &[u64]) -> Vec<Sum
             "{cell}"
         );
         assert_eq!(full.jobs.len() as u64, summarized.jobs_submitted, "{cell}");
+        let (sunk, seen) = with_sink::<SummaryReport>(cfg, seed);
+        assert_eq!(sunk, *summarized, "{cell}: a sink changed the summary");
+        assert!(
+            seen >= summarized.jobs_completed,
+            "{cell}: the sink saw too little"
+        );
+        let (sunk, _) = with_sink::<RunReport>(cfg, seed);
+        assert_eq!(
+            format!("{sunk:?}"),
+            format!("{full:?}"),
+            "{cell}: a sink changed the full report"
+        );
     }
     summarized
 }
@@ -223,7 +268,31 @@ fn detail_is_passive_in_warm_forks() {
                 .into_config()
         })
         .collect();
-    assert_detail_is_passive(&cfgs, &[7, 8]);
+    let runs = assert_detail_is_passive(&cfgs, &[7, 8]);
+    // A sink is not world state: a warmed world with one attached still
+    // snapshots, and each byte fork (which carries no sink) takes its own.
+    let wf = cfgs[0].warm_fork.as_ref().unwrap();
+    let mut prefix_seen = 0u64;
+    let mut prefix_sink = |_: SimTime, _: &Obs| prefix_seen += 1;
+    let mut engine = koala::engine_for(&cfgs[0]);
+    let mut world = World::for_seed_summarized(&cfgs[0], 7).with_sink(&mut prefix_sink);
+    world
+        .use_policies(&wf.base_placement, &wf.base_malleability)
+        .unwrap();
+    world.bootstrap(&mut engine);
+    world.run_until(&mut engine, SimTime::ZERO + wf.at);
+    let snap = world
+        .snapshot(&engine)
+        .expect("a sink never blocks a snapshot");
+    assert!(prefix_seen > 0);
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let (fork, mut engine) = World::fork_with(cfg, &snap).unwrap();
+        let mut seen = 0u64;
+        let mut sink = |_: SimTime, _: &Obs| seen += 1;
+        let r: SummaryReport = fork.with_sink(&mut sink).run_to_end(&mut engine);
+        assert_eq!(r, runs[2 * i], "{}: forked with a sink", cfg.name);
+        assert!(seen > 0);
+    }
 }
 
 #[test]
@@ -250,19 +319,39 @@ fn summary_memory_is_bounded_by_capacity_not_job_count() {
     }
 }
 
+/// The streamed cell: a `trace1m` slice pulled through the bounded
+/// look-ahead reports the same summary with a sink attached, and the
+/// sink sees every job arrive and finish.
 #[test]
-fn summarized_worlds_never_enable_tracing() {
-    let cfg = small("egs", 5, 3);
-    let w = World::for_seed_summarized(&cfg, 3).with_trace(10_000);
-    assert!(w.is_summarized());
-    assert!(
-        !w.trace_enabled(),
-        "summarized mode must not materialize a trace"
-    );
-    // The full-mode world still honours the request.
-    let w = World::for_seed(&cfg, 3).with_trace(10_000);
-    assert!(!w.is_summarized());
-    assert!(w.trace_enabled());
+fn a_sink_is_passive_on_a_streamed_trace1m_slice() {
+    const JOBS: u64 = 3_000;
+    let cfg = Scenario::builder()
+        .workload("trace1m")
+        .jobs(JOBS as usize)
+        .no_horizon()
+        .background(BackgroundLoad::none())
+        .scheduler(|s| s.koala_share = 0.5)
+        .summarized()
+        .build()
+        .unwrap()
+        .into_config();
+    let plain: SummaryReport = koala::run(&Run::cell(&cfg).streamed(256))
+        .unwrap()
+        .remove(0);
+    let source = appsim::generate::WorkloadRegistry::global()
+        .source("trace1m")
+        .unwrap();
+    let mut stream = source.stream(cfg.seed, JOBS);
+    let mut counts = [0u64; Obs::NAMES.len()];
+    let mut sink = |_: SimTime, obs: &Obs| counts[obs.kind()] += 1;
+    let mut engine = Engine::configured(cfg.sched.event_queue, None, 256 * 2 + 64);
+    let sunk: SummaryReport = World::for_stream_summarized(&cfg, cfg.seed, stream.as_mut(), 256)
+        .with_sink(&mut sink)
+        .run_to_end(&mut engine);
+    assert_eq!(sunk, plain, "a sink changed the streamed summary");
+    let count = |kind: &str| counts[Obs::NAMES.iter().position(|n| *n == kind).unwrap()];
+    assert_eq!(count("arrive"), JOBS);
+    assert_eq!(count("complete") + count("placement_failed"), JOBS);
 }
 
 #[test]

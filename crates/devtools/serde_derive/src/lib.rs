@@ -4,7 +4,8 @@
 //!
 //! Supported input shapes — exactly what this workspace derives:
 //!
-//! * structs with named fields (field attribute `#[serde(default)]` honoured)
+//! * structs with named fields (field attributes `#[serde(default)]` and
+//!   `#[serde(default = "path")]` honoured)
 //! * tuple structs (arity 1 is treated as `#[serde(transparent)]`)
 //! * enums with unit, tuple, and struct variants (externally tagged; unit
 //!   variants encode as plain strings)
@@ -18,7 +19,8 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[derive(Debug)]
 struct Field {
     name: String,
-    default: bool,
+    /// The expression a missing field takes, when it has a default.
+    default: Option<String>,
 }
 
 #[derive(Debug)]
@@ -41,17 +43,18 @@ enum Body {
     Enum(Vec<Variant>),
 }
 
-/// Skip one attribute (`#` + bracket group) if present; report whether the
-/// attribute was `#[serde(default)]`. Any other `#[serde(...)]` argument is
-/// unsupported and panics, so new annotations fail the build loudly instead
-/// of being silently ignored.
-fn skip_attr(tokens: &[TokenTree], i: &mut usize) -> Option<bool> {
+/// Skip one attribute (`#` + bracket group) if present; report the default
+/// expression of a `#[serde(default)]` or `#[serde(default = "path")]`
+/// attribute. Any other `#[serde(...)]` argument is unsupported and panics,
+/// so new annotations fail the build loudly instead of being silently
+/// ignored.
+fn skip_attr(tokens: &[TokenTree], i: &mut usize) -> Option<Option<String>> {
     match (tokens.get(*i), tokens.get(*i + 1)) {
         (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g)))
             if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
         {
             let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            let mut is_serde_default = false;
+            let mut default = None;
             if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) =
                 (inner.first(), inner.get(1))
             {
@@ -59,7 +62,12 @@ fn skip_attr(tokens: &[TokenTree], i: &mut usize) -> Option<bool> {
                     for t in args.stream() {
                         match &t {
                             TokenTree::Ident(a) if a.to_string() == "default" => {
-                                is_serde_default = true;
+                                default = Some("::std::default::Default::default()".into());
+                            }
+                            // `default = "path"`: the path's call replaces it.
+                            TokenTree::Punct(p) if p.as_char() == '=' && default.is_some() => {}
+                            TokenTree::Literal(path) if default.is_some() => {
+                                default = Some(format!("{}()", path.to_string().trim_matches('"')));
                             }
                             TokenTree::Ident(a) if a.to_string() == "transparent" => {
                                 // Implied for newtype structs; accepted as documentation.
@@ -74,16 +82,16 @@ fn skip_attr(tokens: &[TokenTree], i: &mut usize) -> Option<bool> {
                 }
             }
             *i += 2;
-            Some(is_serde_default)
+            Some(default)
         }
         _ => None,
     }
 }
 
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
-    let mut default = false;
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> Option<String> {
+    let mut default = None;
     while let Some(d) = skip_attr(tokens, i) {
-        default |= d;
+        default = d.or(default);
     }
     default
 }
@@ -257,8 +265,8 @@ fn named_fields_from_value(fields: &[Field], ty_ctx: &str, obj_var: &str) -> Str
     let inits: Vec<String> = fields
         .iter()
         .map(|f| {
-            let missing = if f.default {
-                "::std::default::Default::default()".to_string()
+            let missing = if let Some(default) = &f.default {
+                default.clone()
             } else {
                 // Match real serde: a missing `Option<T>` field is `None`
                 // (Option deserializes from Null); any other missing field

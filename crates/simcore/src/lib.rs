@@ -23,8 +23,6 @@
 //!   grown must be ignored once the growth changes the completion time).
 //! * [`Periodic`] — helper for fixed-period timers (KIS polling, placement
 //!   queue scans, utilization sampling).
-//! * [`Trace`] — bounded, near-free-when-disabled event tracing with CSV
-//!   export.
 //! * [`IdHasher`] / [`IdHashMap`] — the multiply-shift hasher shared by
 //!   every table keyed by simulator-issued ids (jobs, allocations).
 //!
@@ -46,7 +44,6 @@ mod queue;
 mod rng;
 mod time;
 mod timer;
-mod trace;
 
 pub mod dist;
 
@@ -57,4 +54,3 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timer::Periodic;
-pub use trace::{Trace, TraceEvent};

@@ -1,69 +1,73 @@
-//! Trace workflows: export a workload as SWF, re-import it, replay it
-//! with lifecycle tracing enabled, and dump the per-job timeline — the
-//! bread and butter of debugging a scheduler.
+//! Trace workflows: export a workload as SWF, stream it back in, and
+//! watch the replay through an observation sink — one job's lifecycle
+//! and a JSON-lines export of the malleability events, from a streamed,
+//! summarized run whose memory is bounded by the jobs in flight.
 //!
 //! ```text
 //! cargo run --release --example trace_replay
 //! ```
 
+use std::io::Write as _;
+
 use malleable_koala::appsim::swf;
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::sim::World;
-use malleable_koala::koala::RunReport;
-use malleable_koala::simcore::{Engine, SimRng};
+use malleable_koala::koala::{JobId, Obs, SummaryReport, World, DEFAULT_LOOKAHEAD};
+use malleable_koala::simcore::{Engine, SimRng, SimTime};
 
 fn main() {
     // 1. Generate a small Wm workload and export it as SWF.
-    let mut rng = SimRng::seed_from_u64(99);
     let mut spec = WorkloadSpec::wm();
     spec.jobs = 12;
-    let jobs = spec.generate(&mut rng);
-    let swf_text = swf::export(&jobs);
+    let swf_text = swf::export(&spec.generate(&mut SimRng::seed_from_u64(99)));
     println!("--- SWF export (first lines) ---");
     for line in swf_text.lines().take(6) {
         println!("{line}");
     }
 
-    // 2. Re-import and replay through the full scheduler with tracing.
-    let reimported = swf::SwfImport::default().convert(&swf::parse(&swf_text).unwrap());
-    let mut cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
-    cfg.trace = Some(reimported);
-    cfg.seed = 99;
-    let mut engine = Engine::new();
-    let report = World::new(&cfg)
-        .with_trace(4096)
-        .run_to_end::<RunReport>(&mut engine);
-
+    // 2. Stream the SWF back in and replay it with a sink that keeps
+    //    job 0's events and writes every grow, shrink and resume as a
+    //    JSON line.
+    let cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
+    let mut stream = swf::SwfJobStream::new(swf_text.as_bytes(), swf::SwfImport::default());
+    let mut job0: Vec<(SimTime, Obs)> = Vec::new();
+    let mut jsonl: Vec<u8> = Vec::new();
+    let mut sink = |t: SimTime, obs: &Obs| {
+        if obs.job() == Some(JobId(0)) {
+            job0.push((t, *obs));
+        }
+        if let Obs::Grow { .. } | Obs::Shrink { .. } | Obs::Resume { .. } = obs {
+            let obs = serde_json::to_string(obs).expect("an Obs serializes");
+            writeln!(jsonl, "{{\"t_ms\":{},\"obs\":{obs}}}", t.as_millis()).unwrap();
+        }
+    };
+    let summary: SummaryReport =
+        World::for_stream_summarized(&cfg, 99, &mut stream, DEFAULT_LOOKAHEAD)
+            .with_sink(&mut sink)
+            .run_to_end(&mut Engine::new());
+    if let Some(e) = stream.error() {
+        panic!("the SWF stream stopped early: {e}");
+    }
     println!(
-        "\nreplayed {} jobs, {:.0}% complete, {} trace entries",
-        report.jobs.len(),
-        100.0 * report.jobs.completion_ratio(),
-        report.trace.events().len()
+        "\nreplayed {} jobs, {:.0}% complete, {} grow operations",
+        summary.jobs_submitted,
+        100.0 * summary.completion_ratio(),
+        summary.grow_ops
     );
 
-    // 3. Show one job's full lifecycle from the trace.
+    // 3. One job's full lifecycle, as the sink saw it.
     println!("\n--- lifecycle of job 0 ---");
-    for e in report.trace.of_subject(0) {
-        println!("{:>10}  {:<9} {}", e.at.to_string(), e.category, e.detail);
+    for (t, obs) in &job0 {
+        println!("{:>10}  {obs:?}", t.to_string());
     }
 
-    // 4. Category statistics.
-    println!("\n--- trace categories ---");
-    for cat in [
-        "arrive", "place", "start", "grow", "shrink", "resume", "complete",
-    ] {
-        let n = report.trace.of_category(cat).count();
-        if n > 0 {
-            println!("{cat:<9} {n}");
-        }
-    }
-
-    // 5. The CSV is ready for timeline tooling.
-    let csv = report.trace.to_csv();
+    // 4. The JSON lines are ready for timeline tooling.
+    std::fs::create_dir_all("repro_out").expect("create repro_out/");
+    std::fs::write("repro_out/trace_replay.jsonl", &jsonl).expect("write the JSON lines");
+    let first = std::str::from_utf8(&jsonl).unwrap().lines().next();
     println!(
-        "\ntrace CSV: {} bytes, first row: {}",
-        csv.len(),
-        csv.lines().nth(1).unwrap_or("")
+        "\n{} bytes of JSON lines in repro_out/trace_replay.jsonl, first: {}",
+        jsonl.len(),
+        first.unwrap_or("")
     );
 }

@@ -7,6 +7,8 @@
 //! * One that names the retired `"event_queue": "Calendar"` is refused
 //!   by `serde_json::from_str` with an error, and `koala-sim run` turns
 //!   that into exit status 1 with a message — not a panic.
+//! * One stored before `sched.avail_index` existed loads with the index
+//!   on, like `SchedulerConfig::default()`, and runs identically.
 //! * `koala-sim run` refuses a `--seeds` list with an unparsable entry
 //!   (usage, exit status 2), and a `--csv` write that fails names the
 //!   file and exits 1 instead of reporting success.
@@ -53,6 +55,27 @@ fn retired_coalesce_timers_field_is_ignored() {
     let old: ExperimentConfig = serde_json::from_str(&json).expect("old config still parses");
     let current: ExperimentConfig =
         serde_json::from_str(&template_json()).expect("template parses");
+    assert_eq!(format!("{old:?}"), format!("{current:?}"));
+    assert_eq!(
+        format!("{:?}", one::<SummaryReport>(&old)),
+        format!("{:?}", one::<SummaryReport>(&current))
+    );
+}
+
+#[test]
+fn a_config_without_avail_index_loads_with_the_index_on() {
+    let json = template_json();
+    let field = ",\n    \"avail_index\": true";
+    assert_eq!(json.matches(field).count(), 1, "template renders {field}");
+    let old = json.replace(field, "");
+    assert!(!old.contains("avail_index"));
+    let old: ExperimentConfig = serde_json::from_str(&old).expect("old config parses");
+    let current: ExperimentConfig =
+        serde_json::from_str(&template_json()).expect("template parses");
+    assert!(
+        old.sched.avail_index,
+        "a missing field means the default: on"
+    );
     assert_eq!(format!("{old:?}"), format!("{current:?}"));
     assert_eq!(
         format!("{:?}", one::<SummaryReport>(&old)),
