@@ -62,6 +62,9 @@ pub struct AvailIndex {
     rebuilds: u64,
     /// Placement attempts skipped by the quick-reject (diagnostics).
     quick_rejects: u64,
+    /// Scans that found no availability at all and refused their whole
+    /// queue in one pass (diagnostics).
+    blocked_scans: u64,
 }
 
 impl AvailIndex {
@@ -76,6 +79,7 @@ impl AvailIndex {
             sum_eff: 0,
             rebuilds: 0,
             quick_rejects: 0,
+            blocked_scans: 0,
         }
     }
 
@@ -149,9 +153,23 @@ impl AvailIndex {
         self.quick_rejects += 1;
     }
 
+    /// Records one blocked scan: `refused` queued jobs quick-rejected
+    /// at once, since the last rebuild left no availability anywhere.
+    pub fn note_blocked_scan(&mut self, refused: u64) {
+        debug_assert_eq!(self.sum_eff, 0, "a blocked scan needs an empty index");
+        self.blocked_scans += 1;
+        self.quick_rejects += refused;
+    }
+
     /// Placement attempts skipped so far.
     pub fn quick_rejects(&self) -> u64 {
         self.quick_rejects
+    }
+
+    /// Blocked scans so far (each also counts its refused jobs in
+    /// [`AvailIndex::quick_rejects`]).
+    pub fn blocked_scans(&self) -> u64 {
+        self.blocked_scans
     }
 
     /// Rebuilds performed so far.
@@ -170,6 +188,7 @@ impl AvailIndex {
             sum_eff: self.sum_eff,
             rebuilds: self.rebuilds,
             quick_rejects: self.quick_rejects,
+            blocked_scans: self.blocked_scans,
         }
     }
 
@@ -184,6 +203,7 @@ impl AvailIndex {
             sum_eff: s.sum_eff,
             rebuilds: s.rebuilds,
             quick_rejects: s.quick_rejects,
+            blocked_scans: s.blocked_scans,
         }
     }
 }
@@ -203,6 +223,8 @@ pub struct AvailIndexState {
     pub rebuilds: u64,
     /// Placement attempts skipped so far.
     pub quick_rejects: u64,
+    /// Blocked scans so far.
+    pub blocked_scans: u64,
 }
 
 #[cfg(test)]
@@ -258,6 +280,14 @@ mod tests {
         idx.mark(ClusterId(1));
         idx.note_quick_reject();
         idx.note_quick_reject();
+        let mut blocked = AvailIndex::new(3);
+        blocked.rebuild(&[0, 0, 0]);
+        blocked.note_blocked_scan(5);
+        assert_eq!((blocked.blocked_scans(), blocked.quick_rejects()), (1, 5));
+        assert_eq!(
+            AvailIndex::from_state(blocked.capture_state()).blocked_scans(),
+            1
+        );
         let state = idx.capture_state();
         let copy = AvailIndex::from_state(state.clone());
         assert_eq!(copy.dirty_count(), 1);

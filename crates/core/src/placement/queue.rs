@@ -214,6 +214,32 @@ impl QueueWalk {
             false
         }
     }
+
+    /// Records one failed try for every job not yet visited, in one
+    /// pass: the state [`QueueWalk::visit`] plus
+    /// [`QueueWalk::fail_current`] per job would leave. `failed` is
+    /// cleared, then receives, in queue order, the jobs whose tries now
+    /// exceed `threshold`; they have left the queue and the caller must
+    /// fail their submissions. Returns the number of jobs tried.
+    pub(crate) fn fail_rest(&mut self, threshold: u32, failed: &mut Vec<JobId>) -> usize {
+        self.visiting = false;
+        failed.clear();
+        let entries = &mut self.queue.entries;
+        let tried = entries.len() - self.read;
+        for at in self.read..entries.len() {
+            let (job, tries) = entries[at];
+            if tries + 1 > threshold {
+                failed.push(job);
+            } else {
+                entries[self.kept] = (job, tries + 1);
+                self.kept += 1;
+            }
+        }
+        self.read = entries.len();
+        self.queue.total_tries += tried as u64;
+        self.queue.failed_submissions += failed.len() as u64;
+        tried
+    }
 }
 
 /// The raw internals of a [`PlacementQueue`], exposed for checkpointing.
@@ -383,6 +409,82 @@ mod tests {
                 walked.reattach(walk);
                 proptest::prop_assert_eq!(walked.capture_state(), searched.capture_state());
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        /// The one-pass bump of a blocked scan leaves exactly the state a
+        /// `visit` + `fail_current` per job leaves, and fails the same
+        /// jobs in the same order — also after a partly decided walk
+        /// and with tries already spread across the queue.
+        #[test]
+        fn fail_rest_matches_visit_and_fail(
+            pushed in 0usize..24,
+            warmup in proptest::collection::vec(
+                proptest::collection::vec(0u8..3, 24..25),
+                0..4,
+            ),
+            decided in 0usize..24,
+            decisions in proptest::collection::vec(0u8..3, 24..25),
+            threshold in 0u32..5,
+        ) {
+            // Random tries (and some removals) before the pass.
+            let mut queue = PlacementQueue::new();
+            for j in 0..pushed as u32 {
+                queue.push_back(JobId(j));
+            }
+            for round in &warmup {
+                for (id, &d) in queue.scan_order().iter().zip(round) {
+                    match d {
+                        0 => {}
+                        1 => {
+                            queue.record_failed_try(*id, 6);
+                        }
+                        _ => {
+                            queue.record_failed_try(*id, threshold + 3);
+                        }
+                    }
+                }
+            }
+            // The first `decided` jobs are placed, kept or failed one by
+            // one; the rest get one failed try each.
+            let decide = |walk: &mut QueueWalk, i: usize| match decisions[i] {
+                0 => {}
+                1 => walk.remove_current(),
+                _ => {
+                    walk.fail_current(threshold);
+                }
+            };
+            let mut stepped = queue.clone();
+            let mut step_failed = Vec::new();
+            let mut walk = stepped.detach();
+            let mut i = 0;
+            while let Some(id) = walk.visit() {
+                if i < decided {
+                    decide(&mut walk, i);
+                } else if walk.fail_current(threshold) {
+                    step_failed.push(id);
+                }
+                i += 1;
+            }
+            stepped.reattach(walk);
+
+            let queued = queue.len();
+            let mut passed = queue;
+            let mut pass_failed = vec![JobId(u32::MAX)];
+            let mut walk = passed.detach();
+            let mut i = 0;
+            while i < decided && walk.visit().is_some() {
+                decide(&mut walk, i);
+                i += 1;
+            }
+            let tried = walk.fail_rest(threshold, &mut pass_failed);
+            passed.reattach(walk);
+
+            proptest::prop_assert_eq!(tried, queued - i);
+            proptest::prop_assert_eq!(&pass_failed, &step_failed);
+            proptest::prop_assert_eq!(passed.capture_state(), stepped.capture_state());
         }
     }
 }

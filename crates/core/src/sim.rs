@@ -355,14 +355,13 @@ enum Intake<'a> {
 #[derive(Clone)]
 struct JobSlab {
     slots: Vec<Option<Job>>,
-    /// Struct-of-arrays mirror of `Job::phase`, one entry per slot.
-    /// [`World::scan_queue`] reads this contiguous column instead of
-    /// dereferencing the wide `Job` struct, so a pass over
-    /// mostly-ineligible jobs touches a few bytes per slot rather than a
-    /// cache line. Written only through [`JobSlab::set_hot`]; kept
-    /// coherent by [`JobSlab::sync_hot`] at every phase/cluster write
-    /// site. A dead slot keeps its last phase and has its cluster cleared
-    /// at [`JobSlab::retire`] (readers gate on `slots`).
+    /// Struct-of-arrays mirror of `Job::phase`, one entry per slot: what
+    /// the running index and the shrink-room totals were last told, so
+    /// [`JobSlab::set_hot`] knows what a write moves them from. Written
+    /// only through `set_hot`; kept coherent by [`JobSlab::sync_hot`] at
+    /// every phase/cluster write site. A dead slot keeps its last phase
+    /// and has its cluster cleared at [`JobSlab::retire`] (readers gate
+    /// on `slots`).
     phases: Vec<JobPhase>,
     /// Struct-of-arrays mirror of `Job::cluster` (see
     /// [`JobSlab::phases`]).
@@ -373,6 +372,14 @@ struct JobSlab {
     /// [`JobSlab::set_hot`] maintains it alongside the columns. Derived
     /// state: never serialized, rebuilt whenever the columns are.
     running: Vec<Vec<u32>>,
+    /// Shrink-room column: per slot, what a mandatory shrink could take
+    /// from the job right now ([`JobSlab::shrink_room_of`]).
+    rooms: Vec<u32>,
+    /// Per-cluster shrink-room total beside `running`: the sum of
+    /// `rooms` over `running[c]`, so [`World::shrinkable_on`] reads one
+    /// number instead of walking the jobs running there. Derived like
+    /// `running`.
+    shrink_room: Vec<u32>,
     /// Free slot indices (streaming mode only).
     free: Vec<u32>,
     /// Job id → slot (streaming mode only; fixed mode uses id = slot).
@@ -396,6 +403,8 @@ impl JobSlab {
             phases: vec![JobPhase::Queued; n],
             clusters: vec![None; n],
             running: Vec::new(),
+            rooms: vec![0; n],
+            shrink_room: Vec::new(),
             free: Vec::new(),
             index: IdHashMap::default(),
             streaming: false,
@@ -416,6 +425,8 @@ impl JobSlab {
             phases: Vec::new(),
             clusters: Vec::new(),
             running: Vec::new(),
+            rooms: Vec::new(),
+            shrink_room: Vec::new(),
             free: Vec::new(),
             index: IdHashMap::default(),
             streaming: true,
@@ -429,7 +440,7 @@ impl JobSlab {
     fn insert(&mut self, job: Job) -> usize {
         debug_assert!(self.streaming, "fixed slabs are prebuilt");
         let id = job.id.0;
-        let (phase, cluster) = (job.phase, job.cluster);
+        let (phase, cluster, room) = (job.phase, job.cluster, Self::shrink_room_of(&job));
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(job);
@@ -439,10 +450,11 @@ impl JobSlab {
                 self.slots.push(Some(job));
                 self.phases.push(JobPhase::Queued);
                 self.clusters.push(None);
+                self.rooms.push(0);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.set_hot(slot as usize, phase, cluster);
+        self.set_hot(slot as usize, phase, cluster, room);
         self.index.insert(id, slot);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
@@ -491,7 +503,7 @@ impl JobSlab {
         }
         let slot = self.index.remove(&id.0).expect("retired job was live");
         self.slots[slot as usize] = None;
-        self.set_hot(slot as usize, self.phases[slot as usize], None);
+        self.set_hot(slot as usize, self.phases[slot as usize], None, 0);
         self.free.push(slot);
     }
 
@@ -500,15 +512,41 @@ impl JobSlab {
         cluster.filter(|_| phase == JobPhase::Running)
     }
 
-    /// The one writer of the hot columns: stores `(phase, cluster)` at
-    /// `slot` and moves the slot between per-cluster running lists when
-    /// its "running on" answer changes (a sorted insert/remove, O(jobs
-    /// running on that cluster)).
-    fn set_hot(&mut self, slot: usize, phase: JobPhase, cluster: Option<ClusterId>) {
+    /// What a mandatory shrink could take from `job` now: `size − min`
+    /// for a malleable job that can receive requests
+    /// ([`Job::eligible_for_malleability`]) and holds its allocation,
+    /// 0 for every other job.
+    fn shrink_room_of(job: &Job) -> u32 {
+        match &job.runner {
+            Some(r) if job.eligible_for_malleability() && job.alloc.is_some() => {
+                r.dynaco.size() - r.dynaco.min()
+            }
+            _ => 0,
+        }
+    }
+
+    /// The one writer of the hot columns: stores `(phase, cluster,
+    /// room)` at `slot`, moves the room between per-cluster totals (O(1))
+    /// and moves the slot between per-cluster running lists when its
+    /// "running on" answer changes (a sorted insert/remove, O(jobs
+    /// running on that cluster)). Only a running slot has room.
+    fn set_hot(&mut self, slot: usize, phase: JobPhase, cluster: Option<ClusterId>, room: u32) {
         let was = Self::running_on(self.phases[slot], self.clusters[slot]);
         let now = Self::running_on(phase, cluster);
+        debug_assert!(room == 0 || now.is_some(), "room on a slot not running");
+        if let Some(c) = was {
+            self.shrink_room[c.index()] -= self.rooms[slot];
+        }
+        if let Some(c) = now {
+            if self.running.len() <= c.index() {
+                self.running.resize_with(c.index() + 1, Vec::new);
+                self.shrink_room.resize(c.index() + 1, 0);
+            }
+            self.shrink_room[c.index()] += room;
+        }
         self.phases[slot] = phase;
         self.clusters[slot] = cluster;
+        self.rooms[slot] = room;
         if was == now {
             return;
         }
@@ -519,9 +557,6 @@ impl JobSlab {
             list.remove(pos);
         }
         if let Some(c) = now {
-            if self.running.len() <= c.index() {
-                self.running.resize_with(c.index() + 1, Vec::new);
-            }
             let list = &mut self.running[c.index()];
             let pos = list
                 .binary_search(&s)
@@ -530,11 +565,13 @@ impl JobSlab {
         }
     }
 
-    /// Re-mirrors a live job's `phase` and `cluster` into the hot
-    /// struct-of-arrays columns. Must be called after every site that
-    /// writes either field on a slab-resident job;
-    /// [`JobSlab::assert_hot_coherent`] backstops that contract in debug
-    /// builds. A no-op for ids that are no longer live.
+    /// Re-mirrors a live job's `phase`, `cluster` and shrink room into
+    /// the hot struct-of-arrays columns. Must be called after every site
+    /// that writes either field on a slab-resident job, or changes what
+    /// [`JobSlab::shrink_room_of`] reads (its runner's protocol state,
+    /// size or allocation); [`JobSlab::assert_hot_coherent`] backstops
+    /// that contract in debug builds. A no-op for ids that are no longer
+    /// live.
     fn sync_hot(&mut self, id: JobId) {
         let slot = if self.streaming {
             match self.index.get(&id.0) {
@@ -544,15 +581,10 @@ impl JobSlab {
         } else {
             id.index()
         };
-        if let Some((phase, cluster)) = self.job_at(slot).map(|j| (j.phase, j.cluster)) {
-            self.set_hot(slot, phase, cluster);
+        if let Some(job) = self.job_at(slot) {
+            let (phase, cluster, room) = (job.phase, job.cluster, Self::shrink_room_of(job));
+            self.set_hot(slot, phase, cluster, room);
         }
-    }
-
-    /// The phase column entry for `slot` (meaningful only while the slot
-    /// is occupied).
-    fn phase_at(&self, slot: usize) -> JobPhase {
-        self.phases[slot]
     }
 
     /// The job occupying `slot`, if any.
@@ -567,22 +599,34 @@ impl JobSlab {
         self.running.get(cluster.index()).map_or(&[], Vec::as_slice)
     }
 
+    /// The shrink-room total of the jobs running on `cluster`.
+    fn shrink_room_on(&self, cluster: ClusterId) -> u32 {
+        self.shrink_room.get(cluster.index()).copied().unwrap_or(0)
+    }
+
     /// Debug-build coherence check: every live job's struct fields match
-    /// its column entries, and the running index equals a scan of the
-    /// columns. Called from the hot scans so the whole test suite
-    /// (goldens included) polices missed [`JobSlab::sync_hot`] call
-    /// sites.
+    /// its column entries, the running index equals a scan of the
+    /// columns, and each shrink-room total equals the walk over the
+    /// eligible jobs running there that [`World::shrinkable_on`] made
+    /// before the totals existed. Called from the hot scans so the whole
+    /// test suite (goldens included) polices missed
+    /// [`JobSlab::sync_hot`] call sites.
     #[cfg(debug_assertions)]
     fn assert_hot_coherent(&self) {
         for (slot, job) in self.slots.iter().enumerate() {
             if let Some(job) = job {
                 debug_assert!(
-                    self.phases[slot] == job.phase && self.clusters[slot] == job.cluster,
-                    "hot columns out of sync at slot {slot}: col=({:?}, {:?}) job=({:?}, {:?})",
+                    self.phases[slot] == job.phase
+                        && self.clusters[slot] == job.cluster
+                        && self.rooms[slot] == Self::shrink_room_of(job),
+                    "hot columns out of sync at slot {slot}: col=({:?}, {:?}, room {}) \
+                     job=({:?}, {:?}, room {})",
                     self.phases[slot],
                     self.clusters[slot],
+                    self.rooms[slot],
                     job.phase,
                     job.cluster,
+                    Self::shrink_room_of(job),
                 );
             }
         }
@@ -599,6 +643,25 @@ impl JobSlab {
         debug_assert_eq!(
             self.running, scanned,
             "running index out of sync with the hot columns"
+        );
+        let walked: Vec<u32> = self
+            .running
+            .iter()
+            .map(|slots| {
+                slots
+                    .iter()
+                    .filter_map(|&s| self.job_at(s as usize))
+                    .filter(|j| j.eligible_for_malleability() && j.alloc.is_some())
+                    .map(|j| {
+                        let dynaco = &j.runner.as_ref().expect("eligible implies runner").dynaco;
+                        dynaco.size() - dynaco.min()
+                    })
+                    .sum()
+            })
+            .collect();
+        debug_assert_eq!(
+            self.shrink_room, walked,
+            "shrink-room totals out of sync with the running jobs"
         );
     }
 
@@ -760,6 +823,9 @@ pub struct World<'a> {
     /// (`(cluster, allocation, size)` per component), filled by
     /// [`World::claim`] and read by [`World::commit_placement`].
     scratch_claims: Vec<(ClusterId, AllocId, u32)>,
+    /// Reusable scratch for the jobs a blocked scan's retry pass failed
+    /// ([`World::scan_blocked`]).
+    scratch_failed: Vec<JobId>,
     /// Incremental per-cluster availability index (see [`crate::avail`]):
     /// capacity mutations mark their cluster dirty, and the scan's
     /// effective-availability aggregates quick-reject placement attempts
@@ -771,7 +837,7 @@ pub struct World<'a> {
     /// Whether [`World::bootstrap`] has run: [`World::run_to_end`]
     /// bootstraps a fresh world and resumes a started one.
     started: bool,
-    /// `(total capacity, cap)` of the last [`World::koala_cap`] call: the
+    /// `(total capacity, cap)` of the last [`World::koala_headroom`] call: the
     /// cap's float product and floor are redone only when the platform's
     /// capacity changed since. `(0, 0)` is exact for every share.
     koala_cap_memo: (u32, u32),
@@ -984,6 +1050,7 @@ impl<'a> World<'a> {
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
             scratch_claims: Vec::new(),
+            scratch_failed: Vec::new(),
             avail_idx: AvailIndex::new(n_clusters),
             started: false,
             koala_cap_memo: (0, 0),
@@ -1276,6 +1343,7 @@ impl<'a> World<'a> {
             scratch_req: PlacementRequest::default(),
             scratch_views: Vec::new(),
             scratch_claims: Vec::new(),
+            scratch_failed: Vec::new(),
             avail_idx: self.avail_idx.clone(),
             started: self.started,
             koala_cap_memo: (0, 0),
@@ -1501,6 +1569,10 @@ impl<'a> World<'a> {
     /// state), and the budget-capped availability `eff` is only
     /// recomputed when a successful placement or a PWA intervention
     /// actually invalidated it (the dirty flag).
+    ///
+    /// A *blocked* scan — `eff` sums to zero when it starts — costs
+    /// O(clusters) plus one pass over the retry counts: see
+    /// [`World::scan_blocked`].
     fn scan_queue(&mut self, engine: &mut Engine<Ev>) {
         // Detach the scratch buffers from `self` for the duration of the
         // scan (they are re-attached at the end, keeping their capacity).
@@ -1514,8 +1586,6 @@ impl<'a> World<'a> {
             }
         }
         let mut eff = std::mem::take(&mut self.scratch_eff);
-        let mut place_scratch = std::mem::take(&mut self.scratch_place);
-        let mut req = std::mem::take(&mut self.scratch_req);
         // Graceful degradation: refuse to place blind. A cluster whose
         // control channel is inside a flaky episode would lose most of
         // the submissions sent its way, so its capacity is masked out of
@@ -1534,34 +1604,40 @@ impl<'a> World<'a> {
             }
         }
         // `eff` is `avail` capped by the expansion threshold's remaining
-        // headroom; both inputs only change when a placement claims
-        // processors (or a PWA intervention grows running jobs), so the
-        // recomputation is gated on this dirty flag.
+        // headroom (live, since placements in this scan consume it); both
+        // inputs only change when a placement claims processors (or a PWA
+        // intervention grows running jobs), so the recomputation is gated
+        // on this dirty flag.
         let mut eff_dirty = true;
         let mut pwa_handled = false;
         let threshold = self.cfg.sched.placement_retry_threshold;
         #[cfg(debug_assertions)]
         self.jobs.assert_hot_coherent();
+        if !self.queue.is_empty() {
+            let headroom = self.rebuild_eff(&avail, &mut eff);
+            eff_dirty = false;
+            if self.cfg.sched.avail_index && self.avail_idx.sum_eff() == 0 {
+                self.scan_blocked(engine, threshold, headroom);
+                self.scratch_avail = avail;
+                self.scratch_eff = eff;
+                return;
+            }
+        }
+        let mut place_scratch = std::mem::take(&mut self.scratch_place);
+        let mut req = std::mem::take(&mut self.scratch_req);
         // Nothing below touches `self.queue` until the walk is put back;
         // `reattach` asserts that in debug builds.
         let mut walk = self.queue.detach();
         while let Some(id) = walk.visit() {
-            // Hot filter: the contiguous phase column answers "still
-            // queued?" without pulling the wide `Job` struct into cache.
-            let slot = self.jobs.slot_of(id);
-            if self.jobs.phase_at(slot) != JobPhase::Queued {
-                continue;
-            }
-            let (min_need, total_need) =
-                Self::placement_need(self.jobs.get(id).expect("queued job is live"));
-            // Availability for KOALA is the snapshot idle count further
-            // capped by the expansion threshold's remaining headroom
-            // (live, since earlier placements in this scan consume it).
+            let job = self.jobs.get(id).expect("queued job is live");
+            debug_assert_eq!(
+                job.phase,
+                JobPhase::Queued,
+                "{id:?} is queued but not Queued"
+            );
+            let (min_need, total_need) = Self::placement_need(job);
             if eff_dirty {
-                let budget = self.koala_headroom();
-                eff.clear();
-                eff.extend(avail.iter().map(|&a| a.min(budget)));
-                self.avail_idx.rebuild(&eff);
+                self.rebuild_eff(&avail, &mut eff);
                 eff_dirty = false;
             }
             // Availability-index quick-reject: when no cluster can host
@@ -1574,7 +1650,8 @@ impl<'a> World<'a> {
                 self.avail_idx.note_quick_reject();
                 if self.cfg.sched.approach == Approach::Pwa && !pwa_handled {
                     pwa_handled = true;
-                    self.pwa_make_room(engine, id);
+                    let headroom = self.koala_headroom();
+                    self.pwa_make_room(engine, id, headroom);
                     // PWA may have grown running jobs on the spot,
                     // consuming expansion-threshold headroom.
                     eff_dirty = true;
@@ -1670,7 +1747,8 @@ impl<'a> World<'a> {
                 None => {
                     if self.cfg.sched.approach == Approach::Pwa && !pwa_handled {
                         pwa_handled = true;
-                        self.pwa_make_room(engine, id);
+                        let headroom = self.koala_headroom();
+                        self.pwa_make_room(engine, id, headroom);
                         // PWA may have grown running jobs on the spot,
                         // consuming expansion-threshold headroom.
                         eff_dirty = true;
@@ -1686,6 +1764,57 @@ impl<'a> World<'a> {
         self.scratch_eff = eff;
         self.scratch_place = place_scratch;
         self.scratch_req = req;
+    }
+
+    /// Fills `eff` with the scan's availability `avail` capped by the
+    /// expansion threshold's remaining headroom, rebuilds the
+    /// availability index over it, and returns the headroom.
+    fn rebuild_eff(&mut self, avail: &[u32], eff: &mut Vec<u32>) -> u32 {
+        let headroom = self.koala_headroom();
+        eff.clear();
+        eff.extend(avail.iter().map(|&a| a.min(headroom)));
+        self.avail_idx.rebuild(eff);
+        headroom
+    }
+
+    /// A blocked scan: the queue is not empty and `eff` sums to zero, so
+    /// the index refuses every queued job (each needs at least one
+    /// processor). Within one scan `eff` can only shrink: a placement
+    /// needs room, PWA's grows consume headroom, and the processors its
+    /// shrinks free come back only at a later [`Ev::ShrinkReleased`].
+    /// The walk's outcome is therefore fixed before it starts, and is
+    /// taken in one pass, in the order the walk would take it:
+    /// `pwa_make_room` for the head (PWA only), one failed try per
+    /// queued job, then the submissions the retry threshold failed, in
+    /// queue order. No job is looked up and no request is built.
+    fn scan_blocked(&mut self, engine: &mut Engine<Ev>, threshold: u32, headroom: u32) {
+        #[cfg(debug_assertions)]
+        for id in self.queue.scan_order() {
+            let job = self.jobs.get(id).expect("queued job is live");
+            debug_assert_eq!(
+                job.phase,
+                JobPhase::Queued,
+                "{id:?} is queued but not Queued"
+            );
+            debug_assert!(
+                Self::placement_need(job).1 > 0,
+                "{id:?} needs no processors"
+            );
+        }
+        let head = self.queue.head().expect("a blocked scan has a queued job");
+        let mut walk = self.queue.detach();
+        if self.cfg.sched.approach == Approach::Pwa {
+            self.pwa_make_room(engine, head, headroom);
+        }
+        let mut failed = std::mem::take(&mut self.scratch_failed);
+        let tried = walk.fail_rest(threshold, &mut failed);
+        self.avail_idx.note_blocked_scan(tried as u64);
+        let now = engine.now();
+        for &id in &failed {
+            self.fail_submission(now, id);
+        }
+        self.queue.reattach(walk);
+        self.scratch_failed = failed;
     }
 
     /// A failed placement try outside the queue scan: a claim that lost
@@ -1917,6 +2046,8 @@ impl<'a> World<'a> {
                 offered: op.offered,
             };
             self.observe(now, grow);
+            // The accepted offer made the runner busy: no shrink room.
+            self.jobs.sync_hot(op.job);
             let job = self.jobs.get(op.job).expect("growing job is live");
             let alloc = job.alloc.expect("running job has an allocation");
             let gen = job.gen;
@@ -1934,23 +2065,21 @@ impl<'a> World<'a> {
         }
     }
 
-    /// The most processors KOALA may occupy across the whole system —
-    /// the Section V-B expansion threshold: "a threshold is set over
-    /// which KOALA never expands the total set of the jobs it manages".
-    fn koala_cap(&mut self) -> u32 {
-        let total = self.mc.total_capacity();
+    /// Processors KOALA may still take (anywhere) before hitting the
+    /// expansion threshold, the Section V-B cap on its own share: "a
+    /// threshold is set over which KOALA never expands the total set of
+    /// the jobs it manages". One pass over the clusters reads the
+    /// platform's capacity and KOALA's holdings; the cap itself is
+    /// memoized per capacity.
+    fn koala_headroom(&mut self) -> u32 {
+        let (total, held) = self.mc.clusters().fold((0, 0), |(t, k), c| {
+            (t + c.capacity(), k + c.used_by_koala())
+        });
         if self.koala_cap_memo.0 != total {
             let cap = (total as f64 * self.cfg.sched.koala_share).floor() as u32;
             self.koala_cap_memo = (total, cap);
         }
-        self.koala_cap_memo.1
-    }
-
-    /// Processors KOALA may still take (anywhere) before hitting the
-    /// expansion threshold.
-    fn koala_headroom(&mut self) -> u32 {
-        self.koala_cap()
-            .saturating_sub(self.mc.total_used_by_koala())
+        self.koala_cap_memo.1.saturating_sub(held)
     }
 
     /// Clamps the offered-idle baseline after consumption so future
@@ -2008,7 +2137,9 @@ impl<'a> World<'a> {
     /// cluster that can yield the most processors; if shrinking running
     /// malleable jobs there can make room for the job's minimum size,
     /// mandatorily shrink. Otherwise grow running jobs instead.
-    fn pwa_make_room(&mut self, engine: &mut Engine<Ev>, id: JobId) {
+    /// `headroom` is KOALA's current [`World::koala_headroom`]; nothing
+    /// below mutates state before it is read, so it is read once.
+    fn pwa_make_room(&mut self, engine: &mut Engine<Ev>, id: JobId, headroom: u32) {
         let min_needed = self
             .jobs
             .get(id)
@@ -2017,9 +2148,7 @@ impl<'a> World<'a> {
             .class
             .min_size();
         // Evaluate each cluster's potential: live idle + in-flight
-        // releases + what mandatory shrinks could still reclaim. Nothing
-        // below mutates state, so the headroom is read once.
-        let headroom = self.koala_headroom();
+        // releases + what mandatory shrinks could still reclaim.
         let mut best: Option<(u32, usize)> = None;
         for c in 0..self.mc.len() {
             let cluster = ClusterId(c as u16);
@@ -2190,6 +2319,7 @@ impl<'a> World<'a> {
         }
         runner.release_confirmed();
         job.release_since = None;
+        self.jobs.sync_hot(id);
         self.mc
             .cluster_mut(cluster)
             .shrink(alloc, count)
@@ -2388,6 +2518,7 @@ impl<'a> World<'a> {
                 let runner = job.runner.as_mut().expect("grow implies malleable");
                 let stubs = runner.submitting();
                 runner.abort_grow();
+                self.jobs.sync_hot(id);
                 self.observe(now, Obs::CtrlAbortGrow { job: id, stubs });
                 if stubs > 0 {
                     self.mc
@@ -2441,6 +2572,7 @@ impl<'a> World<'a> {
             let count = runner.releasing();
             runner.release_confirmed();
             job.release_since = None;
+            self.jobs.sync_hot(id);
             self.observe(now, Obs::CtrlReclaim { job: id });
             self.mc
                 .cluster_mut(cluster)
@@ -2986,6 +3118,7 @@ impl<'a> World<'a> {
         }
         let alloc = job.alloc.expect("running job allocated");
         let gen = job.gen;
+        self.jobs.sync_hot(id);
         let grow = Obs::Grow {
             job: id,
             accepted,
@@ -3349,14 +3482,23 @@ impl<'a> World<'a> {
 
     /// Processors mandatory shrinks could reclaim on `cluster`: the sum
     /// of `size − min` over the views [`World::running_views_into`]
-    /// would build for shrinking, computed without building them.
+    /// would build for shrinking. That is the slab's per-cluster
+    /// shrink-room total, O(1) — except inside a crash's cleanup, where
+    /// a victim can still look Running on a destroyed allocation and
+    /// only the walk's liveness check excludes it.
     fn shrinkable_on(&self, cluster: ClusterId) -> u32 {
-        self.malleable_running_on(cluster)
-            .map(|j| {
-                let dynaco = &j.runner.as_ref().expect("eligible implies runner").dynaco;
-                dynaco.size() - dynaco.min()
-            })
-            .sum()
+        if self.crash_cleanup {
+            return self
+                .malleable_running_on(cluster)
+                .map(|j| {
+                    let dynaco = &j.runner.as_ref().expect("eligible implies runner").dynaco;
+                    dynaco.size() - dynaco.min()
+                })
+                .sum();
+        }
+        #[cfg(debug_assertions)]
+        self.jobs.assert_hot_coherent();
+        self.jobs.shrink_room_on(cluster)
     }
 
     fn touch_util(&mut self, now: SimTime) {
@@ -3596,6 +3738,7 @@ impl<'a> World<'a> {
         w.u64(av.sum_eff);
         w.u64(av.rebuilds);
         w.u64(av.quick_rejects);
+        w.u64(av.blocked_scans);
         // --- failure + control-plane fault streams --------------------
         w.opt(
             self.failures.as_ref().map(|f| f.capture_state()).as_ref(),
@@ -3833,6 +3976,7 @@ impl<'a> World<'a> {
             sum_eff: r.u64()?,
             rebuilds: r.u64()?,
             quick_rejects: r.u64()?,
+            blocked_scans: r.u64()?,
         });
         // --- failure + control-plane fault streams --------------------
         let failures = r.opt(|r| {
@@ -3975,8 +4119,8 @@ impl<'a> World<'a> {
                 .as_mut()
                 .expect("fixed slabs keep every slot");
             dec_job_into(r, job)?;
-            let (phase, cluster) = (job.phase, job.cluster);
-            self.jobs.set_hot(slot, phase, cluster);
+            let (phase, cluster, room) = (job.phase, job.cluster, JobSlab::shrink_room_of(job));
+            self.jobs.set_hot(slot, phase, cluster, room);
         }
         let live = r.u64()? as usize;
         let peak_live = r.u64()? as usize;
@@ -4930,7 +5074,7 @@ mod tests {
                 ..template.clone()
             });
             assert_eq!(reused, slot, "the freed slot is reused");
-            assert_eq!(slab.phase_at(reused), JobPhase::Queued);
+            assert_eq!(slab.phases[reused], JobPhase::Queued);
             assert!(slab.running_slots_on(c).is_empty(), "queued job indexed");
             #[cfg(debug_assertions)]
             slab.assert_hot_coherent();

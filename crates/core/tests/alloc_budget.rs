@@ -1,10 +1,13 @@
 //! Heap-allocation budget of the scheduling path.
 //!
 //! A counting global allocator (this test binary's own, so no other test
-//! sees it) tallies the allocations each test thread makes. Two pinned
+//! sees it) tallies the allocations each test thread makes. Three pinned
 //! pipelines run from bootstrap to their last event — one paper cell
-//! (PWA, FPSMA, W'm, 300 jobs, background load on) and a 20,000-job
-//! streamed `trace1m` slice — and the allocations per terminal job must
+//! (PWA, FPSMA, W'm, 300 jobs, background load on), a 20,000-job
+//! streamed `trace1m` slice, and a cell shaped like the benchmark's
+//! `subsystems_fork` (PWA W'm with staged files on the contended
+//! `das3` network, a lossy control plane, crashes and the `threshold`
+//! autoscaler, run cold) — and the allocations per terminal job must
 //! stay under a bound — and must not rise when a counting observation
 //! sink is attached, since an `Obs` costs no allocation. What still
 //! allocates per job is the job itself
@@ -12,9 +15,10 @@
 //! and each policy call's returned decision (`PlacementDecision`,
 //! `PolicyOutcome::ops`); cluster bookkeeping, claims, policy views and
 //! queue scans reuse their buffers. A warmed cluster's
-//! allocate/grow/shrink/release cycle must allocate nothing at all.
+//! allocate/grow/shrink/release cycle must allocate nothing at all, and
+//! neither may a blocked queue scan (one that finds no room anywhere).
 //!
-//! The two pipeline budgets hold for release builds only: debug builds
+//! The pipeline budgets hold for release builds only: debug builds
 //! also run the simulator's per-event consistency checks, which
 //! allocate, so there they are ignored. Run them with
 //! `cargo test --release -p koala --test alloc_budget`.
@@ -24,12 +28,15 @@ use std::cell::Cell;
 
 use appsim::generate::WorkloadRegistry;
 use appsim::workload::WorkloadSpec;
-use koala::config::{Approach, ExperimentConfig};
+use koala::config::{Approach, ExperimentConfig, RetryConfig};
 use koala::scenario::Scenario;
 use koala::sim::{Ev, World};
 use koala::{Obs, SummaryReport};
-use multicluster::{AllocOwner, BackgroundLoad, Cluster, ClusterSpec};
-use simcore::{Engine, SimTime};
+use multicluster::{
+    AllocOwner, BackgroundLoad, ClassLoss, Cluster, ClusterSpec, ControlPlaneFaultSpec,
+    FailurePolicy, FailureSpec, FlakyChannelSpec,
+};
+use simcore::{Engine, SimDuration, SimTime};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -242,4 +249,146 @@ fn warmed_cluster_cycle_allocates_nothing() {
     }
     assert_eq!(allocs() - before, 0, "a warmed cluster allocated");
     c.check_invariants().expect("consistent after the cycles");
+}
+
+/// PWA W'm, 120 jobs, each with one pinned 20 GB input file, under the
+/// contended `das3` network with reconfiguration traffic, a lossy and
+/// duplicating control plane with retries and flaky channels, seeded
+/// crashes (requeue), the `threshold` autoscaler and monitoring: the
+/// benchmark's `subsystems_fork` cell, run cold (no warm fork).
+fn subsystems_cell(seed: u64) -> ExperimentConfig {
+    let base = Scenario::builder()
+        .pwa()
+        .workload(WorkloadSpec::wm_prime())
+        .jobs(120)
+        .build()
+        .expect("valid base")
+        .into_config();
+    let homes = [4u16, 1, 3];
+    let mut trace = base.generate_workload_for_seed(seed);
+    for (k, job) in trace.iter_mut().enumerate() {
+        job.spec.input_files = vec![(k % homes.len()) as u64];
+    }
+    let mut b = Scenario::builder()
+        .placement("worst_fit")
+        .malleability("fpsma")
+        .pwa()
+        .workload(WorkloadSpec::wm_prime())
+        .jobs(120)
+        .trace(trace)
+        .network("das3")
+        .reconfig_traffic(0.25)
+        .ctrl_faults(ControlPlaneFaultSpec {
+            loss: ClassLoss::uniform(0.10),
+            duplicate: 0.05,
+            max_jitter: SimDuration::from_millis(400),
+            flaky: Some(FlakyChannelSpec {
+                mean_gap: SimDuration::from_secs(1800),
+                mean_duration: SimDuration::from_secs(240),
+                loss: 0.5,
+            }),
+        })
+        .retry(RetryConfig {
+            timeout: SimDuration::from_secs(10),
+            max_timeout: SimDuration::from_secs(40),
+            max_attempts: 4,
+            orphan_sweep_period: SimDuration::from_secs(60),
+            orphan_grace: SimDuration::from_secs(90),
+        })
+        .failures(FailureSpec::new(
+            SimDuration::from_secs(1800),
+            SimDuration::from_secs(600),
+            8,
+        ))
+        .failure_policy(FailurePolicy::Requeue)
+        .autoscaler("threshold")
+        .autoscale_timing(SimDuration::from_secs(300), SimDuration::from_secs(30))
+        .monitor(SimDuration::from_secs(120))
+        .summarized();
+    for home in homes {
+        b = b.network_file(20.0, [home]);
+    }
+    b.build().expect("valid subsystems cell").into_config()
+}
+
+/// Measured when the budget was added: 4.83 allocations per terminal
+/// job (seed 1: 579 over 120 jobs, with 99 transfers, 89 control-plane
+/// retries and 2 crash requeues on the way). A quarter on top, as for
+/// the others.
+const SUBSYSTEMS_CELL_BUDGET: f64 = 6.05;
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run allocating per-event checks; run with --release"
+)]
+fn subsystems_cell_allocations_per_job_stay_bounded() {
+    let cfg = subsystems_cell(1);
+    let (n, summary) = with_and_without_sink(|sink| {
+        let world = attach(World::for_seed_summarized(&cfg, 1), sink);
+        counted(world, &mut koala::engine_for(&cfg))
+    });
+    let per_job = per_terminal_job(n, &summary);
+    eprintln!("subsystems cell: {n} allocations, {per_job:.2} per terminal job");
+    assert!(
+        per_job < SUBSYSTEMS_CELL_BUDGET,
+        "subsystems cell made {per_job:.2} allocations per terminal job \
+         (budget {SUBSYSTEMS_CELL_BUDGET})"
+    );
+}
+
+/// A blocked scan allocates nothing. KOALA's share here is below one
+/// processor, so every scan is blocked and each job fails after
+/// `threshold + 1` of them. Raising the threshold adds blocked scans
+/// (and the KIS polls that trigger them) and nothing else, so it must
+/// add no allocation.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run allocating per-event checks; run with --release"
+)]
+fn blocked_scans_allocate_nothing() {
+    let run = |threshold: u32| {
+        let cfg = Scenario::builder()
+            .malleability("fpsma")
+            .pwa()
+            .workload(WorkloadSpec::wm_prime())
+            .jobs(60)
+            .background(BackgroundLoad::none())
+            .scheduler(|s| {
+                s.koala_share = 0.001;
+                s.placement_retry_threshold = threshold;
+            })
+            .summarized()
+            .build()
+            .expect("valid blocked cell")
+            .into_config();
+        let mut engine = koala::engine_for(&cfg);
+        let mut world = World::for_seed_summarized(&cfg, 1);
+        let before = allocs();
+        world.bootstrap(&mut engine);
+        pump(&mut world, &mut engine);
+        let n = allocs() - before;
+        let blocked = world.avail_index().blocked_scans();
+        let summary = world.finish_summary(&engine);
+        assert_eq!(summary.jobs_failed, 60, "every job fails its submission");
+        (n, blocked)
+    };
+    let (few, few_scans) = run(2);
+    let (many, many_scans) = run(20);
+    eprintln!(
+        "blocked cell: {few} allocations over {few_scans} blocked scans, \
+         {many} over {many_scans}"
+    );
+    assert!(
+        many_scans > few_scans + 100,
+        "the higher threshold must add blocked scans ({few_scans} -> {many_scans})"
+    );
+    assert_eq!(
+        many,
+        few,
+        "{} more blocked scans made {} more allocations",
+        many_scans - few_scans,
+        many as i64 - few as i64
+    );
 }

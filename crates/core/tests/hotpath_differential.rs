@@ -7,7 +7,10 @@
 //! * execution: sequential vs work-stealing parallel sweep,
 //! * availability index: on vs off,
 //!
-//! produces byte-identical summary reports.
+//! produces byte-identical summary reports. A blocked-regime cell
+//! (KOALA at its expansion threshold, so most scans find no room at
+//! all and take the one-pass blocked branch) must also produce the same
+//! observation stream, event for event, with the index on and off.
 //!
 //! One staging trajectory is additionally pinned against a committed
 //! golden file (`tests/golden/pr9_staging.txt`), so a pop-order bug in
@@ -20,10 +23,10 @@
 
 use appsim::workload::{SubmittedJob, WorkloadSpec};
 use appsim::{AppKind, JobSpec};
-use koala::config::{ExperimentConfig, FileSpec, NetworkConfig, RetryConfig};
+use koala::config::{Approach, ExperimentConfig, FileSpec, NetworkConfig, RetryConfig};
 use koala::report::SummaryReport;
 use koala::scenario::Scenario;
-use koala::Run;
+use koala::{Obs, Run, World};
 use multicluster::{
     ClassLoss, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, FlakyChannelSpec,
 };
@@ -144,6 +147,88 @@ fn avail_index_is_trajectory_passive_on_the_full_stack() {
             format!("{:?}", summaries(&on, &seeds, 1)),
             format!("{:?}", summaries(&off, &seeds, 1)),
             "{tag}: the availability index changed the trajectory"
+        );
+    }
+}
+
+// ----------------------------------------------------------------------
+// The blocked regime: scans that find no room anywhere.
+// ----------------------------------------------------------------------
+
+/// W'm with KOALA capped at a small share of the platform and a retry
+/// threshold of 3, so the cap is reached early, most scans are blocked
+/// and the threshold fails submissions inside blocked scans.
+fn blocked_regime(approach: Approach) -> ExperimentConfig {
+    Scenario::builder()
+        .malleability("fpsma")
+        .approach(approach)
+        .workload(WorkloadSpec::wm_prime())
+        .jobs(40)
+        .scheduler(|s| {
+            s.koala_share = 0.06;
+            s.placement_retry_threshold = 3;
+        })
+        .summarized()
+        .build()
+        .expect("valid blocked-regime scenario")
+        .into_config()
+}
+
+/// One run to its end: the summary, every observation in order, and
+/// the availability index's blocked-scan tally.
+fn observed(cfg: &ExperimentConfig, seed: u64) -> (SummaryReport, Vec<(SimTime, Obs)>, u64) {
+    let mut seen = Vec::new();
+    let mut sink = |t: SimTime, obs: &Obs| seen.push((t, *obs));
+    let mut engine = koala::engine_for(cfg);
+    let mut world = World::for_seed_summarized(cfg, seed).with_sink(&mut sink);
+    world.bootstrap(&mut engine);
+    while let Some((_t, ev)) = engine.pop() {
+        world.handle(&mut engine, ev);
+        if world.done() {
+            break;
+        }
+    }
+    let blocked = world.avail_index().blocked_scans();
+    let summary = world.finish_summary(&engine);
+    (summary, seen, blocked)
+}
+
+/// Blocked scans take their whole outcome in one pass — PWA's
+/// make-room for the head, one failed try per job, then the threshold
+/// failures in queue order. With the index off every job still takes
+/// the per-job walk, so the two runs must agree on the summary and on
+/// the order of every Grow, Shrink and PlacementFailed observation.
+#[test]
+fn blocked_scans_are_trajectory_passive() {
+    for approach in [Approach::Pra, Approach::Pwa] {
+        let cfg = blocked_regime(approach);
+        let mut blocked = 0;
+        let mut failed = 0;
+        for seed in 1..=6 {
+            let mut on = cfg.clone();
+            on.sched.avail_index = true;
+            let mut off = cfg.clone();
+            off.sched.avail_index = false;
+            let (on_summary, on_obs, on_blocked) = observed(&on, seed);
+            let (off_summary, off_obs, off_blocked) = observed(&off, seed);
+            assert_eq!(
+                format!("{on_summary:?}"),
+                format!("{off_summary:?}"),
+                "{approach:?} seed {seed}: blocked scans changed the summary"
+            );
+            assert_eq!(
+                on_obs, off_obs,
+                "{approach:?} seed {seed}: blocked scans changed the observation stream"
+            );
+            assert_eq!(off_blocked, 0, "the index-off scan never takes the branch");
+            blocked += on_blocked;
+            failed += on_summary.jobs_failed;
+        }
+        eprintln!("{approach:?}: {blocked} blocked scans, {failed} failed submissions");
+        assert!(blocked > 0, "{approach:?}: no scan was blocked");
+        assert!(
+            failed > 0,
+            "{approach:?}: the retry threshold failed nothing"
         );
     }
 }
