@@ -115,47 +115,36 @@ pub fn init_threads_with_args() -> (usize, Vec<String>) {
 /// # Panics
 /// Panics when a name does not resolve against
 /// [`PolicyRegistry::global`] — matrices are static experiment
-/// definitions, and a typo should fail the binary loudly. Use
-/// [`try_scenario_matrix`] to handle the error instead.
+/// definitions, and a typo should fail the binary loudly.
 pub fn scenario_matrix(
     approach: Approach,
     placements: &[&str],
     malleability: &[&str],
     workloads: &[WorkloadSpec],
 ) -> Vec<ExperimentConfig> {
-    try_scenario_matrix(approach, placements, malleability, workloads)
-        .unwrap_or_else(|e| panic!("invalid scenario matrix cell: {e}"))
-}
-
-/// [`scenario_matrix`] with the config errors surfaced instead of
-/// panicking — an unknown policy name or an invalid cell comes back as
-/// the typed [`ConfigError`] naming the problem.
-pub fn try_scenario_matrix(
-    approach: Approach,
-    placements: &[&str],
-    malleability: &[&str],
-    workloads: &[WorkloadSpec],
-) -> Result<Vec<ExperimentConfig>, ConfigError> {
-    let registry = PolicyRegistry::global();
-    let mut out = Vec::new();
-    for &p in placements {
-        for &m in malleability {
-            for w in workloads {
-                let mut b = Scenario::builder()
-                    .placement(p)
-                    .malleability(m)
-                    .approach(approach)
-                    .workload(w.clone());
-                if placements.len() > 1 {
-                    let pl = registry.placement(p)?;
-                    let ml = registry.malleability(m)?;
-                    b = b.name(cell_label(None, Some(pl.label()), ml.label(), w));
+    let cells = || -> Result<Vec<ExperimentConfig>, ConfigError> {
+        let registry = PolicyRegistry::global();
+        let mut out = Vec::new();
+        for &p in placements {
+            for &m in malleability {
+                for w in workloads {
+                    let mut b = Scenario::builder()
+                        .placement(p)
+                        .malleability(m)
+                        .approach(approach)
+                        .workload(w.clone());
+                    if placements.len() > 1 {
+                        let pl = registry.placement(p)?;
+                        let ml = registry.malleability(m)?;
+                        b = b.name(cell_label(None, Some(pl.label()), ml.label(), w));
+                    }
+                    out.push(b.build()?.into_config());
                 }
-                out.push(b.build()?.into_config());
             }
         }
-    }
-    Ok(out)
+        Ok(out)
+    };
+    cells().unwrap_or_else(|e| panic!("invalid scenario matrix cell: {e}"))
 }
 
 /// The workload sources the `workloads` matrix binary sweeps (a
@@ -183,48 +172,43 @@ pub const WORKLOAD_TOPOLOGIES: [(u32, u32); 3] = [(2, 136), (5, 54), (10, 27)];
 ///
 /// # Panics
 /// Panics when a source or policy name does not resolve — matrices are
-/// static experiment definitions, and a typo should fail loudly. Use
-/// [`try_workloads_matrix`] to handle the error instead.
+/// static experiment definitions, and a typo should fail loudly.
 pub fn workloads_matrix(jobs: usize) -> Vec<ExperimentConfig> {
-    try_workloads_matrix(jobs).unwrap_or_else(|e| panic!("invalid workloads matrix cell: {e}"))
-}
-
-/// [`workloads_matrix`] with the config errors surfaced instead of
-/// panicking — an unknown source/policy name or an invalid cell comes
-/// back as the typed [`ConfigError`] naming the problem.
-pub fn try_workloads_matrix(jobs: usize) -> Result<Vec<ExperimentConfig>, ConfigError> {
-    let registry = PolicyRegistry::global();
-    let workloads = appsim::generate::WorkloadRegistry::global();
-    let mut out = Vec::new();
-    for &source in &WORKLOAD_SOURCES {
-        for &policy in &WORKLOAD_POLICIES {
-            for &(clusters, nodes) in &WORKLOAD_TOPOLOGIES {
-                let src = workloads.source(source)?;
-                let ml = registry.malleability(policy)?;
-                out.push(
-                    Scenario::builder()
-                        .workload(source)
-                        .malleability(policy)
-                        .jobs(jobs)
-                        .topology(koala::Topology::Uniform {
-                            clusters,
-                            nodes_per_cluster: nodes,
-                        })
-                        .name(format!(
-                            "{}/{}@{}x{}",
-                            ml.label(),
-                            src.label(),
-                            clusters,
-                            nodes
-                        ))
-                        .summarized()
-                        .build()?
-                        .into_config(),
-                );
+    let cells = || -> Result<Vec<ExperimentConfig>, ConfigError> {
+        let registry = PolicyRegistry::global();
+        let workloads = appsim::generate::WorkloadRegistry::global();
+        let mut out = Vec::new();
+        for &source in &WORKLOAD_SOURCES {
+            for &policy in &WORKLOAD_POLICIES {
+                for &(clusters, nodes) in &WORKLOAD_TOPOLOGIES {
+                    let src = workloads.source(source)?;
+                    let ml = registry.malleability(policy)?;
+                    out.push(
+                        Scenario::builder()
+                            .workload(source)
+                            .malleability(policy)
+                            .jobs(jobs)
+                            .topology(koala::Topology::Uniform {
+                                clusters,
+                                nodes_per_cluster: nodes,
+                            })
+                            .name(format!(
+                                "{}/{}@{}x{}",
+                                ml.label(),
+                                src.label(),
+                                clusters,
+                                nodes
+                            ))
+                            .summarized()
+                            .build()?
+                            .into_config(),
+                    );
+                }
             }
         }
-    }
-    Ok(out)
+        Ok(out)
+    };
+    cells().unwrap_or_else(|e| panic!("invalid workloads matrix cell: {e}"))
 }
 
 /// The CSV artifacts of a workloads-matrix run as `(file name, text)`

@@ -157,14 +157,6 @@ impl RunReport {
     pub fn total_operations(&self) -> usize {
         self.grow_ops.total() + self.shrink_ops.total()
     }
-
-    /// Mean utilization of one cluster over `[from, to]` (processors).
-    pub fn mean_cluster_utilization(&self, cluster: usize, from: SimTime, to: SimTime) -> f64 {
-        self.per_cluster_used
-            .get(cluster)
-            .map(|s| s.time_weighted_mean(from, to, 0.0))
-            .unwrap_or(0.0)
-    }
 }
 
 /// The runs of one configuration across seeds.

@@ -178,11 +178,6 @@ impl JobTable {
         self.ecdf_of(JobRecord::average_size)
     }
 
-    /// ECDF of maximum sizes (Fig. 7b/8b).
-    pub fn max_size_ecdf(&self) -> Ecdf {
-        self.ecdf_of(JobRecord::max_size)
-    }
-
     /// ECDF of bounded slowdowns with a 10 s floor.
     pub fn slowdown_ecdf(&self) -> Ecdf {
         self.ecdf_of(|r| r.bounded_slowdown(10.0))

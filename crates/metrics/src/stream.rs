@@ -229,11 +229,6 @@ impl StreamStats {
         (self.count > 1).then(|| (self.m2 / (self.count - 1) as f64).max(0.0))
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Smallest sample.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -47,20 +47,6 @@ impl InfoSnapshot {
         })
     }
 
-    /// Capacity of one cluster.
-    ///
-    /// # Panics
-    /// Panics when `c` is outside the snapshot — cluster count is fixed
-    /// at construction, so an out-of-range id is a caller bug.
-    pub fn capacity_of(&self, c: ClusterId) -> u32 {
-        *self.capacity.get(c.index()).unwrap_or_else(|| {
-            panic!(
-                "cluster {c:?} outside a snapshot of {} clusters",
-                self.capacity.len()
-            )
-        })
-    }
-
     /// Total idle processors across the system.
     pub fn total_idle(&self) -> u32 {
         self.idle.iter().sum()

@@ -127,11 +127,6 @@ impl<E> Engine<E> {
         Engine::configured(QueueImpl::Heap, None, cap)
     }
 
-    /// [`Engine::with_horizon`] and [`Engine::with_capacity`] combined.
-    pub fn with_horizon_and_capacity(horizon: SimTime, cap: usize) -> Self {
-        Engine::configured(QueueImpl::Heap, Some(horizon), cap)
-    }
-
     /// The fully explicit constructor: queue implementation, optional
     /// horizon (`None` = unbounded), and the pending-event capacity
     /// `cap` (as in [`Engine::with_capacity`]). The first
