@@ -42,12 +42,11 @@
 //! // Arrivals are nondecreasing and every spec validates.
 //! assert!(jobs.windows(2).all(|w| w[0].at <= w[1].at));
 //! assert!(jobs.iter().all(|j| j.spec.validate().is_ok()));
-//! // Unknown names fail with the list of registered sources.
+//! // Unknown names fail with the list of known sources.
 //! assert!(registry.source("no_such_workload").is_err());
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 use simcore::dist::{Distribution, Exponential, LogNormal};
 use simcore::{SimRng, SimTime};
@@ -594,88 +593,49 @@ impl std::fmt::Display for UnknownSource {
 
 impl std::error::Error for UnknownSource {}
 
-/// Constructor of a registered workload source.
-pub type SourceCtor = fn() -> Arc<dyn WorkloadSource>;
-
-/// The name-indexed registry of workload sources — the workload twin of
+/// The closed table of built-in workload sources — the workload twin of
 /// the scheduling-policy registry. Binaries and scenario builders select
-/// sources by `snake_case` name; external crates register their own with
-/// [`WorkloadRegistry::register`].
-pub struct WorkloadRegistry {
-    sources: RwLock<BTreeMap<String, SourceCtor>>,
-}
-
-static GLOBAL_REGISTRY: OnceLock<WorkloadRegistry> = OnceLock::new();
+/// sources by `snake_case` name through [`WorkloadRegistry::global`].
+pub struct WorkloadRegistry;
 
 impl WorkloadRegistry {
-    /// An empty registry (tests; production code uses
-    /// [`WorkloadRegistry::global`]).
-    pub fn empty() -> Self {
-        WorkloadRegistry {
-            sources: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// The process-wide registry, with the built-in sources
-    /// pre-registered.
+    /// The table (a stateless handle, kept so callers resolve names the
+    /// same way as through the policy registry).
     pub fn global() -> &'static WorkloadRegistry {
-        GLOBAL_REGISTRY.get_or_init(|| {
-            let r = WorkloadRegistry::empty();
-            r.register("paper_poisson", || {
-                Arc::new(SyntheticSource::paper_poisson())
-            });
-            r.register("poisson_loguniform", || {
-                Arc::new(SyntheticSource::poisson_loguniform())
-            });
-            r.register("poisson_lublin", || {
-                Arc::new(SyntheticSource::poisson_lublin())
-            });
-            r.register("bursty_lublin", || {
-                Arc::new(SyntheticSource::bursty_lublin())
-            });
-            r.register("bursty_loguniform", || {
-                Arc::new(SyntheticSource::bursty_loguniform())
-            });
-            r.register("trace1m", || Arc::new(SyntheticSource::trace1m()));
-            r
-        })
+        &WorkloadRegistry
     }
 
-    /// Registers (or replaces) a source constructor under `name`.
-    pub fn register(&self, name: &str, ctor: SourceCtor) {
-        self.sources
-            .write()
-            .expect("workload registry poisoned")
-            .insert(name.to_string(), ctor);
-    }
-
-    /// Resolves a source by name. The constructor runs *outside* the
-    /// registry lock, so re-entrant constructors cannot deadlock (the
-    /// same discipline as the policy registry).
+    /// Resolves a source by name.
     pub fn source(&self, name: &str) -> Result<Arc<dyn WorkloadSource>, UnknownSource> {
-        let ctor = {
-            let map = self.sources.read().expect("workload registry poisoned");
-            match map.get(name) {
-                Some(&ctor) => ctor,
-                None => {
-                    return Err(UnknownSource {
-                        name: name.to_string(),
-                        known: map.keys().cloned().collect(),
-                    })
-                }
+        let src = match name {
+            "bursty_loguniform" => SyntheticSource::bursty_loguniform(),
+            "bursty_lublin" => SyntheticSource::bursty_lublin(),
+            "paper_poisson" => SyntheticSource::paper_poisson(),
+            "poisson_loguniform" => SyntheticSource::poisson_loguniform(),
+            "poisson_lublin" => SyntheticSource::poisson_lublin(),
+            "trace1m" => SyntheticSource::trace1m(),
+            _ => {
+                return Err(UnknownSource {
+                    name: name.to_string(),
+                    known: self.names(),
+                })
             }
         };
-        Ok(ctor())
+        Ok(Arc::new(src))
     }
 
-    /// The registered names, sorted.
+    /// The source names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.sources
-            .read()
-            .expect("workload registry poisoned")
-            .keys()
-            .cloned()
-            .collect()
+        [
+            "bursty_loguniform",
+            "bursty_lublin",
+            "paper_poisson",
+            "poisson_loguniform",
+            "poisson_lublin",
+            "trace1m",
+        ]
+        .map(String::from)
+        .to_vec()
     }
 }
 

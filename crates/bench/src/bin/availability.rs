@@ -53,7 +53,7 @@ fn run_under_storm(cfg: &ExperimentConfig, threads: usize) -> MultiSummary {
     // summarized on the shared work-stealing pool, merged back in seed
     // order.
     let runs = koala::parallel::parallel_map(&SEEDS, threads, |&seed| {
-        let mut engine = Engine::new();
+        let mut engine = koala::engine_for(cfg);
         schedule_storm(&mut engine);
         World::for_seed_summarized(cfg, seed).run_to_end::<SummaryReport>(&mut engine)
     });

@@ -1,5 +1,5 @@
-//! Autoscaling policies and their name-indexed registry — the third twin
-//! of the policy and workload registries.
+//! Autoscaling policies and their closed name table — the third twin of
+//! the policy and workload registries.
 //!
 //! The elasticity layer lets cluster capacity move while a run is in
 //! flight: nodes crash and get repaired, operators withdraw nodes, and —
@@ -11,15 +11,13 @@
 //! [`ScaleDecision`] after the configured propagation delay.
 //!
 //! Scalers are object-safe, stateless and selected by `snake_case` name
-//! through [`AutoscalerRegistry`], exactly like placement and
-//! malleability policies:
+//! through [`by_name`], like placement and malleability policies:
 //!
 //! ```
-//! use koala::autoscaler::{AutoscalerRegistry, ClusterObservation, ScaleDecision};
+//! use koala::autoscaler::{self, ClusterObservation, ScaleDecision};
 //! use multicluster::ClusterId;
 //!
-//! let r = AutoscalerRegistry::global();
-//! let scaler = r.autoscaler("threshold").unwrap();
+//! let scaler = autoscaler::by_name("threshold").unwrap();
 //! // Hot (56/60 busy) with 4 repairable down nodes: grow.
 //! let hot = ClusterObservation {
 //!     cluster: ClusterId(0),
@@ -29,7 +27,7 @@
 //!     queue_depth: 3,
 //! };
 //! assert!(matches!(scaler.decide(&hot), ScaleDecision::Grow(_)));
-//! assert!(r.autoscaler("no_such_scaler").is_err());
+//! assert!(autoscaler::by_name("no_such_scaler").is_err());
 //! ```
 //!
 //! Growing is modelled as *repairing* down nodes (the pool can never
@@ -37,9 +35,6 @@
 //! free nodes — so an autoscaler only moves capacity between the `Down`
 //! and `Free` node states and never kills running jobs; only the failure
 //! stream does that.
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
 
 use multicluster::ClusterId;
 
@@ -97,7 +92,7 @@ pub enum ScaleDecision {
 /// observation, same decision) — that is what keeps multi-seed sweeps
 /// deterministic and parallel runs bit-identical to sequential ones.
 pub trait Autoscaler: Send + Sync {
-    /// Registry key (`snake_case`), e.g. `"threshold"`.
+    /// The `snake_case` name [`by_name`] resolves, e.g. `"threshold"`.
     fn name(&self) -> &'static str;
 
     /// Short report label, e.g. `"THR"`.
@@ -210,11 +205,10 @@ impl Autoscaler for QueueDepthScaler {
     }
 }
 
-/// Failure to resolve an autoscaler name against an
-/// [`AutoscalerRegistry`].
+/// Failure to resolve an autoscaler name with [`by_name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AutoscalerError {
-    /// No autoscaler registered under this name.
+    /// No built-in autoscaler has this name.
     Unknown {
         /// The name that failed to resolve.
         name: String,
@@ -239,84 +233,20 @@ impl std::fmt::Display for AutoscalerError {
 
 impl std::error::Error for AutoscalerError {}
 
-type AutoscalerCtor = Arc<dyn Fn() -> Box<dyn Autoscaler> + Send + Sync>;
+/// The built-in autoscaler names, sorted.
+pub const NAMES: [&str; 3] = ["none", "queue_depth", "threshold"];
 
-/// Maps autoscaler names to constructors — the registry twin of
-/// [`PolicyRegistry`](crate::policy::PolicyRegistry) and the workload
-/// source registry. Registration replaces any previous entry under the
-/// same name (latest wins); lookups construct a fresh boxed scaler per
-/// call.
-pub struct AutoscalerRegistry {
-    scalers: RwLock<BTreeMap<String, AutoscalerCtor>>,
-}
-
-impl Default for AutoscalerRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl AutoscalerRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        AutoscalerRegistry {
-            scalers: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// A registry pre-loaded with the built-ins (`none`, `threshold`,
-    /// `queue_depth`).
-    pub fn with_defaults() -> Self {
-        let r = Self::new();
-        r.register(|| Box::new(NoScaler));
-        r.register(|| Box::<ThresholdScaler>::default());
-        r.register(|| Box::<QueueDepthScaler>::default());
-        r
-    }
-
-    /// The process-wide registry configurations resolve against.
-    pub fn global() -> &'static AutoscalerRegistry {
-        static GLOBAL: OnceLock<AutoscalerRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(AutoscalerRegistry::with_defaults)
-    }
-
-    /// Registers an autoscaler constructor under the name the constructed
-    /// scaler reports.
-    pub fn register<F>(&self, ctor: F)
-    where
-        F: Fn() -> Box<dyn Autoscaler> + Send + Sync + 'static,
-    {
-        let name = ctor().name().to_string();
-        self.scalers
-            .write()
-            .expect("registry lock poisoned")
-            .insert(name, Arc::new(ctor));
-    }
-
-    /// Constructs the autoscaler registered under `name`. The constructor
-    /// runs after the registry lock is released.
-    pub fn autoscaler(&self, name: &str) -> Result<Box<dyn Autoscaler>, AutoscalerError> {
-        let ctor = {
-            let map = self.scalers.read().expect("registry lock poisoned");
-            map.get(name).cloned()
-        };
-        match ctor {
-            Some(ctor) => Ok(ctor()),
-            None => Err(AutoscalerError::Unknown {
-                name: name.to_string(),
-                known: self.names(),
-            }),
-        }
-    }
-
-    /// The registered autoscaler names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.scalers
-            .read()
-            .expect("registry lock poisoned")
-            .keys()
-            .cloned()
-            .collect()
+/// Constructs the built-in autoscaler named `name` — the closed
+/// autoscaler twin of the policy registry.
+pub fn by_name(name: &str) -> Result<Box<dyn Autoscaler>, AutoscalerError> {
+    match name {
+        "none" => Ok(Box::new(NoScaler)),
+        "queue_depth" => Ok(Box::<QueueDepthScaler>::default()),
+        "threshold" => Ok(Box::<ThresholdScaler>::default()),
+        _ => Err(AutoscalerError::Unknown {
+            name: name.to_string(),
+            known: NAMES.map(String::from).to_vec(),
+        }),
     }
 }
 
@@ -336,25 +266,21 @@ mod tests {
 
     #[test]
     fn global_registry_knows_the_builtins() {
-        let r = AutoscalerRegistry::global();
-        assert_eq!(
-            r.names(),
-            vec!["none".to_string(), "queue_depth".into(), "threshold".into()]
-        );
-        for name in ["none", "threshold", "queue_depth"] {
-            assert_eq!(r.autoscaler(name).unwrap().name(), name);
+        assert_eq!(NAMES, ["none", "queue_depth", "threshold"]);
+        for name in NAMES {
+            assert_eq!(by_name(name).unwrap().name(), name);
         }
     }
 
     #[test]
     fn unknown_name_lists_known_scalers() {
-        let err = match AutoscalerRegistry::global().autoscaler("elastic9000") {
+        let err = match by_name("elastic9000") {
             Ok(s) => panic!("unexpectedly resolved {}", s.name()),
             Err(e) => e,
         };
         let AutoscalerError::Unknown { name, known } = err;
         assert_eq!(name, "elastic9000");
-        assert!(known.contains(&"threshold".to_string()));
+        assert_eq!(known, NAMES);
     }
 
     #[test]

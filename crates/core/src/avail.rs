@@ -30,29 +30,18 @@
 //! the whole trajectory are bit-identical with the index on or off (the
 //! hot-path differential suite and a registry-wide proptest pin this).
 //!
-//! Between scans the index tracks **dirtiness**: every capacity mutation
-//! — claim, release, grow, shrink, node crash, autoscale resize, node
-//! withdrawal/restore — marks the touched cluster, so the scan knows
-//! which entries of its availability view went stale since the last
-//! rebuild and diagnostics can attribute re-work to its cause. The
-//! marks are a strict invalidation protocol: a mutation marks exactly
-//! the cluster it touched, nothing else (unit-tested per mutation kind).
+//! The scan rebuilds the index before every placement pass from its
+//! vector, which is the KIS snapshot capped by KOALA's headroom, so the
+//! index keeps no record of which clusters changed between scans.
 //!
 //! [`Placement`]: crate::placement::Placement
 
-use multicluster::ClusterId;
-
 use crate::placement::PlacementRequest;
 
-/// Per-cluster availability aggregates plus the dirty set that tracks
-/// which clusters mutated since the last rebuild. See the module docs
-/// for the exactness argument.
-#[derive(Debug, Clone)]
+/// Availability aggregates over the clusters. See the module docs for
+/// the exactness argument.
+#[derive(Debug, Clone, Default)]
 pub struct AvailIndex {
-    /// Dirty flags, one per cluster.
-    dirty: Vec<bool>,
-    /// Number of set flags (kept so `dirty_count` is O(1)).
-    dirty_count: usize,
     /// Largest single-cluster effective availability at the last
     /// [`AvailIndex::rebuild`].
     max_eff: u32,
@@ -68,50 +57,13 @@ pub struct AvailIndex {
 }
 
 impl AvailIndex {
-    /// An index over `clusters` clusters; everything starts dirty (no
-    /// rebuild has happened yet) with zero aggregates, so `can_satisfy`
-    /// is conservative until the first rebuild.
-    pub fn new(clusters: usize) -> Self {
-        AvailIndex {
-            dirty: vec![true; clusters],
-            dirty_count: clusters,
-            max_eff: 0,
-            sum_eff: 0,
-            rebuilds: 0,
-            quick_rejects: 0,
-            blocked_scans: 0,
-        }
-    }
-
-    /// Marks `cluster`'s availability stale. Called by every capacity
-    /// mutation site (claim / release / grow / shrink / crash /
-    /// autoscale / withdraw / restore); marking is idempotent.
-    pub fn mark(&mut self, cluster: ClusterId) {
-        let i = cluster.index();
-        if !self.dirty[i] {
-            self.dirty[i] = true;
-            self.dirty_count += 1;
-        }
-    }
-
-    /// Whether `cluster` mutated since the last rebuild.
-    pub fn is_dirty(&self, cluster: ClusterId) -> bool {
-        self.dirty[cluster.index()]
-    }
-
-    /// Number of clusters marked since the last rebuild.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty_count
-    }
-
     /// Recomputes the aggregates from the scan's effective-availability
-    /// vector and clears the dirty set — the vector passed here is the
-    /// exact one the placement policy will see next.
+    /// vector — the exact one the placement policy will see next. Until
+    /// the first rebuild the aggregates are zero, so `can_satisfy` is
+    /// conservative.
     pub fn rebuild(&mut self, eff: &[u32]) {
         self.max_eff = eff.iter().copied().max().unwrap_or(0);
         self.sum_eff = eff.iter().map(|&a| u64::from(a)).sum();
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        self.dirty_count = 0;
         self.rebuilds += 1;
     }
 
@@ -177,13 +129,12 @@ impl AvailIndex {
         self.rebuilds
     }
 
-    /// Captures the complete index state — dirty flags, aggregates and
-    /// diagnostic tallies — for checkpointing. Restoring through
+    /// Captures the complete index state — aggregates and diagnostic
+    /// tallies — for checkpointing. Restoring through
     /// [`AvailIndex::from_state`] reproduces an index whose future
     /// quick-reject decisions are bit-identical to the original's.
     pub fn capture_state(&self) -> AvailIndexState {
         AvailIndexState {
-            dirty: self.dirty.clone(),
             max_eff: self.max_eff,
             sum_eff: self.sum_eff,
             rebuilds: self.rebuilds,
@@ -192,13 +143,9 @@ impl AvailIndex {
         }
     }
 
-    /// Reconstructs an index from a captured [`AvailIndex::capture_state`]
-    /// (the dirty count is re-derived from the flags).
+    /// Reconstructs an index from a captured [`AvailIndex::capture_state`].
     pub fn from_state(s: AvailIndexState) -> Self {
-        let dirty_count = s.dirty.iter().filter(|&&d| d).count();
         AvailIndex {
-            dirty: s.dirty,
-            dirty_count,
             max_eff: s.max_eff,
             sum_eff: s.sum_eff,
             rebuilds: s.rebuilds,
@@ -210,11 +157,9 @@ impl AvailIndex {
 
 /// The raw internals of an [`AvailIndex`], exposed for checkpointing —
 /// the capture/restore seam keeps the index's fields private while
-/// letting a snapshot carry the dirty set and aggregates exactly.
+/// letting a snapshot carry the aggregates exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailIndexState {
-    /// Dirty flags, one per cluster.
-    pub dirty: Vec<bool>,
     /// Largest single-cluster availability at the last rebuild.
     pub max_eff: u32,
     /// Total availability at the last rebuild.
@@ -245,42 +190,28 @@ mod tests {
     }
 
     #[test]
-    fn starts_fully_dirty_and_conservative() {
-        let idx = AvailIndex::new(3);
-        assert_eq!(idx.dirty_count(), 3);
+    fn starts_conservative() {
+        let idx = AvailIndex::default();
         assert!(!idx.can_satisfy(&req(&[1])), "no rebuild yet: reject");
         assert!(idx.can_satisfy(&req(&[])), "empty request always passes");
     }
 
     #[test]
-    fn rebuild_sets_aggregates_and_clears_dirty() {
-        let mut idx = AvailIndex::new(3);
+    fn rebuild_sets_aggregates() {
+        let mut idx = AvailIndex::default();
         idx.rebuild(&[4, 10, 0]);
         assert_eq!(idx.max_eff(), 10);
         assert_eq!(idx.sum_eff(), 14);
-        assert_eq!(idx.dirty_count(), 0);
         assert_eq!(idx.rebuilds(), 1);
     }
 
     #[test]
-    fn mark_is_idempotent_and_per_cluster() {
-        let mut idx = AvailIndex::new(4);
-        idx.rebuild(&[1, 1, 1, 1]);
-        idx.mark(ClusterId(2));
-        idx.mark(ClusterId(2));
-        assert_eq!(idx.dirty_count(), 1);
-        assert!(idx.is_dirty(ClusterId(2)));
-        assert!(!idx.is_dirty(ClusterId(0)));
-    }
-
-    #[test]
     fn capture_restore_roundtrips_exactly() {
-        let mut idx = AvailIndex::new(3);
+        let mut idx = AvailIndex::default();
         idx.rebuild(&[4, 10, 0]);
-        idx.mark(ClusterId(1));
         idx.note_quick_reject();
         idx.note_quick_reject();
-        let mut blocked = AvailIndex::new(3);
+        let mut blocked = AvailIndex::default();
         blocked.rebuild(&[0, 0, 0]);
         blocked.note_blocked_scan(5);
         assert_eq!((blocked.blocked_scans(), blocked.quick_rejects()), (1, 5));
@@ -290,8 +221,6 @@ mod tests {
         );
         let state = idx.capture_state();
         let copy = AvailIndex::from_state(state.clone());
-        assert_eq!(copy.dirty_count(), 1);
-        assert!(copy.is_dirty(ClusterId(1)));
         assert_eq!(copy.max_eff(), idx.max_eff());
         assert_eq!(copy.sum_eff(), idx.sum_eff());
         assert_eq!(copy.rebuilds(), idx.rebuilds());
@@ -303,13 +232,12 @@ mod tests {
         b.rebuild(&[1, 2, 3]);
         assert_eq!(a.can_satisfy(&req(&[3])), b.can_satisfy(&req(&[3])));
         assert_eq!(a.capture_state(), b.capture_state());
-        assert_eq!(b.capture_state().dirty, vec![false; 3]);
         let _ = state;
     }
 
     #[test]
     fn quick_reject_is_exact_on_the_boundary() {
-        let mut idx = AvailIndex::new(2);
+        let mut idx = AvailIndex::default();
         idx.rebuild(&[6, 4]);
         // max_eff = 6, sum_eff = 10.
         assert!(idx.can_satisfy(&req(&[6])), "fits the largest cluster");

@@ -21,7 +21,7 @@ use multicluster::{
 };
 use simcore::SimDuration;
 
-use crate::autoscaler::{AutoscalerError, AutoscalerRegistry};
+use crate::autoscaler::{self, AutoscalerError};
 use crate::policy::{PolicyError, PolicyRegistry};
 
 /// When the malleability-management policies are initiated
@@ -93,8 +93,8 @@ pub enum ConfigError {
     NoSeeds,
     /// A zero quantile-reservoir capacity in the report configuration.
     ZeroQuantileCapacity,
-    /// An autoscaler name did not resolve against the autoscaler
-    /// registry (see [`crate::autoscaler::AutoscalerRegistry`]).
+    /// An autoscaler name is not a built-in one (see
+    /// [`crate::autoscaler::by_name`]).
     Autoscaler(AutoscalerError),
     /// A failure spec with a zero MTBF, zero MTTR, or zero `max_nodes` —
     /// the crash process would be degenerate (instant storms or no-op
@@ -477,11 +477,10 @@ pub struct ElasticityConfig {
     /// Zero disables monitoring entirely.
     #[serde(default)]
     pub monitor_period: SimDuration,
-    /// Registry name of the autoscaling policy (see
-    /// [`crate::autoscaler::AutoscalerRegistry`]); `"none"` disables the
-    /// autoscale cycle. A partially-deserialized block that omits this
-    /// field fails validation (empty names resolve against the registry
-    /// like any other unknown name).
+    /// Name of the autoscaling policy (see
+    /// [`crate::autoscaler::by_name`]); `"none"` disables the autoscale
+    /// cycle. A partially-deserialized block that omits this field fails
+    /// validation (an empty name is unknown like any other).
     #[serde(default)]
     pub autoscaler: String,
     /// Period of the autoscale decision cycle (the "scheduling cycle" of
@@ -545,7 +544,7 @@ impl ElasticityConfig {
     /// entry points (which skip whole-config validation because the
     /// stream replaces the configured workload).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        AutoscalerRegistry::global().autoscaler(&self.autoscaler)?;
+        autoscaler::by_name(&self.autoscaler)?;
         if self.autoscaled() && self.autoscale_period.is_zero() {
             return Err(ConfigError::ZeroPeriod);
         }
@@ -588,16 +587,15 @@ pub struct FileSpec {
     pub replicas: Vec<u16>,
 }
 
-/// The contended-network layer: a named topology from the
-/// [`multicluster::TopologyRegistry`], the initial replica layout, and
-/// optional reconfiguration traffic. Carried as
+/// The contended-network layer: a named topology (see
+/// [`multicluster::NetworkTopology::by_name`]), the initial replica
+/// layout, and optional reconfiguration traffic. Carried as
 /// [`ExperimentConfig::network`]; `None` disables the layer entirely —
-/// transfers cost nothing at runtime and only the static
-/// Close-to-Files estimates remain, exactly as before the subsystem
-/// existed.
+/// transfers cost nothing at runtime and only the static Close-to-Files
+/// estimates remain, exactly as before the subsystem existed.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NetworkConfig {
-    /// Registry name of the topology (`"das3"`, `"flat_wan"`, `"star"`,
+    /// Name of the topology (`"das3"`, `"flat_wan"`, `"star"`,
     /// `"hierarchical"`, or parametric `"fat_tree_<k>"`).
     pub topology: String,
     /// Files registered in the replica catalog before the run starts,
@@ -825,7 +823,7 @@ impl ExperimentConfig {
                 .uniform_topology
                 .map(|u| u.clusters as usize)
                 .unwrap_or_else(|| multicluster::das3().len());
-            multicluster::global_topologies().resolve(&net.topology, clusters)?;
+            multicluster::NetworkTopology::by_name(&net.topology, clusters)?;
             if !(net.reconfig_gb_per_proc.is_finite() && net.reconfig_gb_per_proc >= 0.0) {
                 return Err(ConfigError::NegativeReconfigTraffic(
                     net.reconfig_gb_per_proc,

@@ -22,9 +22,9 @@
 //!   malleability-management policies, plus the equipartition, folding
 //!   and greedy-grow/lazy-shrink baselines.
 //! * [`autoscaler`] — the elasticity layer's decision policies: the
-//!   object-safe [`autoscaler::Autoscaler`] trait and its
-//!   [`autoscaler::AutoscalerRegistry`], the third registry twin, with
-//!   `none`/`threshold`/`queue_depth` built-ins.
+//!   object-safe [`autoscaler::Autoscaler`] trait and the closed
+//!   [`autoscaler::by_name`] table of its `none`/`threshold`/`queue_depth`
+//!   built-ins.
 //! * [`scenario`] — the composable [`scenario::ScenarioBuilder`]:
 //!   experiments assembled declaratively, with policies selected by
 //!   registry name; the paper presets are thin wrappers over it.
@@ -88,8 +88,8 @@ mod job;
 mod run;
 
 pub use autoscaler::{
-    Autoscaler, AutoscalerError, AutoscalerRegistry, ClusterObservation, NoScaler,
-    QueueDepthScaler, ScaleDecision, ThresholdScaler,
+    Autoscaler, AutoscalerError, ClusterObservation, NoScaler, QueueDepthScaler, ScaleDecision,
+    ThresholdScaler,
 };
 pub use config::{
     Approach, ClaimingPolicy, ConfigError, ElasticityConfig, ExperimentConfig, ReportConfig,

@@ -377,8 +377,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the autoscaling policy by registry name (default
-    /// `"none"`; see [`crate::autoscaler::AutoscalerRegistry`]).
+    /// Selects the autoscaling policy by name (default `"none"`; see
+    /// [`crate::autoscaler::by_name`]).
     pub fn autoscaler(mut self, name: impl Into<String>) -> Self {
         self.elasticity.autoscaler = name.into();
         self
@@ -430,7 +430,7 @@ impl ScenarioBuilder {
     }
 
     /// Enables the contended-network layer with the named topology
-    /// from the global [`multicluster::TopologyRegistry`] (`"das3"`,
+    /// (see [`multicluster::NetworkTopology::by_name`]: `"das3"`,
     /// `"flat_wan"`, `"star"`, `"hierarchical"`, or parametric
     /// `"fat_tree_<k>"`, e.g. `.network("fat_tree_16")`). Without this
     /// call the layer is off and transfers cost nothing — the strict

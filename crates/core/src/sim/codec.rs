@@ -192,10 +192,6 @@ impl<'a> World<'a> {
         w.u64(q.total_tries);
         w.u64(q.failed_submissions);
         let av = self.avail_idx.capture_state();
-        w.len(av.dirty.len());
-        for &d in &av.dirty {
-            w.bool(d);
-        }
         w.u32(av.max_eff);
         w.u64(av.sum_eff);
         w.u64(av.rebuilds);
@@ -431,16 +427,7 @@ impl<'a> World<'a> {
             total_tries: r.u64()?,
             failed_submissions: r.u64()?,
         });
-        let n = r.len(1)?;
-        if n != n_clusters {
-            return Err(corrupt("availability-index width"));
-        }
-        let mut dirty = Vec::with_capacity(n);
-        for _ in 0..n {
-            dirty.push(r.bool()?);
-        }
         self.avail_idx = AvailIndex::from_state(crate::avail::AvailIndexState {
-            dirty,
             max_eff: r.u32()?,
             sum_eff: r.u64()?,
             rebuilds: r.u64()?,
@@ -934,8 +921,6 @@ fn enc_lrm(w: &mut ByteWriter, s: &LrmState) {
         w.u64(j.duration.as_millis());
         w.u64(j.submitted.as_millis());
     }
-    w.u64(s.next_local);
-    w.u64(s.completed_local);
 }
 
 fn dec_lrm(r: &mut ByteReader<'_>) -> Result<LrmState, SnapshotError> {
@@ -949,11 +934,7 @@ fn dec_lrm(r: &mut ByteReader<'_>) -> Result<LrmState, SnapshotError> {
             submitted: SimTime::from_millis(r.u64()?),
         });
     }
-    Ok(LrmState {
-        queue,
-        next_local: r.u64()?,
-        completed_local: r.u64()?,
-    })
+    Ok(LrmState { queue })
 }
 
 fn enc_info_snapshot(w: &mut ByteWriter, s: &InfoSnapshot) {
@@ -1198,7 +1179,7 @@ mod tests {
         let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
         cfg.workload.jobs = 60;
         let mut cold = World::for_seed_summarized(&cfg, 5);
-        let mut engine = Engine::new();
+        let mut engine = engine_for(&cfg);
         cold.bootstrap(&mut engine);
         cold.run_until(&mut engine, SimTime::from_secs(1800));
         assert!(

@@ -51,7 +51,6 @@ impl<'a> World<'a> {
         self.observe(now, Obs::Withdraw { cluster, nodes });
         let taken = self.mc.cluster_mut(cluster).withdraw_free(nodes);
         if taken > 0 {
-            self.avail_idx.mark(cluster);
             self.sync_baseline(cluster);
             self.touch_util(now);
         }
@@ -175,7 +174,6 @@ impl<'a> World<'a> {
             let nodes = self.mc.cluster_mut(cluster).withdraw_free(count);
             if nodes > 0 {
                 self.observe(now, Obs::ScaleDown { cluster, nodes });
-                self.avail_idx.mark(cluster);
                 self.sync_baseline(cluster);
                 self.touch_util(now);
             }
@@ -194,9 +192,6 @@ impl<'a> World<'a> {
     ) {
         let now = engine.now();
         let (taken, victims) = self.mc.cluster_mut(cluster).crash(count);
-        if taken > 0 {
-            self.avail_idx.mark(cluster);
-        }
         let crash = Obs::Crash {
             cluster,
             nodes: taken,

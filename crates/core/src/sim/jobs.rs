@@ -56,8 +56,6 @@ pub(super) struct JobSlab {
     pub(super) live: usize,
     /// High-water mark of `live` (the bounded-memory witness).
     pub(super) peak_live: usize,
-    /// Jobs ever created.
-    created: u64,
 }
 
 impl JobSlab {
@@ -71,7 +69,6 @@ impl JobSlab {
             rooms: vec![0; n],
             live: n,
             peak_live: n,
-            created: n as u64,
             ..JobSlab::default()
         };
         for id in 0..n {
@@ -110,7 +107,6 @@ impl JobSlab {
         self.index.insert(id, slot);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
-        self.created += 1;
         slot as usize
     }
 

@@ -53,7 +53,7 @@ use multicluster::{
 };
 use simcore::{Engine, Generation, SimDuration, SimRng, SimTime};
 
-use crate::autoscaler::{Autoscaler, AutoscalerRegistry};
+use crate::autoscaler::{self, Autoscaler};
 use crate::avail::AvailIndex;
 use crate::config::{Approach, ClaimingPolicy, ExperimentConfig};
 use crate::ids::JobId;
@@ -322,13 +322,12 @@ pub struct World<'a> {
     /// not world state: copies, forks and snapshots never carry it.
     sink: Option<SinkRef<'a>>,
     scratch: Scratch,
-    /// Incremental per-cluster availability index (see [`crate::avail`]):
-    /// capacity mutations mark their cluster dirty, and the scan's
+    /// Availability index (see [`crate::avail`]): the scan's
     /// effective-availability aggregates quick-reject placement attempts
     /// no policy could satisfy. Consulted only when
     /// [`SchedulerConfig::avail_index`](crate::config::SchedulerConfig)
-    /// is on; always maintained (marking is a few branches) so the
-    /// on/off trajectories cannot drift apart structurally.
+    /// is on; rebuilt by every scan either way, so the on/off
+    /// trajectories cannot drift apart structurally.
     avail_idx: AvailIndex,
     /// Whether [`World::bootstrap`] has run: [`World::run_to_end`]
     /// bootstraps a fresh world and resumes a started one.
@@ -524,7 +523,7 @@ impl<'a> World<'a> {
             net,
             sink: None,
             scratch: Scratch::default(),
-            avail_idx: AvailIndex::new(n_clusters),
+            avail_idx: AvailIndex::default(),
             started: false,
             koala_cap_memo: (0, 0),
             crash_cleanup: false,
@@ -532,8 +531,8 @@ impl<'a> World<'a> {
         }
     }
 
-    /// The availability index's current state — dirty set, aggregates
-    /// and skip tallies (see [`crate::avail`]). Diagnostic surface; the
+    /// The availability index's current state — aggregates and skip
+    /// tallies (see [`crate::avail`]). Diagnostic surface; the
     /// index itself is maintained whether or not the scan consults it.
     pub fn avail_index(&self) -> &AvailIndex {
         &self.avail_idx
@@ -1209,7 +1208,6 @@ impl<'a> World<'a> {
             self.send_ctrl(engine, id, CtrlOp::Start, delay, 0);
         }
         for &(c, _, _) in components {
-            self.avail_idx.mark(c);
             self.sync_baseline(c);
         }
         self.touch_util(now);
@@ -1344,7 +1342,6 @@ impl<'a> World<'a> {
             .cluster_mut(cluster)
             .grow(alloc, accepted)
             .expect("grows are bounded by the idle count");
-        self.avail_idx.mark(cluster);
         let delay = self.cfg.sched.gram.batch_submit_time(accepted);
         self.send_ctrl(engine, id, CtrlOp::Grow, delay, 0);
     }
@@ -1652,11 +1649,6 @@ impl<'a> World<'a> {
     /// KOALA-visible capacity change: trigger job management
     /// (Section V-B).
     fn capacity_freed(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId) {
-        // Release-side funnel: every "processors came back" path lands
-        // here with the exact cluster, so one mark covers completion,
-        // requeue, crash-survivor release, orphan reclaim, shrink
-        // confirmation, node restore and autoscale grow.
-        self.avail_idx.mark(cluster);
         self.manage_jobs(engine, Some(cluster));
     }
 
@@ -2001,8 +1993,7 @@ fn resolve_policies(cfg: &ExperimentConfig) -> Policies {
         .malleability(&cfg.sched.malleability)
         .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
     let autoscaler = cfg.elasticity.autoscaled().then(|| {
-        AutoscalerRegistry::global()
-            .autoscaler(&cfg.elasticity.autoscaler)
+        autoscaler::by_name(&cfg.elasticity.autoscaler)
             .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
     });
     Policies {
@@ -2214,70 +2205,18 @@ mod tests {
         assert!((m.completion_ratio() - 1.0).abs() < 1e-12);
     }
 
-    /// Every capacity-mutation entry point marks exactly the cluster it
-    /// touched in the availability index — no neighbours, no misses.
-    /// (The release-side funnel `capacity_freed` covers completion,
-    /// requeue, crash-survivor release, orphan reclaim, shrink
-    /// confirmation, node restore and autoscale grow; the remaining
-    /// sites are exercised directly.)
-    #[test]
-    fn avail_index_mutations_dirty_exactly_the_touched_cluster() {
-        let mut cfg = small("egs", WorkloadSpec::wm(), 0);
-        cfg.background = multicluster::BackgroundLoad::none();
-        let mut w = World::new(&cfg);
-        let n = w.avail_idx.dirty_count();
-        assert!(n >= 2, "paper topology has multiple clusters");
-        let mut engine = Engine::new();
-        let clean = vec![0u32; n];
-
-        // Release-side funnel (no KIS snapshot yet, so the scan it
-        // triggers cannot rebuild and wipe the mark under us).
-        w.avail_idx.rebuild(&clean);
-        w.capacity_freed(&mut engine, ClusterId(1));
-        assert!(w.avail_idx.is_dirty(ClusterId(1)));
-        assert_eq!(w.avail_idx.dirty_count(), 1, "funnel dirtied neighbours");
-
-        // Node crash takes nodes (busy included) from one cluster.
-        w.avail_idx.rebuild(&clean);
-        w.on_node_crash(&mut engine, ClusterId(0), 1, SimDuration::from_secs(60));
-        assert!(w.avail_idx.is_dirty(ClusterId(0)));
-        assert_eq!(w.avail_idx.dirty_count(), 1, "crash dirtied neighbours");
-
-        // Autoscale shrink withdraws free nodes from one cluster...
-        w.avail_idx.rebuild(&clean);
-        w.on_autoscale_apply(&mut engine, ClusterId(1), false, 1);
-        assert!(w.avail_idx.is_dirty(ClusterId(1)));
-        assert_eq!(w.avail_idx.dirty_count(), 1, "shrink dirtied neighbours");
-
-        // ...and the matching grow restores them (via the funnel).
-        w.avail_idx.rebuild(&clean);
-        w.on_autoscale_apply(&mut engine, ClusterId(1), true, 1);
-        assert!(w.avail_idx.is_dirty(ClusterId(1)));
-        assert_eq!(w.avail_idx.dirty_count(), 1, "grow dirtied neighbours");
-
-        // Explicit node withdrawal (the elasticity layer's direct path).
-        w.avail_idx.rebuild(&clean);
-        w.on_node_withdraw(&mut engine, ClusterId(0), 1);
-        assert!(w.avail_idx.is_dirty(ClusterId(0)));
-        assert_eq!(w.avail_idx.dirty_count(), 1, "withdraw dirtied neighbours");
-    }
-
-    /// The claim side keeps the index live across a real run: placements
-    /// rebuild it (so the aggregates track the scan's availability
-    /// vector) and the final completion leaves its cluster marked.
+    /// Placements keep the index live across a real run: every scan
+    /// rebuilds it, so the aggregates track the scan's availability
+    /// vector.
     #[test]
     fn avail_index_is_maintained_across_a_full_run() {
         let cfg = small("fpsma", WorkloadSpec::wm(), 3);
-        let mut engine = Engine::new();
+        let mut engine = engine_for(&cfg);
         let mut w = World::new(&cfg);
         w.bootstrap(&mut engine);
         w.pump(&mut engine);
         let idx = w.avail_index();
         assert!(idx.rebuilds() > 0, "no scan ever rebuilt the index");
-        assert!(
-            idx.dirty_count() > 0,
-            "the last completion must leave its cluster marked"
-        );
     }
 
     #[test]
@@ -2343,7 +2282,7 @@ mod tests {
         cfg.background = multicluster::BackgroundLoad::none();
         cfg.elasticity.failure_policy = FailurePolicy::Requeue;
         let mut w = World::new(&cfg);
-        let mut engine = Engine::new();
+        let mut engine = engine_for(&cfg);
         w.bootstrap(&mut engine);
         w.run_until(&mut engine, SimTime::from_secs(900));
         let (c, victims) = (0..w.mc.len())
@@ -2380,7 +2319,7 @@ mod tests {
             JobSpec::coallocated(AppKind::Gadget2, vec![6, 2, 4]),
             JobSpec::coallocated(AppKind::Gadget2, vec![]),
         ];
-        let mut idx = AvailIndex::new(3);
+        let mut idx = AvailIndex::default();
         let mut req = PlacementRequest::default();
         for eff in [[0, 0, 0], [5, 1, 1], [6, 4, 2], [2, 2, 2], [9, 0, 3]] {
             idx.rebuild(&eff);
@@ -2442,7 +2381,7 @@ mod tests {
         let (c0, c1) = (ClusterId(0), ClusterId(1));
 
         let mut w = World::new(&cfg);
-        let mut engine = Engine::new();
+        let mut engine = engine_for(&cfg);
         w.bootstrap(&mut engine);
         w.run_until(&mut engine, SimTime::from_secs(120));
         // The set-up the window needs: both victims hold processors on

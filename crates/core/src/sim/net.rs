@@ -78,8 +78,7 @@ impl NetRuntime {
     /// explicit `with_files` catalog still overrides it.
     pub(super) fn new(cfg: &ExperimentConfig, n_clusters: usize) -> Option<(Self, FileCatalog)> {
         let nc = cfg.network.as_ref()?;
-        let topo = multicluster::global_topologies()
-            .resolve(&nc.topology, n_clusters)
+        let topo = multicluster::NetworkTopology::by_name(&nc.topology, n_clusters)
             .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
         let mut cat = FileCatalog::over_network(&topo);
         for spec in &nc.files {

@@ -32,9 +32,10 @@ pub const MAGIC: [u8; 4] = *b"KSNP";
 /// The current snapshot format version. Version 2 dropped the engine's
 /// queue tag, calendar tuning and cancelled-event count, and the job
 /// record's completion-timer handle; version 3 added the availability
-/// index's blocked-scan tally. Older blobs are rejected as
-/// [`SnapshotError::UnsupportedVersion`].
-pub const VERSION: u16 = 3;
+/// index's blocked-scan tally; version 4 dropped the index's dirty
+/// flags and each LRM's local-job id and completion counters. Older
+/// blobs are rejected as [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u16 = 4;
 
 /// Why a snapshot could not be taken, decoded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

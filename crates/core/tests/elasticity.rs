@@ -10,7 +10,7 @@ use koala::sim::Ev;
 use koala::{JobPhase, Report, Run, RunReport, SummaryReport, World};
 use koala_metrics::JobOutcome;
 use multicluster::{FailurePolicy, FailureSpec};
-use simcore::{Engine, SimDuration};
+use simcore::SimDuration;
 
 /// `cfg` once per seed on `threads` workers, aggregated in seed order.
 fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
@@ -262,7 +262,7 @@ fn never_polled_kis_blocks_placement_until_the_first_poll() {
         .build()
         .unwrap();
     let cfg = scenario.config();
-    let mut engine: Engine<Ev> = Engine::with_capacity(256);
+    let mut engine = koala::engine_for(cfg);
     let mut w = World::for_seed(cfg, 9);
     // Deliberately skip bootstrap: no KisPoll has ever fired.
     w.handle(&mut engine, Ev::Arrival(0));
@@ -295,7 +295,7 @@ fn stale_views_delay_placement() {
         .build()
         .unwrap();
     let cfg = scenario.config();
-    let mut engine: Engine<Ev> = Engine::with_capacity(256);
+    let mut engine = koala::engine_for(cfg);
     let mut w = World::for_seed(cfg, 9);
     // Poll at t=0: the snapshot exists but is still in flight (age 0 <
     // lag), so placement must keep refusing.

@@ -7,10 +7,9 @@ use appsim::workload::{SubmittedJob, WorkloadSpec};
 use appsim::{AppKind, JobSpec};
 use koala::config::{ClaimingPolicy, ExperimentConfig, FileSpec, NetworkConfig};
 use koala::parallel::default_threads;
-use koala::sim::World;
 use koala::{Report, Run, RunReport, SummaryReport};
 use multicluster::BackgroundLoad;
-use simcore::{Engine, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// `cfg` once per seed on `threads` workers, aggregated in seed order.
 fn sweep<R: Report>(cfg: &ExperimentConfig, seeds: &[u64], threads: usize) -> R::Multi {
@@ -58,8 +57,7 @@ fn staging_delays_job_start_under_networking() {
         }],
         reconfig_gb_per_proc: 0.0,
     });
-    let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
+    let r = one::<RunReport>(&cfg);
     let rec = &r.jobs.records()[0];
     let wait = rec.wait_time().expect("job started");
     assert!(
@@ -83,8 +81,7 @@ fn staging_delays_job_start_under_networking() {
     // The identical run with networking off starts after GRAM latency
     // alone — the delay above is genuinely the network layer's.
     cfg.network = None;
-    let mut engine = Engine::new();
-    let r_off = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
+    let r_off = one::<RunReport>(&cfg);
     let wait_off = r_off.jobs.records()[0].wait_time().expect("job started");
     assert!(
         wait_off < 60.0,
@@ -114,8 +111,7 @@ fn concurrent_transfers_contend_on_shared_links() {
         ],
         reconfig_gb_per_proc: 0.0,
     });
-    let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
+    let r = one::<RunReport>(&cfg);
     let wait = r.jobs.records()[0].wait_time().expect("job started");
     assert!(
         (790.0..900.0).contains(&wait),
@@ -219,8 +215,7 @@ fn deferred_claiming_claims_after_real_transfers() {
         }],
         reconfig_gb_per_proc: 0.0,
     });
-    let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
+    let r = one::<RunReport>(&cfg);
     let rec = &r.jobs.records()[0];
     let wait = rec.wait_time().expect("job started");
     assert!(
@@ -243,8 +238,7 @@ fn reconfigurations_open_traffic_when_configured() {
         files: Vec::new(),
         reconfig_gb_per_proc: 0.25,
     });
-    let mut engine = Engine::new();
-    let r = World::new(&cfg).run_to_end::<RunReport>(&mut engine);
+    let r = one::<RunReport>(&cfg);
     assert!(
         r.summary.net.reconfig_transfers > 0,
         "a Wm run grows malleable jobs; each grow should open traffic"

@@ -24,7 +24,7 @@ use koala::config::{ClaimingPolicy, ExperimentConfig};
 use koala::report::RunReport;
 use koala::sim::World;
 use multicluster::{BackgroundLoad, ClusterId, FileCatalog};
-use simcore::{Engine, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -110,7 +110,7 @@ fn fingerprint() -> String {
             ),
         ] {
             let c = cfg(claiming, placement);
-            let mut engine = Engine::new();
+            let mut engine = koala::engine_for(&c);
             let r = World::new(&c)
                 .with_files(catalog())
                 .run_to_end::<RunReport>(&mut engine);

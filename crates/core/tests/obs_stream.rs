@@ -288,7 +288,8 @@ fn every_streamed_trace1m_job_has_a_full_lifecycle() {
         .into_config();
     let source = WorkloadRegistry::global().source("trace1m").unwrap();
     let mut stream = source.stream(1, JOBS);
-    let mut engine = Engine::configured(cfg.sched.event_queue, None, 1024 * 2 + 64);
+    let horizon = cfg.horizon.map(|h| SimTime::ZERO + h);
+    let mut engine = Engine::configured(cfg.sched.event_queue, horizon, 1024 * 2 + 64);
     let (s, seen) = record(|sink| {
         World::for_stream_summarized(&cfg, 1, stream.as_mut(), 1024)
             .with_sink(sink)

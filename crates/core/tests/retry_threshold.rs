@@ -33,7 +33,7 @@ use appsim::{AppKind, JobSpec};
 use koala::config::{Approach, ExperimentConfig, UniformTopology};
 use koala::placement::{PlacementDecision, PlacementRequest, WorstFit};
 use koala::policy::{Placement, PolicyRegistry};
-use koala::report::RunReport;
+use koala::report::{RunReport, SummaryReport};
 use koala::Run;
 use koala_metrics::JobOutcome;
 use multicluster::FileCatalog;
@@ -269,4 +269,24 @@ fn retry_threshold_outcomes_match_golden() {
         "retry-threshold outcomes drifted from the pinned golden; if intentional, \
          regenerate with UPDATE_GOLDEN=1 and explain why in the commit message"
     );
+}
+
+/// A job that can never be placed, under a threshold that never fails
+/// it, is cut by the horizon: the run still ends by `cfg.horizon`, and
+/// the summary shows the job submitted but neither completed nor failed.
+#[test]
+fn an_unplaceable_job_is_cut_by_the_horizon() {
+    let mut cfg = config(Approach::Pra, u32::MAX, "worst_fit");
+    cfg.background = multicluster::BackgroundLoad::none();
+    // KOALA may take a quarter of the 48 nodes; the job needs 14.
+    cfg.sched.koala_share = 0.25;
+    cfg.trace = Some(vec![job(0, JobSpec::rigid(AppKind::Gadget2, 14))]);
+    let horizon = SimTime::ZERO + cfg.horizon.expect("paper configs set a horizon");
+    let s: SummaryReport = koala::run(&Run::cell(&cfg))
+        .expect("valid config")
+        .remove(0);
+    assert!(s.makespan <= horizon, "{:?} past {horizon:?}", s.makespan);
+    assert_eq!(s.jobs_submitted, 1);
+    assert_eq!(s.jobs_completed, 0);
+    assert_eq!(s.jobs_failed, 0);
 }

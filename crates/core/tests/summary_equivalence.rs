@@ -344,7 +344,8 @@ fn a_sink_is_passive_on_a_streamed_trace1m_slice() {
     let mut stream = source.stream(cfg.seed, JOBS);
     let mut counts = [0u64; Obs::NAMES.len()];
     let mut sink = |_: SimTime, obs: &Obs| counts[obs.kind()] += 1;
-    let mut engine = Engine::configured(cfg.sched.event_queue, None, 256 * 2 + 64);
+    let horizon = cfg.horizon.map(|h| SimTime::ZERO + h);
+    let mut engine = Engine::configured(cfg.sched.event_queue, horizon, 256 * 2 + 64);
     let sunk: SummaryReport = World::for_stream_summarized(&cfg, cfg.seed, stream.as_mut(), 256)
         .with_sink(&mut sink)
         .run_to_end(&mut engine);
@@ -358,7 +359,7 @@ fn a_sink_is_passive_on_a_streamed_trace1m_slice() {
 #[should_panic(expected = "report a SummaryReport")]
 fn full_finish_of_a_summarized_world_panics() {
     let cfg = small("egs", 2, 1);
-    let mut engine = simcore::Engine::new();
+    let mut engine = koala::engine_for(&cfg);
     let _ = World::for_seed_summarized(&cfg, 1).run_to_end::<RunReport>(&mut engine);
 }
 

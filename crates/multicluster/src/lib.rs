@@ -22,12 +22,12 @@
 //!   state.
 //! * [`FileCatalog`] — replica locations and transfer-time estimates for
 //!   the Close-to-Files placement policy.
-//! * [`NetworkTopology`] / [`FlowNet`] / [`TopologyRegistry`] — the
-//!   contended wide-area network: per-link bandwidth and latency,
-//!   routes as link sequences, named topology builders (`flat_wan`,
-//!   `star`, `hierarchical`, `fat_tree_<k>`, the Table-I `das3`
-//!   preset), and max-min fair sharing of concurrent transfers with
-//!   event-driven completion re-estimation.
+//! * [`NetworkTopology`] / [`FlowNet`] — the contended wide-area
+//!   network: per-link bandwidth and latency, routes as link sequences,
+//!   named topology builders (`flat_wan`, `star`, `hierarchical`,
+//!   `fat_tree_<k>`, the Table-I `das3` preset), and max-min fair
+//!   sharing of concurrent transfers with event-driven completion
+//!   re-estimation.
 //! * [`Multicluster`] / [`das3`] — topology presets, including Table I of
 //!   the paper.
 //! * [`BackgroundLoad`] — stochastic local-user workload parameters.
@@ -67,7 +67,7 @@ pub use ids::{AllocId, ClusterId, NodeId};
 pub use info::{InfoService, InfoSnapshot, InfoState};
 pub use lrm::{LocalJob, LocalJobId, Lrm, LrmState, SubmitOutcome};
 pub use network::{
-    global_topologies, FlowDone, FlowNet, FlowNetState, FlowSchedule, FlowState, Link, LinkId,
-    NetworkError, NetworkTopology, TopologyCtor, TopologyRegistry,
+    FlowDone, FlowNet, FlowNetState, FlowSchedule, FlowState, Link, LinkId, NetworkError,
+    NetworkTopology,
 };
 pub use topology::{das3, das3_heterogeneous, uniform, Interconnect, Multicluster, DAS3_DELFT};

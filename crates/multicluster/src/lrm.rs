@@ -19,7 +19,7 @@ use simcore::{SimDuration, SimTime};
 use crate::cluster::{AllocOwner, Cluster};
 use crate::ids::AllocId;
 
-/// Identifier of a local (background) job within one LRM.
+/// Identifier of a local (background) job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalJobId(pub u64);
 
@@ -57,9 +57,6 @@ pub enum SubmitOutcome {
 pub struct Lrm {
     cluster: Cluster,
     queue: VecDeque<LocalJob>,
-    next_local: u64,
-    /// Completed local jobs (count), for reporting.
-    completed_local: u64,
 }
 
 impl Lrm {
@@ -68,8 +65,6 @@ impl Lrm {
         Lrm {
             cluster,
             queue: VecDeque::new(),
-            next_local: 0,
-            completed_local: 0,
         }
     }
 
@@ -87,21 +82,9 @@ impl Lrm {
         &mut self.cluster
     }
 
-    /// Fresh local-job identifier.
-    pub fn next_local_id(&mut self) -> LocalJobId {
-        let id = LocalJobId(self.next_local);
-        self.next_local += 1;
-        id
-    }
-
     /// Number of queued (not yet started) local jobs.
     pub fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Number of local jobs that have completed.
-    pub fn completed_local(&self) -> u64 {
-        self.completed_local
     }
 
     /// Submits a local job. FIFO without backfilling: if anything is
@@ -144,20 +127,17 @@ impl Lrm {
 
     /// Completes a local job: releases its allocation.
     pub fn complete_local(&mut self, alloc: AllocId) -> u32 {
-        self.completed_local += 1;
         self.cluster
             .release(alloc)
             .expect("completion of live local job")
     }
 
-    /// Captures the LRM's dynamic state (queue in FIFO order plus the
-    /// id and completion counters), for checkpointing. The wrapped
+    /// Captures the LRM's dynamic state (its queue in FIFO order), for
+    /// checkpointing. The wrapped
     /// cluster captures separately via [`Cluster::capture_state`].
     pub fn capture_state(&self) -> LrmState {
         LrmState {
             queue: self.queue.iter().copied().collect(),
-            next_local: self.next_local,
-            completed_local: self.completed_local,
         }
     }
 
@@ -165,8 +145,6 @@ impl Lrm {
     /// wrapped cluster restores separately).
     pub fn restore_state(&mut self, state: LrmState) {
         self.queue = state.queue.into();
-        self.next_local = state.next_local;
-        self.completed_local = state.completed_local;
     }
 }
 
@@ -176,10 +154,6 @@ impl Lrm {
 pub struct LrmState {
     /// Queued local jobs in FIFO order.
     pub queue: Vec<LocalJob>,
-    /// The next LRM-local job id.
-    pub next_local: u64,
-    /// Completed local jobs so far.
-    pub completed_local: u64,
 }
 
 #[cfg(test)]
@@ -191,9 +165,9 @@ mod tests {
         Lrm::new(Cluster::new(ClusterSpec::new("t", nodes, "GbE")))
     }
 
-    fn job(lrm: &mut Lrm, size: u32) -> LocalJob {
+    fn job(id: u64, size: u32) -> LocalJob {
         LocalJob {
-            id: lrm.next_local_id(),
+            id: LocalJobId(id),
             size,
             duration: SimDuration::from_secs(60),
             submitted: SimTime::ZERO,
@@ -203,7 +177,7 @@ mod tests {
     #[test]
     fn starts_immediately_when_room() {
         let mut l = lrm(8);
-        let j = job(&mut l, 4);
+        let j = job(0, 4);
         match l.submit_local(j) {
             SubmitOutcome::Started(a) => {
                 assert_eq!(l.cluster().alloc_size(a), Some(4));
@@ -216,14 +190,14 @@ mod tests {
     #[test]
     fn queues_when_full_and_fifo_restarts() {
         let mut l = lrm(8);
-        let j1 = job(&mut l, 6);
+        let j1 = job(0, 6);
         let a1 = match l.submit_local(j1) {
             SubmitOutcome::Started(a) => a,
             _ => panic!(),
         };
-        let j2 = job(&mut l, 4);
+        let j2 = job(1, 4);
         assert_eq!(l.submit_local(j2), SubmitOutcome::Queued);
-        let j3 = job(&mut l, 2); // would fit, but FIFO forbids overtaking
+        let j3 = job(2, 2); // would fit, but FIFO forbids overtaking
         assert_eq!(l.submit_local(j3), SubmitOutcome::Queued);
         assert_eq!(l.queued(), 2);
         assert!(l.start_queued().is_empty(), "nothing fits while j1 holds 6");
@@ -238,13 +212,13 @@ mod tests {
     #[test]
     fn fifo_head_blocks_smaller_followers() {
         let mut l = lrm(8);
-        let big = job(&mut l, 7);
+        let big = job(0, 7);
         let a = match l.submit_local(big) {
             SubmitOutcome::Started(a) => a,
             _ => panic!(),
         };
-        let head = job(&mut l, 8); // cannot fit until cluster fully empty
-        let small = job(&mut l, 1); // fits now, but must wait behind head
+        let head = job(1, 8); // cannot fit until cluster fully empty
+        let small = job(2, 1); // fits now, but must wait behind head
         l.submit_local(head);
         l.submit_local(small);
         assert!(l.start_queued().is_empty());
@@ -257,20 +231,20 @@ mod tests {
     #[test]
     fn impossible_jobs_are_rejected() {
         let mut l = lrm(4);
-        let j = job(&mut l, 5);
+        let j = job(0, 5);
         assert_eq!(l.submit_local(j), SubmitOutcome::Impossible);
         assert_eq!(l.queued(), 0);
     }
 
     #[test]
-    fn completion_counter_increments() {
+    fn completion_releases_the_allocation() {
         let mut l = lrm(4);
-        let j = job(&mut l, 2);
+        let j = job(0, 2);
         let a = match l.submit_local(j) {
             SubmitOutcome::Started(a) => a,
             _ => panic!(),
         };
         assert_eq!(l.complete_local(a), 2);
-        assert_eq!(l.completed_local(), 1);
+        assert_eq!(l.cluster().used_by_local(), 0);
     }
 }

@@ -15,9 +15,9 @@
 //!   [`NetworkTopology::hierarchical`], [`NetworkTopology::fat_tree`],
 //!   and the [`NetworkTopology::das3`] preset wired to the Table-I
 //!   interconnect labels.
-//! * [`TopologyRegistry`] — the name → builder registry (fourth twin of
-//!   the policy/workload/autoscaler registries), including parametric
-//!   `fat_tree_<k>` names.
+//! * [`NetworkTopology::by_name`] — the closed name → builder table
+//!   (fourth twin of the policy/workload/autoscaler tables), including
+//!   parametric `fat_tree_<k>` names.
 //! * [`FlowNet`] — the runtime: active transfers receive max-min fair
 //!   shares of every link they cross, recomputed incrementally on each
 //!   transfer start/finish (progressive filling, deterministic order),
@@ -34,7 +34,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
 
 use simcore::{SimDuration, SimTime};
 
@@ -74,7 +73,7 @@ pub enum NetworkError {
     UnknownTopology {
         /// The name that failed to resolve.
         name: String,
-        /// Registered names (plus the parametric `fat_tree_<k>` form).
+        /// Known names (plus the parametric `fat_tree_<k>` form).
         known: Vec<String>,
     },
     /// The topology needs more clusters than the experiment has.
@@ -453,28 +452,13 @@ impl NetworkTopology {
                 acc + self.links[l.index()].latency
             })
     }
-}
 
-/// Constructor stored in the [`TopologyRegistry`]: builds a topology
-/// for a given cluster count.
-pub type TopologyCtor = Arc<dyn Fn(usize) -> Result<NetworkTopology, NetworkError> + Send + Sync>;
+    /// The topology names [`NetworkTopology::by_name`] resolves, sorted,
+    /// with the parametric `fat_tree_<k>` form.
+    pub const NAMES: [&'static str; 5] =
+        ["das3", "fat_tree_<k>", "flat_wan", "hierarchical", "star"];
 
-/// Name-indexed registry of network topology builders — the fourth
-/// registry twin after placements, workloads and autoscalers. Lookup
-/// additionally understands the parametric `fat_tree_<k>` form.
-pub struct TopologyRegistry {
-    ctors: RwLock<BTreeMap<String, TopologyCtor>>,
-}
-
-impl TopologyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        TopologyRegistry {
-            ctors: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// A registry preloaded with the built-in topologies:
+    /// Builds the named topology for `clusters` clusters:
     ///
     /// | name | shape |
     /// |------|-------|
@@ -482,83 +466,23 @@ impl TopologyRegistry {
     /// | `star` | per-cluster 10 Gb/s access, non-blocking core |
     /// | `hierarchical` | groups of 2; 10 Gb/s access, 5 Gb/s uplinks |
     /// | `das3` | Table-I SURFnet star (10 Gb/s Myri-10G, 1 Gb/s Delft) |
-    /// | `fat_tree_<k>` | parametric k-pod fat tree, 10 Gb/s edges |
-    pub fn with_defaults() -> Self {
-        let reg = Self::new();
-        reg.register("flat_wan", |n| {
-            NetworkTopology::flat_wan(n, 1.0, SimDuration::from_millis(1))
-        });
-        reg.register("star", |n| {
-            NetworkTopology::uniform_star(n, 10.0, SimDuration::from_millis(1))
-        });
-        reg.register("hierarchical", |n| {
-            NetworkTopology::hierarchical(n, 2, 10.0, 5.0, SimDuration::from_millis(1))
-        });
-        reg.register("das3", NetworkTopology::das3);
-        reg
-    }
-
-    /// Registers (or replaces — latest wins) a builder under `name`.
-    pub fn register(
-        &self,
-        name: &str,
-        ctor: impl Fn(usize) -> Result<NetworkTopology, NetworkError> + Send + Sync + 'static,
-    ) {
-        self.ctors
-            .write()
-            .expect("topology registry poisoned")
-            .insert(name.to_string(), Arc::new(ctor));
-    }
-
-    /// Registered names (sorted), plus the parametric `fat_tree_<k>`
-    /// form.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .ctors
-            .read()
-            .expect("topology registry poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        names.push("fat_tree_<k>".to_string());
-        names.sort();
-        names
-    }
-
-    /// Builds the named topology for `clusters` clusters. `fat_tree_<k>`
-    /// names are parsed parametrically (k even, ≥ 2).
-    pub fn resolve(&self, name: &str, clusters: usize) -> Result<NetworkTopology, NetworkError> {
-        let ctor = self
-            .ctors
-            .read()
-            .expect("topology registry poisoned")
-            .get(name)
-            .cloned();
-        if let Some(ctor) = ctor {
-            return ctor(clusters);
+    /// | `fat_tree_<k>` | parametric k-pod fat tree (k even, ≥ 2), 10 Gb/s edges |
+    pub fn by_name(name: &str, clusters: usize) -> Result<Self, NetworkError> {
+        let ms1 = SimDuration::from_millis(1);
+        match name {
+            "das3" => Self::das3(clusters),
+            "flat_wan" => Self::flat_wan(clusters, 1.0, ms1),
+            "hierarchical" => Self::hierarchical(clusters, 2, 10.0, 5.0, ms1),
+            "star" => Self::uniform_star(clusters, 10.0, ms1),
+            _ => match name.strip_prefix("fat_tree_").map(str::parse::<usize>) {
+                Some(Ok(k)) => Self::fat_tree(clusters, k, 10.0, ms1),
+                _ => Err(NetworkError::UnknownTopology {
+                    name: name.to_string(),
+                    known: Self::NAMES.map(String::from).to_vec(),
+                }),
+            },
         }
-        if let Some(k) = name.strip_prefix("fat_tree_") {
-            if let Ok(k) = k.parse::<usize>() {
-                return NetworkTopology::fat_tree(clusters, k, 10.0, SimDuration::from_millis(1));
-            }
-        }
-        Err(NetworkError::UnknownTopology {
-            name: name.to_string(),
-            known: self.names(),
-        })
     }
-}
-
-impl Default for TopologyRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-/// The process-wide registry (lazily initialised with the defaults).
-pub fn global_topologies() -> &'static TopologyRegistry {
-    static GLOBAL: OnceLock<TopologyRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(TopologyRegistry::with_defaults)
 }
 
 /// A rescheduled completion estimate: the flow's completion event must
@@ -1031,12 +955,17 @@ mod tests {
 
     #[test]
     fn registry_resolves_builtins_and_parametric_fat_trees() {
-        let reg = TopologyRegistry::with_defaults();
-        assert_eq!(reg.resolve("flat_wan", 5).unwrap().links().len(), 1);
-        assert_eq!(reg.resolve("das3", 5).unwrap().clusters(), 5);
-        let ft = reg.resolve("fat_tree_16", 5).unwrap();
+        assert_eq!(
+            NetworkTopology::by_name("flat_wan", 5)
+                .unwrap()
+                .links()
+                .len(),
+            1
+        );
+        assert_eq!(NetworkTopology::by_name("das3", 5).unwrap().clusters(), 5);
+        let ft = NetworkTopology::by_name("fat_tree_16", 5).unwrap();
         assert_eq!(ft.name(), "fat_tree_16");
-        let err = reg.resolve("nope", 5).unwrap_err();
+        let err = NetworkTopology::by_name("nope", 5).unwrap_err();
         match err {
             NetworkError::UnknownTopology { known, .. } => {
                 assert!(known.contains(&"das3".to_string()));

@@ -11,9 +11,9 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::sim::{Ev, World};
-use malleable_koala::koala::RunReport;
+use malleable_koala::koala::{engine_for, RunReport};
 use malleable_koala::multicluster::ClusterId;
-use malleable_koala::simcore::{Engine, SimTime};
+use malleable_koala::simcore::SimTime;
 
 fn main() {
     let mut cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
@@ -25,7 +25,7 @@ fn main() {
     // takes free nodes first and mandatorily shrinks running malleable
     // jobs for the rest.
     let vu = ClusterId(0);
-    let mut engine = Engine::new();
+    let mut engine = engine_for(&cfg);
     engine.schedule_at(
         SimTime::from_secs(1500),
         Ev::NodeWithdraw {

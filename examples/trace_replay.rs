@@ -12,8 +12,8 @@ use std::io::Write as _;
 use malleable_koala::appsim::swf;
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
-use malleable_koala::koala::{JobId, Obs, SummaryReport, World, DEFAULT_LOOKAHEAD};
-use malleable_koala::simcore::{Engine, SimRng, SimTime};
+use malleable_koala::koala::{engine_for, JobId, Obs, SummaryReport, World, DEFAULT_LOOKAHEAD};
+use malleable_koala::simcore::{SimRng, SimTime};
 
 fn main() {
     // 1. Generate a small Wm workload and export it as SWF.
@@ -44,7 +44,7 @@ fn main() {
     let summary: SummaryReport =
         World::for_stream_summarized(&cfg, 99, &mut stream, DEFAULT_LOOKAHEAD)
             .with_sink(&mut sink)
-            .run_to_end(&mut Engine::new());
+            .run_to_end(&mut engine_for(&cfg));
     if let Some(e) = stream.error() {
         panic!("the SWF stream stopped early: {e}");
     }

@@ -6,9 +6,9 @@ use malleable_koala::appsim::workload::{SubmittedJob, WorkloadSpec};
 use malleable_koala::appsim::{AppKind, JobSpec};
 use malleable_koala::koala::config::{ClaimingPolicy, ExperimentConfig};
 use malleable_koala::koala::sim::World;
-use malleable_koala::koala::RunReport;
+use malleable_koala::koala::{engine_for, RunReport};
 use malleable_koala::multicluster::{BackgroundLoad, ClusterId, FileCatalog};
-use malleable_koala::simcore::{Engine, SimDuration, SimTime};
+use malleable_koala::simcore::{SimDuration, SimTime};
 
 /// A 100 GB input at Leiden only, over a 1 Gb/s WAN: 800 s to stage
 /// anywhere else, 0 s locally.
@@ -49,7 +49,7 @@ fn close_to_files_avoids_staging_entirely() {
         },
         "close_to_files",
     );
-    let mut engine = Engine::new();
+    let mut engine = engine_for(&c);
     let r = World::new(&c)
         .with_files(catalog())
         .run_to_end::<RunReport>(&mut engine);
@@ -72,7 +72,7 @@ fn deferred_claim_fires_near_the_end_of_staging() {
         },
         "worst_fit",
     );
-    let mut engine = Engine::new();
+    let mut engine = engine_for(&c);
     let r = World::new(&c)
         .with_files(catalog())
         .run_to_end::<RunReport>(&mut engine);
@@ -98,7 +98,7 @@ fn immediate_claiming_holds_processors_through_staging() {
     // does not wait for staging under Immediate — the claim-time
     // difference is what we assert).
     let c = cfg(ClaimingPolicy::Immediate, "worst_fit");
-    let mut engine = Engine::new();
+    let mut engine = engine_for(&c);
     let r = World::new(&c)
         .with_files(catalog())
         .run_to_end::<RunReport>(&mut engine);
@@ -119,7 +119,7 @@ fn failed_deferred_claims_bounce_back_to_the_queue() {
         },
         "worst_fit",
     );
-    let mut engine = Engine::new();
+    let mut engine = engine_for(&c);
     engine.schedule_at(
         SimTime::from_secs(100),
         malleable_koala::koala::sim::Ev::NodeWithdraw {

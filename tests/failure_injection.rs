@@ -5,9 +5,9 @@
 use malleable_koala::appsim::workload::WorkloadSpec;
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::sim::{Ev, World};
-use malleable_koala::koala::RunReport;
+use malleable_koala::koala::{engine_for, RunReport};
 use malleable_koala::multicluster::ClusterId;
-use malleable_koala::simcore::{Engine, SimTime};
+use malleable_koala::simcore::SimTime;
 
 fn cfg(jobs: usize, seed: u64) -> ExperimentConfig {
     let mut c = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
@@ -18,7 +18,8 @@ fn cfg(jobs: usize, seed: u64) -> ExperimentConfig {
 
 #[test]
 fn withdrawal_of_free_nodes_is_absorbed() {
-    let mut engine = Engine::new();
+    let c = cfg(30, 5);
+    let mut engine = engine_for(&c);
     // Withdraw half of every cluster early, before jobs have grown much.
     for c in 0..5u16 {
         engine.schedule_at(
@@ -29,7 +30,7 @@ fn withdrawal_of_free_nodes_is_absorbed() {
             },
         );
     }
-    let report = World::new(&cfg(30, 5)).run_to_end::<RunReport>(&mut engine);
+    let report = World::new(&c).run_to_end::<RunReport>(&mut engine);
     assert!(
         (report.jobs.completion_ratio() - 1.0).abs() < 1e-12,
         "all jobs must survive the withdrawal"
@@ -38,7 +39,8 @@ fn withdrawal_of_free_nodes_is_absorbed() {
 
 #[test]
 fn withdrawal_beyond_free_nodes_forces_shrinks() {
-    let mut engine = Engine::new();
+    let c = cfg(40, 9);
+    let mut engine = engine_for(&c);
     // Give jobs time to grow, then take most of the biggest cluster.
     engine.schedule_at(
         SimTime::from_secs(2000),
@@ -47,7 +49,7 @@ fn withdrawal_beyond_free_nodes_forces_shrinks() {
             count: 80,
         },
     );
-    let report = World::new(&cfg(40, 9)).run_to_end::<RunReport>(&mut engine);
+    let report = World::new(&c).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // The withdrawal exceeded free nodes at that point, so if any
     // malleable job held grown capacity on VU it must have shrunk.
@@ -63,7 +65,8 @@ fn withdrawal_beyond_free_nodes_forces_shrinks() {
 
 #[test]
 fn restore_after_withdrawal_reenables_growth() {
-    let mut engine = Engine::new();
+    let c = cfg(40, 11);
+    let mut engine = engine_for(&c);
     for c in 0..5u16 {
         engine.schedule_at(
             SimTime::from_secs(10),
@@ -80,7 +83,7 @@ fn restore_after_withdrawal_reenables_growth() {
             },
         );
     }
-    let report = World::new(&cfg(40, 11)).run_to_end::<RunReport>(&mut engine);
+    let report = World::new(&c).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
     // Restoration counts as newly available capacity, so growth must
     // have continued after t = 3000 s.
@@ -95,7 +98,8 @@ fn restore_after_withdrawal_reenables_growth() {
 
 #[test]
 fn repeated_withdraw_restore_cycles_are_stable() {
-    let mut engine = Engine::new();
+    let c = cfg(35, 13);
+    let mut engine = engine_for(&c);
     for k in 0..6u64 {
         let t0 = 500 + k * 1000;
         engine.schedule_at(
@@ -113,6 +117,6 @@ fn repeated_withdraw_restore_cycles_are_stable() {
             },
         );
     }
-    let report = World::new(&cfg(35, 13)).run_to_end::<RunReport>(&mut engine);
+    let report = World::new(&c).run_to_end::<RunReport>(&mut engine);
     assert!((report.jobs.completion_ratio() - 1.0).abs() < 1e-12);
 }
