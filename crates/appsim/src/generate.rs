@@ -457,11 +457,26 @@ impl WorkloadSource for SyntheticSource {
     }
 
     fn stream(&self, seed: u64, jobs: u64) -> Box<dyn JobStream> {
+        // The Downey parallelism bounds' logarithms, taken once per
+        // stream instead of once per job.
+        let parallelism_ln = match self.speedup {
+            SpeedupSampling::PaperApps => (0.0, 0.0),
+            SpeedupSampling::Downey {
+                avg_parallelism_lo,
+                avg_parallelism_hi,
+                ..
+            } => {
+                let lo = avg_parallelism_lo.max(2.0);
+                let hi = avg_parallelism_hi.max(lo + 1.0);
+                (lo.ln(), hi.ln())
+            }
+        };
         Box::new(GeneratedStream {
             src: *self,
             rng: SimRng::seed_from_u64(seed),
             t_s: 0.0,
             remaining: jobs,
+            parallelism_ln,
         })
     }
 }
@@ -473,6 +488,8 @@ pub struct GeneratedStream {
     rng: SimRng,
     t_s: f64,
     remaining: u64,
+    /// `(ln lo, ln hi)` of the Downey average-parallelism range.
+    parallelism_ln: (f64, f64),
 }
 
 impl GeneratedStream {
@@ -493,19 +510,12 @@ impl GeneratedStream {
                     JobSpec::rigid(kind, 2)
                 }
             }
-            SpeedupSampling::Downey {
-                avg_parallelism_lo,
-                avg_parallelism_hi,
-                sigma_hi,
-            } => {
+            SpeedupSampling::Downey { sigma_hi, .. } => {
                 let (size, runtime) = self.src.sizes.sample(&mut self.rng);
                 let size = size.max(2);
                 // Downey-style parallelism draw: A log-uniform, σ uniform.
-                let (lo, hi) = (
-                    avg_parallelism_lo.max(2.0),
-                    avg_parallelism_hi.max(avg_parallelism_lo.max(2.0) + 1.0),
-                );
-                let a = (lo.ln() + (hi.ln() - lo.ln()) * self.rng.f64()).exp();
+                let (ln_lo, ln_hi) = self.parallelism_ln;
+                let a = (ln_lo + (ln_hi - ln_lo) * self.rng.f64()).exp();
                 let sigma = sigma_hi.max(0.0) * self.rng.f64();
                 let downey = DowneyModel {
                     big_a: a,
@@ -519,7 +529,6 @@ impl GeneratedStream {
                 let t_opt = downey.t1 / downey.downey_speedup(n_opt);
                 let model = AmdahlOverhead::fit(1, downey.t1, n_opt, t_opt);
                 let kind = AppKind::Synthetic {
-                    label: "SYN".to_string(),
                     model,
                     constraint: SizeConstraint::Any,
                 };

@@ -16,10 +16,10 @@ pub enum AppKind {
     Ft,
     /// GADGET-2 (cosmological n-body): any size, internal load balancing.
     Gadget2,
-    /// A synthetic application with explicit parameters, for ablations.
+    /// A synthetic application with explicit parameters, for ablations
+    /// and generated workloads. Its label is always `"SYN"`; a stored
+    /// `"label"` key from older configurations is ignored on load.
     Synthetic {
-        /// Display label.
-        label: String,
         /// Speedup model parameters.
         model: AmdahlOverhead,
         /// Size constraint.
@@ -29,11 +29,11 @@ pub enum AppKind {
 
 impl AppKind {
     /// Display label (used in job records and reports).
-    pub fn label(&self) -> &str {
+    pub fn label(&self) -> &'static str {
         match self {
             AppKind::Ft => "FT",
             AppKind::Gadget2 => "GADGET2",
-            AppKind::Synthetic { label, .. } => label,
+            AppKind::Synthetic { .. } => "SYN",
         }
     }
 
@@ -148,14 +148,16 @@ pub struct JobSpec {
     /// Scale factor on execution times (1.0 = the calibrated app).
     pub work_scale: f64,
     /// Optional application-initiated grow (irregular parallelism).
-    pub initiative: Option<GrowInitiative>,
+    /// Boxed because it is rare: `None` costs one word in every record.
+    pub initiative: Option<Box<GrowInitiative>>,
     /// Component sizes for a co-allocated rigid job (KOALA's defining
     /// feature: one job spanning several clusters). `None` for
     /// single-cluster jobs; when `Some`, the job is rigid and the
     /// components must sum to its size. Malleable jobs are never
     /// co-allocated (the paper runs them in single clusters and lists
-    /// malleable co-allocation as future work).
-    pub coalloc: Option<Vec<u32>>,
+    /// malleable co-allocation as future work). A boxed slice: the
+    /// components never change after submission.
+    pub coalloc: Option<Box<[u32]>>,
     /// Input files by opaque id (resolved against the experiment's file
     /// catalog). Drives the Close-to-Files policy and the deferred
     /// claiming window (files must be staged before execution starts).
@@ -185,7 +187,7 @@ impl JobSpec {
             class: JobClass::Rigid { size },
             work_scale: 1.0,
             initiative: None,
-            coalloc: Some(components),
+            coalloc: Some(components.into_boxed_slice()),
             input_files: Vec::new(),
         }
     }
@@ -255,7 +257,7 @@ impl JobSpec {
                 return Err("co-allocation components must sum to the job size".into());
             }
         }
-        if let Some(gi) = self.initiative {
+        if let Some(gi) = self.initiative.as_deref() {
             if !(0.0..1.0).contains(&gi.at_progress) || gi.at_progress <= 0.0 {
                 return Err(format!(
                     "initiative progress {} outside (0, 1)",
@@ -350,17 +352,16 @@ mod tests {
         bad.class = JobClass::Rigid { size: 21 };
         assert!(bad.validate().is_err(), "component sum mismatch");
         let mut bad = ok.clone();
-        bad.coalloc = Some(vec![8, 0, 12]);
+        bad.coalloc = Some(Box::new([8, 0, 12]));
         assert!(bad.validate().is_err(), "zero-size component");
         let mut bad = JobSpec::paper_malleable(AppKind::Gadget2);
-        bad.coalloc = Some(vec![2]);
+        bad.coalloc = Some(Box::new([2]));
         assert!(bad.validate().is_err(), "malleable jobs cannot co-allocate");
     }
 
     #[test]
     fn synthetic_kind_carries_its_own_model() {
         let k = AppKind::Synthetic {
-            label: "SYN".into(),
             model: AmdahlOverhead::fit(2, 100.0, 8, 40.0),
             constraint: SizeConstraint::MultipleOf(2),
         };

@@ -128,7 +128,7 @@ impl WorkloadSpec {
                 let mut spec = JobSpec::paper_malleable(kind);
                 if let Some(gi) = self.initiative {
                     if rng.bool_with(self.initiative_fraction) {
-                        spec.initiative = Some(gi);
+                        spec.initiative = Some(Box::new(gi));
                     }
                 }
                 spec
@@ -167,6 +167,20 @@ impl WorkloadSpec {
 mod tests {
     use super::*;
     use crate::job::JobClass;
+
+    /// Every trace, look-ahead window and live job carries one of these
+    /// records, so their size is a memory budget: a configuration of
+    /// 1,024 cells × 120 jobs holds 122,880 of them. The rare fields
+    /// (grow initiative, co-allocation components) are boxed and the
+    /// synthetic kind carries no label string.
+    #[test]
+    fn job_records_stay_compact() {
+        let spec = std::mem::size_of::<JobSpec>();
+        let submitted = std::mem::size_of::<SubmittedJob>();
+        assert!(spec <= 104, "JobSpec is {spec} B");
+        assert!(submitted <= 112, "SubmittedJob is {submitted} B");
+        assert!(std::mem::size_of::<AppKind>() <= 32, "AppKind grew");
+    }
 
     #[test]
     fn wm_is_all_malleable_300_jobs_2min() {

@@ -134,6 +134,14 @@ mod tests {
         Job::new(JobId(0), spec, SimTime::ZERO)
     }
 
+    /// The slab holds one `Job` per live job; its spec is most of it
+    /// (see `appsim`'s `job_records_stay_compact`).
+    #[test]
+    fn job_record_stays_compact() {
+        let size = std::mem::size_of::<Job>();
+        assert!(size <= 320, "Job is {size} B");
+    }
+
     #[test]
     fn fresh_job_is_queued_and_ineligible() {
         let j = job(true);

@@ -293,6 +293,8 @@ pub struct World<'a> {
     grow_messages: u64,
     shrink_messages: u64,
     bg_rng: SimRng,
+    /// `cfg.background`'s local-job draw with its duration law prebuilt.
+    bg_jobs: multicluster::LocalJobSampler,
     /// Per-cluster processors in the shrink pipeline (decided but not yet
     /// freed) — stops PWA from over-shrinking while releases are in
     /// flight.
@@ -515,6 +517,7 @@ impl<'a> World<'a> {
             grow_messages: 0,
             shrink_messages: 0,
             bg_rng,
+            bg_jobs: cfg.background.job_sampler(),
             pending_release: vec![0; n_clusters],
             idle_baseline: mc.clusters().map(|c| c.idle()).collect(),
             next_bg_local: 0,
@@ -711,6 +714,7 @@ impl<'a> World<'a> {
             grow_messages: self.grow_messages,
             shrink_messages: self.shrink_messages,
             bg_rng: self.bg_rng.clone(),
+            bg_jobs: cfg.background.job_sampler(),
             pending_release: self.pending_release.clone(),
             idle_baseline: self.idle_baseline.clone(),
             next_bg_local: self.next_bg_local,
@@ -1688,7 +1692,7 @@ impl<'a> World<'a> {
 
     fn on_bg_arrival(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId) {
         let now = engine.now();
-        let sample = self.cfg.background.sample_job(&mut self.bg_rng);
+        let sample = self.bg_jobs.sample(&mut self.bg_rng);
         self.next_bg_local += 1;
         let lrm = self.mc.lrm_mut(cluster);
         let job = LocalJob {
@@ -1769,7 +1773,8 @@ impl<'a> World<'a> {
     /// stamp invalidates it on the next reconfiguration.
     fn schedule_initiative(&mut self, engine: &mut Engine<Ev>, id: JobId) {
         let job = self.jobs.get(id).expect("running job is live");
-        let (Some(gi), Some(progress)) = (job.spec.initiative, job.progress.as_ref()) else {
+        let (Some(&gi), Some(progress)) = (job.spec.initiative.as_deref(), job.progress.as_ref())
+        else {
             return;
         };
         if job.initiative_fired {
@@ -1809,7 +1814,7 @@ impl<'a> World<'a> {
             return;
         }
         job.initiative_fired = true;
-        let Some(gi) = job.spec.initiative else {
+        let Some(&gi) = job.spec.initiative.as_deref() else {
             return;
         };
         let cluster = job.cluster.expect("running job placed");

@@ -221,9 +221,35 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
+    }
+}
+
+/// A box serializes as its contents, so boxing a field keeps its JSON
+/// form.
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::from_value(v).map(Vec::into_boxed_slice)
     }
 }
 

@@ -318,14 +318,41 @@ fn mix64(mut z: u64) -> u64 {
 /// so the kept set is a uniform subsample: quantile estimates converge
 /// at `O(1/√capacity)` in rank, and are **exact** whenever the total
 /// sample count does not exceed the capacity.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Storage is push-order while the reservoir has room and a max-heap
+/// on the entry key once it is full, so a push costs O(1) or O(log k).
+/// Wherever the entries are observed — `Debug`, `==`,
+/// [`StreamQuantiles::state`], the [`Ecdf`] — they appear sorted
+/// ascending by key; equal keys are bit-identical entries, so that view
+/// does not depend on the push or merge order.
+#[derive(Clone)]
 pub struct StreamQuantiles {
     seed: u64,
     capacity: usize,
     pushed: u64,
-    /// `(priority, value)`, kept sorted ascending by `(priority, value
-    /// bits)`; at most `capacity` entries.
+    /// `(priority, value)`, at most `capacity` entries: in push order
+    /// while fewer, a max-heap by [`StreamQuantiles::key`] once full.
     entries: Vec<(u64, f64)>,
+}
+
+impl std::fmt::Debug for StreamQuantiles {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamQuantiles")
+            .field("seed", &self.seed)
+            .field("capacity", &self.capacity)
+            .field("pushed", &self.pushed)
+            .field("entries", &self.sorted_entries())
+            .finish()
+    }
+}
+
+impl PartialEq for StreamQuantiles {
+    fn eq(&self, other: &Self) -> bool {
+        self.seed == other.seed
+            && self.capacity == other.capacity
+            && self.pushed == other.pushed
+            && self.sorted_entries() == other.sorted_entries()
+    }
 }
 
 impl StreamQuantiles {
@@ -352,6 +379,43 @@ impl StreamQuantiles {
         (e.0, e.1.to_bits())
     }
 
+    /// Restores the max-heap order below slot `i`.
+    fn sift_down(heap: &mut [(u64, f64)], mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < heap.len() && Self::key(&heap[right]) > Self::key(&heap[left]) {
+                right
+            } else {
+                left
+            };
+            if Self::key(&heap[child]) <= Self::key(&heap[i]) {
+                return;
+            }
+            heap.swap(i, child);
+            i = child;
+        }
+    }
+
+    /// Puts the entries in heap order if the reservoir is full.
+    fn heapify_if_full(&mut self) {
+        if self.entries.len() >= self.capacity {
+            for i in (0..self.entries.len() / 2).rev() {
+                Self::sift_down(&mut self.entries, i);
+            }
+        }
+    }
+
+    /// The entries sorted ascending by key.
+    fn sorted_entries(&self) -> Vec<(u64, f64)> {
+        let mut sorted = self.entries.clone();
+        sorted.sort_unstable_by_key(Self::key);
+        sorted
+    }
+
     /// Feeds one sample (NaN is skipped).
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
@@ -360,68 +424,35 @@ impl StreamQuantiles {
         let priority = mix64(self.seed ^ mix64(self.pushed));
         self.pushed += 1;
         let e = (priority, x);
-        // Full and sorting after the largest kept key: the search below
-        // would land at `capacity` and drop the sample anyway.
-        if self.entries.len() >= self.capacity
-            && self
-                .entries
-                .last()
-                .is_some_and(|l| Self::key(&e) > Self::key(l))
-        {
-            return;
+        if self.entries.len() < self.capacity {
+            self.entries.push(e);
+            self.heapify_if_full();
+        } else if Self::key(&e) < Self::key(&self.entries[0]) {
+            // Full: the sample displaces the largest kept key. On a tie
+            // the two entries are bit-identical, so keeping either is
+            // the same reservoir.
+            self.entries[0] = e;
+            Self::sift_down(&mut self.entries, 0);
         }
-        let at = self
-            .entries
-            .partition_point(|p| Self::key(p) < Self::key(&e));
-        if at >= self.capacity {
-            return; // larger than every kept priority, reservoir full
-        }
-        self.entries.insert(at, e);
-        self.entries.truncate(self.capacity);
     }
 
     /// Merges another reservoir: keeps the `capacity` smallest
     /// priorities of the union (the merged capacity is the larger of
-    /// the two). Exactly order-insensitive.
+    /// the two). Exactly order-insensitive: the kept entries are a set
+    /// of keys, and entries with equal keys are bit-identical.
     ///
-    /// Merges in place, from the back: the union's largest keys beyond
-    /// the capacity are skipped first, then the kept ones are written
-    /// from the last slot down, so `self.entries` grows at most to the
-    /// merged length and no other buffer is built. On equal keys `self`'s
-    /// entry sorts first.
+    /// Appends `other`'s entries and, past the capacity, selects the
+    /// smallest keys in place: O(n) expected, no sort.
     pub fn merge(&mut self, other: &StreamQuantiles) {
         self.capacity = self.capacity.max(other.capacity);
         self.pushed += other.pushed;
-        let b = &other.entries;
-        let (mut i, mut j) = (self.entries.len(), b.len());
-        let keep = (i + j).min(self.capacity);
-        // Drop the largest `i + j − keep` keys of the union. Walking
-        // down, a tie takes `other`'s entry: it sorts after `self`'s.
-        for _ in keep..i + j {
-            if j > 0 && (i == 0 || Self::key(&b[j - 1]) >= Self::key(&self.entries[i - 1])) {
-                j -= 1;
-            } else {
-                i -= 1;
-            }
+        self.entries.extend_from_slice(&other.entries);
+        if self.entries.len() > self.capacity {
+            self.entries
+                .select_nth_unstable_by_key(self.capacity, Self::key);
+            self.entries.truncate(self.capacity);
         }
-        // Now `i + j == keep`: fill slots `keep − 1` down to 0. Slot
-        // `i + j − 1 ≥ i` while `j > 0`, so no unread entry of `self`
-        // is overwritten, and once `j == 0` the rest is already in place.
-        let a = &mut self.entries;
-        if a.len() < keep {
-            a.resize(keep, (0, 0.0));
-        }
-        while j > 0 {
-            let slot = i + j - 1;
-            if i > 0 && Self::key(&a[i - 1]) > Self::key(&b[j - 1]) {
-                a[slot] = a[i - 1];
-                i -= 1;
-            } else {
-                a[slot] = b[j - 1];
-                j -= 1;
-            }
-        }
-        a.truncate(keep);
+        self.heapify_if_full();
     }
 
     /// Number of samples fed in (across merges).
@@ -448,7 +479,16 @@ impl StreamQuantiles {
     /// The retained subsample as an [`Ecdf`] (exact when
     /// [`StreamQuantiles::is_exact`]).
     pub fn ecdf(&self) -> Ecdf {
-        Ecdf::from_iter(self.entries.iter().map(|&(_, v)| v))
+        // By value, ties (only ±0.0 compare equal with distinct keys) in
+        // key order, which is what the ECDF's stable sort makes of the
+        // key-sorted view.
+        let mut by_value = self.entries.clone();
+        by_value.sort_unstable_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("NaN is never retained")
+                .then_with(|| Self::key(a).cmp(&Self::key(b)))
+        });
+        Ecdf::from_iter(by_value.into_iter().map(|(_, v)| v))
     }
 
     /// Estimated `q`-quantile (nearest rank on the retained subsample);
@@ -468,7 +508,7 @@ impl StreamQuantiles {
             seed: self.seed,
             capacity: self.capacity,
             pushed: self.pushed,
-            entries: self.entries.clone(),
+            entries: self.sorted_entries(),
         }
     }
 
@@ -479,12 +519,14 @@ impl StreamQuantiles {
     /// Panics on zero capacity, like [`StreamQuantiles::new`].
     pub fn from_state(s: StreamQuantilesState) -> Self {
         assert!(s.capacity > 0, "reservoir capacity must be positive");
-        StreamQuantiles {
+        let mut q = StreamQuantiles {
             seed: s.seed,
             capacity: s.capacity,
             pushed: s.pushed,
             entries: s.entries,
-        }
+        };
+        q.heapify_if_full();
+        q
     }
 }
 
@@ -918,46 +960,170 @@ mod tests {
         assert_eq!(format!("{one}"), "7.00 ± n/a");
     }
 
-    /// The reservoir insert without the early reject: search, insert,
-    /// truncate.
-    fn push_by_search(q: &mut StreamQuantiles, x: f64) {
-        if x.is_nan() {
-            return;
+    /// The reservoir as it was kept before the heap: a `Vec` sorted by
+    /// key, each push a binary search plus an insert and a truncate,
+    /// each merge a stable sort of the union (`self` first) truncated to
+    /// the larger capacity.
+    #[derive(Clone)]
+    struct SortedReference {
+        seed: u64,
+        capacity: usize,
+        pushed: u64,
+        entries: Vec<(u64, f64)>,
+    }
+
+    impl SortedReference {
+        fn new(seed: u64, capacity: usize) -> Self {
+            SortedReference {
+                seed,
+                capacity,
+                pushed: 0,
+                entries: Vec::new(),
+            }
         }
-        let e = (mix64(q.seed ^ mix64(q.pushed)), x);
-        q.pushed += 1;
-        let at = q
-            .entries
-            .partition_point(|p| StreamQuantiles::key(p) < StreamQuantiles::key(&e));
-        if at < q.capacity {
-            q.entries.insert(at, e);
-            q.entries.truncate(q.capacity);
+
+        fn push(&mut self, x: f64) {
+            if x.is_nan() {
+                return;
+            }
+            let e = (mix64(self.seed ^ mix64(self.pushed)), x);
+            self.pushed += 1;
+            let at = self
+                .entries
+                .partition_point(|p| StreamQuantiles::key(p) < StreamQuantiles::key(&e));
+            if at < self.capacity {
+                self.entries.insert(at, e);
+                self.entries.truncate(self.capacity);
+            }
+        }
+
+        fn merge(&mut self, other: &SortedReference) {
+            self.capacity = self.capacity.max(other.capacity);
+            self.pushed += other.pushed;
+            self.entries.extend_from_slice(&other.entries);
+            self.entries.sort_by_key(StreamQuantiles::key);
+            self.entries.truncate(self.capacity);
+        }
+
+        fn state(&self) -> StreamQuantilesState {
+            StreamQuantilesState {
+                seed: self.seed,
+                capacity: self.capacity,
+                pushed: self.pushed,
+                entries: self.entries.clone(),
+            }
         }
     }
 
+    /// Samples with NaNs and repeated values mixed in.
+    fn samples(len: std::ops::Range<usize>) -> impl proptest::prelude::Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(
+            proptest::prop_oneof![
+                -1e6f64..1e6,
+                proptest::prelude::Just(f64::NAN),
+                proptest::prelude::Just(1.5),
+                proptest::prelude::Just(0.0),
+                proptest::prelude::Just(-0.0),
+            ],
+            len,
+        )
+    }
+
+    /// The heap reservoir as observed: state, `Debug` text (in the
+    /// derived format the reports' digests hash), `==` and the ECDF all
+    /// equal the sorted reference's.
+    fn assert_matches(q: &StreamQuantiles, r: &SortedReference) {
+        assert_eq!(q.state(), r.state());
+        assert_eq!(
+            format!("{q:?}"),
+            format!(
+                "StreamQuantiles {{ seed: {}, capacity: {}, pushed: {}, entries: {:?} }}",
+                r.seed, r.capacity, r.pushed, r.entries
+            )
+        );
+        assert!(*q == StreamQuantiles::from_state(r.state()));
+        // The ECDF as the sorted reference built it, down to the sign of
+        // a zero.
+        let bits = |e: Ecdf| e.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(q.ecdf()),
+            bits(Ecdf::from_iter(r.entries.iter().map(|e| e.1)))
+        );
+        assert_eq!(q.retained(), r.entries.len());
+    }
+
     proptest::proptest! {
-        /// The early reject keeps exactly what the plain search keeps,
-        /// for any stream (NaNs and repeated values included) and any
-        /// capacity.
+        /// Pushing into the heap keeps exactly what the sorted search
+        /// keeps, after every push, for any stream (NaNs, repeated
+        /// values and signed zeros included) and any capacity.
         #[test]
         fn early_reject_keeps_the_searched_reservoir(
             seed in proptest::prelude::any::<u64>(),
             capacity in 1usize..40,
-            samples in proptest::collection::vec(
-                proptest::prop_oneof![
-                    -1e6f64..1e6,
-                    proptest::prelude::Just(f64::NAN),
-                    proptest::prelude::Just(1.5),
-                ],
-                0..300,
-            ),
+            samples in samples(0..300),
         ) {
             let mut fast = StreamQuantiles::new(seed, capacity);
-            let mut searched = StreamQuantiles::new(seed, capacity);
+            let mut searched = SortedReference::new(seed, capacity);
             for &x in &samples {
                 fast.push(x);
-                push_by_search(&mut searched, x);
+                searched.push(x);
                 proptest::prop_assert_eq!(fast.state(), searched.state());
+            }
+            assert_matches(&fast, &searched);
+        }
+
+        /// Shards of one stream, each with its own seed and capacity
+        /// (1 included), pushed across their capacity boundary,
+        /// checkpointed and restored mid-stream, then merged in a random
+        /// order: every step observes what the sorted reference holds.
+        #[test]
+        fn sharded_merges_match_the_sorted_reference(
+            seed in proptest::prelude::any::<u64>(),
+            capacities in proptest::collection::vec(1usize..24, 1..5),
+            samples in samples(0..200),
+            owners in proptest::collection::vec(0usize..4, 200..201),
+            restore_at in 0usize..200,
+            order in proptest::prelude::any::<u64>(),
+        ) {
+            let n = capacities.len();
+            let mut fast: Vec<StreamQuantiles> = capacities
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| StreamQuantiles::new(seed.wrapping_add(i as u64), c))
+                .collect();
+            let mut reference: Vec<SortedReference> = capacities
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| SortedReference::new(seed.wrapping_add(i as u64), c))
+                .collect();
+            for (k, &x) in samples.iter().enumerate() {
+                if k == restore_at {
+                    for q in &mut fast {
+                        *q = StreamQuantiles::from_state(q.state());
+                    }
+                }
+                let shard = owners[k] % n;
+                fast[shard].push(x);
+                reference[shard].push(x);
+            }
+            for (q, r) in fast.iter().zip(&reference) {
+                assert_matches(q, r);
+            }
+            // A merge order: rotate the shards by a random amount, then
+            // swap a random pair.
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.rotate_left((order % n as u64) as usize);
+            idx.swap(((order >> 8) % n as u64) as usize, ((order >> 16) % n as u64) as usize);
+            let mut merged = fast[idx[0]].clone();
+            let mut merged_ref = reference[idx[0]].clone();
+            for &i in &idx[1..] {
+                merged.merge(&fast[i]);
+                merged_ref.merge(&reference[i]);
+                assert_matches(&merged, &merged_ref);
+                // Pushes after a merge land in the merged layout.
+                merged.push(i as f64);
+                merged_ref.push(i as f64);
+                assert_matches(&merged, &merged_ref);
             }
         }
     }

@@ -107,12 +107,34 @@ impl BackgroundLoad {
 
     /// Draws a size and duration for one local job.
     pub fn sample_job(&self, rng: &mut SimRng) -> BackgroundSample {
+        self.job_sampler().sample(rng)
+    }
+
+    /// [`BackgroundLoad::sample_job`] with the duration law built once,
+    /// for callers that draw many local jobs.
+    pub fn job_sampler(&self) -> LocalJobSampler {
+        LocalJobSampler {
+            size_range: self.size_range,
+            duration: LogNormal::with_mean_cv(self.mean_duration.as_secs_f64().max(1e-3), 1.0),
+        }
+    }
+}
+
+/// Draws local jobs exactly as [`BackgroundLoad::sample_job`] does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalJobSampler {
+    size_range: (u32, u32),
+    duration: LogNormal,
+}
+
+impl LocalJobSampler {
+    /// Draws a size and duration for one local job.
+    pub fn sample(&self, rng: &mut SimRng) -> BackgroundSample {
         let (lo, hi) = self.size_range;
         let size = rng.range_u64(lo as u64, hi.max(lo) as u64) as u32;
-        let dur = LogNormal::with_mean_cv(self.mean_duration.as_secs_f64().max(1e-3), 1.0);
         BackgroundSample {
             size,
-            duration: SimDuration::from_secs_f64(dur.sample(rng).max(1.0)),
+            duration: SimDuration::from_secs_f64(self.duration.sample(rng).max(1.0)),
         }
     }
 }

@@ -53,7 +53,7 @@ mod lrm;
 mod network;
 mod topology;
 
-pub use background::{BackgroundLoad, BackgroundSample};
+pub use background::{BackgroundLoad, BackgroundSample, LocalJobSampler};
 pub use cluster::{
     AllocError, AllocOwner, Cluster, ClusterSpec, ClusterState, CrashVictim, NodeState,
 };

@@ -9,6 +9,10 @@
 //!   that into exit status 1 with a message — not a panic.
 //! * One stored before `sched.avail_index` existed loads with the index
 //!   on, like `SchedulerConfig::default()`, and runs identically.
+//! * A trace stored when synthetic jobs still carried a `"label"` loads
+//!   (the key is ignored: the label is always `"SYN"`), and its grow
+//!   initiative and co-allocation components keep their JSON form now
+//!   that the job record boxes them.
 //! * `koala-sim run` refuses a `--seeds` list with an unparsable entry
 //!   (usage, exit status 2), and a `--csv` write that fails names the
 //!   file and exits 1 instead of reporting success.
@@ -16,9 +20,12 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use malleable_koala::appsim::workload::WorkloadSpec;
+use malleable_koala::appsim::speedup::AmdahlOverhead;
+use malleable_koala::appsim::workload::{SubmittedJob, WorkloadSpec};
+use malleable_koala::appsim::{AppKind, GrowInitiative, JobSpec, SizeConstraint};
 use malleable_koala::koala::config::ExperimentConfig;
 use malleable_koala::koala::{self, Report, Run, SummaryReport};
+use malleable_koala::simcore::SimTime;
 
 /// One run of `cfg` under its own seed.
 fn one<R: Report>(cfg: &ExperimentConfig) -> R {
@@ -80,6 +87,73 @@ fn a_config_without_avail_index_loads_with_the_index_on() {
     assert_eq!(
         format!("{:?}", one::<SummaryReport>(&old)),
         format!("{:?}", one::<SummaryReport>(&current))
+    );
+}
+
+/// A template whose explicit trace holds a synthetic malleable job with
+/// a grow initiative and a co-allocated rigid job.
+fn trace_json() -> String {
+    let mut cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
+    let mut synthetic = JobSpec::paper_malleable(AppKind::Synthetic {
+        model: AmdahlOverhead::fit(1, 1000.0, 8, 200.0),
+        constraint: SizeConstraint::Any,
+    });
+    synthetic.initiative = Some(Box::new(GrowInitiative {
+        at_progress: 0.5,
+        extra: 4,
+    }));
+    cfg.trace = Some(vec![
+        SubmittedJob {
+            at: SimTime::ZERO,
+            spec: synthetic,
+        },
+        SubmittedJob {
+            at: SimTime::from_secs(60),
+            spec: JobSpec::coallocated(AppKind::Gadget2, vec![4, 4]),
+        },
+    ]);
+    serde_json::to_string_pretty(&cfg).expect("config serializes")
+}
+
+#[test]
+fn a_trace_with_synthetic_labels_initiatives_and_coallocation_round_trips() {
+    let current = trace_json();
+    // The boxed fields render as the plain struct and array they hold.
+    let compact: String = current.split_whitespace().collect();
+    assert!(
+        compact.contains(r#""initiative":{"at_progress":0.5,"extra":4},"coalloc":null"#),
+        "{current}"
+    );
+    assert!(
+        compact.contains(r#""initiative":null,"coalloc":[4,4]"#),
+        "{current}"
+    );
+    assert!(!current.contains("label"));
+
+    let field = r#""Synthetic": {"#;
+    assert_eq!(
+        current.matches(field).count(),
+        1,
+        "template renders {field}"
+    );
+    let old = current.replace(field, &format!(r#"{field} "label": "SYN","#));
+    let old: ExperimentConfig = serde_json::from_str(&old).expect("old trace parses");
+    let parsed: ExperimentConfig = serde_json::from_str(&current).expect("trace parses");
+    assert_eq!(format!("{old:?}"), format!("{parsed:?}"));
+    assert_eq!(serde_json::to_string_pretty(&old).unwrap(), current);
+    let trace = old.trace.as_ref().expect("the trace survives");
+    assert_eq!(trace[0].spec.kind.label(), "SYN");
+    assert_eq!(
+        trace[0].spec.initiative.as_deref(),
+        Some(&GrowInitiative {
+            at_progress: 0.5,
+            extra: 4
+        })
+    );
+    assert_eq!(trace[1].spec.coalloc.as_deref(), Some(&[4, 4][..]));
+    assert_eq!(
+        format!("{:?}", one::<SummaryReport>(&old)),
+        format!("{:?}", one::<SummaryReport>(&parsed))
     );
 }
 
