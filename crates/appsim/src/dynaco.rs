@@ -9,11 +9,16 @@
 //!
 //! In the reproduction, the observe component is the MRunner frontend
 //! (grow/shrink messages arriving from the scheduler become
-//! [`Observation`]s), the decide component applies the application's
-//! [`SizeConstraint`] and bounds, the plan component emits [`Action`]s,
-//! and the execute component is driven by the simulation world, which
-//! charges each action its duration (GRAM interactions overlap execution;
-//! the suspend/redistribute step does not).
+//! [`Observation`]s) and the decide component applies the application's
+//! [`SizeConstraint`] and bounds. Every plan has the same fixed shape
+//! (recruit or release processors, suspend and redistribute, resume),
+//! so the simulation world plays plan and execute directly: it charges
+//! each step its duration (GRAM interactions overlap execution; the
+//! suspend/redistribute step does not) and then [`commit`]s or
+//! [`abort`]s the adaptation.
+//!
+//! [`commit`]: Dynaco::commit
+//! [`abort`]: Dynaco::abort
 
 use crate::constraints::SizeConstraint;
 
@@ -55,56 +60,6 @@ pub enum Decision {
     Decline,
 }
 
-/// One step of an adaptation plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Ask the runner to obtain `count` more processors (GRAM stub
-    /// submissions — overlaps execution).
-    RecruitProcessors {
-        /// Processors to obtain.
-        count: u32,
-    },
-    /// Suspend the application and redistribute data for the new size
-    /// (the only non-overlapped step).
-    SuspendAndRedistribute {
-        /// Size before the adaptation.
-        from: u32,
-        /// Size after the adaptation.
-        to: u32,
-    },
-    /// Hand `count` processors back to the runner (which releases the
-    /// corresponding GRAM jobs — overlaps execution).
-    ReleaseProcessors {
-        /// Processors to release.
-        count: u32,
-    },
-    /// Resume computation.
-    Resume,
-}
-
-/// An ordered adaptation plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plan {
-    actions: Vec<Action>,
-}
-
-impl Plan {
-    /// The actions in execution order.
-    pub fn actions(&self) -> &[Action] {
-        &self.actions
-    }
-
-    /// Number of actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True for the empty plan.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-}
-
 /// Phase of the adaptation state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -131,7 +86,6 @@ pub enum Phase {
 /// let mut d = Dynaco::new(2, 46, SizeConstraint::Any, 2);
 /// let decision = d.decide(Observation::GrowOffer { offered: 10 });
 /// assert_eq!(decision, Decision::Grow { accepted: 10 });
-/// assert_eq!(d.plan().len(), 3); // recruit, redistribute, resume
 /// d.commit();
 /// assert_eq!(d.size(), 12);
 /// ```
@@ -235,40 +189,6 @@ impl Dynaco {
         }
     }
 
-    /// The plan component: actions realizing the current phase.
-    /// Empty in `Steady`.
-    pub fn plan(&self) -> Plan {
-        match self.phase {
-            Phase::Steady => Plan {
-                actions: Vec::new(),
-            },
-            Phase::Growing { target } => Plan {
-                actions: vec![
-                    Action::RecruitProcessors {
-                        count: target - self.size,
-                    },
-                    Action::SuspendAndRedistribute {
-                        from: self.size,
-                        to: target,
-                    },
-                    Action::Resume,
-                ],
-            },
-            Phase::Shrinking { target } => Plan {
-                actions: vec![
-                    Action::SuspendAndRedistribute {
-                        from: self.size,
-                        to: target,
-                    },
-                    Action::ReleaseProcessors {
-                        count: self.size - target,
-                    },
-                    Action::Resume,
-                ],
-            },
-        }
-    }
-
     /// The execute component reports completion: commit the new size.
     pub fn commit(&mut self) {
         match self.phase {
@@ -330,15 +250,6 @@ mod tests {
         assert_eq!(dec, Decision::Grow { accepted: 10 });
         assert_eq!(d.phase(), Phase::Growing { target: 12 });
         assert_eq!(d.size(), 2, "size commits only after execution");
-        let plan = d.plan();
-        assert_eq!(
-            plan.actions(),
-            &[
-                Action::RecruitProcessors { count: 10 },
-                Action::SuspendAndRedistribute { from: 2, to: 12 },
-                Action::Resume
-            ]
-        );
         d.commit();
         assert_eq!(d.size(), 12);
         assert_eq!(d.phase(), Phase::Steady);
@@ -366,15 +277,7 @@ mod tests {
             mandatory: true,
         });
         assert_eq!(dec, Decision::Shrink { released: 15 });
-        let plan = d.plan();
-        assert_eq!(
-            plan.actions(),
-            &[
-                Action::SuspendAndRedistribute { from: 20, to: 5 },
-                Action::ReleaseProcessors { count: 15 },
-                Action::Resume
-            ]
-        );
+        assert_eq!(d.phase(), Phase::Shrinking { target: 5 });
         d.commit();
         assert_eq!(d.size(), 5);
     }
@@ -503,12 +406,5 @@ mod tests {
         b.commit();
         assert_eq!(a, b);
         assert_eq!(a.size(), 16);
-    }
-
-    #[test]
-    fn steady_plan_is_empty() {
-        let d = gadget(4);
-        assert!(d.plan().is_empty());
-        assert_eq!(d.plan().len(), 0);
     }
 }

@@ -52,7 +52,7 @@ use simcore::dist::{Distribution, Exponential, LogNormal};
 use simcore::{SimRng, SimTime};
 
 use crate::job::{AppKind, JobClass, JobSpec};
-use crate::speedup::{AmdahlOverhead, DowneyModel, SpeedupModel};
+use crate::speedup::{AmdahlOverhead, DowneyModel};
 use crate::workload::SubmittedJob;
 use crate::SizeConstraint;
 
@@ -202,9 +202,9 @@ impl ArrivalProcess {
     }
 }
 
-/// Joint size/runtime model of a generated job. `sample` returns
-/// `(size, runtime_s)`: the processor count the job is submitted at and
-/// its execution time *at that size*.
+/// Joint size/runtime model of a generated job: each draw is a
+/// `(size, runtime_s)` pair, the processor count the job is submitted at
+/// and its execution time *at that size*.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeModel {
     /// Log-uniform runtimes on `[runtime_lo_s, runtime_hi_s]`,
@@ -234,41 +234,86 @@ pub enum SizeModel {
     },
 }
 
-impl SizeModel {
-    /// Draws one `(size, runtime_s)` pair.
-    pub fn sample(&self, rng: &mut SimRng) -> (u32, f64) {
-        match *self {
+/// A [`SizeModel`] with its per-stream constants (log bounds, runtime
+/// laws, clamps) computed once, for the stream that draws from it.
+enum SizeDraw {
+    LogUniform {
+        size_max_pow2: u64,
+        /// `(ln lo, ln hi)` of the runtime range.
+        runtime_ln: (f64, f64),
+    },
+    LublinStyle {
+        long_fraction: f64,
+        max_size: u64,
+        long: LogNormal,
+        short: LogNormal,
+        /// Upper runtime clamp.
+        runtime_hi_s: f64,
+    },
+}
+
+impl SizeDraw {
+    fn new(model: SizeModel) -> Self {
+        match model {
             SizeModel::LogUniform {
                 runtime_lo_s,
                 runtime_hi_s,
                 size_max_pow2,
             } => {
-                let k = rng.range_u64(1, size_max_pow2.max(1) as u64) as u32;
-                let size = 1u32 << k;
                 let (lo, hi) = (runtime_lo_s.max(1e-3), runtime_hi_s.max(runtime_lo_s));
-                let runtime = (lo.ln() + (hi.ln() - lo.ln()) * rng.f64()).exp();
-                (size, runtime)
+                SizeDraw::LogUniform {
+                    size_max_pow2: size_max_pow2.max(1) as u64,
+                    runtime_ln: (lo.ln(), hi.ln()),
+                }
             }
             SizeModel::LublinStyle {
                 short_mean_s,
                 long_mean_s,
                 long_fraction,
                 max_size,
+            } => SizeDraw::LublinStyle {
+                long_fraction: long_fraction.clamp(0.0, 1.0),
+                max_size: max_size.max(2) as u64,
+                long: LogNormal::with_mean_cv(long_mean_s.max(1.0), 2.0),
+                short: LogNormal::with_mean_cv(short_mean_s.max(1.0), 1.2),
+                runtime_hi_s: 20.0 * long_mean_s.max(1.0),
+            },
+        }
+    }
+
+    /// Draws one `(size, runtime_s)` pair.
+    fn sample(&self, rng: &mut SimRng) -> (u32, f64) {
+        match *self {
+            SizeDraw::LogUniform {
+                size_max_pow2,
+                runtime_ln: (ln_lo, ln_hi),
+            } => {
+                let k = rng.range_u64(1, size_max_pow2) as u32;
+                let size = 1u32 << k;
+                let runtime = (ln_lo + (ln_hi - ln_lo) * rng.f64()).exp();
+                (size, runtime)
+            }
+            SizeDraw::LublinStyle {
+                long_fraction,
+                max_size,
+                long,
+                short,
+                runtime_hi_s,
             } => {
                 let size = if rng.bool_with(0.75) {
                     1u32 << rng.range_u64(1, 5)
                 } else {
-                    rng.range_u64(2, max_size.max(2) as u64) as u32
+                    rng.range_u64(2, max_size) as u32
                 };
-                let runtime = if rng.bool_with(long_fraction.clamp(0.0, 1.0)) {
-                    LogNormal::with_mean_cv(long_mean_s.max(1.0), 2.0).sample(rng)
+                let runtime = if rng.bool_with(long_fraction) {
+                    long.sample(rng)
                 } else {
-                    LogNormal::with_mean_cv(short_mean_s.max(1.0), 1.2).sample(rng)
+                    short.sample(rng)
                 };
                 // Log-normal tails are unbounded; a single astronomical
                 // draw would dominate a whole cell's makespan, so clamp
                 // to a generous multiple of the long mean.
-                (size, runtime.clamp(1.0, 20.0 * long_mean_s.max(1.0)))
+                (size, runtime.clamp(1.0, runtime_hi_s))
             }
         }
     }
@@ -477,6 +522,7 @@ impl WorkloadSource for SyntheticSource {
             t_s: 0.0,
             remaining: jobs,
             parallelism_ln,
+            sizes: SizeDraw::new(self.sizes),
         })
     }
 }
@@ -490,6 +536,8 @@ pub struct GeneratedStream {
     remaining: u64,
     /// `(ln lo, ln hi)` of the Downey average-parallelism range.
     parallelism_ln: (f64, f64),
+    /// The source's size/runtime model, prepared once per stream.
+    sizes: SizeDraw,
 }
 
 impl GeneratedStream {
@@ -511,7 +559,7 @@ impl GeneratedStream {
                 }
             }
             SpeedupSampling::Downey { sigma_hi, .. } => {
-                let (size, runtime) = self.src.sizes.sample(&mut self.rng);
+                let (size, runtime) = self.sizes.sample(&mut self.rng);
                 let size = size.max(2);
                 // Downey-style parallelism draw: A log-uniform, σ uniform.
                 let (ln_lo, ln_hi) = self.parallelism_ln;

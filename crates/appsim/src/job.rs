@@ -6,7 +6,7 @@
 //! can grow and shrink at runtime between a minimum and a maximum.
 
 use crate::constraints::SizeConstraint;
-use crate::speedup::{ft_model, gadget2_model, AmdahlOverhead, SpeedupModel};
+use crate::speedup::{ft_model, gadget2_model, AmdahlOverhead};
 
 /// Which application a job runs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -240,6 +240,16 @@ impl JobSpec {
                 return Err(format!("initial {initial} violates {c:?}"));
             }
         }
+        // FT's and GADGET-2's calibrations are positive at every size; a
+        // synthetic model is whatever the trace stored.
+        if let AppKind::Synthetic { model, .. } = &self.kind {
+            let (lo, hi) = (self.class.min_size(), self.class.max_size());
+            if let Some((n, t)) = first_bad_exec_time(model, lo, hi) {
+                return Err(format!(
+                    "speedup model {model:?} gives execution time {t} s at size {n}"
+                ));
+            }
+        }
         if !self.work_scale.is_finite() || self.work_scale <= 0.0 {
             return Err(format!(
                 "work scale {} is not positive and finite",
@@ -270,6 +280,22 @@ impl JobSpec {
         }
         Ok(())
     }
+}
+
+/// The first size in `[lo, hi]` (with `1 ≤ lo ≤ hi`) at which `model`'s
+/// execution time is not finite and positive, with that time. `T(n)·n =
+/// A + B·n + C·n²` is a quadratic in `n`, so over the range it is
+/// smallest at an end or, when `C > 0`, at the integers beside its vertex
+/// `−B/2C`: those are the only sizes to check.
+fn first_bad_exec_time(model: &AmdahlOverhead, lo: u32, hi: u32) -> Option<(u32, f64)> {
+    let vertex = -model.b / (2.0 * model.c);
+    let inner = (model.c > 0.0 && vertex > lo as f64 && vertex < hi as f64)
+        .then(|| [vertex.floor() as u32, vertex.ceil() as u32]);
+    [lo, hi]
+        .into_iter()
+        .chain(inner.into_iter().flatten())
+        .map(|n| (n, model.exec_time(n)))
+        .find(|&(_, t)| !(t.is_finite() && t > 0.0))
 }
 
 #[cfg(test)]
@@ -325,6 +351,43 @@ mod tests {
             s.work_scale = bad;
             assert!(s.validate().is_err(), "work scale {bad} accepted");
         }
+        // A synthetic model must give a finite, positive time at every
+        // size the job can run at (the `koala` config tests check the
+        // negative, NaN and all-zero models of a stored trace).
+        let job = |model: AmdahlOverhead, class: JobClass| JobSpec {
+            class,
+            ..JobSpec::rigid(
+                AppKind::Synthetic {
+                    model,
+                    constraint: SizeConstraint::Any,
+                },
+                1,
+            )
+        };
+        let malleable = JobClass::Malleable {
+            min: 1,
+            max: 64,
+            initial: 2,
+        };
+        let infinite = AmdahlOverhead {
+            a: f64::INFINITY,
+            b: 0.0,
+            c: 0.0,
+        };
+        assert!(job(infinite, malleable).validate().is_err());
+        // Negative only between the ends: 100/n - 30 + n dips below zero
+        // around its minimum at n = 10.
+        let dip = AmdahlOverhead {
+            a: 100.0,
+            b: -30.0,
+            c: 1.0,
+        };
+        assert!(job(dip, malleable).validate().is_err());
+        assert!(job(dip, JobClass::Rigid { size: 1 }).validate().is_ok());
+        // A negative serial term is fine while T(n) stays positive.
+        let fitted = AmdahlOverhead::fit(1, 1000.0, 8, 200.0);
+        assert!(fitted.b < 0.0);
+        job(fitted, malleable).validate().unwrap();
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! completion times as a function of the allocation history) is
 //! preserved; see DESIGN.md §2.
 //!
-//! * [`speedup`] — execution-time-vs-size models ([`speedup::AmdahlOverhead`],
-//!   [`speedup::DowneyModel`], [`speedup::TableModel`]) and the FT/GADGET-2
-//!   calibrations.
+//! * [`speedup`] — the execution-time-vs-size model every job carries
+//!   ([`speedup::AmdahlOverhead`]), its FT/GADGET-2 calibrations, and
+//!   Downey's speedup ([`speedup::DowneyModel`]) that generated models
+//!   are fitted through.
 //! * [`SizeConstraint`] — allocatable-size rules (any, power-of-two,
 //!   multiple-of), with the accept/release semantics of Section VI-A.
 //! * [`Progress`] — work-conserving progress accounting across size
 //!   changes.
-//! * [`dynaco`] — the observe → decide → plan → execute adaptation
-//!   pipeline of the DYNACO framework (Fig. 2 of the paper).
+//! * [`dynaco`] — the decide step and adaptation state machine of the
+//!   DYNACO framework (Fig. 2 of the paper).
 //! * [`ReconfigCost`] — grow/shrink overhead models.
 //! * [`workload`] — the paper's workloads Wm, Wmr, W'm, W'mr and a
 //!   general generator.

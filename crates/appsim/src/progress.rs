@@ -13,7 +13,7 @@
 
 use simcore::{SimDuration, SimTime};
 
-use crate::speedup::SpeedupModel;
+use crate::speedup::AmdahlOverhead;
 
 /// Progress state of one running malleable (or rigid) application.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ impl Progress {
         self.paused
     }
 
-    fn rate(&self, model: &dyn SpeedupModel) -> f64 {
+    fn rate(&self, model: &AmdahlOverhead) -> f64 {
         if self.paused {
             0.0
         } else {
@@ -69,7 +69,7 @@ impl Progress {
     }
 
     /// Accounts for the work done since the last update.
-    pub fn advance(&mut self, now: SimTime, model: &dyn SpeedupModel) {
+    pub fn advance(&mut self, now: SimTime, model: &AmdahlOverhead) {
         debug_assert!(now >= self.updated, "progress accounting went backwards");
         let dt = now.saturating_since(self.updated).as_secs_f64();
         self.done = (self.done + dt * self.rate(model)).min(1.0);
@@ -78,20 +78,20 @@ impl Progress {
 
     /// Changes the allocation size at `now` (advancing the accounting
     /// first).
-    pub fn resize(&mut self, now: SimTime, new_size: u32, model: &dyn SpeedupModel) {
+    pub fn resize(&mut self, now: SimTime, new_size: u32, model: &AmdahlOverhead) {
         assert!(new_size >= 1, "cannot resize to zero processors");
         self.advance(now, model);
         self.size = new_size;
     }
 
     /// Suspends work at `now` (reconfiguration synchronization).
-    pub fn pause(&mut self, now: SimTime, model: &dyn SpeedupModel) {
+    pub fn pause(&mut self, now: SimTime, model: &AmdahlOverhead) {
         self.advance(now, model);
         self.paused = true;
     }
 
     /// Resumes work at `now`.
-    pub fn resume(&mut self, now: SimTime, model: &dyn SpeedupModel) {
+    pub fn resume(&mut self, now: SimTime, model: &AmdahlOverhead) {
         self.advance(now, model);
         self.paused = false;
     }
@@ -105,7 +105,7 @@ impl Progress {
 
     /// Time until completion at the current size and pause state; `None`
     /// while paused (no completion can be scheduled).
-    pub fn remaining_time(&self, model: &dyn SpeedupModel) -> Option<SimDuration> {
+    pub fn remaining_time(&self, model: &AmdahlOverhead) -> Option<SimDuration> {
         if self.paused {
             return None;
         }
@@ -153,7 +153,7 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speedup::{ft_model, gadget2_model, SpeedupModel};
+    use crate::speedup::{ft_model, gadget2_model};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)

@@ -1,4 +1,4 @@
-//! Execution-time-vs-size models, calibrated to Fig. 6 of the paper.
+//! The execution-time-vs-size model, calibrated to Fig. 6 of the paper.
 //!
 //! Fig. 6 measures, on the Delft cluster: FT takes ~120 s on 2 machines
 //! and bottoms out around 60 s; GADGET-2 takes ~600 s on 2 machines and
@@ -9,7 +9,7 @@
 //! that gives the best execution time of the application in any
 //! particular cluster."
 //!
-//! The default model is the classic three-term overhead form
+//! Every job carries the classic three-term overhead form
 //!
 //! ```text
 //! T(n) = A/n + B + C·n
@@ -18,35 +18,6 @@
 //! (perfectly parallelizable work `A`, serial fraction `B`, per-processor
 //! coordination cost `C`), which has a unique minimum at `n* = √(A/C)`
 //! and reproduces both calibration points and the post-optimum rise.
-
-/// An execution-time model: wall-clock seconds as a function of the
-/// number of processors.
-pub trait SpeedupModel {
-    /// Execution time in seconds at size `n ≥ 1`.
-    fn exec_time(&self, n: u32) -> f64;
-
-    /// Speedup relative to one processor.
-    fn speedup(&self, n: u32) -> f64 {
-        self.exec_time(1) / self.exec_time(n)
-    }
-
-    /// Parallel efficiency at size `n`.
-    fn efficiency(&self, n: u32) -> f64 {
-        self.speedup(n) / n as f64
-    }
-
-    /// The size with the best (smallest) execution time within
-    /// `[1, limit]`.
-    fn best_size(&self, limit: u32) -> u32 {
-        (1..=limit.max(1))
-            .min_by(|&a, &b| {
-                self.exec_time(a)
-                    .partial_cmp(&self.exec_time(b))
-                    .expect("exec times are finite")
-            })
-            .unwrap_or(1)
-    }
-}
 
 /// `T(n) = A/n + B + C·n` — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -78,19 +49,30 @@ impl AmdahlOverhead {
         assert!(a > 0.0 && c > 0.0, "degenerate fit");
         AmdahlOverhead { a, b, c }
     }
-}
 
-impl SpeedupModel for AmdahlOverhead {
-    fn exec_time(&self, n: u32) -> f64 {
+    /// Execution time in seconds at size `n ≥ 1`.
+    pub fn exec_time(&self, n: u32) -> f64 {
         let n = n.max(1) as f64;
         self.a / n + self.b + self.c * n
+    }
+
+    /// The size with the best (smallest) execution time within
+    /// `[1, limit]`.
+    pub fn best_size(&self, limit: u32) -> u32 {
+        (1..=limit.max(1))
+            .min_by(|&a, &b| {
+                self.exec_time(a)
+                    .partial_cmp(&self.exec_time(b))
+                    .expect("exec times are finite")
+            })
+            .unwrap_or(1)
     }
 }
 
 /// Downey's parallel speedup model (A. Downey, "A model for speedup of
 /// parallel programs", 1997), parameterized by average parallelism `bigA`
-/// and variance of parallelism `sigma`. Provided as an alternative model
-/// for synthetic workloads and the ablation benches.
+/// and variance of parallelism `sigma`. The workload generator fits each
+/// Downey-sampled job's [`AmdahlOverhead`] through this speedup.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DowneyModel {
     /// Average parallelism.
@@ -120,83 +102,6 @@ impl DowneyModel {
         } else {
             a
         }
-    }
-}
-
-impl SpeedupModel for DowneyModel {
-    fn exec_time(&self, n: u32) -> f64 {
-        self.t1 / self.downey_speedup(n)
-    }
-}
-
-/// Gustafson–Barsis scaled speedup: the problem grows with the machine,
-/// so `S(n) = n − alpha·(n − 1)` with serial fraction `alpha`. Useful for
-/// synthetic workloads whose jobs weak-scale (unlike FT/GADGET-2's
-/// strong-scaling curves, which the paper measures).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GustafsonModel {
-    /// Serial fraction in `[0, 1]`.
-    pub alpha: f64,
-    /// Sequential execution time in seconds.
-    pub t1: f64,
-}
-
-impl GustafsonModel {
-    /// Creates a model; panics unless `alpha ∈ [0, 1]` and `t1 > 0`.
-    pub fn new(alpha: f64, t1: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "serial fraction in [0, 1]");
-        assert!(t1 > 0.0, "positive sequential time");
-        GustafsonModel { alpha, t1 }
-    }
-}
-
-impl SpeedupModel for GustafsonModel {
-    fn exec_time(&self, n: u32) -> f64 {
-        let n = n.max(1) as f64;
-        let s = n - self.alpha * (n - 1.0);
-        self.t1 / s
-    }
-}
-
-/// Piecewise-linear interpolation through measured `(size, seconds)`
-/// points — for replaying empirical curves exactly.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TableModel {
-    /// Measured `(n, seconds)` points, strictly increasing in `n`.
-    points: Vec<(u32, f64)>,
-}
-
-impl TableModel {
-    /// Builds a table model.
-    ///
-    /// # Panics
-    /// Panics if fewer than one point is given or sizes are not strictly
-    /// increasing.
-    pub fn new(points: Vec<(u32, f64)>) -> Self {
-        assert!(!points.is_empty(), "TableModel needs at least one point");
-        assert!(
-            points.windows(2).all(|w| w[0].0 < w[1].0),
-            "TableModel sizes must be strictly increasing"
-        );
-        TableModel { points }
-    }
-}
-
-impl SpeedupModel for TableModel {
-    fn exec_time(&self, n: u32) -> f64 {
-        let n = n.max(1);
-        let pts = &self.points;
-        if n <= pts[0].0 {
-            return pts[0].1;
-        }
-        if n >= pts[pts.len() - 1].0 {
-            return pts[pts.len() - 1].1;
-        }
-        let i = pts.partition_point(|&(s, _)| s <= n);
-        let (n0, t0) = pts[i - 1];
-        let (n1, t1) = pts[i];
-        let frac = (n - n0) as f64 / (n1 - n0) as f64;
-        t0 + (t1 - t0) * frac
     }
 }
 
@@ -262,50 +167,23 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_efficiency_are_consistent() {
-        let m = ft_model();
-        let s4 = m.speedup(4);
-        assert!((m.efficiency(4) - s4 / 4.0).abs() < 1e-12);
-        assert!(s4 > 1.0);
-    }
-
-    #[test]
     fn fit_panics_on_degenerate_input() {
         let r = std::panic::catch_unwind(|| AmdahlOverhead::fit(8, 100.0, 8, 50.0));
         assert!(r.is_err());
     }
 
     #[test]
-    fn gustafson_speedup_is_nearly_linear_for_small_alpha() {
-        let m = GustafsonModel::new(0.05, 1000.0);
-        assert!((m.exec_time(1) - 1000.0).abs() < 1e-9);
-        // S(20) = 20 - 0.05*19 = 19.05.
-        assert!((m.speedup(20) - 19.05).abs() < 1e-9);
-        // Monotone: more processors never slow a Gustafson job.
-        for n in 1..64 {
-            assert!(m.exec_time(n + 1) <= m.exec_time(n) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn gustafson_fully_serial_never_speeds_up() {
-        let m = GustafsonModel::new(1.0, 100.0);
-        for n in 1..=32 {
-            assert!((m.exec_time(n) - 100.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn efficiency_degrades_past_the_optimum() {
         let m = gadget2_model();
+        let efficiency = |n: u32| m.exec_time(1) / m.exec_time(n) / n as f64;
         // Efficiency is monotone non-increasing for this model family.
         let mut last = f64::INFINITY;
         for n in 1..=46 {
-            let e = m.efficiency(n);
+            let e = efficiency(n);
             assert!(e <= last + 1e-9, "efficiency rose at n={n}");
             last = e;
         }
-        assert!(m.efficiency(46) < 0.2, "past-optimum efficiency is poor");
+        assert!(efficiency(46) < 0.2, "past-optimum efficiency is poor");
     }
 
     #[test]
@@ -317,7 +195,6 @@ mod tests {
         };
         assert!((m.downey_speedup(1) - 1.0).abs() < 1e-9);
         assert!(m.downey_speedup(64) <= 16.0 + 1e-9);
-        assert!(m.exec_time(64) >= m.exec_time(1) / 16.0 - 1e-9);
         // Monotone non-decreasing speedup.
         for n in 1..64 {
             assert!(m.downey_speedup(n + 1) + 1e-9 >= m.downey_speedup(n));
@@ -333,21 +210,5 @@ mod tests {
         };
         assert!((m.downey_speedup(1) - 1.0).abs() < 1e-6);
         assert!(m.downey_speedup(100) <= 8.0 + 1e-9);
-    }
-
-    #[test]
-    fn table_model_interpolates_and_clamps() {
-        let m = TableModel::new(vec![(2, 120.0), (4, 80.0), (8, 60.0)]);
-        assert_eq!(m.exec_time(1), 120.0, "clamped below");
-        assert_eq!(m.exec_time(2), 120.0);
-        assert_eq!(m.exec_time(3), 100.0, "midpoint interpolation");
-        assert_eq!(m.exec_time(8), 60.0);
-        assert_eq!(m.exec_time(100), 60.0, "clamped above");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn table_model_rejects_unsorted() {
-        TableModel::new(vec![(4, 80.0), (2, 120.0)]);
     }
 }

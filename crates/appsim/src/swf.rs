@@ -24,7 +24,6 @@ use simcore::{SimDuration, SimTime};
 
 use crate::generate::JobStream;
 use crate::job::{AppKind, JobClass, JobSpec};
-use crate::speedup::SpeedupModel;
 use crate::workload::SubmittedJob;
 
 /// One parsed SWF record (the subset of fields the simulator consumes).
@@ -143,11 +142,6 @@ impl<R: std::io::BufRead> SwfStream<R> {
             lineno: 0,
             done: false,
         }
-    }
-
-    /// The number of (physical) lines consumed so far.
-    pub fn lines_read(&self) -> usize {
-        self.lineno
     }
 }
 
@@ -380,7 +374,6 @@ pub fn span(jobs: &[SubmittedJob]) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speedup::SpeedupModel;
 
     const SAMPLE: &str = "\
 ; Computer: DAS-3
@@ -616,7 +609,6 @@ mod tests {
             SwfError::TooFewFields { line: 2, found: 1 }
         );
         assert!(s.next().is_none(), "stream must stop after an error");
-        assert_eq!(s.lines_read(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! protocol invariants, work conservation, DYNACO state-machine safety.
 
 use appsim::dynaco::{Decision, Dynaco, Observation};
-use appsim::speedup::{AmdahlOverhead, SpeedupModel};
+use appsim::speedup::AmdahlOverhead;
 use appsim::{Progress, SizeConstraint};
 use proptest::prelude::*;
 use simcore::SimTime;

@@ -6,7 +6,7 @@
 //! cargo run --release -p koala_bench --bin fig6
 //! ```
 
-use appsim::speedup::{ft_model, gadget2_model, SpeedupModel};
+use appsim::speedup::{ft_model, gadget2_model};
 use koala_bench::{out_dir, write_csv};
 use koala_metrics::csv::Csv;
 

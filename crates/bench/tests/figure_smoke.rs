@@ -6,7 +6,7 @@
 //! `sweeps` binaries. The figure matrices are also run at 1 and 3
 //! threads, which must agree byte for byte.
 
-use appsim::speedup::{ft_model, gadget2_model, SpeedupModel};
+use appsim::speedup::{ft_model, gadget2_model};
 use appsim::workload::WorkloadSpec;
 use koala::config::{Approach, ExperimentConfig};
 use koala::parallel::run_cells_summary;

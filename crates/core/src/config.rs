@@ -65,6 +65,9 @@ pub enum ConfigError {
     Workload(appsim::generate::UnknownSource),
     /// A uniform topology with zero clusters or zero nodes per cluster.
     EmptyTopology,
+    /// `heterogeneous` together with a `uniform_topology`: the
+    /// heterogeneous variant exists for DAS-3 only.
+    HeterogeneousUniformTopology,
     /// `koala_share` outside `[0, 1]`.
     KoalaShareOutOfRange(f64),
     /// `koala_share` of zero admits no jobs at all.
@@ -140,6 +143,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyTopology => {
                 write!(f, "uniform topology needs at least one node in one cluster")
             }
+            ConfigError::HeterogeneousUniformTopology => write!(
+                f,
+                "heterogeneous applies to DAS-3 only, not to a uniform_topology"
+            ),
             ConfigError::KoalaShareOutOfRange(v) => {
                 write!(f, "koala_share {v} outside [0, 1]")
             }
@@ -702,8 +709,8 @@ pub struct ExperimentConfig {
     /// instead of the homogeneous Table I preset.
     #[serde(default)]
     pub heterogeneous: bool,
-    /// Replace DAS-3 with a uniform synthetic multicluster (takes
-    /// precedence over `heterogeneous`) — the cluster-count sweep axis.
+    /// Replace DAS-3 with a uniform synthetic multicluster — the
+    /// cluster-count sweep axis. Excludes `heterogeneous`.
     #[serde(default)]
     pub uniform_topology: Option<UniformTopology>,
     /// Summary-report tunables (warmup trimming, quantile capacity).
@@ -807,6 +814,9 @@ impl ExperimentConfig {
         if let Some(u) = &self.uniform_topology {
             if u.clusters == 0 || u.nodes_per_cluster == 0 {
                 return Err(ConfigError::EmptyTopology);
+            }
+            if self.heterogeneous {
+                return Err(ConfigError::HeterogeneousUniformTopology);
             }
         }
         if self.report.quantile_capacity == 0 {
@@ -1006,6 +1016,65 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_job_whose_speedup_model_is_not_positive_is_an_error() {
+        use appsim::speedup::AmdahlOverhead;
+        for model in [
+            AmdahlOverhead {
+                a: -100.0,
+                b: 0.0,
+                c: 0.0,
+            },
+            AmdahlOverhead {
+                a: f64::NAN,
+                b: 0.0,
+                c: 0.0,
+            },
+            AmdahlOverhead {
+                a: 0.0,
+                b: 0.0,
+                c: 0.0,
+            },
+        ] {
+            let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+            let kind = appsim::AppKind::Synthetic {
+                model,
+                constraint: appsim::SizeConstraint::Any,
+            };
+            cfg.trace = Some(vec![appsim::workload::SubmittedJob {
+                at: simcore::SimTime::ZERO,
+                spec: appsim::JobSpec::rigid(kind, 4),
+            }]);
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::TraceJob { index: 0, .. })),
+                "{model:?} passed validation"
+            );
+            assert!(crate::run::<crate::SummaryReport>(&crate::Run::cell(&cfg)).is_err());
+        }
+        // Every preset workload and every registered generator's models
+        // (Downey fits included, whose serial term may be negative) still
+        // validate as a stored trace.
+        let registry = appsim::generate::WorkloadRegistry::global();
+        let mut traces: Vec<Vec<appsim::workload::SubmittedJob>> = registry
+            .names()
+            .iter()
+            .map(|name| registry.source(name).unwrap().generate(3, 500))
+            .collect();
+        for w in [
+            WorkloadSpec::wm(),
+            WorkloadSpec::wmr(),
+            WorkloadSpec::wm_prime(),
+            WorkloadSpec::wmr_prime(),
+        ] {
+            traces.push(w.generate(&mut simcore::SimRng::seed_from_u64(3)));
+        }
+        for trace in traces {
+            let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+            cfg.trace = Some(trace);
+            cfg.validate().unwrap();
+        }
+    }
+
+    #[test]
     fn generator_and_topology_fields_validate() {
         let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
         cfg.generator = Some("poisson_lublin".to_string());
@@ -1029,6 +1098,24 @@ mod tests {
             nodes_per_cluster: 64,
         });
         assert_eq!(cfg.validate(), Err(ConfigError::EmptyTopology));
+        // A uniform topology has no heterogeneous variant: asking for both
+        // is refused instead of silently running the uniform one.
+        cfg.uniform_topology = Some(UniformTopology {
+            clusters: 4,
+            nodes_per_cluster: 64,
+        });
+        cfg.heterogeneous = true;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::HeterogeneousUniformTopology)
+        );
+        cfg.uniform_topology = None;
+        cfg.validate().unwrap();
+        cfg.uniform_topology = Some(UniformTopology {
+            clusters: 0,
+            nodes_per_cluster: 64,
+        });
+        cfg.heterogeneous = false;
 
         // Streamed runs reject bad configurations as values, not panics:
         // a caller-owned stream checks the substrate half, a streamed

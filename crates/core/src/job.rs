@@ -92,20 +92,6 @@ impl Job {
         }
     }
 
-    /// Current allocation size (0 before placement / after completion).
-    pub fn current_size(&self) -> u32 {
-        match &self.runner {
-            Some(r) => r.held(),
-            None => {
-                if matches!(self.phase, JobPhase::Starting | JobPhase::Running) {
-                    self.spec.class.min_size()
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
     /// True when the malleability manager may send this job grow/shrink
     /// requests right now: it is a malleable job, executing, with no
     /// operation already in flight.
@@ -148,7 +134,6 @@ mod tests {
         assert_eq!(j.phase, JobPhase::Queued);
         assert!(!j.eligible_for_malleability());
         assert!(!j.is_terminal());
-        assert_eq!(j.current_size(), 0);
     }
 
     #[test]
@@ -157,7 +142,6 @@ mod tests {
         j.phase = JobPhase::Running;
         j.runner = Some(MRunner::new(Dynaco::new(2, 46, SizeConstraint::Any, 2), 2));
         assert!(j.eligible_for_malleability());
-        assert_eq!(j.current_size(), 2);
         // A busy runner suspends eligibility.
         j.runner.as_mut().unwrap().offer_grow(4);
         assert!(!j.eligible_for_malleability());
@@ -168,11 +152,6 @@ mod tests {
         let mut j = job(false);
         j.phase = JobPhase::Running;
         assert!(!j.eligible_for_malleability());
-        assert_eq!(
-            j.current_size(),
-            2,
-            "rigid running job reports its fixed size"
-        );
     }
 
     #[test]
@@ -182,6 +161,5 @@ mod tests {
         assert!(j.is_terminal());
         j.phase = JobPhase::Failed;
         assert!(j.is_terminal());
-        assert_eq!(j.current_size(), 0);
     }
 }

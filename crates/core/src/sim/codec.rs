@@ -939,11 +939,9 @@ fn dec_lrm(r: &mut ByteReader<'_>) -> Result<LrmState, SnapshotError> {
 
 fn enc_info_snapshot(w: &mut ByteWriter, s: &InfoSnapshot) {
     w.u64(s.taken_at.as_millis());
-    for col in [&s.idle, &s.capacity, &s.used_by_koala, &s.used_by_local] {
-        w.len(col.len());
-        for &v in col {
-            w.u32(v);
-        }
+    w.len(s.idle.len());
+    for &v in &s.idle {
+        w.u32(v);
     }
 }
 
@@ -952,25 +950,15 @@ fn dec_info_snapshot(
     n_clusters: usize,
 ) -> Result<InfoSnapshot, SnapshotError> {
     let taken_at = SimTime::from_millis(r.u64()?);
-    let mut cols: [Vec<u32>; 4] = Default::default();
-    for col in &mut cols {
-        let n = r.len(4)?;
-        if n != n_clusters {
-            return Err(SnapshotError::Corrupt("info-snapshot width".into()));
-        }
-        col.reserve(n);
-        for _ in 0..n {
-            col.push(r.u32()?);
-        }
+    let n = r.len(4)?;
+    if n != n_clusters {
+        return Err(SnapshotError::Corrupt("info-snapshot width".into()));
     }
-    let [idle, capacity, used_by_koala, used_by_local] = cols;
-    Ok(InfoSnapshot {
-        taken_at,
-        idle,
-        capacity,
-        used_by_koala,
-        used_by_local,
-    })
+    let mut idle = Vec::with_capacity(n);
+    for _ in 0..n {
+        idle.push(r.u32()?);
+    }
+    Ok(InfoSnapshot { taken_at, idle })
 }
 
 fn enc_job(w: &mut ByteWriter, job: &Job) {

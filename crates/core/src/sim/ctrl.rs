@@ -315,7 +315,7 @@ impl<'a> World<'a> {
         }
     }
 
-    /// Periodic orphaned-allocation sweep: a release batch still pending
+    /// Recurring orphaned-allocation sweep: a release batch still pending
     /// past the grace window lost its message *and* its retries — the
     /// processors would leak silently without this backstop. Reclaim
     /// locally, exactly as a delivered [`Ev::ShrinkReleased`] would.

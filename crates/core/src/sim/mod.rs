@@ -96,9 +96,9 @@ pub enum Ev {
         /// Number of jobs in the run.
         count: u32,
     },
-    /// Periodic placement-queue scan.
+    /// Recurring placement-queue scan.
     QueueScan,
-    /// Periodic KIS poll (also triggers job management, Section V-B).
+    /// Recurring KIS poll (also triggers job management, Section V-B).
     KisPoll,
     /// Initial GRAM batch is running: the job starts executing.
     StartHeld {
@@ -186,11 +186,11 @@ pub enum Ev {
         /// Nodes to restore.
         count: u32,
     },
-    /// Periodic monitoring sample: per-cluster utilization and the
+    /// Recurring monitoring sample: per-cluster utilization and the
     /// placement-queue depth flow into the report's streaming
     /// accumulators (see [`crate::config::ElasticityConfig`]).
     MonitorSample,
-    /// Periodic autoscaling cycle: the configured
+    /// Recurring autoscaling cycle: the configured
     /// [`crate::autoscaler::Autoscaler`] observes every cluster and
     /// schedules [`Ev::AutoscaleApply`] for each non-`Hold` decision.
     AutoscaleCycle,
@@ -232,7 +232,7 @@ pub enum Ev {
         /// Zero-based attempt index of the send this deadline guards.
         attempt: u32,
     },
-    /// Periodic orphaned-allocation sweep: reclaims release batches
+    /// Recurring orphaned-allocation sweep: reclaims release batches
     /// stuck past the grace window after their release message exhausted
     /// its retries, so lost releases never leak processors. Only
     /// scheduled when [control-plane faults](multicluster::ControlPlaneFaults)

@@ -29,13 +29,18 @@ use crate::config::{ExperimentConfig, SchedulerConfig};
 /// Magic bytes opening every serialized snapshot.
 pub const MAGIC: [u8; 4] = *b"KSNP";
 
-/// The current snapshot format version. Version 2 dropped the engine's
-/// queue tag, calendar tuning and cancelled-event count, and the job
-/// record's completion-timer handle; version 3 added the availability
-/// index's blocked-scan tally; version 4 dropped the index's dirty
-/// flags and each LRM's local-job id and completion counters. Older
-/// blobs are rejected as [`SnapshotError::UnsupportedVersion`].
-pub const VERSION: u16 = 4;
+/// The current snapshot format version. The history:
+///
+/// - version 2 dropped the engine's queue tag, calendar tuning and
+///   cancelled-event count, and the job record's completion-timer handle;
+/// - version 3 added the availability index's blocked-scan tally;
+/// - version 4 dropped the index's dirty flags and each LRM's local-job
+///   id and completion counters;
+/// - version 5 dropped the KIS snapshots' capacity, KOALA-used and
+///   local-used columns, leaving the idle counts.
+///
+/// Older blobs are rejected as [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u16 = 5;
 
 /// Why a snapshot could not be taken, decoded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -47,14 +47,15 @@ fn header_is_versioned_and_validated_first() {
 /// Version 1 blobs carried the engine's queue tag, calendar tuning,
 /// cancelled-event count and per-job completion handles; version 2
 /// blobs lack the availability index's blocked-scan tally; version 3
-/// blobs carry its dirty flags and the LRM counters. Their bodies
-/// are laid out differently, so the header must refuse them outright
-/// rather than let the body decoder misread the fields.
+/// blobs carry its dirty flags and the LRM counters; version 4 blobs
+/// carry three more KIS snapshot columns. Their bodies are laid out
+/// differently, so the header must refuse them outright rather than
+/// let the body decoder misread the fields.
 #[test]
 fn version_1_blobs_are_refused_not_misread() {
     let snap = snap();
-    assert_eq!(snap.version, 4);
-    for v in [1u16, 2, 3] {
+    assert_eq!(snap.version, 5);
+    for v in [1u16, 2, 3, 4] {
         let mut old_bytes = snap.to_bytes();
         old_bytes[4..6].copy_from_slice(&v.to_le_bytes());
         assert_eq!(

@@ -32,13 +32,6 @@ impl CumulativeCounter {
         self.instants.push(t);
     }
 
-    /// Records `n` simultaneous events at `t`.
-    pub fn record_n(&mut self, t: SimTime, n: usize) {
-        for _ in 0..n {
-            self.record(t);
-        }
-    }
-
     /// Total number of events recorded.
     pub fn total(&self) -> usize {
         self.instants.len()
@@ -106,14 +99,6 @@ mod tests {
         assert_eq!(c.count_at(s(1)), 2);
         assert_eq!(c.count_at(s(10)), 3);
         assert_eq!(c.count_in(s(1), s(5)), 1);
-    }
-
-    #[test]
-    fn record_n_is_simultaneous() {
-        let mut c = CumulativeCounter::new();
-        c.record_n(s(2), 4);
-        assert_eq!(c.count_at(s(2)), 4);
-        assert_eq!(c.count_at(s(1)), 0);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Csv {
     pub fn into_string(self) -> String {
         self.buf
     }
-
-    /// Number of data rows (excluding the header).
-    pub fn data_rows(&self) -> usize {
-        self.buf.lines().count().saturating_sub(1)
-    }
 }
 
 fn push_escaped(buf: &mut String, field: &str) {
@@ -102,7 +97,6 @@ mod tests {
         c.row(&["1", "2"]);
         c.row_f64(&[1.23456, 2.76543], 2);
         assert_eq!(c.as_str(), "x,y\n1,2\n1.23,2.77\n");
-        assert_eq!(c.data_rows(), 2);
     }
 
     #[test]

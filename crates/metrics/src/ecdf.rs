@@ -112,24 +112,6 @@ impl Ecdf {
         }
         pts
     }
-
-    /// Samples the curve at `k + 1` evenly spaced x positions spanning
-    /// `[min, max]`; used for fixed-grid CSV output so different runs
-    /// align. Empty ECDFs return an empty vector.
-    pub fn curve_on_grid(&self, k: usize) -> Vec<(f64, f64)> {
-        let (Some(lo), Some(hi)) = (self.min(), self.max()) else {
-            return Vec::new();
-        };
-        if k == 0 || lo == hi {
-            return vec![(lo, self.percent_at_or_below(lo))];
-        }
-        (0..=k)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / k as f64;
-                (x, self.percent_at_or_below(x))
-            })
-            .collect()
-    }
 }
 
 impl FromIterator<f64> for Ecdf {
@@ -179,7 +161,6 @@ mod tests {
         assert_eq!(e.quantile(0.5), None);
         assert_eq!(e.mean(), None);
         assert!(e.curve_points().is_empty());
-        assert!(e.curve_on_grid(10).is_empty());
     }
 
     #[test]
@@ -190,18 +171,6 @@ mod tests {
         assert_eq!(pts[0].0, 5.0);
         assert!((pts[0].1 - 200.0 / 3.0).abs() < 1e-9);
         assert_eq!(pts[1], (7.0, 100.0));
-    }
-
-    #[test]
-    fn grid_curve_is_monotone() {
-        let e = Ecdf::from_iter((1..=100).map(|i| (i * i) as f64));
-        let pts = e.curve_on_grid(50);
-        assert_eq!(pts.len(), 51);
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone");
-            assert!(w[1].0 >= w[0].0);
-        }
-        assert_eq!(pts.last().unwrap().1, 100.0);
     }
 
     #[test]

@@ -204,44 +204,6 @@ impl JobTable {
     pub fn total_shrinks(&self) -> u64 {
         self.records.iter().map(|r| r.shrinks as u64).sum()
     }
-
-    /// Per-job CSV dump (one row per record, derived metrics included).
-    pub fn to_csv(&self) -> String {
-        let mut csv = crate::csv::Csv::with_header(&[
-            "id",
-            "app",
-            "malleable",
-            "submit_s",
-            "start_s",
-            "complete_s",
-            "exec_s",
-            "response_s",
-            "wait_s",
-            "avg_size",
-            "max_size",
-            "grows",
-            "shrinks",
-        ]);
-        let fmt = |v: Option<f64>| v.map_or_else(|| "-1".to_string(), |x| format!("{x:.3}"));
-        for r in &self.records {
-            csv.row(&[
-                &r.id.to_string(),
-                &r.app,
-                if r.malleable { "1" } else { "0" },
-                &format!("{:.3}", r.submitted.as_secs_f64()),
-                &fmt(r.started.map(|t| t.as_secs_f64())),
-                &fmt(r.completed.map(|t| t.as_secs_f64())),
-                &fmt(r.execution_time()),
-                &fmt(r.response_time()),
-                &fmt(r.wait_time()),
-                &fmt(r.average_size()),
-                &fmt(r.max_size()),
-                &r.grows.to_string(),
-                &r.shrinks.to_string(),
-            ]);
-        }
-        csv.into_string()
-    }
 }
 
 #[cfg(test)]
@@ -324,20 +286,6 @@ mod tests {
         // The tau floor caps the effect of tiny executions.
         let r = record(3, 0, 100, 101, &[(100, 2.0)]); // exec 1s, resp 101s
         assert!((r.bounded_slowdown(10.0).unwrap() - 10.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_dump_has_one_row_per_record() {
-        let mut t = JobTable::new();
-        t.push(record(1, 0, 10, 110, &[(10, 2.0)]));
-        let mut unfinished = JobRecord::new(2, "GADGET2", true, s(5));
-        t.push(unfinished.clone());
-        unfinished.id = 3;
-        t.push(unfinished);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 4, "header + 3 rows");
-        assert!(csv.contains("1,FT,1,0.000,10.000,110.000,100.000,110.000,10.000"));
-        assert!(csv.contains("2,GADGET2,1,5.000,-1,-1,-1,-1,-1,-1,-1,0,0"));
     }
 
     #[test]

@@ -105,13 +105,7 @@ impl BackgroundLoad {
         Some(SimDuration::from_secs_f64(d.sample(rng)))
     }
 
-    /// Draws a size and duration for one local job.
-    pub fn sample_job(&self, rng: &mut SimRng) -> BackgroundSample {
-        self.job_sampler().sample(rng)
-    }
-
-    /// [`BackgroundLoad::sample_job`] with the duration law built once,
-    /// for callers that draw many local jobs.
+    /// The local-job sampler, with the duration law built once.
     pub fn job_sampler(&self) -> LocalJobSampler {
         LocalJobSampler {
             size_range: self.size_range,
@@ -120,7 +114,8 @@ impl BackgroundLoad {
     }
 }
 
-/// Draws local jobs exactly as [`BackgroundLoad::sample_job`] does.
+/// Draws local jobs: sizes uniform on the load's size range, durations
+/// log-normal around its mean duration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalJobSampler {
     size_range: (u32, u32),
@@ -162,10 +157,10 @@ mod tests {
 
     #[test]
     fn sizes_stay_in_range() {
-        let bg = BackgroundLoad::heavy();
+        let jobs = BackgroundLoad::heavy().job_sampler();
         let mut rng = SimRng::seed_from_u64(2);
         for _ in 0..1000 {
-            let j = bg.sample_job(&mut rng);
+            let j = jobs.sample(&mut rng);
             assert!((2..=16).contains(&j.size));
             assert!(j.duration > SimDuration::ZERO);
         }
@@ -229,11 +224,11 @@ mod tests {
 
     #[test]
     fn duration_mean_is_roughly_right() {
-        let bg = BackgroundLoad::light();
+        let jobs = BackgroundLoad::light().job_sampler();
         let mut rng = SimRng::seed_from_u64(4);
         let n = 40_000;
         let total: f64 = (0..n)
-            .map(|_| bg.sample_job(&mut rng).duration.as_secs_f64())
+            .map(|_| jobs.sample(&mut rng).duration.as_secs_f64())
             .sum();
         let mean = total / n as f64;
         assert!((mean - 300.0).abs() < 10.0, "mean {mean}");

@@ -261,25 +261,12 @@ impl FileCatalog {
     /// (transfers run sequentially from the runner's submission site, per
     /// KOALA's third-party transfer model). Unknown, replica-less and
     /// unreachable files count as zero — the estimate is a placement
-    /// heuristic, not an admission check; [`Self::try_staging_time`]
-    /// is the strict variant.
+    /// heuristic, not an admission check.
     pub fn staging_time(&self, files: &[FileId], dest: ClusterId) -> SimDuration {
         files
             .iter()
             .filter_map(|&f| self.transfer_time(f, dest))
             .fold(SimDuration::ZERO, |acc, d| acc + d)
-    }
-
-    /// Like [`Self::staging_time`] but failing on the first file that
-    /// cannot actually be staged at `dest`.
-    pub fn try_staging_time(
-        &self,
-        files: &[FileId],
-        dest: ClusterId,
-    ) -> Result<SimDuration, CatalogError> {
-        files.iter().try_fold(SimDuration::ZERO, |acc, &f| {
-            Ok(acc + self.try_transfer_time(f, dest)?)
-        })
     }
 
     /// Captures the catalog's dynamic state (registered files in id order
@@ -451,16 +438,9 @@ mod tests {
                 dest: ClusterId(1)
             })
         );
-        assert_eq!(
-            cat.try_staging_time(&[marooned, ghost], ClusterId(1)),
-            Err(CatalogError::Unreachable {
-                file: marooned,
-                dest: ClusterId(1)
-            })
-        );
         // A local replica short-circuits the route check.
         assert_eq!(
-            cat.try_staging_time(&[marooned], ClusterId(0)),
+            cat.try_transfer_time(marooned, ClusterId(0)),
             Ok(SimDuration::ZERO)
         );
     }

@@ -195,14 +195,6 @@ impl ClassLoss {
             MessageClass::InfoPoll => self.info_poll,
         }
     }
-
-    /// The largest per-class probability (validation helper).
-    pub fn max(&self) -> f64 {
-        MessageClass::ALL
-            .iter()
-            .map(|&c| self.get(c))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Per-cluster "flaky channel" episodes: windows during which the
@@ -247,16 +239,6 @@ impl ControlPlaneFaultSpec {
             flaky: None,
         }
     }
-
-    /// The largest loss probability anywhere in the spec (validation
-    /// helper: a spec losing *everything* can never finish).
-    pub fn max_loss(&self) -> f64 {
-        let base = self.loss.max();
-        match &self.flaky {
-            Some(f) => base.max(f.loss),
-            None => base,
-        }
-    }
 }
 
 /// The fate of one control-plane message.
@@ -271,16 +253,6 @@ pub struct MessageOutcome {
     pub jitter: SimDuration,
     /// Extra delay on the duplicate copy.
     pub dup_jitter: SimDuration,
-}
-
-impl MessageOutcome {
-    /// The no-fault outcome: delivered once, on time.
-    pub const CLEAN: MessageOutcome = MessageOutcome {
-        delivered: true,
-        duplicated: false,
-        jitter: SimDuration::ZERO,
-        dup_jitter: SimDuration::ZERO,
-    };
 }
 
 /// One cluster's flaky-channel episode stream: a lazy sequence of
@@ -651,10 +623,17 @@ mod tests {
             3,
             SimRng::seed_from_u64(1),
         );
+        // The no-fault outcome: delivered once, on time.
+        let clean = MessageOutcome {
+            delivered: true,
+            duplicated: false,
+            jitter: SimDuration::ZERO,
+            dup_jitter: SimDuration::ZERO,
+        };
         for i in 0..128u64 {
             let class = MessageClass::ALL[(i % 6) as usize];
             let t = SimTime::ZERO + SimDuration::from_secs(i);
-            assert_eq!(never.outcome(class, None, t), MessageOutcome::CLEAN);
+            assert_eq!(never.outcome(class, None, t), clean);
             assert!(!always.outcome(class, None, t).delivered);
         }
     }
@@ -705,11 +684,5 @@ mod tests {
         }
         assert!(hits > 0, "no probe ever landed inside an episode");
         assert!(misses > 0, "every probe landed inside an episode");
-    }
-
-    #[test]
-    fn max_loss_spans_base_and_flaky_rates() {
-        assert_eq!(lossy_spec().max_loss(), 0.8);
-        assert_eq!(ControlPlaneFaultSpec::uniform(0.3).max_loss(), 0.3);
     }
 }

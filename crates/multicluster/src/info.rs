@@ -17,19 +17,14 @@ use simcore::SimTime;
 use crate::cluster::Cluster;
 use crate::ids::ClusterId;
 
-/// A poll-time snapshot of per-cluster processor availability.
+/// A poll-time snapshot of per-cluster idle processors: the one column
+/// the scheduler places against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfoSnapshot {
     /// When the snapshot was taken.
     pub taken_at: SimTime,
     /// Idle processors per cluster, indexed by [`ClusterId`].
     pub idle: Vec<u32>,
-    /// Pool capacity per cluster (total minus withdrawn nodes).
-    pub capacity: Vec<u32>,
-    /// Processors used by KOALA-managed jobs per cluster.
-    pub used_by_koala: Vec<u32>,
-    /// Processors used by local/background jobs per cluster.
-    pub used_by_local: Vec<u32>,
 }
 
 impl InfoSnapshot {
@@ -50,19 +45,6 @@ impl InfoSnapshot {
     /// Total idle processors across the system.
     pub fn total_idle(&self) -> u32 {
         self.idle.iter().sum()
-    }
-
-    /// Total capacity across the system.
-    pub fn total_capacity(&self) -> u32 {
-        self.capacity.iter().sum()
-    }
-
-    /// Cluster ids sorted by descending idle count (ties by ascending
-    /// id, keeping Worst-Fit deterministic).
-    pub fn clusters_by_idle_desc(&self) -> Vec<ClusterId> {
-        let mut ids: Vec<ClusterId> = (0..self.idle.len()).map(|i| ClusterId(i as u16)).collect();
-        ids.sort_by_key(|c| (std::cmp::Reverse(self.idle[c.index()]), c.0));
-        ids
     }
 }
 
@@ -119,21 +101,10 @@ impl InfoService {
         let mut snap = self.spare.take().unwrap_or_else(|| InfoSnapshot {
             taken_at: now,
             idle: Vec::new(),
-            capacity: Vec::new(),
-            used_by_koala: Vec::new(),
-            used_by_local: Vec::new(),
         });
         snap.taken_at = now;
         snap.idle.clear();
-        snap.capacity.clear();
-        snap.used_by_koala.clear();
-        snap.used_by_local.clear();
-        for c in clusters {
-            snap.idle.push(c.idle());
-            snap.capacity.push(c.capacity());
-            snap.used_by_koala.push(c.used_by_koala());
-            snap.used_by_local.push(c.used_by_local());
-        }
+        snap.idle.extend(clusters.map(Cluster::idle));
         self.in_flight.push_back(snap);
         while let Some(front) = self.in_flight.front() {
             if now.saturating_since(front.taken_at) >= self.lag {
@@ -158,9 +129,7 @@ impl InfoService {
     }
 
     /// Age of the currently visible snapshot at `now`; `None` when no
-    /// poll has matured yet. Callers deciding whether a view is usable
-    /// should prefer [`InfoService::staleness_or_max`], which makes the
-    /// never-polled case explicit instead of easy to drop with `?`.
+    /// poll has matured yet.
     pub fn staleness(&self, now: SimTime) -> Option<simcore::SimDuration> {
         self.visible
             .as_ref()
@@ -184,16 +153,6 @@ impl InfoService {
         self.visible = state.visible;
         self.in_flight = state.in_flight.into();
         self.polls = state.polls;
-    }
-
-    /// Age of the currently visible snapshot at `now`, with a view that
-    /// has never been refreshed reported as [`SimDuration::MAX`]
-    /// ("maximally stale") — never as fresh. Placement code must refuse
-    /// to act (or force a refresh) on a maximally stale view.
-    ///
-    /// [`SimDuration::MAX`]: simcore::SimDuration::MAX
-    pub fn staleness_or_max(&self, now: SimTime) -> simcore::SimDuration {
-        self.staleness(now).unwrap_or(simcore::SimDuration::MAX)
     }
 }
 
@@ -230,7 +189,6 @@ mod tests {
         assert_eq!(s.idle_of(ClusterId(0)), 6);
         assert_eq!(s.idle_of(ClusterId(1)), 20);
         assert_eq!(s.total_idle(), 26);
-        assert_eq!(s.used_by_koala[0], 4);
     }
 
     #[test]
@@ -269,13 +227,9 @@ mod tests {
 
     #[test]
     fn never_polled_view_is_maximally_stale() {
+        // No poll yet: there is no view to place against, and no age.
         let kis = InfoService::new();
         assert_eq!(kis.staleness(SimTime::from_secs(99)), None);
-        assert_eq!(
-            kis.staleness_or_max(SimTime::from_secs(99)),
-            simcore::SimDuration::MAX,
-            "a never-polled KIS must read as maximally stale, not fresh"
-        );
         assert!(kis.snapshot().is_none());
     }
 
@@ -284,12 +238,9 @@ mod tests {
         let mut a = cluster("a", 10);
         let mut kis = InfoService::with_lag(simcore::SimDuration::from_secs(30));
         kis.poll(SimTime::ZERO, [&a].into_iter());
-        // Taken but not yet visible: the view is still maximally stale.
+        // Taken but not yet visible: there is no view yet.
         assert!(kis.snapshot().is_none());
-        assert_eq!(
-            kis.staleness_or_max(SimTime::from_secs(10)),
-            simcore::SimDuration::MAX
-        );
+        assert_eq!(kis.staleness(SimTime::from_secs(10)), None);
         a.allocate(AllocOwner::Local(1), 8).unwrap();
         kis.poll(SimTime::from_secs(40), [&a].into_iter());
         // The matured snapshot is the one taken at t = 0: it lags the
@@ -306,16 +257,5 @@ mod tests {
         assert_eq!(kis.snapshot().unwrap().taken_at, SimTime::from_secs(40));
         assert_eq!(kis.snapshot().unwrap().idle_of(ClusterId(0)), 2);
         assert_eq!(kis.polls(), 3);
-    }
-
-    #[test]
-    fn worst_fit_ordering_breaks_ties_by_id() {
-        let a = cluster("a", 10);
-        let b = cluster("b", 30);
-        let c = cluster("c", 10);
-        let mut kis = InfoService::new();
-        kis.poll(SimTime::ZERO, [&a, &b, &c].into_iter());
-        let order = kis.snapshot().unwrap().clusters_by_idle_desc();
-        assert_eq!(order, vec![ClusterId(1), ClusterId(0), ClusterId(2)]);
     }
 }

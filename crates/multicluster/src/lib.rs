@@ -17,9 +17,9 @@
 //! * [`GramConfig`] — the latency model of GRAM-style job submission,
 //!   including the cheap *stub recruitment* path the MRunner uses
 //!   (Section V-A of the paper).
-//! * [`InfoService`] — the KIS: periodic snapshots of per-cluster idle
-//!   counts; schedulers see the (possibly stale) snapshot, never live
-//!   state.
+//! * [`InfoService`] — the KIS: each poll records one column, the
+//!   per-cluster idle counts; schedulers see the (possibly stale)
+//!   snapshot, never live state.
 //! * [`FileCatalog`] — replica locations and transfer-time estimates for
 //!   the Close-to-Files placement policy.
 //! * [`NetworkTopology`] / [`FlowNet`] — the contended wide-area

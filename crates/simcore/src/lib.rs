@@ -16,13 +16,11 @@
 //!   their own state, which keeps borrow checking trivial and lets each
 //!   crate define its own event type.
 //! * [`SimRng`] and the [`dist`] module — a seeded random-number generator
-//!   plus the analytic distributions needed for workload modelling
-//!   (exponential, log-normal, Weibull, bounded Pareto, Zipf, …).
+//!   plus the two analytic distributions workload modelling uses
+//!   (exponential and log-normal).
 //! * [`Generation`] — cheap invalidation tokens for events that may be
 //!   superseded (e.g. a job-completion event scheduled before the job was
 //!   grown must be ignored once the growth changes the completion time).
-//! * [`Periodic`] — helper for fixed-period timers (KIS polling, placement
-//!   queue scans, utilization sampling).
 //! * [`IdHasher`] / [`IdHashMap`] — the multiply-shift hasher shared by
 //!   every table keyed by simulator-issued ids (jobs, allocations).
 //!
@@ -43,7 +41,6 @@ mod hash;
 mod queue;
 mod rng;
 mod time;
-mod timer;
 
 pub mod dist;
 
@@ -53,4 +50,3 @@ pub use hash::{IdHashMap, IdHasher};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use timer::Periodic;

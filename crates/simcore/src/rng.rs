@@ -118,14 +118,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.usize_below(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element, if the slice is non-empty.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
@@ -214,21 +206,6 @@ mod tests {
         let mut f2 = parent.fork(2);
         let matches = (0..64).filter(|_| f1.next_u64() == f2.next_u64()).count();
         assert_eq!(matches, 0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "astronomically unlikely identity"
-        );
     }
 
     #[test]

@@ -61,20 +61,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-
-    /// The largest representable duration; used as the "maximally stale"
-    /// age of information that has never been refreshed.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Builds a span from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
@@ -224,8 +215,6 @@ mod tests {
         let d = SimDuration::from_secs(4);
         assert_eq!((t + d) - t, d);
         assert_eq!(t.saturating_since(t + d), SimDuration::ZERO);
-        assert_eq!((t + d).checked_since(t), Some(d));
-        assert_eq!(t.checked_since(t + d), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation engine's core guarantees.
 
 use proptest::prelude::*;
-use simcore::dist::{BoundedPareto, Distribution, Exponential, LogNormal, Uniform, Weibull};
-use simcore::{Engine, EventQueue, Periodic, SimDuration, SimRng, SimTime};
+use simcore::dist::{Distribution, Exponential, LogNormal};
+use simcore::{Engine, EventQueue, SimRng, SimTime};
 
 proptest! {
     /// The event queue pops in exactly the order of a stable sort by time.
@@ -45,43 +45,17 @@ proptest! {
         prop_assert_eq!(e.stats().delivered as usize, expected);
     }
 
-    /// Periodic timers always return grid points strictly in the future.
-    #[test]
-    fn periodic_next_is_on_grid_and_future(
-        start in 0u64..10_000,
-        period in 1u64..5_000,
-        now in 0u64..100_000,
-    ) {
-        let p = Periodic::new(SimTime::from_millis(start), SimDuration::from_millis(period));
-        let now = SimTime::from_millis(now);
-        let next = p.next_after(now);
-        prop_assert!(next > now);
-        let offset = next.as_millis().checked_sub(start.min(next.as_millis())).unwrap();
-        if next.as_millis() >= start {
-            prop_assert_eq!(offset % period, 0, "next tick must be on the grid");
-        }
-    }
-
     /// Every distribution produces finite, in-range samples for any seed.
     #[test]
     fn distributions_produce_finite_samples(seed in any::<u64>()) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let u = Uniform::new(5.0, 10.0);
         let e = Exponential::with_mean(100.0);
         let l = LogNormal::with_mean_cv(50.0, 2.0);
-        let w = Weibull::new(1.5, 30.0);
-        let bp = BoundedPareto::new(1.1, 2.0, 500.0);
         for _ in 0..100 {
-            let x = u.sample(&mut rng);
-            prop_assert!((5.0..10.0).contains(&x));
             let x = e.sample(&mut rng);
             prop_assert!(x.is_finite() && x >= 0.0);
             let x = l.sample(&mut rng);
             prop_assert!(x.is_finite() && x > 0.0);
-            let x = w.sample(&mut rng);
-            prop_assert!(x.is_finite() && x >= 0.0);
-            let x = bp.sample(&mut rng);
-            prop_assert!((2.0..=500.0).contains(&x));
         }
     }
 

@@ -103,6 +103,18 @@ fn main() -> ExitCode {
     }
 }
 
+/// The platform a configuration runs on, as the run header names it.
+fn platform(cfg: &ExperimentConfig) -> String {
+    match cfg.uniform_topology {
+        Some(u) => format!(
+            "{} uniform clusters of {} nodes",
+            u.clusters, u.nodes_per_cluster
+        ),
+        None if cfg.heterogeneous => "heterogeneous DAS-3".to_string(),
+        None => "DAS-3".to_string(),
+    }
+}
+
 fn run(
     cfg: ExperimentConfig,
     seeds: &[u64],
@@ -117,10 +129,11 @@ fn run(
         return ExitCode::FAILURE;
     }
     println!(
-        "{}: {} jobs x {} seeds on DAS-3 ({} placement, {} policy, {} approach)",
+        "{}: {} jobs x {} seeds on {} ({} placement, {} policy, {} approach)",
         cfg.name,
         cfg.workload.jobs,
         seeds.len(),
+        platform(&cfg),
         cfg.sched.placement,
         cfg.sched.malleability,
         cfg.sched.approach.label(),

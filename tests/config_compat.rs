@@ -16,6 +16,9 @@
 //! * `koala-sim run` refuses a `--seeds` list with an unparsable entry
 //!   (usage, exit status 2), and a `--csv` write that fails names the
 //!   file and exits 1 instead of reporting success.
+//! * `koala-sim run` names the platform that runs (DAS-3, heterogeneous
+//!   DAS-3 or a uniform topology) and refuses a configuration that asks
+//!   for a heterogeneous uniform topology.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -224,6 +227,59 @@ fn cli_rejects_malformed_seed_lists() {
     let _ = std::fs::remove_file(&cfg);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("6 jobs x 2 seeds"));
+}
+
+#[test]
+fn cli_names_the_platform_that_runs() {
+    let bin = env!("CARGO_BIN_EXE_koala-sim");
+    let mut cfg = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
+    cfg.workload.jobs = 6;
+    let uniform = koala::config::UniformTopology {
+        clusters: 3,
+        nodes_per_cluster: 40,
+    };
+    let cases = [
+        (None, false, Some("6 jobs x 1 seeds on DAS-3 (")),
+        (
+            None,
+            true,
+            Some("6 jobs x 1 seeds on heterogeneous DAS-3 ("),
+        ),
+        (
+            Some(uniform),
+            false,
+            Some("6 jobs x 1 seeds on 3 uniform clusters of 40 nodes ("),
+        ),
+        // Both at once is a configuration error, not a silent pick.
+        (Some(uniform), true, None),
+    ];
+    for (i, (topology, heterogeneous, header)) in cases.into_iter().enumerate() {
+        cfg.uniform_topology = topology;
+        cfg.heterogeneous = heterogeneous;
+        let path = temp_file(
+            &format!("platform{i}"),
+            &serde_json::to_string(&cfg).unwrap(),
+        );
+        let out = Command::new(bin)
+            .arg("run")
+            .arg(&path)
+            .output()
+            .expect("run koala-sim");
+        let _ = std::fs::remove_file(&path);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        match header {
+            Some(header) => {
+                assert!(out.status.success(), "case {i}");
+                assert!(stdout.contains(header), "case {i}: {stdout}");
+            }
+            None => {
+                assert_eq!(out.status.code(), Some(1), "case {i}");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(stderr.contains("heterogeneous"), "case {i}: {stderr}");
+                assert!(stdout.is_empty(), "case {i} must not run");
+            }
+        }
+    }
 }
 
 #[test]
