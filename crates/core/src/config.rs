@@ -72,8 +72,6 @@ pub enum ConfigError {
     KoalaShareOutOfRange(f64),
     /// `koala_share` of zero admits no jobs at all.
     KoalaShareZero,
-    /// Negative co-allocation penalty.
-    NegativeCoallocPenalty(f64),
     /// A zero polling/scan period would livelock the event loop.
     ZeroPeriod,
     /// Negative malleable/moldable class fractions.
@@ -82,7 +80,8 @@ pub enum ConfigError {
     ClassFractionsExceedOne(f64),
     /// Workload with no application kinds and no explicit trace.
     EmptyWorkload,
-    /// An invalid job inside an explicit trace.
+    /// An invalid job inside an explicit trace, or one that arrives
+    /// before its predecessor.
     TraceJob {
         /// Index of the offending job in the trace.
         index: usize,
@@ -103,9 +102,6 @@ pub enum ConfigError {
     /// the crash process would be degenerate (instant storms or no-op
     /// events).
     DegenerateFailureSpec,
-    /// A streamed run over a configuration with neither a `trace` nor a
-    /// `generator` name.
-    MissingGenerator,
     /// A streamed run asked for full reports: a stream retires jobs at
     /// their terminal phase, so it reports summaries only.
     StreamedFullReport,
@@ -151,9 +147,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "koala_share {v} outside [0, 1]")
             }
             ConfigError::KoalaShareZero => write!(f, "koala_share 0 admits no jobs at all"),
-            ConfigError::NegativeCoallocPenalty(v) => {
-                write!(f, "negative coalloc_penalty {v}")
-            }
             ConfigError::ZeroPeriod => {
                 write!(f, "zero polling/scan periods would livelock the event loop")
             }
@@ -177,9 +170,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Autoscaler(e) => e.fmt(f),
             ConfigError::DegenerateFailureSpec => {
                 write!(f, "failure spec needs positive mtbf, mttr, and max_nodes")
-            }
-            ConfigError::MissingGenerator => {
-                write!(f, "a streamed run needs a trace or a generator name")
             }
             ConfigError::StreamedFullReport => {
                 write!(f, "a streamed run reports summaries only, not full reports")
@@ -386,12 +376,6 @@ pub struct SchedulerConfig {
     /// minimum-size demand (~24 processors). Placement and growth both
     /// respect the cap.
     pub koala_share: f64,
-    /// Execution-time inflation per *additional* cluster a co-allocated
-    /// job spans (wide-area messages are slower than intra-cluster ones;
-    /// the Cluster Minimization policies exist to reduce exactly this).
-    /// 0.25 follows the inter/intra-cluster latency ratios reported for
-    /// DAS co-allocation studies (Bucur & Epema).
-    pub coalloc_penalty: f64,
     /// GRAM latency model (see `multicluster::GramConfig`).
     pub gram: GramConfig,
     /// Application suspension cost per reconfiguration.
@@ -435,7 +419,6 @@ impl Default for SchedulerConfig {
             placement_retry_threshold: 1000,
             grow_reserve: 0,
             koala_share: 0.12,
-            coalloc_penalty: 0.25,
             gram: GramConfig::default(),
             reconfig: ReconfigCost::default(),
             claiming: ClaimingPolicy::Immediate,
@@ -702,7 +685,8 @@ pub struct ExperimentConfig {
     /// terminal); experiments use a generous cap as a hang backstop.
     pub horizon: Option<SimDuration>,
     /// Explicit job stream overriding the generated workload — for
-    /// replaying SWF traces or injecting co-allocated jobs.
+    /// replaying SWF traces or injecting co-allocated jobs. Arrivals
+    /// must be nondecreasing ([`ConfigError::TraceJob`] otherwise).
     #[serde(default)]
     pub trace: Option<Vec<appsim::workload::SubmittedJob>>,
     /// Use the heterogeneous DAS-3 variant (per-site compute speeds)
@@ -781,9 +765,6 @@ impl SchedulerConfig {
         }
         if self.koala_share == 0.0 {
             return Err(ConfigError::KoalaShareZero);
-        }
-        if self.coalloc_penalty < 0.0 {
-            return Err(ConfigError::NegativeCoallocPenalty(self.coalloc_penalty));
         }
         if self.kis_poll_period.is_zero() || self.queue_scan_period.is_zero() {
             return Err(ConfigError::ZeroPeriod);
@@ -883,10 +864,21 @@ impl ExperimentConfig {
             return Err(ConfigError::EmptyWorkload);
         }
         let files = self.network.as_ref().map(|net| net.files.len());
+        let mut last_at = simcore::SimTime::ZERO;
         for (i, j) in self.trace.iter().flatten().enumerate() {
             j.spec
                 .validate()
                 .map_err(|reason| ConfigError::TraceJob { index: i, reason })?;
+            if j.at < last_at {
+                return Err(ConfigError::TraceJob {
+                    index: i,
+                    reason: format!(
+                        "arrives at {:?}, before its predecessor at {last_at:?}",
+                        j.at
+                    ),
+                });
+            }
+            last_at = j.at;
             let Some(files) = files else { continue };
             if let Some(&fid) = j.spec.input_files.iter().find(|&&f| f as usize >= files) {
                 return Err(ConfigError::TraceJob {
@@ -1071,6 +1063,28 @@ mod tests {
             let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
             cfg.trace = Some(trace);
             cfg.validate().unwrap();
+        }
+    }
+
+    /// The intake clamps arrivals so they never decrease, so an unsorted
+    /// trace would silently run as another workload: it is refused at
+    /// the first job that arrives before its predecessor.
+    #[test]
+    fn a_trace_job_arriving_before_its_predecessor_is_an_error() {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        cfg.workload.jobs = 40;
+        let mut trace = cfg.generate_workload_for_seed(1);
+        assert!(trace[6].at < trace[20].at, "distinct arrivals");
+        trace.swap(5, 20);
+        cfg.trace = Some(trace);
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            matches!(err, ConfigError::TraceJob { index: 6, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("before its predecessor"), "{err}");
+        for run in [crate::Run::cell(&cfg), crate::Run::cell(&cfg).streamed(8)] {
+            assert!(crate::run::<crate::SummaryReport>(&run).is_err());
         }
     }
 

@@ -100,7 +100,7 @@ pub use job::{Job, JobPhase};
 pub use obs::Obs;
 pub use policy::{Malleability, Placement, PolicyError, PolicyRegistry};
 pub use report::{MultiReport, MultiSummary, ReportMode, RunReport, SummaryReport};
-pub use run::{run, run_stream_summary, try_run_stream_summary, Intake, Report, Run};
+pub use run::{run, run_stream_summary, try_run_stream_summary, Report, Run};
 pub use scenario::{Scenario, ScenarioBuilder, Topology, WorkloadChoice};
 pub use sim::{
     engine_for, fork_summary, resume_summary, warm_snapshot_seeded, World, DEFAULT_LOOKAHEAD,

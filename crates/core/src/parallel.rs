@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::config::ExperimentConfig;
 use crate::report::SummaryReport;
-use crate::run::Intake;
 
 /// The number of worker threads a [`crate::Run`] uses unless it sets
 /// its own: `KOALA_THREADS`, else the detected parallelism.
@@ -121,7 +120,7 @@ pub struct Cell<'a> {
 /// # Panics
 /// Panics on an invalid configuration.
 pub fn run_cells_summary(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryReport> {
-    crate::run::drive_cells(cells, Intake::Eager, threads, false)
+    crate::run::drive_cells(cells, None, threads, false)
         .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 
@@ -140,7 +139,7 @@ pub fn run_cells_summary(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryRepor
 /// # Panics
 /// Panics on an invalid configuration.
 pub fn run_cells_summary_warm(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryReport> {
-    crate::run::drive_cells(cells, Intake::Eager, threads, true)
+    crate::run::drive_cells(cells, None, threads, true)
         .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 
@@ -238,7 +237,7 @@ mod tests {
         let cells: Vec<Cell<'_>> = cells_cfg.iter().map(|cfg| Cell { cfg, seed: 23 }).collect();
         let cold = run_cells_summary(&cells, 1);
         let cold_full: Vec<crate::RunReport> =
-            crate::run::drive_cells(&cells, Intake::Eager, 1, false).unwrap();
+            crate::run::drive_cells(&cells, None, 1, false).unwrap();
         for threads in [1, 3] {
             let warm = run_cells_summary_warm(&cells, threads);
             assert_eq!(
@@ -249,7 +248,7 @@ mod tests {
             // Full reports group the same way.
             let run = crate::Run {
                 cells: cells.clone(),
-                intake: Intake::Eager,
+                lookahead: None,
                 threads,
             };
             let warm_full: Vec<crate::RunReport> = crate::run(&run).unwrap();

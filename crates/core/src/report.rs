@@ -17,6 +17,7 @@
 //! summary-only. Warmup-window trimming and the quantile reservoir
 //! capacity come from [`crate::config::ExperimentConfig::report`].
 
+use appsim::workload::SubmittedJob;
 use koala_metrics::{
     mean_ci95, CumulativeCounter, Ecdf, JobOutcome, JobRecord, JobTable, MeanCi, MetricStream,
     StepSeries,
@@ -279,7 +280,10 @@ pub struct SummaryReport {
     pub seed: u64,
     /// Warmup window: everything before this duration is trimmed.
     pub warmup: SimDuration,
-    /// Jobs submitted (including inside the warmup window).
+    /// Jobs submitted (including inside the warmup window): every job
+    /// the intake pulled. An eager run pulls the whole workload at
+    /// bootstrap, so a horizon cut still counts the jobs that never
+    /// arrived.
     pub jobs_submitted: u64,
     /// Jobs that ran to completion.
     pub jobs_completed: u64,
@@ -315,11 +319,10 @@ pub struct SummaryReport {
     pub failed_submissions: u64,
     /// Events the engine delivered.
     pub events: u64,
-    /// High-water mark of concurrently live jobs — the streaming
-    /// intake's bounded-memory witness. Eager runs materialize the whole
-    /// workload, so this equals `jobs_submitted` there; a streamed
-    /// million-job run reports the in-flight peak instead (merges take
-    /// the maximum across runs).
+    /// High-water mark of concurrently live jobs: arrived and not yet
+    /// terminal. The true peak in every run, eager or streamed — the
+    /// bounded-memory witness of a million-job stream (merges take the
+    /// maximum across runs).
     pub peak_live_jobs: u64,
     /// Per-cluster utilization fractions sampled by the monitoring
     /// subsystem (one sample per cluster per monitor tick; empty unless
@@ -531,17 +534,11 @@ pub(crate) struct DetailCollector {
 }
 
 impl DetailCollector {
-    /// Detail with one [`JobRecord`] per workload entry.
-    pub(crate) fn new(
-        submissions: impl Iterator<Item = (String, bool, SimTime)>,
-        n_clusters: usize,
-    ) -> Self {
-        let records = submissions
-            .enumerate()
-            .map(|(i, (app, malleable, at))| JobRecord::new(i as u64, app, malleable, at))
-            .collect();
+    /// An empty detail over `n_clusters` clusters; each submitted job
+    /// adds its [`JobRecord`].
+    pub(crate) fn new(n_clusters: usize) -> Self {
         DetailCollector {
-            records,
+            records: Vec::new(),
             util_total: StepSeries::with_initial(0.0),
             util_koala: StepSeries::with_initial(0.0),
             util_per_cluster: vec![StepSeries::with_initial(0.0); n_clusters],
@@ -606,11 +603,10 @@ pub(crate) struct SummaryCollector {
 }
 
 impl SummaryCollector {
-    /// Registers a submitted job's meter at `slot`. Streamed worlds
-    /// reuse slots as jobs retire (the previous occupant's metrics were
-    /// streamed at completion).
+    /// Registers an arrived job's meter at `slot`. Slots are reused as
+    /// jobs retire (the previous occupant's metrics were streamed at
+    /// completion).
     fn arrived(&mut self, slot: usize, at: SimTime) {
-        self.jobs_submitted += 1;
         let meter = JobMeter {
             submitted: at,
             started: None,
@@ -847,15 +843,11 @@ pub(crate) struct Collector {
     /// Boxed so a summarized world carries one null pointer, not the
     /// detail's inline footprint.
     pub(crate) detail: Option<Box<DetailCollector>>,
-    /// Whether every job was registered at construction
-    /// ([`Collector::register_upfront`]) rather than at its arrival.
-    upfront: bool,
 }
 
 impl Collector {
     /// A collector with empty streams; reservoirs are keyed off the cell
-    /// `seed`. Jobs register at their [`Obs::Arrive`] unless the
-    /// workload is registered upfront.
+    /// `seed`.
     pub(crate) fn new(seed: u64, report: &ReportConfig, detail: Option<DetailCollector>) -> Self {
         let stream = |i: usize| MetricStream::new(seed ^ STREAM_SALTS[i], report.quantile_capacity);
         Collector {
@@ -888,48 +880,51 @@ impl Collector {
                 util_koala_integral: 0.0,
             },
             detail: detail.map(Box::new),
-            upfront: false,
         }
     }
 
-    /// Registers every job of an eager workload at construction, in
-    /// workload order, so `jobs_submitted` counts the whole workload
-    /// even when a horizon cuts the run short; arrivals then register
-    /// nothing. Streamed runs register each job as it arrives.
-    pub(crate) fn register_upfront(&mut self, submissions: impl Iterator<Item = SimTime>) {
-        for (slot, at) in submissions.enumerate() {
-            self.summary.arrived(slot, at);
+    /// The intake pulled the next job: it counts as submitted (also when
+    /// a horizon cuts the run before it arrives), and the detail gets its
+    /// record, indexed by job id.
+    pub(crate) fn submitted(&mut self, job: &SubmittedJob) {
+        self.summary.jobs_submitted += 1;
+        if let Some(d) = self.detail.as_deref_mut() {
+            d.records.push(JobRecord::new(
+                d.records.len() as u64,
+                job.spec.kind.label().to_string(),
+                job.spec.class.is_malleable(),
+                job.at,
+            ));
         }
-        self.upfront = true;
     }
 
     /// Folds one lifecycle observation into the summary and, when the
     /// run keeps it, the detail. `slot_of` maps the observed job to its
-    /// meter slot (its workload index in eager runs); it is called only
-    /// by the kinds that touch a meter or a record.
+    /// meter slot (its slab slot); it is called only by the kinds that
+    /// touch a meter.
     pub(crate) fn observe(&mut self, t: SimTime, obs: &Obs, slot_of: impl FnOnce(JobId) -> usize) {
         let c = &mut self.summary;
         let d = self.detail.as_deref_mut();
         match *obs {
-            Obs::Arrive { job } if !self.upfront => c.arrived(slot_of(job), t),
+            Obs::Arrive { job } => c.arrived(slot_of(job), t),
             Obs::Place { job, .. } => {
                 if let Some(d) = d {
-                    d.records[slot_of(job)].placed = Some(t);
+                    d.records[job.index()].placed = Some(t);
                 }
             }
             Obs::PlacementFailed { job } => {
                 if let Some(d) = d {
-                    d.records[slot_of(job)].outcome = JobOutcome::PlacementFailed;
+                    d.records[job.index()].outcome = JobOutcome::PlacementFailed;
                 }
                 c.jobs_failed += 1;
             }
             Obs::Start { job, size } => {
-                let i = slot_of(job);
                 if let Some(d) = d {
-                    d.records[i].started = Some(t);
-                    d.records[i].size_history.set(t, size as f64);
+                    let rec = &mut d.records[job.index()];
+                    rec.started = Some(t);
+                    rec.size_history.set(t, size as f64);
                 }
-                let m = &mut c.meters[i];
+                let m = &mut c.meters[slot_of(job)];
                 m.started = Some(t);
                 m.size = size as f64;
                 m.last_change = t;
@@ -953,9 +948,8 @@ impl Collector {
                 }
             }
             Obs::Resume { job, size, grow } => {
-                let i = slot_of(job);
                 if let Some(d) = d {
-                    let rec = &mut d.records[i];
+                    let rec = &mut d.records[job.index()];
                     rec.size_history.set(t, size as f64);
                     if grow {
                         rec.grows += 1;
@@ -963,25 +957,25 @@ impl Collector {
                         rec.shrinks += 1;
                     }
                 }
-                let m = &mut c.meters[i];
+                let m = &mut c.meters[slot_of(job)];
                 m.size_integral += m.size * (t - m.last_change).as_secs_f64();
                 m.size = size as f64;
                 m.last_change = t;
                 m.size_max = m.size_max.max(size as f64);
             }
             Obs::Complete { job } => {
-                let i = slot_of(job);
                 if let Some(d) = d {
-                    d.records[i].completed = Some(t);
-                    d.records[i].outcome = JobOutcome::Completed;
+                    let rec = &mut d.records[job.index()];
+                    rec.completed = Some(t);
+                    rec.outcome = JobOutcome::Completed;
                 }
-                c.completed(i, t);
+                c.completed(slot_of(job), t);
             }
             Obs::ScaleUp { .. } if t >= c.warmup => c.scale_ups += 1,
             Obs::ScaleDown { .. } if t >= c.warmup => c.scale_downs += 1,
             Obs::Killed { job, .. } => {
                 if let Some(d) = d {
-                    d.records[slot_of(job)].outcome = JobOutcome::Killed;
+                    d.records[job.index()].outcome = JobOutcome::Killed;
                 }
                 c.jobs_killed += 1;
             }
@@ -1184,8 +1178,15 @@ mod tests {
         MultiReport::new("x", vec![]);
     }
 
-    /// Feeds `obs` to `c` at `t` seconds (meter slot = job index).
+    /// Feeds `obs` to `c` at `t` seconds (meter slot = job index). An
+    /// arrival is pulled first, as the intake does.
     fn see(c: &mut Collector, t: u64, obs: Obs) {
+        if let Obs::Arrive { .. } = obs {
+            c.submitted(&SubmittedJob {
+                at: SimTime::from_secs(t),
+                spec: appsim::JobSpec::rigid(appsim::AppKind::Ft, 2),
+            });
+        }
         c.observe(SimTime::from_secs(t), &obs, JobId::index);
     }
 
@@ -1330,7 +1331,6 @@ mod tests {
         let mut restored = Collector {
             summary: SummaryCollector::decode(&mut r).unwrap(),
             detail: None,
-            upfront: false,
         };
         r.finish().unwrap();
         assert_eq!(

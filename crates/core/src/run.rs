@@ -2,41 +2,32 @@
 
 use std::collections::HashMap;
 
-use appsim::generate::{JobStream, SliceStream, WorkloadRegistry};
+use appsim::generate::JobStream;
 use simcore::{Engine, SimTime};
 
 use crate::config::{ConfigError, ExperimentConfig};
 use crate::parallel::{default_threads, parallel_map, Cell};
 use crate::report::{MultiReport, MultiSummary, ReportMode, RunReport, SummaryReport};
-use crate::sim::{engine_for, Ev, World};
+use crate::sim::{engine_for, Ev, World, UNBOUNDED};
 use crate::snapshot::fork_key;
 
-/// A batch of runs: the cells, the intake their jobs come through, and
-/// the worker count. Reports come back in cell order, bit-identical for
-/// any thread count.
+/// A batch of runs: the cells, the look-ahead their jobs come through,
+/// and the worker count. Reports come back in cell order, bit-identical
+/// for any thread count.
 #[derive(Debug, Clone)]
 pub struct Run<'a> {
     /// The `(configuration, seed)` cells to run.
     pub cells: Vec<Cell<'a>>,
-    /// How each cell's jobs arrive.
-    pub intake: Intake,
+    /// Every cell pulls its configuration's workload — its trace, else
+    /// its generator, else `cfg.workload` — through one look-ahead
+    /// window. `None` leaves the window unbounded (eager: the whole
+    /// workload is scheduled up front, and warm-fork cells share their
+    /// prefix); `Some(n)` schedules at most `n` arrivals ahead of
+    /// simulated time (streamed: summary reports only). Both report the
+    /// same summaries.
+    pub lookahead: Option<usize>,
     /// Worker threads sharing the cells.
     pub threads: usize,
-}
-
-/// How a run's jobs arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Intake {
-    /// The whole workload is materialized and scheduled up front.
-    Eager,
-    /// The configuration's trace, else its generator, is streamed
-    /// through a window of at most `lookahead` scheduled arrivals, and
-    /// jobs are retired at their terminal phase: memory is bounded by
-    /// the in-flight job count. Summary reports only.
-    Streamed {
-        /// Arrivals scheduled ahead of simulated time.
-        lookahead: usize,
-    },
 }
 
 impl<'a> Run<'a> {
@@ -60,7 +51,7 @@ impl<'a> Run<'a> {
                 .iter()
                 .flat_map(|cfg| seeds.iter().map(move |&seed| Cell { cfg, seed }))
                 .collect(),
-            intake: Intake::Eager,
+            lookahead: None,
             threads: default_threads(),
         }
     }
@@ -73,9 +64,9 @@ impl<'a> Run<'a> {
     }
 
     /// Streams each cell's jobs with the given look-ahead
-    /// ([`Intake::Streamed`]).
+    /// ([`Run::lookahead`]).
     pub fn streamed(mut self, lookahead: usize) -> Self {
-        self.intake = Intake::Streamed { lookahead };
+        self.lookahead = Some(lookahead);
         self
     }
 }
@@ -135,8 +126,7 @@ impl Report for SummaryReport {
 /// cell switches its policies in place at the fork time.
 ///
 /// Every configuration is validated before anything runs; a bad one is
-/// a typed [`ConfigError`], not a panic. A streamed run needs a trace or
-/// a generator ([`ConfigError::MissingGenerator`]) and reports
+/// a typed [`ConfigError`], not a panic. A streamed run reports
 /// summaries only ([`ConfigError::StreamedFullReport`]).
 ///
 /// ```
@@ -150,48 +140,33 @@ impl Report for SummaryReport {
 /// assert_eq!(reports.len(), 2);
 /// ```
 pub fn run<R: Report>(run: &Run<'_>) -> Result<Vec<R>, ConfigError> {
-    drive_cells(&run.cells, run.intake, run.threads, true)
+    drive_cells(&run.cells, run.lookahead, run.threads, true)
 }
 
 /// Validates `cells`, then runs them on `threads` workers, in cell
 /// order. With `warm`, eager cells that can share a warm-fork prefix
 /// form one group: same seed, same trace, and equal in everything but
-/// `name` and the policy pair. Without it, every cell is its own group.
+/// `name` and the policy pair. Without it, and for streamed cells, every
+/// cell is its own group.
 pub(crate) fn drive_cells<R: Report>(
     cells: &[Cell<'_>],
-    intake: Intake,
+    lookahead: Option<usize>,
     threads: usize,
     warm: bool,
 ) -> Result<Vec<R>, ConfigError> {
-    let streamed = intake != Intake::Eager;
     for (i, cell) in cells.iter().enumerate() {
         if i > 0 && std::ptr::eq(cells[i - 1].cfg, cell.cfg) {
             continue;
         }
-        if streamed && cell.cfg.trace.is_none() && cell.cfg.generator.is_none() {
-            return Err(ConfigError::MissingGenerator);
-        }
         cell.cfg.validate()?;
     }
-    if let Intake::Streamed { lookahead } = intake {
-        if R::MODE == ReportMode::Full {
-            return Err(ConfigError::StreamedFullReport);
-        }
-        return Ok(parallel_map(cells, threads, |cell| {
-            let cfg = cell.cfg;
-            let mut stream: Box<dyn JobStream + '_> = match (&cfg.trace, &cfg.generator) {
-                (Some(trace), _) => Box::new(SliceStream::new(trace)),
-                (None, name) => WorkloadRegistry::global()
-                    .source(name.as_deref().expect("checked before the run"))
-                    .expect("validated sources resolve")
-                    .stream(cell.seed, cfg.workload.jobs as u64),
-            };
-            stream_cell(cfg, cell.seed, stream.as_mut(), lookahead)
-        }));
+    if lookahead.is_some() && R::MODE == ReportMode::Full {
+        return Err(ConfigError::StreamedFullReport);
     }
-    if !warm {
+    let lookahead = lookahead.unwrap_or(UNBOUNDED);
+    if !warm || lookahead != UNBOUNDED {
         return Ok(parallel_map(cells, threads, |cell| {
-            eager_group(&[cell.cfg], cell.seed, &mut Vec::new())
+            run_group(&[cell.cfg], cell.seed, lookahead, &mut Vec::new())
         }));
     }
     // One task per group: a warm cell joins the first group with its
@@ -218,7 +193,7 @@ pub(crate) fn drive_cells<R: Report>(
     let runs = parallel_map(&tasks, threads, |idxs| {
         let cfgs: Vec<&ExperimentConfig> = idxs.iter().map(|&i| cells[i].cfg).collect();
         let mut out = Vec::with_capacity(cfgs.len());
-        let last = eager_group(&cfgs, cells[idxs[0]].seed, &mut out);
+        let last = run_group(&cfgs, cells[idxs[0]].seed, lookahead, &mut out);
         out.push(last);
         out
     });
@@ -234,28 +209,30 @@ pub(crate) fn drive_cells<R: Report>(
         .collect())
 }
 
-/// Runs one eager group under `seed`: the world is built on the last
-/// configuration, and the others fork from its warmed prefix, their
-/// reports pushed to `forks_out` in order. Returns the last cell's.
-fn eager_group<R: Report>(cfgs: &[&ExperimentConfig], seed: u64, forks_out: &mut Vec<R>) -> R {
+/// Runs one group under `seed` with the given look-ahead: the world is
+/// built on the last configuration, and the others fork from its warmed
+/// prefix, their reports pushed to `forks_out` in order. Returns the
+/// last cell's.
+fn run_group<R: Report>(
+    cfgs: &[&ExperimentConfig],
+    seed: u64,
+    lookahead: usize,
+    forks_out: &mut Vec<R>,
+) -> R {
     let (&last, forks) = cfgs.split_last().expect("groups are non-empty");
-    let mut engine = engine_for(last);
-    let world = World::for_seed_with_mode(last, seed, R::MODE);
+    let mut engine = match lookahead {
+        UNBOUNDED => engine_for(last),
+        _ => stream_engine(last, lookahead),
+    };
+    let world = World::for_seed_with_mode(last, seed, R::MODE, lookahead);
     drive(last, world, &mut engine, forks, forks_out)
 }
 
-/// Runs one configuration over a job stream.
-fn stream_cell<R: Report>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-    stream: &mut dyn JobStream,
-    lookahead: usize,
-) -> R {
+/// The engine of a run whose window holds at most `lookahead` arrivals.
+fn stream_engine(cfg: &ExperimentConfig, lookahead: usize) -> Engine<Ev> {
     let horizon = cfg.horizon.map(|h| SimTime::ZERO + h);
-    let cap = lookahead.max(1) * 2 + 64;
-    let mut engine = Engine::configured(cfg.sched.event_queue, horizon, cap);
-    let world = World::for_stream_summarized(cfg, seed, stream, lookahead);
-    drive(cfg, world, &mut engine, &[], &mut Vec::new())
+    let cap = lookahead.max(1).saturating_mul(2).saturating_add(64);
+    Engine::configured(cfg.sched.event_queue, horizon, cap)
 }
 
 /// The driver's core, for a world built on `cfg`. Without a warm fork it
@@ -322,5 +299,7 @@ pub fn try_run_stream_summary(
     lookahead: usize,
 ) -> Result<SummaryReport, ConfigError> {
     cfg.validate_substrate()?;
-    Ok(stream_cell(cfg, seed, stream, lookahead))
+    let mut engine = stream_engine(cfg, lookahead);
+    let world = World::for_stream_summarized(cfg, seed, stream, lookahead);
+    Ok(drive(cfg, world, &mut engine, &[], &mut Vec::new()))
 }

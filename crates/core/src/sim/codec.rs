@@ -1,11 +1,12 @@
 //! The KSNP world codec: snapshot, restore and byte-fork of a
-//! summarized, fixed-intake world. The byte layer lives in
-//! [`crate::snapshot`]; the world-structure codec lives here, beside
-//! the private fields it reads and writes.
+//! summarized world whose intake has pulled its whole workload. The
+//! byte layer lives in [`crate::snapshot`]; the world-structure codec
+//! lives here, beside the private fields it reads and writes.
 
 use std::collections::HashMap;
 
 use appsim::dynaco::{Dynaco, Phase as DynacoPhase};
+use appsim::workload::SubmittedJob;
 use appsim::{Progress, SizeConstraint};
 use multicluster::{
     AllocId, AllocOwner, ClusterId, ClusterState, ControlPlaneFaultsState, FailureStreamState,
@@ -14,7 +15,6 @@ use multicluster::{
 };
 use simcore::{Engine, EngineSnapshot, EngineStats, Generation, SimDuration, SimRng, SimTime};
 
-use super::intake::Intake;
 use super::jobs::JobSlab;
 use super::net::{StagingState, TransferOwner};
 use super::{engine_for, CtrlOp, Ev, World};
@@ -33,14 +33,17 @@ impl<'a> World<'a> {
     /// Captures the complete mid-run state of this world and its
     /// engine as a versioned, deterministic [`Snapshot`] — queue
     /// contents in `(time, seq)` order with the next sequence number,
-    /// the job slab's runtime overlay, cluster/allocation/availability
-    /// state, in-flight retry timers, open network flows, streaming
+    /// the intake's cursor, the live jobs' slots and runtime overlay,
+    /// cluster/allocation/availability state, in-flight retry timers,
+    /// open network flows, streaming
     /// accumulators and every seeded RNG position. The world is
     /// untouched; a [`World::restore`]d copy continues bit-identically.
     ///
-    /// Only **summarized-mode, fixed-intake** worlds can be captured
-    /// (full reports hold unbounded job tables, and a job stream cannot
-    /// be rewound); anything else is a typed
+    /// Only **summarized-mode** worlds over their configuration's own
+    /// workload, pulled to its end, can be captured: full reports hold
+    /// unbounded job tables, and a restore rebuilds the job specs from
+    /// `(config, seed)`, which a caller's stream or a window still
+    /// pulling cannot offer. Anything else is a typed
     /// [`SnapshotError::UnsupportedMode`]. An attached sink is not
     /// world state: it is neither captured nor a reason to refuse.
     pub fn snapshot(&self, engine: &Engine<Ev>) -> Result<Snapshot, SnapshotError> {
@@ -49,9 +52,14 @@ impl<'a> World<'a> {
                 "full-report mode (build with World::for_seed_summarized)".into(),
             ));
         }
-        if !matches!(self.intake, Intake::Fixed { .. }) {
+        if !self.intake.own {
             return Err(SnapshotError::UnsupportedMode(
-                "streaming intake (the job stream cannot be rewound)".into(),
+                "a caller's job stream (its jobs cannot be rebuilt from the configuration)".into(),
+            ));
+        }
+        if !self.intake.exhausted() {
+            return Err(SnapshotError::UnsupportedMode(
+                "an intake still pulling its stream (a bounded look-ahead window)".into(),
             ));
         }
         if self.files.is_some() && self.cfg.network.is_none() {
@@ -135,10 +143,9 @@ impl<'a> World<'a> {
         // --- world scalars --------------------------------------------
         w.u64(self.grow_messages);
         w.u64(self.shrink_messages);
-        let Intake::Fixed { arrivals_seen, .. } = self.intake else {
-            unreachable!("snapshot refuses streaming intakes");
-        };
-        w.u64(arrivals_seen as u64);
+        // The intake cursor: jobs arrived so far. The rest of the
+        // workload is the window, rebuilt from (config, seed).
+        w.u64(self.intake.arrived() as u64);
         w.u64(self.next_bg_local);
         for word in self.bg_rng.state() {
             w.u64(word);
@@ -285,16 +292,22 @@ impl<'a> World<'a> {
             w.f64(net.stats.link_busy_s);
             w.f64(net.stats.link_span_s);
         });
-        // --- job slab runtime overlay ---------------------------------
+        // --- job slab: live jobs, free list ---------------------------
         // Specs are NOT serialized: the workload regenerates from
         // (config, seed) at restore, and only the mutable runtime
         // fields are overwritten on the rebuilt jobs.
-        w.len(self.jobs.slots.len());
-        for slot in &self.jobs.slots {
-            let job = slot.as_ref().expect("fixed slabs keep every slot");
-            enc_job(&mut w, job);
+        w.len(self.jobs.live);
+        for (slot, job) in self.jobs.slots.iter().enumerate() {
+            if let Some(job) = job {
+                w.u32(slot as u32);
+                w.u32(job.id.0);
+                enc_job(&mut w, job);
+            }
         }
-        w.u64(self.jobs.live as u64);
+        w.len(self.jobs.free.len());
+        for &slot in &self.jobs.free {
+            w.u32(slot);
+        }
         w.u64(self.jobs.peak_live as u64);
         // --- streaming collector --------------------------------------
         self.collect.summary.encode(&mut w);
@@ -342,10 +355,16 @@ impl<'a> World<'a> {
         // --- world scalars --------------------------------------------
         self.grow_messages = r.u64()?;
         self.shrink_messages = r.u64()?;
-        let Intake::Fixed { arrivals_seen, .. } = &mut self.intake else {
-            unreachable!("restored worlds have a fixed intake");
-        };
-        *arrivals_seen = r.u64()? as usize;
+        // The intake cursor: pull the whole workload again without
+        // scheduling it (the restored engine holds the arrival events),
+        // and take the arrived jobs out of the window, indexed by id.
+        while self.intake.pull().is_some() {}
+        let arrived = usize::try_from(r.u64()?)
+            .ok()
+            .filter(|&a| a <= self.intake.pending.len())
+            .ok_or_else(|| corrupt("intake cursor beyond the workload"))?;
+        let mut arrived: Vec<Option<SubmittedJob>> =
+            self.intake.pending.drain(..arrived).map(Some).collect();
         self.next_bg_local = r.u64()?;
         let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         self.bg_rng = SimRng::from_state(rng);
@@ -570,26 +589,28 @@ impl<'a> World<'a> {
             (false, false) => {}
             _ => return Err(corrupt("network-layer presence mismatch")),
         }
-        // --- job slab runtime overlay ---------------------------------
-        let n = r.len(8)?;
-        if n != self.jobs.slots.len() {
-            return Err(corrupt("job count does not match the workload"));
+        // --- job slab: live jobs, free list ---------------------------
+        let n_live = r.len(29)?;
+        let mut live = Vec::with_capacity(n_live);
+        for _ in 0..n_live {
+            let slot = r.u32()?;
+            let id = r.u32()?;
+            let sj = arrived
+                .get_mut(id as usize)
+                .and_then(Option::take)
+                .ok_or_else(|| corrupt("live job that has not arrived, or is live twice"))?;
+            let mut job = Job::new(JobId(id), sj.spec, sj.at);
+            dec_job_into(r, &mut job)?;
+            live.push((slot, job));
         }
-        for slot in 0..n {
-            let job = self.jobs.slots[slot]
-                .as_mut()
-                .expect("fixed slabs keep every slot");
-            dec_job_into(r, job)?;
-            let (phase, cluster, room) = (job.phase, job.cluster, JobSlab::shrink_room_of(job));
-            self.jobs.set_hot(slot, phase, cluster, room);
+        let n_free = r.len(4)?;
+        let mut free = Vec::with_capacity(n_free);
+        for _ in 0..n_free {
+            free.push(r.u32()?);
         }
-        let live = r.u64()? as usize;
         let peak_live = r.u64()? as usize;
-        if live > n || peak_live > n {
-            return Err(corrupt("live-job counters exceed the workload"));
-        }
-        self.jobs.live = live;
-        self.jobs.peak_live = peak_live;
+        self.jobs = JobSlab::restore(n_live + n_free, live, free, peak_live)
+            .map_err(SnapshotError::Corrupt)?;
         // --- streaming collector --------------------------------------
         self.collect.summary = crate::report::SummaryCollector::decode(r)?;
         Ok(engine)

@@ -332,6 +332,8 @@ impl<'a> World<'a> {
                 orphans.push(j.id);
             }
         }
+        // Reclaim in job order, whichever slots the jobs occupy.
+        orphans.sort_unstable();
         for id in orphans {
             let job = self.jobs.get(id).expect("iterated live above");
             let count = job.runner.as_ref().map_or(0, |r| r.releasing());

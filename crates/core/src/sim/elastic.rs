@@ -258,8 +258,8 @@ impl<'a> World<'a> {
         }
         // One mirror refresh covers the `cluster.take()` above and the
         // phase write of whichever policy arm ran (a no-op for a killed
-        // streaming job whose slot was just freed — `retire` already
-        // dropped that slot from the running index).
+        // job whose slot was just freed — `retire` already dropped that
+        // slot from the running index).
         self.jobs.sync_hot(id);
         // Release the survivors. The crashed allocation may be gone
         // entirely (`alloc_size` is `None` once its last node went

@@ -1,9 +1,8 @@
 //! The intake: where a world's jobs come from (see [`Intake`]).
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
-use appsim::generate::JobStream;
+use appsim::generate::{JobStream, SliceStream};
 use appsim::workload::SubmittedJob;
 use simcore::{Engine, SimTime};
 
@@ -16,135 +15,163 @@ use crate::job::Job;
 /// [`World::for_stream_summarized`]).
 pub const DEFAULT_LOOKAHEAD: usize = 1024;
 
-/// Where a world's jobs come from.
-///
-/// The eager variant is the classic path: the whole workload is
-/// materialized (generated or an explicit trace) and every arrival is
-/// scheduled at bootstrap. The streaming variant pulls jobs from a
-/// [`JobStream`] through a bounded look-ahead window — at most `window`
-/// arrivals are scheduled ahead of simulated time, so a million-job
-/// trace never exists in memory at once.
-pub(super) enum Intake<'a> {
-    /// Materialized workload (owned when generated, borrowed for traces).
-    Fixed {
-        workload: Cow<'a, [SubmittedJob]>,
-        /// Arrivals delivered so far.
-        arrivals_seen: usize,
-    },
-    /// Incremental intake from a job stream. The stream is borrowed so
-    /// the caller can inspect it after the run (e.g.
-    /// [`appsim::swf::SwfJobStream::error`] — a mid-trace parse failure
-    /// must not masquerade as a successful short run).
-    Stream {
-        src: &'a mut (dyn JobStream + 'a),
-        /// Jobs whose arrival events are scheduled but have not fired
-        /// yet, in arrival order (the bounded look-ahead window).
-        pending: VecDeque<SubmittedJob>,
-        /// Window size.
-        window: usize,
-        /// Next job id to assign.
-        next_id: u32,
-        /// Arrival clamp: streams must be nondecreasing in time; the
-        /// occasional inversion in a real trace is clamped up to this.
-        last_at: SimTime,
-        /// The stream returned `None`.
-        exhausted: bool,
-    },
+/// The window of an eager run: no bound, so bootstrap pulls the whole
+/// workload and schedules every arrival up front.
+pub(crate) const UNBOUNDED: usize = usize::MAX;
+
+/// Where a world's jobs come from: a [`JobStream`] pulled through a
+/// look-ahead window. At most `window` arrivals are scheduled ahead of
+/// simulated time, so a million-job trace never exists in memory at
+/// once; an eager run is the same window with no bound. A job counts as
+/// submitted when it is pulled, and enters the job slab at its arrival.
+pub(super) struct Intake<'a> {
+    /// The job source, dropped once it runs dry.
+    src: Option<Source<'a>>,
+    /// Whether the source is the configuration's own workload, so a
+    /// restore can rebuild it from `(config, seed)`. A caller's stream
+    /// cannot be rewound.
+    pub(super) own: bool,
+    /// Jobs whose arrival events are scheduled but have not fired yet,
+    /// in arrival order (the look-ahead window).
+    pub(super) pending: VecDeque<SubmittedJob>,
+    /// Window size.
+    window: usize,
+    /// Next job id to assign: the number of jobs pulled.
+    next_id: u32,
+    /// Arrival clamp of a caller's stream: arrivals must be
+    /// nondecreasing; the occasional inversion of a real trace is
+    /// clamped up to this (a configuration's trace is validated sorted).
+    last_at: SimTime,
 }
 
-impl Intake<'_> {
+/// A world's job source.
+pub(super) enum Source<'a> {
+    /// The configuration's explicit trace, borrowed.
+    Trace(SliceStream<'a>),
+    /// A registered generator's stream, or the configuration's
+    /// generated workload.
+    Generated(Box<dyn JobStream>),
+    /// A caller's stream, borrowed so the caller can inspect it after
+    /// the run (e.g. [`appsim::swf::SwfJobStream::error`] — a mid-trace
+    /// parse failure must not masquerade as a successful short run).
+    Caller(&'a mut (dyn JobStream + 'a)),
+}
+
+impl Source<'_> {
+    fn stream(&mut self) -> &mut dyn JobStream {
+        match self {
+            Source::Trace(s) => s,
+            Source::Generated(s) => s.as_mut(),
+            Source::Caller(s) => *s,
+        }
+    }
+}
+
+impl<'a> Intake<'a> {
+    /// An intake pulling `src` through a window of `window` arrivals.
+    pub(super) fn new(mut src: Source<'a>, window: usize) -> Self {
+        let window = window.max(1);
+        let own = !matches!(src, Source::Caller(_));
+        let hint = src.stream().remaining_hint().unwrap_or(0);
+        let capacity = usize::try_from(hint).unwrap_or(usize::MAX).min(window);
+        Intake {
+            src: Some(src),
+            own,
+            pending: VecDeque::with_capacity(capacity),
+            window,
+            next_id: 0,
+            last_at: SimTime::ZERO,
+        }
+    }
+
+    /// Whether the source has run dry (and was dropped).
+    pub(super) fn exhausted(&self) -> bool {
+        self.src.is_none()
+    }
+
     /// Whether every job has arrived: the arrival half of
     /// [`World::done`].
     pub(super) fn all_arrived(&self) -> bool {
-        match self {
-            Intake::Fixed {
-                workload,
-                arrivals_seen,
-            } => *arrivals_seen == workload.len(),
-            Intake::Stream {
-                pending, exhausted, ..
-            } => *exhausted && pending.is_empty(),
+        self.exhausted() && self.pending.is_empty()
+    }
+
+    /// Jobs delivered so far.
+    pub(super) fn arrived(&self) -> usize {
+        self.next_id as usize - self.pending.len()
+    }
+
+    /// Pulls the next job into the window and returns its id and the
+    /// job; `None` (dropping the source) once the stream is exhausted.
+    pub(super) fn pull(&mut self) -> Option<(JobId, &SubmittedJob)> {
+        let Some(mut job) = self.src.as_mut()?.stream().next_job() else {
+            self.src = None;
+            return None;
+        };
+        job.at = job.at.max(self.last_at);
+        self.last_at = job.at;
+        let id = JobId(self.next_id);
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .expect("more than u32::MAX streamed jobs");
+        self.pending.push_back(job);
+        Some((id, self.pending.back().expect("just pushed")))
+    }
+
+    /// A copy of an exhausted intake (for an in-memory fork): the
+    /// window's jobs and the cursor, with no source to share.
+    ///
+    /// # Panics
+    /// Panics while the source is still being pulled.
+    pub(super) fn fork<'b>(&self) -> Intake<'b> {
+        assert!(
+            self.exhausted(),
+            "a world still pulling its stream cannot be forked"
+        );
+        Intake {
+            src: None,
+            own: self.own,
+            pending: self.pending.clone(),
+            window: self.window,
+            next_id: self.next_id,
+            last_at: self.last_at,
         }
     }
 }
 
 impl<'a> World<'a> {
-    /// Schedules the intake's first arrivals: the whole fixed workload,
-    /// or a stream's first look-ahead window.
+    /// Fills the look-ahead window: a bounded window's first arrivals,
+    /// or the whole workload for an unbounded one.
     pub(super) fn schedule_arrivals(&mut self, engine: &mut Engine<Ev>) {
-        match &self.intake {
-            Intake::Fixed { workload, .. } => {
-                for (i, s) in workload.iter().enumerate() {
-                    engine.schedule_at(s.at, Ev::Arrival(i as u32));
-                }
-            }
-            Intake::Stream { window, .. } => {
-                // Prime the look-ahead window.
-                let window = *window;
-                for _ in 0..window {
-                    if !self.pull_one(engine) {
-                        break;
-                    }
-                }
+        for _ in 0..self.intake.window {
+            if !self.pull_one(engine) {
+                break;
             }
         }
     }
 
-    /// Job `id` arrives: a fixed intake counts it; a streaming intake
-    /// materializes it into the slab now and refills its window.
+    /// Job `id` arrives: it enters the slab, and the window refills.
+    /// Arrivals fire in pull order, so it is the window's front.
     pub(super) fn admit(&mut self, engine: &mut Engine<Ev>, id: JobId) {
-        match &mut self.intake {
-            Intake::Fixed { arrivals_seen, .. } => *arrivals_seen += 1,
-            Intake::Stream { pending, .. } => {
-                // Arrivals fire in schedule order at nondecreasing times, so
-                // the window's front is always the job this event is for.
-                let sj = pending.pop_front().expect("arrival without pending job");
-                let job = Job::new(id, sj.spec, sj.at);
-                self.jobs.insert(job);
-                // Keep the look-ahead window full.
-                self.pull_one(engine);
-            }
-        }
+        debug_assert_eq!(id.index(), self.intake.arrived(), "arrival out of order");
+        let sj = self
+            .intake
+            .pending
+            .pop_front()
+            .expect("arrival without pending job");
+        self.jobs.insert(Job::new(id, sj.spec, sj.at));
+        self.pull_one(engine);
     }
 
-    /// Pulls one job from the stream into the look-ahead window and
-    /// schedules its arrival. Returns `false` when the stream is
-    /// exhausted. No-op for fixed intakes (their arrivals are all
-    /// scheduled at bootstrap).
-    pub(super) fn pull_one(&mut self, engine: &mut Engine<Ev>) -> bool {
-        let Intake::Stream {
-            src,
-            pending,
-            next_id,
-            last_at,
-            exhausted,
-            ..
-        } = &mut self.intake
-        else {
+    /// Pulls one job into the look-ahead window, counts it as submitted
+    /// and schedules its arrival. Returns `false` once the stream is
+    /// exhausted.
+    fn pull_one(&mut self, engine: &mut Engine<Ev>) -> bool {
+        let Some((id, job)) = self.intake.pull() else {
             return false;
         };
-        if *exhausted {
-            return false;
-        }
-        match src.next_job() {
-            Some(mut job) => {
-                // Streams must be nondecreasing in arrival time; clamp
-                // the occasional inversion of a real trace upward so the
-                // event order matches the window order.
-                job.at = job.at.max(*last_at);
-                *last_at = job.at;
-                let id = *next_id;
-                *next_id = next_id
-                    .checked_add(1)
-                    .expect("more than u32::MAX streamed jobs");
-                engine.schedule_at(job.at, Ev::Arrival(id));
-                pending.push_back(job);
-                true
-            }
-            None => {
-                *exhausted = true;
-                false
-            }
-        }
+        engine.schedule_at(job.at, Ev::Arrival(id.0));
+        self.collect.submitted(job);
+        true
     }
 }

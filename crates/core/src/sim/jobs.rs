@@ -9,15 +9,10 @@ use crate::ids::JobId;
 use crate::job::{Job, JobPhase};
 use crate::runner::MRunner;
 
-/// Job storage of a world: a slab indexed by job id.
-///
-/// In **fixed** mode (eager intake) ids are dense indices and jobs stay
-/// in place after completion — exactly the historical `Vec<Job>`
-/// behaviour, with no extra indirection on the hot path. In
-/// **streaming** mode jobs are inserted at arrival and *retired* at
-/// their terminal phase: the slot returns to a free list and the
-/// id→slot map forgets the job, so live memory is bounded by the number
-/// of in-flight jobs, not the trace length.
+/// Job storage of a world: a slab of live jobs. A job is inserted at
+/// its arrival and *retired* at its terminal phase: the slot returns to
+/// a free list and the id→slot map forgets the job, so live memory is
+/// bounded by the number of in-flight jobs, not the workload length.
 #[derive(Clone, Default)]
 pub(super) struct JobSlab {
     pub(super) slots: Vec<Option<Job>>,
@@ -46,12 +41,11 @@ pub(super) struct JobSlab {
     /// number instead of walking the jobs running there. Derived like
     /// `running`.
     shrink_room: Vec<u32>,
-    /// Free slot indices (streaming mode only).
-    free: Vec<u32>,
-    /// Job id → slot (streaming mode only; fixed mode uses id = slot).
-    /// Never iterated, so its hash order cannot reach the trajectory.
+    /// Free slot indices, reused last-freed first.
+    pub(super) free: Vec<u32>,
+    /// Job id → slot. Never iterated, so its hash order cannot reach the
+    /// trajectory.
     index: IdHashMap<u32, u32>,
-    streaming: bool,
     /// Jobs created and not yet retired.
     pub(super) live: usize,
     /// High-water mark of `live` (the bounded-memory witness).
@@ -59,35 +53,21 @@ pub(super) struct JobSlab {
 }
 
 impl JobSlab {
-    /// Fixed-mode storage over a prebuilt job list.
-    pub(super) fn fixed(jobs: Vec<Job>) -> Self {
-        let n = jobs.len();
-        let mut slab = JobSlab {
-            slots: jobs.into_iter().map(Some).collect(),
-            phases: vec![JobPhase::Queued; n],
-            clusters: vec![None; n],
-            rooms: vec![0; n],
-            live: n,
-            peak_live: n,
-            ..JobSlab::default()
-        };
-        for id in 0..n {
-            slab.sync_hot(JobId(id as u32));
-        }
-        slab
-    }
-
-    /// Empty streaming-mode storage.
-    pub(super) fn streaming() -> Self {
+    /// An empty slab with room for `n` live jobs, so a run whose live
+    /// jobs stay within it never grows the slab mid-run.
+    pub(super) fn with_capacity(n: usize) -> Self {
         JobSlab {
-            streaming: true,
+            slots: Vec::with_capacity(n),
+            phases: Vec::with_capacity(n),
+            clusters: Vec::with_capacity(n),
+            rooms: Vec::with_capacity(n),
+            index: IdHashMap::with_capacity_and_hasher(n, Default::default()),
             ..JobSlab::default()
         }
     }
 
-    /// Inserts a newly arrived job (streaming mode), returning its slot.
+    /// Inserts a newly arrived job, returning its slot.
     pub(super) fn insert(&mut self, job: Job) -> usize {
-        debug_assert!(self.streaming, "fixed slabs are prebuilt");
         let id = job.id.0;
         let (phase, cluster, room) = (job.phase, job.cluster, Self::shrink_room_of(&job));
         let slot = match self.free.pop() {
@@ -110,23 +90,61 @@ impl JobSlab {
         slot as usize
     }
 
-    /// The collector slot of a live job (fixed mode: its id).
-    pub(super) fn slot_of(&self, id: JobId) -> usize {
-        if self.streaming {
-            self.index[&id.0] as usize
-        } else {
-            id.index()
+    /// Rebuilds a slab of `n` slots holding `jobs` at their slots, with
+    /// free list `free` and high-water mark `peak_live` — the inverse of
+    /// reading `slots`, `free` and `peak_live` off a slab. Every slot must
+    /// be either occupied or free, exactly once.
+    pub(super) fn restore(
+        n: usize,
+        jobs: Vec<(u32, Job)>,
+        free: Vec<u32>,
+        peak_live: usize,
+    ) -> Result<Self, String> {
+        if jobs.len() + free.len() != n || peak_live < jobs.len() {
+            return Err("slab counts are inconsistent".into());
         }
+        let mut slab = JobSlab {
+            slots: vec![None; n],
+            phases: vec![JobPhase::Queued; n],
+            clusters: vec![None; n],
+            rooms: vec![0; n],
+            ..JobSlab::default()
+        };
+        let mut seen = vec![false; n];
+        let mut claim = |slot: u32| match seen.get_mut(slot as usize) {
+            Some(s) if !*s => {
+                *s = true;
+                Ok(slot as usize)
+            }
+            _ => Err(format!("slot {slot} is out of range or listed twice")),
+        };
+        for &slot in &free {
+            claim(slot)?;
+        }
+        for (slot, job) in jobs {
+            let slot = claim(slot)?;
+            if slab.index.insert(job.id.0, slot as u32).is_some() {
+                return Err(format!("job {} is live twice", job.id.0));
+            }
+            let (phase, cluster, room) = (job.phase, job.cluster, Self::shrink_room_of(&job));
+            slab.slots[slot] = Some(job);
+            slab.set_hot(slot, phase, cluster, room);
+        }
+        slab.live = slab.index.len();
+        slab.peak_live = peak_live;
+        slab.free = free;
+        Ok(slab)
     }
 
-    /// The slot job `id` would occupy: its id in fixed mode, its mapped
-    /// slot in streaming mode (`None` once it retired).
+    /// The slot of a live job (its collector meter slot).
+    pub(super) fn slot_of(&self, id: JobId) -> usize {
+        self.index[&id.0] as usize
+    }
+
+    /// The slot job `id` occupies, `None` before its arrival and once it
+    /// retired.
     fn slot(&self, id: JobId) -> Option<usize> {
-        if self.streaming {
-            self.index.get(&id.0).map(|&s| s as usize)
-        } else {
-            Some(id.index())
-        }
+        self.index.get(&id.0).map(|&s| s as usize)
     }
 
     /// The job, if it is still live (stale events on retired jobs
@@ -163,15 +181,11 @@ impl JobSlab {
             .expect("views contain only malleable jobs")
     }
 
-    /// Marks a job terminal. Fixed mode keeps the job in place (reports
-    /// and tests read it); streaming mode frees the slot and clears its
-    /// cluster column, so a dead slot is never in the running index.
+    /// Marks a job terminal: frees its slot and clears its cluster
+    /// column, so a dead slot is never in the running index.
     pub(super) fn retire(&mut self, id: JobId) {
         debug_assert!(self.live > 0, "retire with no live jobs");
         self.live -= 1;
-        if !self.streaming {
-            return;
-        }
         let slot = self.index.remove(&id.0).expect("retired job was live");
         self.slots[slot as usize] = None;
         self.set_hot(slot as usize, self.phases[slot as usize], None, 0);
@@ -335,31 +349,20 @@ impl JobSlab {
     pub(super) fn iter_live(&self) -> impl Iterator<Item = &Job> {
         self.slots.iter().filter_map(Option::as_ref)
     }
-
-    /// Jobs created and not yet retired.
-    pub(super) fn live(&self) -> usize {
-        self.live
-    }
-
-    /// High-water mark of concurrently live jobs.
-    pub(super) fn peak_live(&self) -> usize {
-        self.peak_live
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::tests::small;
-    use crate::sim::World;
     use appsim::workload::WorkloadSpec;
 
     /// A job to seed slab tests with (the spec is irrelevant; only the
     /// hot fields are exercised).
     fn template_job() -> Job {
         let cfg = small("fpsma", WorkloadSpec::wm(), 1);
-        let w = World::new(&cfg);
-        w.jobs.get(JobId(0)).expect("one job").clone()
+        let sj = cfg.generate_workload_for_seed(cfg.seed).remove(0);
+        Job::new(JobId(0), sj.spec, sj.at)
     }
 
     fn set_phase(slab: &mut JobSlab, id: JobId, phase: JobPhase, cluster: Option<ClusterId>) {
@@ -369,8 +372,8 @@ mod tests {
         slab.sync_hot(id);
     }
 
-    /// A streaming slot freed by a Running job and reused by a queued
-    /// one must not be listed as running — whether the job's columns
+    /// A slot freed by a Running job and reused by a queued one must
+    /// not be listed as running — whether the job's columns
     /// were refreshed before retiring (completion) or still said
     /// Running when it retired (a killed crash victim).
     #[test]
@@ -378,7 +381,7 @@ mod tests {
         let template = template_job();
         let c = ClusterId(1);
         for sync_before_retire in [true, false] {
-            let mut slab = JobSlab::streaming();
+            let mut slab = JobSlab::default();
             let first = Job {
                 id: JobId(0),
                 ..template.clone()

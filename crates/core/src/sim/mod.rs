@@ -40,12 +40,8 @@
 //! GRAM submission — or the deferred claim — fires only when the last
 //! transfer lands, so data movement genuinely delays job starts.
 
-use std::borrow::Cow;
-use std::collections::VecDeque;
-
 use appsim::dynaco::Dynaco;
-use appsim::generate::JobStream;
-use appsim::workload::SubmittedJob;
+use appsim::generate::{JobStream, SliceStream, VecStream};
 use appsim::JobClass;
 use multicluster::{
     das3, AllocId, AllocOwner, ClusterId, FailureStream, FileCatalog, InfoService, LocalJob,
@@ -76,15 +72,17 @@ mod net;
 pub use codec::{fork_summary, resume_summary, warm_snapshot_seeded};
 pub use ctrl::CtrlOp;
 use ctrl::CtrlPlane;
-use intake::Intake;
 pub use intake::DEFAULT_LOOKAHEAD;
+pub(crate) use intake::UNBOUNDED;
+use intake::{Intake, Source};
 use jobs::JobSlab;
 use net::NetRuntime;
 
 /// The flat event type of the whole simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ev {
-    /// A workload job arrives (payload: workload index = job id).
+    /// A workload job arrives (payload: its job id, the intake's pull
+    /// order).
     Arrival(u32),
     /// Group arrival: `count` workload jobs with consecutive ids starting
     /// at `first`, fanned out in ascending id order. Nothing schedules it;
@@ -396,7 +394,7 @@ impl<'a> World<'a> {
     /// [`PolicyRegistry::global`] (run through [`crate::run()`], which
     /// validates first, for a `Result`-shaped path).
     pub fn for_seed(cfg: &'a ExperimentConfig, seed: u64) -> Self {
-        Self::for_seed_with_mode(cfg, seed, ReportMode::Full)
+        Self::for_seed_with_mode(cfg, seed, ReportMode::Full, UNBOUNDED)
     }
 
     /// [`World::for_seed`] in memory-bounded summary mode: the run
@@ -404,52 +402,33 @@ impl<'a> World<'a> {
     /// no step series, no trace) and finishes as a [`SummaryReport`]. Warmup
     /// trimming and reservoir capacity come from `cfg.report`.
     pub fn for_seed_summarized(cfg: &'a ExperimentConfig, seed: u64) -> Self {
-        Self::for_seed_with_mode(cfg, seed, ReportMode::Summarized)
+        Self::for_seed_with_mode(cfg, seed, ReportMode::Summarized, UNBOUNDED)
     }
 
+    /// The one intake path: the configuration's own workload — its
+    /// trace, else its named generator, else `cfg.workload` — pulled
+    /// through a look-ahead window of `lookahead` arrivals
+    /// ([`UNBOUNDED`] for an eager run, which pulls everything at
+    /// bootstrap).
     pub(crate) fn for_seed_with_mode(
         cfg: &'a ExperimentConfig,
         seed: u64,
         mode: ReportMode,
+        lookahead: usize,
     ) -> Self {
-        Self::assemble(cfg, seed, |mut wl_rng, mc| {
-            let workload: Cow<'a, [SubmittedJob]> = match (&cfg.trace, &cfg.generator) {
-                (Some(trace), _) => Cow::Borrowed(trace.as_slice()),
-                (None, Some(name)) => {
-                    // The eager generator path: materialize the named
-                    // source's stream (small runs; million-job streams go
-                    // through `for_stream_summarized`).
-                    let src = appsim::generate::WorkloadRegistry::global()
+        Self::assemble(cfg, seed, mode, lookahead, |mut wl_rng| {
+            match (&cfg.trace, &cfg.generator) {
+                (Some(trace), _) => Source::Trace(SliceStream::new(trace)),
+                (None, Some(name)) => Source::Generated(
+                    appsim::generate::WorkloadRegistry::global()
                         .source(name)
-                        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-                    Cow::Owned(src.generate(seed, cfg.workload.jobs as u64))
+                        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
+                        .stream(seed, cfg.workload.jobs as u64),
+                ),
+                (None, None) => {
+                    Source::Generated(Box::new(VecStream::new(cfg.workload.generate(&mut wl_rng))))
                 }
-                (None, None) => Cow::Owned(cfg.workload.generate(&mut wl_rng)),
-            };
-            let jobs: Vec<Job> = workload
-                .iter()
-                .enumerate()
-                .map(|(i, s)| Job::new(JobId(i as u32), s.spec.clone(), s.at))
-                .collect();
-            let detail = (mode == ReportMode::Full).then(|| {
-                DetailCollector::new(
-                    workload.iter().map(|s| {
-                        (
-                            s.spec.kind.label().to_string(),
-                            s.spec.class.is_malleable(),
-                            s.at,
-                        )
-                    }),
-                    mc.len(),
-                )
-            });
-            let mut collect = Collector::new(seed, &cfg.report, detail);
-            collect.register_upfront(workload.iter().map(|s| s.at));
-            let intake = Intake::Fixed {
-                workload,
-                arrivals_seen: 0,
-            };
-            (intake, JobSlab::fixed(jobs), collect)
+            }
         })
     }
 
@@ -466,29 +445,23 @@ impl<'a> World<'a> {
         stream: &'a mut (dyn JobStream + 'a),
         window: usize,
     ) -> Self {
-        Self::assemble(cfg, seed, |_wl_rng, _mc| {
-            let intake = Intake::Stream {
-                src: stream,
-                pending: VecDeque::with_capacity(window.max(1)),
-                window: window.max(1),
-                next_id: 0,
-                last_at: SimTime::ZERO,
-                exhausted: false,
-            };
-            let collect = Collector::new(seed, &cfg.report, None);
-            (intake, JobSlab::streaming(), collect)
+        Self::assemble(cfg, seed, ReportMode::Summarized, window, |_| {
+            Source::Caller(stream)
         })
     }
 
     /// The one construction path: forks the master RNG (labels 1–4:
     /// workload, background, failures, control-plane faults), builds the
-    /// topology, lets `intake` turn the workload stream and the topology
-    /// into the intake, slab and collector, and sets up every subsystem
-    /// the configuration enables.
+    /// topology, lets `source` turn the workload RNG into the job source
+    /// the intake pulls through a window of `lookahead` arrivals, and
+    /// sets up the `mode` collector and every subsystem the
+    /// configuration enables.
     fn assemble(
         cfg: &'a ExperimentConfig,
         seed: u64,
-        intake: impl FnOnce(SimRng, &Multicluster) -> (Intake<'a>, JobSlab, Collector),
+        mode: ReportMode,
+        lookahead: usize,
+        source: impl FnOnce(SimRng) -> Source<'a>,
     ) -> Self {
         let mut master = SimRng::seed_from_u64(seed);
         let wl_rng = master.fork(1);
@@ -496,7 +469,8 @@ impl<'a> World<'a> {
         let failure_rng = master.fork(3);
         let fault_rng = master.fork(4);
         let mc = topology_for(cfg);
-        let (intake, jobs, collect) = intake(wl_rng, &mc);
+        let detail = (mode == ReportMode::Full).then(|| DetailCollector::new(mc.len()));
+        let intake = Intake::new(source(wl_rng), lookahead);
         let n_clusters = mc.len();
         let failures = cfg
             .elasticity
@@ -510,10 +484,12 @@ impl<'a> World<'a> {
             policies: resolve_policies(cfg),
             kis: InfoService::with_lag(cfg.elasticity.kis_lag),
             files,
+            // As much room as the window: the workload's size when the
+            // source knows it, capped by the window.
+            jobs: JobSlab::with_capacity(intake.pending.capacity()),
             intake,
-            jobs,
             queue: PlacementQueue::new(),
-            collect,
+            collect: Collector::new(seed, &cfg.report, detail),
             grow_messages: 0,
             shrink_messages: 0,
             bg_rng,
@@ -564,17 +540,10 @@ impl<'a> World<'a> {
     /// Job phases (tests).
     ///
     /// # Panics
-    /// Panics for a retired job of a streaming world (fixed-intake
-    /// worlds keep terminal jobs in place).
+    /// Panics for a job that is not live: not arrived yet, or retired
+    /// at its terminal phase.
     pub fn job_phase(&self, id: JobId) -> JobPhase {
-        self.jobs.get(id).expect("job retired").phase
-    }
-
-    /// High-water mark of concurrently live jobs — the streaming
-    /// intake's bounded-memory witness (fixed intakes materialize the
-    /// whole workload, so this equals the job count there).
-    pub fn peak_live_jobs(&self) -> usize {
-        self.jobs.peak_live()
+        self.jobs.get(id).expect("job not live").phase
     }
 
     /// Schedules the initial events.
@@ -597,7 +566,7 @@ impl<'a> World<'a> {
 
     /// True when every KOALA job has reached a terminal state.
     pub fn done(&self) -> bool {
-        self.intake.all_arrived() && self.queue.is_empty() && self.jobs.live() == 0
+        self.intake.all_arrived() && self.queue.is_empty() && self.jobs.live == 0
     }
 
     /// Runs the event loop until every job is terminal (or the engine
@@ -675,9 +644,9 @@ impl<'a> World<'a> {
     }
 
     /// Forks this warmed world into policy cell `cfg` by copying it in
-    /// memory: all state is cloned, the placement, malleability and
-    /// autoscaling policies are resolved by name from `cfg`, and a
-    /// borrowed trace is re-borrowed from `cfg`. The copy continues
+    /// memory: all state is cloned (the intake's window and the live
+    /// jobs included), and the placement, malleability and autoscaling
+    /// policies are resolved by name from `cfg`. The copy continues
     /// independently of `self` — it is the in-memory twin of a
     /// [`World::snapshot`] → [`World::fork_with`] round trip, without
     /// the byte codec or a fingerprint check.
@@ -687,16 +656,9 @@ impl<'a> World<'a> {
     /// grouping of [`crate::run()`] is that check.
     ///
     /// # Panics
-    /// Panics for a streaming world (a job stream cannot be copied) and
-    /// when `cfg` names an unknown policy.
+    /// Panics for a world still pulling its stream (a job stream cannot
+    /// be copied) and when `cfg` names an unknown policy.
     pub(crate) fn fork_clone<'b>(&self, cfg: &'b ExperimentConfig) -> World<'b> {
-        let Intake::Fixed {
-            workload,
-            arrivals_seen,
-        } = &self.intake
-        else {
-            panic!("a streaming world cannot be forked");
-        };
         World {
             cfg,
             seed: self.seed,
@@ -704,10 +666,7 @@ impl<'a> World<'a> {
             mc: self.mc.clone(),
             kis: self.kis.clone(),
             files: self.files.clone(),
-            intake: Intake::Fixed {
-                workload: cell_workload(cfg, workload),
-                arrivals_seen: *arrivals_seen,
-            },
+            intake: self.intake.fork(),
             jobs: self.jobs.clone(),
             queue: self.queue.clone(),
             collect: self.collect.clone(),
@@ -1217,6 +1176,13 @@ impl<'a> World<'a> {
         self.touch_util(now);
     }
 
+    /// Execution-time inflation per *additional* cluster a co-allocated
+    /// job spans (wide-area messages are slower than intra-cluster ones;
+    /// the Cluster Minimization policies exist to reduce exactly this).
+    /// 0.25 follows the inter/intra-cluster latency ratios reported for
+    /// DAS co-allocation studies (Bucur & Epema).
+    const COALLOC_PENALTY: f64 = 0.25;
+
     fn on_start_held(&mut self, engine: &mut Engine<Ev>, id: JobId, gen: Generation) {
         let now = engine.now();
         let mc = &self.mc;
@@ -1236,7 +1202,7 @@ impl<'a> World<'a> {
             .filter(|&c| Some(c) != job.cluster)
             .collect::<std::collections::BTreeSet<_>>()
             .len();
-        let penalty = 1.0 + self.cfg.sched.coalloc_penalty * (clusters_spanned as f64 - 1.0);
+        let penalty = 1.0 + Self::COALLOC_PENALTY * (clusters_spanned as f64 - 1.0);
         // Heterogeneous clusters: faster nodes divide the effective work
         // scale (for co-allocated jobs the slowest spanned cluster
         // bounds the rate, as in any BSP-style code).
@@ -1617,8 +1583,8 @@ impl<'a> World<'a> {
         job.gen.bump(); // invalidate every remaining event for this job
         self.jobs.sync_hot(id);
         self.observe(now, Obs::Complete { job: id });
-        // Terminal: the slab drops the job in streaming mode, bounding
-        // live memory to the in-flight job count.
+        // Terminal: the slab drops the job, bounding live memory to the
+        // in-flight job count.
         self.jobs.retire(id);
         self.release_job(engine, cluster, alloc, &extras);
     }
@@ -1976,7 +1942,7 @@ impl<'a> World<'a> {
         s.placement_tries = self.queue.total_tries();
         s.failed_submissions = self.queue.failed_submissions();
         s.events = engine.stats().delivered;
-        s.peak_live_jobs = self.jobs.peak_live() as u64;
+        s.peak_live_jobs = self.jobs.peak_live as u64;
         s.ctrl = self.ctrl.as_ref().map(|c| c.stats).unwrap_or_default();
         s.ctrl.leaked_allocations = u64::from(self.mc.total_used_by_koala());
         s.net = net;
@@ -2036,23 +2002,6 @@ fn cancel_malleability(
             pending_release[c.index()] = pending_release[c.index()].saturating_sub(in_release);
         }
         runner.release_confirmed();
-    }
-}
-
-/// The materialized workload of policy cell `cfg` forked from a world
-/// whose workload is `workload`: `cfg`'s own trace when it has one (the
-/// fork then borrows nothing from the warmed configuration), else a copy
-/// of the generated jobs.
-fn cell_workload<'b>(
-    cfg: &'b ExperimentConfig,
-    workload: &[SubmittedJob],
-) -> Cow<'b, [SubmittedJob]> {
-    match &cfg.trace {
-        Some(trace) => {
-            debug_assert_eq!(trace.as_slice(), workload, "forked into another trace");
-            Cow::Borrowed(trace.as_slice())
-        }
-        None => Cow::Owned(workload.to_vec()),
     }
 }
 
@@ -2295,11 +2244,14 @@ mod tests {
             .map(|c| (c, w.jobs.running_slots_on(c).to_vec()))
             .find(|(_, slots)| !slots.is_empty())
             .expect("some job runs by t = 900 s");
+        let ids: Vec<JobId> = victims
+            .iter()
+            .map(|&slot| w.jobs.job_at(slot as usize).expect("running job").id)
+            .collect();
         let capacity = w.mc.cluster(c).capacity();
         w.on_node_crash(&mut engine, c, capacity, SimDuration::from_secs(600));
         assert!(w.jobs.running_slots_on(c).is_empty());
-        for slot in victims {
-            let id = JobId(slot);
+        for (slot, id) in victims.into_iter().zip(ids) {
             assert_ne!(w.job_phase(id), JobPhase::Running, "{id:?} still running");
             for other in 0..w.mc.len() {
                 let list = w.jobs.running_slots_on(ClusterId(other as u16));

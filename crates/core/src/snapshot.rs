@@ -37,10 +37,13 @@ pub const MAGIC: [u8; 4] = *b"KSNP";
 /// - version 4 dropped the index's dirty flags and each LRM's local-job
 ///   id and completion counters;
 /// - version 5 dropped the KIS snapshots' capacity, KOALA-used and
-///   local-used columns, leaving the idle counts.
+///   local-used columns, leaving the idle counts;
+/// - version 6 stores the live jobs only, each with its id and slot,
+///   plus the slab's free list, where version 5 stored every job of the
+///   workload in id order; the intake cursor counts arrived jobs.
 ///
 /// Older blobs are rejected as [`SnapshotError::UnsupportedVersion`].
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 
 /// Why a snapshot could not be taken, decoded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +62,9 @@ pub enum SnapshotError {
     /// The bytes parse but describe an impossible state (bad enum tag,
     /// mismatched cluster count, inconsistent lengths).
     Corrupt(String),
-    /// The world cannot be snapshotted: only summarized-mode,
-    /// fixed-intake worlds have a serializable closure.
+    /// The world cannot be snapshotted: only summarized-mode worlds
+    /// whose intake has pulled their configuration's whole workload have
+    /// a serializable closure.
     UnsupportedMode(String),
 }
 

@@ -264,7 +264,9 @@ fn never_polled_kis_blocks_placement_until_the_first_poll() {
     let cfg = scenario.config();
     let mut engine = koala::engine_for(cfg);
     let mut w = World::for_seed(cfg, 9);
-    // Deliberately skip bootstrap: no KisPoll has ever fired.
+    // Bootstrap only schedules events (the arrivals pulled into the
+    // intake among them); none is delivered, so no KisPoll has fired.
+    w.bootstrap(&mut engine);
     w.handle(&mut engine, Ev::Arrival(0));
     assert_eq!(
         w.job_phase(koala::JobId(0)),
@@ -297,8 +299,10 @@ fn stale_views_delay_placement() {
     let cfg = scenario.config();
     let mut engine = koala::engine_for(cfg);
     let mut w = World::for_seed(cfg, 9);
-    // Poll at t=0: the snapshot exists but is still in flight (age 0 <
-    // lag), so placement must keep refusing.
+    // Pull the arrivals (bootstrap delivers nothing), then poll at t=0:
+    // the snapshot exists but is still in flight (age 0 < lag), so
+    // placement must keep refusing.
+    w.bootstrap(&mut engine);
     w.handle(&mut engine, Ev::KisPoll);
     w.handle(&mut engine, Ev::Arrival(0));
     assert_eq!(

@@ -48,14 +48,15 @@ fn header_is_versioned_and_validated_first() {
 /// cancelled-event count and per-job completion handles; version 2
 /// blobs lack the availability index's blocked-scan tally; version 3
 /// blobs carry its dirty flags and the LRM counters; version 4 blobs
-/// carry three more KIS snapshot columns. Their bodies are laid out
+/// carry three more KIS snapshot columns; version 5 blobs carry every
+/// job of the workload in id order. Their bodies are laid out
 /// differently, so the header must refuse them outright rather than
 /// let the body decoder misread the fields.
 #[test]
 fn version_1_blobs_are_refused_not_misread() {
     let snap = snap();
-    assert_eq!(snap.version, 5);
-    for v in [1u16, 2, 3, 4] {
+    assert_eq!(snap.version, 6);
+    for v in [1u16, 2, 3, 4, 5] {
         let mut old_bytes = snap.to_bytes();
         old_bytes[4..6].copy_from_slice(&v.to_le_bytes());
         assert_eq!(
@@ -181,6 +182,23 @@ fn unsupported_modes_are_typed_rejections() {
     // configuration) cannot snapshot: restore could not rebuild it.
     let catalog = multicluster::FileCatalog::uniform(5, 10.0).unwrap();
     let world = World::for_seed_summarized(&c, 7).with_files(catalog);
+    assert!(matches!(
+        world.snapshot(&engine),
+        Err(SnapshotError::UnsupportedMode(_))
+    ));
+    // An intake still pulling its stream cannot snapshot: before
+    // bootstrap the workload is not pulled yet.
+    let world = World::for_seed_summarized(&c, 7);
+    assert!(matches!(
+        world.snapshot(&engine),
+        Err(SnapshotError::UnsupportedMode(_))
+    ));
+    // Nor can a world over a caller's stream, even one pulled dry:
+    // restore could not rebuild its jobs from the configuration.
+    let mut stream = appsim::generate::VecStream::new(c.generate_workload_for_seed(7));
+    let mut engine = koala::engine_for(&c);
+    let mut world = World::for_stream_summarized(&c, 7, &mut stream, usize::MAX);
+    world.bootstrap(&mut engine);
     assert!(matches!(
         world.snapshot(&engine),
         Err(SnapshotError::UnsupportedMode(_))

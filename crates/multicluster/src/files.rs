@@ -45,17 +45,6 @@ pub enum CatalogError {
         /// The offending value.
         value: f64,
     },
-    /// A staging query named a file that was never registered.
-    UnknownFile(FileId),
-    /// The file exists but has no replicas anywhere.
-    NoReplicas(FileId),
-    /// No replica site has a usable route to the destination.
-    Unreachable {
-        /// The file being staged.
-        file: FileId,
-        /// The destination cluster.
-        dest: ClusterId,
-    },
 }
 
 impl fmt::Display for CatalogError {
@@ -71,11 +60,6 @@ impl fmt::Display for CatalogError {
             ),
             CatalogError::NonPositiveUniform { value } => {
                 write!(f, "uniform WAN bandwidth must be positive, got {value}")
-            }
-            CatalogError::UnknownFile(id) => write!(f, "unknown file {id:?}"),
-            CatalogError::NoReplicas(id) => write!(f, "file {id:?} has no replicas"),
-            CatalogError::Unreachable { file, dest } => {
-                write!(f, "no replica of {file:?} is reachable from {dest:?}")
             }
         }
     }
@@ -217,9 +201,7 @@ impl FileCatalog {
     /// Estimated time to make `file` available at `dest`: zero if a
     /// replica is local, otherwise the transfer time from the
     /// best-connected replica site. `None` for unknown files, files
-    /// without replicas, and unreachable destinations — callers that
-    /// need to distinguish those cases use [`Self::try_transfer_time`].
-    /// A zero-size file transfers in zero time from any replica.
+    /// without replicas, and unreachable destinations. A zero-size file transfers in zero time from any replica.
     pub fn transfer_time(&self, file: FileId, dest: ClusterId) -> Option<SimDuration> {
         let meta = self.files.get(&file)?;
         if meta.replicas.contains(&dest) {
@@ -236,25 +218,6 @@ impl FileCatalog {
             best = Some(best.map_or(secs, |b: f64| b.min(secs)));
         }
         best.map(SimDuration::from_secs_f64)
-    }
-
-    /// Like [`Self::transfer_time`] but with typed errors instead of a
-    /// collapsed `None`: distinguishes an unknown file, a file with no
-    /// replicas, and a destination no replica can reach.
-    pub fn try_transfer_time(
-        &self,
-        file: FileId,
-        dest: ClusterId,
-    ) -> Result<SimDuration, CatalogError> {
-        let meta = self
-            .files
-            .get(&file)
-            .ok_or(CatalogError::UnknownFile(file))?;
-        if meta.replicas.is_empty() {
-            return Err(CatalogError::NoReplicas(file));
-        }
-        self.transfer_time(file, dest)
-            .ok_or(CatalogError::Unreachable { file, dest })
     }
 
     /// Total estimated staging time for a set of files at `dest`
@@ -399,10 +362,6 @@ mod tests {
         let mut cat = FileCatalog::uniform(2, 1.0).unwrap();
         let f = cat.register(0.0, [ClusterId(0)]);
         assert_eq!(cat.transfer_time(f, ClusterId(1)), Some(SimDuration::ZERO));
-        assert_eq!(
-            cat.try_transfer_time(f, ClusterId(1)),
-            Ok(SimDuration::ZERO)
-        );
     }
 
     #[test]
@@ -412,36 +371,14 @@ mod tests {
         let marooned = cat.register(10.0, [ClusterId(0)]); // 0 → 1 has no route
         let ghost = FileId(99);
 
-        // The infallible estimators collapse every edge case to
-        // None / zero (a ranking heuristic must not panic)...
+        // The estimators collapse every edge case to None / zero (a
+        // ranking heuristic must not panic).
         assert_eq!(cat.transfer_time(ghost, ClusterId(0)), None);
         assert_eq!(cat.transfer_time(orphan, ClusterId(1)), None);
         assert_eq!(cat.transfer_time(marooned, ClusterId(1)), None);
         assert_eq!(
             cat.staging_time(&[ghost, orphan, marooned], ClusterId(1)),
             SimDuration::ZERO
-        );
-
-        // ...while the fallible twins name the reason.
-        assert_eq!(
-            cat.try_transfer_time(ghost, ClusterId(0)),
-            Err(CatalogError::UnknownFile(ghost))
-        );
-        assert_eq!(
-            cat.try_transfer_time(orphan, ClusterId(1)),
-            Err(CatalogError::NoReplicas(orphan))
-        );
-        assert_eq!(
-            cat.try_transfer_time(marooned, ClusterId(1)),
-            Err(CatalogError::Unreachable {
-                file: marooned,
-                dest: ClusterId(1)
-            })
-        );
-        // A local replica short-circuits the route check.
-        assert_eq!(
-            cat.try_transfer_time(marooned, ClusterId(0)),
-            Ok(SimDuration::ZERO)
         );
     }
 

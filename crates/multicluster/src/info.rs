@@ -41,11 +41,6 @@ impl InfoSnapshot {
             )
         })
     }
-
-    /// Total idle processors across the system.
-    pub fn total_idle(&self) -> u32 {
-        self.idle.iter().sum()
-    }
 }
 
 /// The information service: takes and caches snapshots, optionally
@@ -128,14 +123,6 @@ impl InfoService {
         self.polls
     }
 
-    /// Age of the currently visible snapshot at `now`; `None` when no
-    /// poll has matured yet.
-    pub fn staleness(&self, now: SimTime) -> Option<simcore::SimDuration> {
-        self.visible
-            .as_ref()
-            .map(|s| now.saturating_since(s.taken_at))
-    }
-
     /// Captures the service's dynamic state — the visible snapshot, the
     /// in-flight queue (oldest first) and the poll counter — for
     /// checkpointing. The lag is configuration, not state.
@@ -188,7 +175,6 @@ mod tests {
         assert_eq!(s.taken_at, SimTime::from_secs(5));
         assert_eq!(s.idle_of(ClusterId(0)), 6);
         assert_eq!(s.idle_of(ClusterId(1)), 20);
-        assert_eq!(s.total_idle(), 26);
     }
 
     #[test]
@@ -211,25 +197,19 @@ mod tests {
     fn staleness_grows_until_next_poll() {
         let a = cluster("a", 4);
         let mut kis = InfoService::new();
-        assert_eq!(kis.staleness(SimTime::from_secs(1)), None);
+        let taken_at = |kis: &InfoService| kis.snapshot().map(|s| s.taken_at);
+        assert_eq!(taken_at(&kis), None);
         kis.poll(SimTime::from_secs(10), [&a].into_iter());
-        assert_eq!(
-            kis.staleness(SimTime::from_secs(25)),
-            Some(simcore::SimDuration::from_secs(15))
-        );
+        assert_eq!(taken_at(&kis), Some(SimTime::from_secs(10)));
         kis.poll(SimTime::from_secs(30), [&a].into_iter());
-        assert_eq!(
-            kis.staleness(SimTime::from_secs(30)),
-            Some(simcore::SimDuration::ZERO)
-        );
+        assert_eq!(taken_at(&kis), Some(SimTime::from_secs(30)));
         assert_eq!(kis.polls(), 2);
     }
 
     #[test]
     fn never_polled_view_is_maximally_stale() {
-        // No poll yet: there is no view to place against, and no age.
+        // No poll yet: there is no view to place against.
         let kis = InfoService::new();
-        assert_eq!(kis.staleness(SimTime::from_secs(99)), None);
         assert!(kis.snapshot().is_none());
     }
 
@@ -240,7 +220,6 @@ mod tests {
         kis.poll(SimTime::ZERO, [&a].into_iter());
         // Taken but not yet visible: there is no view yet.
         assert!(kis.snapshot().is_none());
-        assert_eq!(kis.staleness(SimTime::from_secs(10)), None);
         a.allocate(AllocOwner::Local(1), 8).unwrap();
         kis.poll(SimTime::from_secs(40), [&a].into_iter());
         // The matured snapshot is the one taken at t = 0: it lags the
@@ -248,10 +227,6 @@ mod tests {
         let s = kis.snapshot().unwrap();
         assert_eq!(s.taken_at, SimTime::ZERO);
         assert_eq!(s.idle_of(ClusterId(0)), 10);
-        assert_eq!(
-            kis.staleness(SimTime::from_secs(40)),
-            Some(simcore::SimDuration::from_secs(40))
-        );
         // The next poll promotes the t = 40 snapshot (70 - 40 >= 30).
         kis.poll(SimTime::from_secs(70), [&a].into_iter());
         assert_eq!(kis.snapshot().unwrap().taken_at, SimTime::from_secs(40));

@@ -15,9 +15,6 @@ use crate::rng::SimRng;
 pub trait Distribution {
     /// Draws one sample.
     fn sample(&self, rng: &mut SimRng) -> f64;
-
-    /// The distribution's mean, if finite and known in closed form.
-    fn mean(&self) -> Option<f64>;
 }
 
 /// Exponential with rate `lambda` (mean `1/lambda`). The canonical model
@@ -40,9 +37,6 @@ impl Exponential {
 impl Distribution for Exponential {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         -rng.f64_open0().ln() / self.lambda
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.lambda)
     }
 }
 
@@ -82,9 +76,6 @@ impl Distribution for LogNormal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +92,6 @@ mod tests {
         let d = Exponential::with_mean(30.0);
         let m = empirical_mean(&d, 3, 200_000);
         assert!((m - 30.0).abs() < 0.5, "mean {m}");
-        assert_eq!(d.mean(), Some(30.0));
     }
 
     #[test]
@@ -120,6 +110,5 @@ mod tests {
         let d = LogNormal::with_mean_cv(100.0, 1.5);
         let m = empirical_mean(&d, 5, 400_000);
         assert!((m - 100.0).abs() < 2.0, "mean {m}");
-        assert!((d.mean().unwrap() - 100.0).abs() < 1e-9);
     }
 }

